@@ -69,7 +69,8 @@ impl std::fmt::Display for Diagnostic {
 pub struct FileCtx {
     /// Workspace-relative path with forward slashes.
     pub rel: String,
-    /// Whole file is test code (integration tests directory).
+    /// Whole file is test code (an integration `tests/` directory, or a
+    /// `tests.rs` module file — the same rule `scripts/loc.sh` counts by).
     pub is_test_file: bool,
 }
 
@@ -202,7 +203,7 @@ pub fn lint_source(rel: &str, src: &str) -> Vec<Diagnostic> {
 
 /// Whether a workspace-relative path is test-only by position.
 fn is_test_path(rel: &str) -> bool {
-    rel.split('/').any(|seg| seg == "tests")
+    rel.split('/').any(|seg| seg == "tests" || seg == "tests.rs")
 }
 
 /// Directories never descended into.

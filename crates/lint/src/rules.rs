@@ -278,14 +278,14 @@ fn hash_typed_names(tokens: &[Token]) -> HashSet<String> {
 /// poisoning or degrade-to-read-only: the WAL, checkpointing, snapshot
 /// and delta publication, and the session commit path.
 fn poison_scoped(rel: &str) -> bool {
-    matches!(
-        rel,
-        "crates/storage/src/wal.rs"
-            | "crates/storage/src/db.rs"
-            | "crates/storage/src/snapshot.rs"
-            | "crates/storage/src/delta.rs"
-            | "crates/sql/src/session.rs"
-    )
+    rel.starts_with("crates/sql/src/session/")
+        || matches!(
+            rel,
+            "crates/storage/src/wal.rs"
+                | "crates/storage/src/db.rs"
+                | "crates/storage/src/snapshot.rs"
+                | "crates/storage/src/delta.rs"
+        )
 }
 
 /// No discarded `Result`s on durability paths. A dropped error from

@@ -1,23 +1,29 @@
 //! Per-connection session logic: snapshot-isolated reads, transactions
 //! that commit through the shared [`CommitHandle`].
 //!
-//! Every connection owns a **read view** — a [`Session`] whose
-//! decomposition is an `Arc` share of a published [`WsdSnapshot`] —
-//! refreshed from the group committer before each auto-commit
-//! statement. Reads never take a lock the writer holds and never see a
-//! commit group's effects partially applied: a snapshot is published
-//! only after its batch's shared fsync.
+//! Every connection owns one detached in-memory [`Session`] whose
+//! decomposition is an `Arc` share of a published [`WsdSnapshot`],
+//! refreshed from the group committer before each statement outside a
+//! transaction. Reads never take a lock the writer holds and never see
+//! a commit group's effects partially applied: a snapshot is published
+//! only after its batch's shared fsync. Mutations outside a transaction
+//! never touch that session — each is submitted to the group committer
+//! as a one-statement commit group.
 //!
-//! `BEGIN` switches the connection to a **private writable session**
-//! forked from the current snapshot. Mutations execute there first (so
-//! the transaction reads its own writes) and are recorded; `COMMIT`
-//! submits the recorded statements to the group committer, which
-//! re-executes them serially against the durable state — the commit
-//! order, not the `BEGIN` order, is the serial order. A NACK (conflict
-//! with the durable state, storage failure, poison) reaches the client
-//! as an error and the transaction is gone.
+//! `BEGIN` opens a transaction on the connection's session, pinned at
+//! the snapshot current at that moment. Mutations execute there first
+//! (so the transaction reads its own writes) and the session's own
+//! transaction state records them, savepoints included; `COMMIT` takes
+//! the surviving statements ([`Session::take_transaction`]) and submits
+//! them to the group committer, which re-executes them serially against
+//! the durable state — the commit order, not the `BEGIN` order, is the
+//! serial order. A NACK (conflict with the durable state, storage
+//! failure, poison) reaches the client as an error and the transaction
+//! is gone. Every transaction-control rule (nested `BEGIN`, stray
+//! `COMMIT`, unknown savepoint, …) is the session's admission gate's,
+//! not this module's.
 
-use std::io;
+use std::io::{self, Read};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -25,7 +31,10 @@ use std::time::Duration;
 
 use maybms_obs::{counter, gauge, Counter, Gauge};
 use maybms_relational::pretty;
-use maybms_sql::{parse, CommitHandle, QueryResult, Session, SessionError, Statement};
+use maybms_sql::{
+    parse, CommitAck, CommitHandle, QueryResult, Session, SessionError, SessionResult, Statement,
+    WsdSnapshot,
+};
 
 use crate::proto::{self, ErrKind, Request, Response};
 
@@ -61,18 +70,27 @@ impl Drop for ConnGauge {
     }
 }
 
-/// An open explicit transaction on one connection.
-struct Txn {
-    /// Private writable fork of the snapshot current at `BEGIN`; the
-    /// transaction's preview — reads here see its own writes.
-    sess: Session,
-    /// The LSN of that snapshot, reported for in-transaction replies.
-    base_lsn: u64,
-    /// Mutations recorded in execution order; what `COMMIT` submits.
-    stmts: Vec<Statement>,
-    /// Savepoint marks: name and the recorded-statement count at the
-    /// time, so `ROLLBACK TO` can truncate the submission.
-    marks: Vec<(String, usize)>,
+/// The read side of a socket whose 100 ms read timeout exists only to
+/// poll the stop flag. A timeout is a poll tick, never an error to
+/// surface while the server runs: surfacing one from inside a frame
+/// would drop the bytes `read_exact` already consumed and desynchronise
+/// the stream, so between frames and mid-frame alike the read simply
+/// continues — a client pausing inside a frame is waited for. Only once
+/// `stop` is raised does the timeout reach the caller.
+struct UntilStop<'a> {
+    stream: &'a TcpStream,
+    stop: &'a AtomicBool,
+}
+
+impl Read for UntilStop<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        loop {
+            match self.stream.read(buf) {
+                Err(e) if timed_out(&e) && !self.stop.load(Ordering::SeqCst) => {}
+                result => return result,
+            }
+        }
+    }
 }
 
 /// Serves one SQL connection until EOF, protocol error, or server stop.
@@ -84,30 +102,24 @@ pub(crate) fn handle_conn(
 ) -> io::Result<()> {
     let _gauge = ConnGauge::new();
     stream.set_nodelay(true)?;
-    // poll the stop flag between requests instead of blocking forever
+    // poll the stop flag instead of blocking forever (see `UntilStop`)
     stream.set_read_timeout(Some(Duration::from_millis(100)))?;
 
     let first = handle.snapshot();
-    let mut view = Session::view_at(&first);
-    let mut view_lsn = first.lsn();
-    proto::send_response(&mut stream, &Response::Hello { lsn: view_lsn })?;
+    let mut sess = Session::writable_at(&first);
+    let mut lsn = first.lsn();
+    proto::send_response(&mut stream, &Response::Hello { lsn })?;
 
-    let mut txn: Option<Txn> = None;
     loop {
-        let req = match proto::recv_request(&mut stream) {
+        let req = match proto::recv_request(&mut UntilStop { stream: &stream, stop: &stop }) {
             Ok(req) => req,
-            Err(e) if timed_out(&e) => {
-                if stop.load(Ordering::SeqCst) {
-                    return Ok(());
-                }
-                continue;
-            }
-            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(()),
+            // a timeout only gets here once the server is stopping
+            Err(e) if timed_out(&e) || e.kind() == io::ErrorKind::UnexpectedEof => return Ok(()),
             Err(e) => return Err(e),
         };
         metrics().requests.inc();
         let Request::Query { sql } = req;
-        let resp = dispatch(&sql, &handle, &mut view, &mut view_lsn, &mut txn);
+        let resp = dispatch(&sql, &handle, &mut sess, &mut lsn);
         proto::send_response(&mut stream, &resp)?;
     }
 }
@@ -117,145 +129,81 @@ fn timed_out(e: &io::Error) -> bool {
 }
 
 /// Executes one statement in the connection's current mode and builds
-/// the wire response.
-fn dispatch(
-    sql: &str,
-    handle: &CommitHandle,
-    view: &mut Session,
-    view_lsn: &mut u64,
-    txn: &mut Option<Txn>,
-) -> Response {
+/// the wire response. `lsn` is the LSN of the snapshot `sess` is pinned
+/// at — what replies to reads and in-transaction statements report.
+fn dispatch(sql: &str, handle: &CommitHandle, sess: &mut Session, lsn: &mut u64) -> Response {
     let stmt = match parse(sql) {
         Ok(stmt) => stmt,
         Err(source) => {
             return err_response(&SessionError::Parse { sql: sql.to_string(), source });
         }
     };
-    match stmt {
-        Statement::Begin => {
-            if txn.is_some() {
-                return txn_err("transaction already open (no nested BEGIN)");
-            }
-            let snap = handle.snapshot();
-            let mut sess = Session::writable_at(&snap);
-            if let Err(e) = sess.run(&Statement::Begin) {
-                return err_response(&e);
-            }
-            let base_lsn = snap.lsn();
-            *txn = Some(Txn { sess, base_lsn, stmts: Vec::new(), marks: Vec::new() });
-            Response::Ok { lsn: base_lsn, text: "BEGIN".into() }
-        }
-        Statement::Commit => {
-            let Some(t) = txn.take() else {
-                return txn_err("COMMIT without a transaction");
-            };
-            if t.stmts.is_empty() {
-                // nothing to make durable; the empty group is not submitted
-                return Response::Ok { lsn: *view_lsn, text: "COMMIT".into() };
-            }
-            match handle.commit(t.stmts) {
-                Ok(ack) => {
-                    install(view, view_lsn, &ack.snapshot);
-                    Response::Ok { lsn: ack.lsn, text: "COMMIT".into() }
-                }
-                Err(e) => err_response(&e),
-            }
-        }
-        Statement::Rollback => {
-            if txn.take().is_none() {
-                return txn_err("ROLLBACK without a transaction");
-            }
-            Response::Ok { lsn: *view_lsn, text: "ROLLBACK".into() }
-        }
-        Statement::Savepoint { ref name } => match txn.as_mut() {
-            None => txn_err("SAVEPOINT without a transaction"),
-            Some(t) => match t.sess.run(&stmt) {
-                Ok(r) => {
-                    t.marks.push((name.clone(), t.stmts.len()));
-                    Response::Ok { lsn: t.base_lsn, text: render(&r) }
-                }
-                Err(e) => err_response(&e),
-            },
-        },
-        Statement::RollbackTo { ref name } => match txn.as_mut() {
-            None => txn_err("ROLLBACK TO without a transaction"),
-            Some(t) => match t.sess.run(&stmt) {
-                Ok(r) => {
-                    // the private session validated the savepoint exists;
-                    // mirror its truncation on the recorded submission
-                    let at = t
-                        .marks
-                        .iter()
-                        .rposition(|(n, _)| n == name)
-                        .map(|i| {
-                            let keep = t.marks[i].1;
-                            t.marks.truncate(i + 1);
-                            keep
-                        })
-                        .unwrap_or(0);
-                    t.stmts.truncate(at);
-                    Response::Ok { lsn: t.base_lsn, text: render(&r) }
-                }
-                Err(e) => err_response(&e),
-            },
-        },
-        Statement::Checkpoint { .. } => Response::Err {
+    if matches!(stmt, Statement::Checkpoint { .. }) {
+        return Response::Err {
             kind: ErrKind::Unsupported as u8,
             message: "CHECKPOINT is not available over the server protocol \
                       (it compacts the shared database; run it on the server process)"
                 .into(),
-        },
-        ref s if maybms_sql::wire::is_mutation(s) => match txn.as_mut() {
-            // inside a transaction: preview on the private session,
-            // record for COMMIT-time submission
-            Some(t) => match t.sess.run(&stmt) {
-                Ok(r) => {
-                    t.stmts.push(stmt.clone());
-                    Response::Ok { lsn: t.base_lsn, text: render(&r) }
-                }
-                Err(e) => err_response(&e),
-            },
-            // auto-commit: a one-statement commit group
-            None => match handle.commit(vec![stmt]) {
-                Ok(ack) => {
-                    install(view, view_lsn, &ack.snapshot);
-                    let text = ack.results.first().map(render).unwrap_or_default();
-                    Response::Ok { lsn: ack.lsn, text }
-                }
-                Err(e) => err_response(&e),
-            },
-        },
-        // reads: inside a transaction they see its writes; otherwise they
-        // run on the freshest published snapshot
-        _ => match txn.as_mut() {
-            Some(t) => match t.sess.run(&stmt) {
-                Ok(r) => Response::Ok { lsn: t.base_lsn, text: render(&r) },
-                Err(e) => err_response(&e),
-            },
-            None => {
-                install(view, view_lsn, &handle.snapshot());
-                match view.run(&stmt) {
-                    Ok(r) => Response::Ok { lsn: *view_lsn, text: render(&r) },
-                    Err(e) => err_response(&e),
-                }
+        };
+    }
+    if matches!(stmt, Statement::Commit) {
+        // a stray COMMIT (no transaction to take) falls through to the
+        // session, whose admission gate refuses it
+        if let Some(stmts) = sess.take_transaction() {
+            if stmts.is_empty() {
+                // nothing to make durable; the empty group is not submitted
+                return Response::Ok { lsn: *lsn, text: "COMMIT".into() };
             }
-        },
+            return submit(handle, stmts, sess, lsn, |_| "COMMIT".into());
+        }
+    }
+    if !sess.in_transaction() {
+        if maybms_sql::wire::is_mutation(&stmt) {
+            // auto-commit: a one-statement commit group
+            return submit(handle, vec![stmt], sess, lsn, |ack| {
+                ack.results.first().map(render).unwrap_or_default()
+            });
+        }
+        // reads (and BEGIN) run on the freshest published snapshot
+        install(sess, lsn, &handle.snapshot());
+    }
+    // inside a transaction everything previews on the private session:
+    // reads see its writes, mutations and savepoints are recorded there
+    reply(sess.run(&stmt), *lsn)
+}
+
+/// Submits one commit group and, once it is durable, moves the
+/// connection's session to the snapshot that includes it (so the
+/// connection reads its own write next).
+fn submit(
+    handle: &CommitHandle,
+    stmts: Vec<Statement>,
+    sess: &mut Session,
+    lsn: &mut u64,
+    text: impl FnOnce(&CommitAck) -> String,
+) -> Response {
+    match handle.commit(stmts) {
+        Ok(ack) => {
+            install(sess, lsn, &ack.snapshot);
+            Response::Ok { lsn: ack.lsn, text: text(&ack) }
+        }
+        Err(e) => err_response(&e),
     }
 }
 
-fn install(view: &mut Session, view_lsn: &mut u64, snap: &maybms_sql::WsdSnapshot) {
-    // the view session never opens a transaction, so this cannot fail;
-    // fall back to a fresh view if it somehow does
-    if view.install_snapshot(snap).is_err() {
-        *view = Session::view_at(snap);
+fn install(sess: &mut Session, lsn: &mut u64, snap: &WsdSnapshot) {
+    // only called outside a transaction, so this cannot fail; fall back
+    // to a fresh session if it somehow does
+    if sess.install_snapshot(snap).is_err() {
+        *sess = Session::writable_at(snap);
     }
-    *view_lsn = snap.lsn();
+    *lsn = snap.lsn();
 }
 
-fn txn_err(message: &str) -> Response {
-    Response::Err {
-        kind: ErrKind::Transaction as u8,
-        message: format!("transaction error: {message}"),
+fn reply(result: SessionResult<QueryResult>, lsn: u64) -> Response {
+    match result {
+        Ok(r) => Response::Ok { lsn, text: render(&r) },
+        Err(e) => err_response(&e),
     }
 }
 

@@ -7,18 +7,13 @@
 //! which is what the server's listener sniffs to tell a SQL session
 //! apart from an HTTP metrics scrape (`"GET "`) and the WAL-shipping
 //! replica protocol (whose first frame can start with neither). After
-//! the magic, both directions speak frames identical in shape to
-//! `maybms_storage::ship`:
-//!
-//! ```text
-//! | len: u32 LE | crc32(payload): u32 LE | payload: len bytes |
-//! ```
-//!
-//! `len` is bounded by [`MAX_FRAME_LEN`] *before* any allocation — the
-//! length field itself is outside the checksum, so an implausible value
-//! must never size a buffer. The payload begins with
-//! [`PROTO_VERSION`] and a tag byte; strings are `u32 LE` length +
-//! UTF-8 bytes.
+//! the magic, both directions speak `maybms_storage::frame` frames —
+//! the same `len | crc32 | payload` framing as WAL records and shipped
+//! messages. A request may declare at most [`MAX_REQUEST_LEN`] bytes, a
+//! reply at most [`MAX_FRAME_LEN`]; either bound is checked before the
+//! body is read. The payload begins with [`PROTO_VERSION`] and a tag
+//! byte, encoded with `maybms_storage::bytes` (strings are `u32 LE`
+//! length + UTF-8 bytes).
 //!
 //! # Messages
 //!
@@ -36,7 +31,9 @@
 use std::io::{self, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 
-use maybms_storage::crc::crc32;
+use maybms_relational::Error;
+use maybms_storage::bytes::{Reader, Writer};
+use maybms_storage::frame::{read_frame, write_frame, MAX_FRAME_LEN, MAX_REQUEST_LEN};
 
 /// First bytes on the wire, before any frame: how the multiplexed
 /// listener recognizes this protocol.
@@ -44,11 +41,6 @@ pub const PROTO_MAGIC: [u8; 4] = *b"MBSQ";
 
 /// Protocol version, the first byte of every frame payload.
 pub const PROTO_VERSION: u8 = 1;
-
-/// Upper bound on a frame's claimed payload length. The length field is
-/// not covered by the checksum (it sizes the read of the bytes that
-/// are), so it is bounds-checked before any allocation.
-pub const MAX_FRAME_LEN: usize = 1 << 30;
 
 const TAG_QUERY: u8 = 1;
 const TAG_HELLO: u8 = 2;
@@ -112,163 +104,87 @@ pub enum ErrKind {
     Unsupported = 7,
 }
 
-/// Writes one frame: length, checksum, payload.
-pub fn send_frame<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
-    let mut frame = Vec::with_capacity(8 + payload.len());
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&crc32(payload).to_le_bytes());
-    frame.extend_from_slice(payload);
-    w.write_all(&frame)?;
-    w.flush()
-}
-
-/// Reads one frame, validating length bound and checksum.
-pub fn recv_frame<R: Read>(r: &mut R) -> io::Result<Vec<u8>> {
-    let mut header = [0u8; 8];
-    r.read_exact(&mut header)?;
-    let len = u32::from_le_bytes([header[0], header[1], header[2], header[3]]) as usize;
-    let crc = u32::from_le_bytes([header[4], header[5], header[6], header[7]]);
-    if len > MAX_FRAME_LEN {
-        return Err(bad_data(format!(
-            "frame claims {len} bytes (max {MAX_FRAME_LEN}); stream corrupt or not MBSQ"
-        )));
-    }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
-    if crc32(&payload) != crc {
-        return Err(bad_data("frame checksum mismatch".into()));
-    }
-    Ok(payload)
-}
-
 fn bad_data(msg: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
+/// A payload under construction: version byte, then the message tag.
+fn message(tag: u8) -> Writer {
+    let mut w = Writer::new();
+    w.put_u8(PROTO_VERSION);
+    w.put_u8(tag);
+    w
 }
 
-struct Cursor<'a> {
-    buf: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> io::Result<&'a [u8]> {
-        let end = self.at.checked_add(n).filter(|&e| e <= self.buf.len());
-        let Some(end) = end else {
-            return Err(bad_data("message truncated".into()));
-        };
-        let s = &self.buf[self.at..end];
-        self.at = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> io::Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> io::Result<u32> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> io::Result<u64> {
-        let b = self.take(8)?;
-        let mut a = [0u8; 8];
-        a.copy_from_slice(b);
-        Ok(u64::from_le_bytes(a))
-    }
-
-    fn string(&mut self) -> io::Result<String> {
-        let len = self.u32()? as usize;
-        if len > MAX_FRAME_LEN {
-            return Err(bad_data("string length implausible".into()));
+/// Checks the version byte, hands the tag and the rest of the payload
+/// to `body`, and insists the message ends where its last field does.
+fn decode<T>(
+    payload: &[u8],
+    body: impl FnOnce(u8, &mut Reader<'_>) -> Result<T, Error>,
+) -> io::Result<T> {
+    let mut r = Reader::new(payload);
+    let parsed = (|| {
+        let version = r.get_u8()?;
+        if version != PROTO_VERSION {
+            return Err(Error::Storage(format!(
+                "protocol version {version} (this build speaks {PROTO_VERSION})"
+            )));
         }
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| bad_data("string not UTF-8".into()))
-    }
-
-    fn done(&self) -> io::Result<()> {
-        if self.at != self.buf.len() {
-            return Err(bad_data("trailing bytes after message".into()));
-        }
-        Ok(())
-    }
-}
-
-fn check_version(c: &mut Cursor<'_>) -> io::Result<u8> {
-    let version = c.u8()?;
-    if version != PROTO_VERSION {
-        return Err(bad_data(format!(
-            "protocol version {version} (this build speaks {PROTO_VERSION})"
-        )));
-    }
-    c.u8()
+        let msg = body(r.get_u8()?, &mut r)?;
+        r.expect_end()?;
+        Ok(msg)
+    })();
+    parsed.map_err(|e| bad_data(e.to_string()))
 }
 
 /// Sends one request as a frame.
 pub fn send_request<W: Write>(w: &mut W, req: &Request) -> io::Result<()> {
-    let mut payload = vec![PROTO_VERSION];
-    match req {
-        Request::Query { sql } => {
-            payload.push(TAG_QUERY);
-            put_str(&mut payload, sql);
-        }
-    }
-    send_frame(w, &payload)
+    let Request::Query { sql } = req;
+    let mut payload = message(TAG_QUERY);
+    payload.put_str(sql);
+    write_frame(w, &payload.into_inner())
 }
 
 /// Receives one request frame.
 pub fn recv_request<R: Read>(r: &mut R) -> io::Result<Request> {
-    let payload = recv_frame(r)?;
-    let mut c = Cursor { buf: &payload, at: 0 };
-    let tag = check_version(&mut c)?;
-    let req = match tag {
-        TAG_QUERY => Request::Query { sql: c.string()? },
-        other => return Err(bad_data(format!("unknown request tag {other}"))),
-    };
-    c.done()?;
-    Ok(req)
+    decode(&read_frame(r, MAX_REQUEST_LEN)?, |tag, r| match tag {
+        TAG_QUERY => Ok(Request::Query { sql: r.get_str()? }),
+        other => Err(Error::Storage(format!("unknown request tag {other}"))),
+    })
 }
 
 /// Sends one response as a frame.
 pub fn send_response<W: Write>(w: &mut W, resp: &Response) -> io::Result<()> {
-    let mut payload = vec![PROTO_VERSION];
-    match resp {
+    let payload = match resp {
         Response::Hello { lsn } => {
-            payload.push(TAG_HELLO);
-            payload.extend_from_slice(&lsn.to_le_bytes());
+            let mut p = message(TAG_HELLO);
+            p.put_u64(*lsn);
+            p
         }
         Response::Ok { lsn, text } => {
-            payload.push(TAG_OK);
-            payload.extend_from_slice(&lsn.to_le_bytes());
-            put_str(&mut payload, text);
+            let mut p = message(TAG_OK);
+            p.put_u64(*lsn);
+            p.put_str(text);
+            p
         }
-        Response::Err { kind, message } => {
-            payload.push(TAG_ERR);
-            payload.push(*kind);
-            put_str(&mut payload, message);
+        Response::Err { kind, message: text } => {
+            let mut p = message(TAG_ERR);
+            p.put_u8(*kind);
+            p.put_str(text);
+            p
         }
-    }
-    send_frame(w, &payload)
+    };
+    write_frame(w, &payload.into_inner())
 }
 
 /// Receives one response frame.
 pub fn recv_response<R: Read>(r: &mut R) -> io::Result<Response> {
-    let payload = recv_frame(r)?;
-    let mut c = Cursor { buf: &payload, at: 0 };
-    let tag = check_version(&mut c)?;
-    let resp = match tag {
-        TAG_HELLO => Response::Hello { lsn: c.u64()? },
-        TAG_OK => Response::Ok { lsn: c.u64()?, text: c.string()? },
-        TAG_ERR => Response::Err { kind: c.u8()?, message: c.string()? },
-        other => return Err(bad_data(format!("unknown response tag {other}"))),
-    };
-    c.done()?;
-    Ok(resp)
+    decode(&read_frame(r, MAX_FRAME_LEN)?, |tag, r| match tag {
+        TAG_HELLO => Ok(Response::Hello { lsn: r.get_u64()? }),
+        TAG_OK => Ok(Response::Ok { lsn: r.get_u64()?, text: r.get_str()? }),
+        TAG_ERR => Ok(Response::Err { kind: r.get_u8()?, message: r.get_str()? }),
+        other => Err(Error::Storage(format!("unknown response tag {other}"))),
+    })
 }
 
 /// A successful statement's answer.
@@ -369,21 +285,19 @@ mod tests {
     }
 
     #[test]
-    fn torn_and_corrupt_frames_are_rejected() {
-        let mut buf = Vec::new();
-        send_response(&mut buf, &Response::Hello { lsn: 9 }).expect("send");
-        // every truncation point fails cleanly
-        for cut in 0..buf.len() {
-            assert!(recv_response(&mut &buf[..cut]).is_err(), "cut at {cut} accepted");
+    fn malformed_messages_are_rejected() {
+        // well-framed payloads that are not messages: wrong version,
+        // unknown tag, truncated field, trailing bytes
+        for payload in [
+            &[PROTO_VERSION + 1, TAG_HELLO, 0, 0, 0, 0, 0, 0, 0, 0][..],
+            &[PROTO_VERSION, 99],
+            &[PROTO_VERSION, TAG_HELLO, 1, 2, 3],
+            &[PROTO_VERSION, TAG_HELLO, 0, 0, 0, 0, 0, 0, 0, 0, 0xFF],
+        ] {
+            let mut buf = Vec::new();
+            write_frame(&mut buf, payload).expect("frame");
+            let err = recv_response(&mut &buf[..]).expect_err("malformed message accepted");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{payload:?}: {err}");
         }
-        // a payload bit-flip fails the checksum
-        let mut flipped = buf.clone();
-        let last = flipped.len() - 1;
-        flipped[last] ^= 0x40;
-        assert!(recv_response(&mut &flipped[..]).is_err());
-        // an implausible length field is rejected before allocation
-        let mut huge = buf;
-        huge[..4].copy_from_slice(&(u32::MAX).to_le_bytes());
-        assert!(recv_response(&mut &huge[..]).is_err());
     }
 }

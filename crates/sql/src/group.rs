@@ -7,10 +7,11 @@
 //! half is [`Session::snapshot`] / [`Session::view_at`]):
 //!
 //! * **Serial execution.** The writer applies submitted groups strictly
-//!   in the order it dequeues them, each all-or-nothing in memory
-//!   (`Session::apply_group`). The committed history is therefore *a*
-//!   serial order by construction — the serializability argument is not
-//!   a lock-ordering proof but the absence of interleaving.
+//!   in the order it dequeues them, each admitted and applied
+//!   all-or-nothing in memory (`Session::apply_group`). The committed
+//!   history is therefore *a* serial order by construction — the
+//!   serializability argument is not a lock-ordering proof but the
+//!   absence of interleaving.
 //! * **Amortized durability.** All groups that succeeded in memory are
 //!   appended as consecutive WAL records under a single shared fsync.
 //!   With W concurrent writers the per-commit fsync cost tends toward
@@ -18,11 +19,13 @@
 //!   batch sizes.
 //! * **Ack after the shared fsync, never before.** A submitter's
 //!   [`CommitHandle::commit`] returns only once the fsync covering its
-//!   group returned. If the batch append fails, the database is
-//!   poisoned, in-memory state rolls back to the pre-batch snapshot
-//!   (memory again equals the durable prefix), and **every** waiter in
-//!   the batch is NACKed — the fsync vouched for none of them, so none
-//!   may be acknowledged.
+//!   group returned. The batch goes through the session's one durable
+//!   write path (`Session::append_records`, the same call an embedded
+//!   auto-commit or `COMMIT` makes with a batch of one): if the append
+//!   fails, the database is poisoned, in-memory state rolls back to the
+//!   pre-batch state (memory again equals the durable prefix), and
+//!   **every** waiter in the batch is NACKed — the fsync vouched for
+//!   none of them, so none may be acknowledged.
 //! * **Snapshot publication.** After every durable batch the writer
 //!   publishes an LSN-stamped [`WsdSnapshot`]; readers pick it up in
 //!   O(1) and never block the writer.
@@ -52,7 +55,7 @@ struct GroupMetrics {
     /// Statements covered by each fsync — the batching win
     /// (`server.group_commit.stmts_per_fsync`).
     stmts_per_fsync: Arc<Histogram>,
-    /// Waiters NACKed by a failed batch append
+    /// Waiters NACKed by the admission gate or a failed batch append
     /// (`server.group_commit.nacks`).
     nacks: Arc<Counter>,
 }
@@ -242,27 +245,13 @@ fn writer_loop(
             Ok(Msg::Shutdown) | Err(_) => return session,
         };
         let mut batch = vec![first];
-        if !cfg.group_window.is_zero() {
-            // hold the door open briefly so concurrent submitters join
-            // this fsync instead of paying their own
-            let deadline = Instant::now() + cfg.group_window;
-            while batch.len() < cfg.max_batch {
-                let left = deadline.saturating_duration_since(Instant::now());
-                if left.is_zero() {
-                    break;
-                }
-                match rx.recv_timeout(left) {
-                    Ok(Msg::Submit(s)) => batch.push(s),
-                    Ok(Msg::Shutdown) => {
-                        stopping = true;
-                        break;
-                    }
-                    Err(_) => break,
-                }
-            }
-        }
+        // hold the door open for `group_window` so concurrent submitters
+        // join this fsync instead of paying their own; past the deadline
+        // (at once, with the default zero window) the timeout is zero
+        // and this only drains what is already queued
+        let deadline = Instant::now() + cfg.group_window;
         while !stopping && batch.len() < cfg.max_batch {
-            match rx.try_recv() {
+            match rx.recv_timeout(deadline.saturating_duration_since(Instant::now())) {
                 Ok(Msg::Submit(s)) => batch.push(s),
                 Ok(Msg::Shutdown) => stopping = true,
                 Err(_) => break,
@@ -273,63 +262,40 @@ fn writer_loop(
     session
 }
 
-/// Executes one batch: every group all-or-nothing in memory, all
-/// surviving groups under one fsync, acks strictly after it.
+/// Executes one batch: every group admitted and applied all-or-nothing
+/// in memory, all surviving groups under one fsync, acks strictly after
+/// it.
 fn run_batch(session: &mut Session, batch: Vec<Submission>, published: &Arc<Mutex<WsdSnapshot>>) {
-    // Fail fast while memory still equals disk — a poisoned store or a
-    // degraded session refuses the whole batch before any group applies.
-    let refusal = if let Some(reason) = session.poison_reason() {
-        Some(format!(
-            "database is poisoned ({reason}); writes are refused until it is reopened"
-        ))
-    } else {
-        session
-            .degraded_reason()
-            .map(|reason| format!("session is degraded ({reason}); commit a successful CHECKPOINT first"))
-    };
-    if let Some(msg) = refusal {
-        for sub in batch {
-            metrics().nacks.inc();
-            let _ = sub.reply.send(Err(SessionError::storage(Error::Storage(msg.clone()))));
-        }
-        return;
-    }
-
-    let batch_saved = session.snapshot();
+    // Lives until the acks are out: the waiting connections still share
+    // the pre-batch decomposition, and whoever drops the last reference
+    // frees it. Dropped here, after the acks, that is usually this
+    // thread — not a connection thread between its ack and its reply.
+    let pre_batch = session.mark();
     // Apply each group in dequeue order. `survivors[i]` pairs the
-    // submission with its results; groups that fail in memory are
+    // submission with its results; groups the admission gate refuses (a
+    // poisoned store, a degraded session) or that fail in memory are
     // answered immediately (they rolled back alone, the batch goes on).
     let mut survivors: Vec<(Submission, Vec<QueryResult>)> = Vec::with_capacity(batch.len());
     let mut records: Vec<Vec<u8>> = Vec::with_capacity(batch.len());
     let mut stmt_count = 0usize;
     for sub in batch {
-        let encoded: Result<Vec<Vec<u8>>, _> =
-            sub.stmts.iter().map(wire::encode_statement).collect();
-        let encoded = match encoded {
-            Ok(e) => e,
-            Err(e) => {
-                let _ = sub.reply.send(Err(SessionError::storage(Error::Storage(format!(
-                    "commit group could not be encoded for the write-ahead log: {e}"
-                )))));
-                continue;
-            }
-        };
-        match session.apply_group(&sub.stmts) {
-            Ok(results) => {
+        let applied = wire::encode_group(&sub.stmts)
+            .map_err(SessionError::storage)
+            .and_then(|record| Ok((record, session.apply_group(&sub.stmts)?)));
+        match applied {
+            Ok((record, results)) => {
                 stmt_count += sub.stmts.len();
-                records.push(wire::encode_commit_group(&encoded));
+                records.push(record);
                 survivors.push((sub, results));
             }
-            Err(e) => {
-                let _ = sub.reply.send(Err(e));
-            }
+            Err(e) => nack(&sub, e),
         }
     }
     if records.is_empty() {
         return;
     }
 
-    match session.append_commit_groups(&records) {
+    match session.append_records(&records, Some(&pre_batch)) {
         Ok(last_lsn) => {
             // one fsync covered `records.len()` groups; publish, then ack
             metrics().groups.add(records.len() as u64);
@@ -343,21 +309,22 @@ fn run_batch(session: &mut Session, batch: Vec<Submission>, published: &Arc<Mute
                 let _ = sub.reply.send(Ok(ack));
             }
         }
-        Err(e) => {
-            // The shared fsync vouched for nobody: roll memory back to
-            // the durable prefix and NACK every waiter in the batch.
-            // The append already poisoned the store, so later batches
-            // are refused at the gate above.
-            session.restore_snapshot(&batch_saved);
-            for (sub, _) in survivors {
-                metrics().nacks.inc();
-                let _ = sub.reply.send(Err(SessionError::storage(Error::Storage(format!(
-                    "group commit failed; the batch rolled back in memory and the \
-                     database is poisoned (writes are refused until it is reopened): {e}"
-                )))));
-            }
-        }
+        // The shared fsync vouched for nobody: memory is back at the
+        // durable prefix (`append_records` rewound it) and every waiter
+        // in the batch is NACKed. The store is poisoned, so the
+        // admission gate refuses later groups.
+        Err(e) => survivors.iter().for_each(|(sub, _)| nack(sub, e.clone())),
     }
+}
+
+/// Answers a submission with its failure. Storage-level refusals (the
+/// poisoned / degraded gate, a failed batch append) count as NACKs;
+/// a group that merely failed to execute is the client's own error.
+fn nack(sub: &Submission, e: SessionError) {
+    if matches!(e, SessionError::Storage { .. } | SessionError::Degraded { .. }) {
+        metrics().nacks.inc();
+    }
+    let _ = sub.reply.send(Err(e));
 }
 
 #[cfg(test)]

@@ -38,8 +38,8 @@
 //! (time-based, see [`Primary::with_heartbeat_interval`]) so a follower
 //! can bound how stale it might be ([`Replica::is_stale`]) and tails the
 //! log event-driven: the session's commits signal the WAL's
-//! notify-on-commit handle, with exponential-backoff polling only as the
-//! fallback cadence for appends the signal cannot cover.
+//! notify-on-commit handle, and the heartbeat interval doubles as the
+//! re-poll cadence for anything the signal cannot cover.
 //!
 //! # Read-only replicas
 //!
@@ -84,7 +84,7 @@ use maybms_core::wsd::Wsd;
 use maybms_relational::{Error, Result};
 use maybms_storage::ship::{recv_msg, send_msg, Msg};
 use maybms_storage::wal::{self, Polled, WalCursor};
-use maybms_storage::{read_snapshot_state_with_vfs, std_vfs, wal_path_for, Vfs};
+use maybms_storage::{read_snapshot_state, wal_path_for};
 
 use crate::session::{QueryResult, Session, SessionError, SessionResult};
 use crate::wire;
@@ -193,24 +193,17 @@ impl ReplStatus {
 /// An idle serve loop blocks on the WAL's **commit notification**
 /// ([`maybms_storage::wal::commit_notify`]): a commit appended by the
 /// serving session wakes it immediately, so same-process shipping has no
-/// poll-interval latency floor. The wait is bounded by an **exponential
-/// backoff**: each empty poll doubles the bound from
-/// [`Primary::with_poll_interval`]'s base up to
-/// [`Primary::with_max_poll_interval`]'s cap (the re-poll cadence for
-/// appends from other processes, which cannot signal), and any shipped
-/// record (or log swap) resets it — a hot primary is tailed tightly, a
-/// quiet one costs almost nothing. Heartbeats are **time-based**: while
-/// idle, one is sent whenever [`Primary::with_heartbeat_interval`] has
-/// elapsed since the last outbound message, so followers can bound
-/// staleness (see [`Replica::is_stale`]) regardless of poll cadence.
+/// poll-interval latency floor. The wait is bounded by the **heartbeat
+/// interval** ([`Primary::with_heartbeat_interval`]): while idle, the
+/// loop wakes that often, sends a heartbeat so followers can bound
+/// staleness (see [`Replica::is_stale`]), and re-polls the log — which
+/// is also how a checkpoint's log swap, or an append from another
+/// process (which cannot signal), is picked up.
 #[derive(Debug, Clone)]
 pub struct Primary {
     path: PathBuf,
     shutdown: Arc<AtomicBool>,
-    poll_interval: Duration,
-    max_poll_interval: Duration,
     heartbeat_interval: Duration,
-    vfs: Arc<dyn Vfs>,
 }
 
 impl Primary {
@@ -221,42 +214,17 @@ impl Primary {
         Primary {
             path: path.as_ref().to_path_buf(),
             shutdown: Arc::new(AtomicBool::new(false)),
-            poll_interval: Duration::from_millis(1),
-            max_poll_interval: Duration::from_millis(16),
             heartbeat_interval: Duration::from_millis(25),
-            vfs: std_vfs(),
         }
     }
 
-    /// Overrides the *base* interval idle serve loops re-poll the log at
-    /// (default 1 ms); consecutive empty polls back off exponentially
-    /// from here.
-    pub fn with_poll_interval(mut self, interval: Duration) -> Primary {
-        self.poll_interval = interval;
-        self
-    }
-
-    /// Overrides the backoff *cap* on the idle re-poll interval (default
-    /// 16 ms). A quiet log is re-polled this often at most.
-    pub fn with_max_poll_interval(mut self, interval: Duration) -> Primary {
-        self.max_poll_interval = interval;
-        self
-    }
-
-    /// Overrides how much idle time passes between heartbeats (default
-    /// 25 ms). Followers use heartbeats to bound their staleness
-    /// estimate, so this should be well under the follower's
-    /// [`Replica::is_stale`] timeout.
+    /// Overrides how much idle time passes between heartbeats — and
+    /// between re-polls of a log nobody signalled (default 25 ms).
+    /// Followers use heartbeats to bound their staleness estimate, so
+    /// this should be well under the follower's [`Replica::is_stale`]
+    /// timeout.
     pub fn with_heartbeat_interval(mut self, interval: Duration) -> Primary {
         self.heartbeat_interval = interval;
-        self
-    }
-
-    /// Routes the primary's file reads through an explicit [`Vfs`] —
-    /// fault-injection tests serve from a
-    /// [`maybms_storage::FaultVfs`]-backed database.
-    pub fn with_vfs(mut self, vfs: Arc<dyn Vfs>) -> Primary {
-        self.vfs = vfs;
         self
     }
 
@@ -265,7 +233,7 @@ impl Primary {
     /// is now rather than the end of a long idle interval.
     pub fn stop(&self) {
         self.shutdown.store(true, Ordering::Relaxed);
-        let notify = wal::commit_notify_in(&*self.vfs, &wal_path_for(&self.path));
+        let notify = wal::commit_notify(&wal_path_for(&self.path));
         wal::wake_commit_waiters(&notify);
     }
 
@@ -288,10 +256,9 @@ impl Primary {
         };
         let mut follower_lsn = last_lsn;
         let wal_path = wal_path_for(&self.path);
-        // Same-process commits signal this handle from `Wal::append`, so
-        // an idle serve loop wakes immediately instead of waiting out its
-        // poll interval; the interval remains as the fallback cadence for
-        // appends from *other* processes, which cannot signal it.
+        // Same-process commits signal this handle from `Wal::append_many`,
+        // so an idle serve loop wakes immediately; the heartbeat interval
+        // bounds the wait for everything that cannot signal it.
         let commit_notify = wal::commit_notify(&wal_path);
         let mut commits_seen = wal::commit_seq(&commit_notify);
         // whether the last idle wait gave up without a commit signal —
@@ -304,7 +271,7 @@ impl Primary {
                 return Ok(());
             }
             // Where does the follower stand relative to the current log?
-            let head = wal::head_with_vfs(&*self.vfs, &wal_path)?;
+            let head = wal::head(&wal_path)?;
             if follower_lsn < head.base_lsn || follower_lsn > head.last_lsn {
                 // Behind the last checkpoint (its records were compacted
                 // into the snapshot) or from a foreign timeline: full
@@ -314,12 +281,10 @@ impl Primary {
                 last_sent = Instant::now(); // maybms-lint: allow(determinism) -- control-plane wall clock (heartbeat/staleness); applied bytes come solely from WAL records
                 follower_lsn = snap_lsn;
             }
-            let mut cursor = match WalCursor::open_with_vfs(Arc::clone(&self.vfs), &wal_path, follower_lsn)
-            {
+            let mut cursor = match WalCursor::open(&wal_path, follower_lsn) {
                 Ok(c) => c,
                 Err(_) => continue 'catchup, // swapped mid-decision; retry
             };
-            let mut idle_sleep = self.poll_interval;
             loop {
                 if self.is_stopped() {
                     return Ok(());
@@ -346,14 +311,15 @@ impl Primary {
                             last_sent = Instant::now(); // maybms-lint: allow(determinism) -- control-plane wall clock (heartbeat/staleness); applied bytes come solely from WAL records
                         }
                         // block until a commit signals (instant for
-                        // same-process appends) or the backoff interval
-                        // elapses (covers foreign-process appends)
+                        // same-process appends) or the next heartbeat
+                        // is due
                         let seen_before = commits_seen;
-                        commits_seen =
-                            wal::wait_for_commit(&commit_notify, commits_seen, idle_sleep);
+                        commits_seen = wal::wait_for_commit(
+                            &commit_notify,
+                            commits_seen,
+                            self.heartbeat_interval.saturating_sub(last_sent.elapsed()),
+                        );
                         waited_out = commits_seen == seen_before;
-                        // exponential backoff while the log stays quiet
-                        idle_sleep = (idle_sleep * 2).min(self.max_poll_interval);
                     }
                     Polled::Records(recs) => {
                         if waited_out {
@@ -363,7 +329,6 @@ impl Primary {
                             wal::note_fallback_poll();
                             waited_out = false;
                         }
-                        idle_sleep = self.poll_interval;
                         for (lsn, payload) in recs {
                             let bytes = payload.len() as u64;
                             send_msg(&mut stream, &Msg::Record { lsn, payload })?;
@@ -384,8 +349,8 @@ impl Primary {
     /// swapped the log.
     fn consistent_snapshot(&self) -> Result<(u64, u64, Vec<u8>)> {
         for _ in 0..500 {
-            let head = wal::head_with_vfs(&*self.vfs, &wal_path_for(&self.path))?;
-            match read_snapshot_state_with_vfs(&*self.vfs, &self.path)? {
+            let head = wal::head(&wal_path_for(&self.path))?;
+            match read_snapshot_state(&self.path)? {
                 Some((generation, lsn, payload))
                     if generation == head.generation && lsn == head.base_lsn =>
                 {

@@ -442,6 +442,13 @@ pub fn encode_commit_group(records: &[Vec<u8>]) -> Vec<u8> {
     w.into_inner()
 }
 
+/// Encodes `stmts` as one commit-group WAL record — what `COMMIT` and
+/// the group committer log for a transaction's surviving mutations.
+pub fn encode_group(stmts: &[Statement]) -> Result<Vec<u8>> {
+    let records = stmts.iter().map(encode_statement).collect::<Result<Vec<_>>>()?;
+    Ok(encode_commit_group(&records))
+}
+
 /// Decodes one WAL record payload into the statements it commits: a
 /// single statement, or every statement of a commit group (in execution
 /// order). This is the recovery entry point — [`decode_statement`] is the

@@ -417,52 +417,36 @@ impl Database {
         self.poisoned.as_deref()
     }
 
-    /// Commits one logical mutation record, returning its LSN. On return
-    /// it is durable.
+    /// Commits one logical mutation record, returning its LSN —
+    /// [`Database::append_many`] with a batch of one.
+    pub fn append(&mut self, record: &[u8]) -> Result<u64> {
+        self.append_many(&[record])
+    }
+
+    /// Commits a **batch** of logical mutation records under a single
+    /// fsync ([`Wal::append_many`]), returning the LSN of the last one
+    /// — the only durable write path. On return every record is
+    /// durable; whoever waits on any record in the batch may be
+    /// acknowledged.
     ///
-    /// A failed append **poisons** the handle: the frame may be partially
+    /// A failed append **poisons** the handle: a frame may be partially
     /// on disk, and if the fsync failed the kernel may have dropped the
     /// dirty pages while keeping them visible in the page cache — so
     /// retrying the fsync and reporting success would be a lie (the
     /// fsyncgate failure mode). Every later write refuses until the
     /// database is reopened; reopening truncates any torn frame and
-    /// recovers the last durable prefix.
-    pub fn append(&mut self, record: &[u8]) -> Result<u64> {
+    /// recovers the last durable prefix. The ack discipline inverts:
+    /// **no** record in the batch may be acknowledged, because the
+    /// shared fsync vouched for none of them. (After a crash, recovery
+    /// keeps whatever torn-tail-clean prefix of the batch reached disk
+    /// — all of it unacknowledged, so no client was promised anything
+    /// recovery drops.)
+    pub fn append_many<P: AsRef<[u8]>>(&mut self, records: &[P]) -> Result<u64> {
         self.check_poisoned()?;
-        match self.wal.append(record) {
-            Ok(lsn) => Ok(lsn),
-            Err(e) => {
-                self.poisoned =
-                    Some(format!("a WAL append failed and durability is unknown: {e}"));
-                metrics().poison_events.inc();
-                Err(e)
-            }
-        }
-    }
-
-    /// Commits a **batch** of logical mutation records under a single
-    /// fsync ([`Wal::append_many`]), returning the LSN of the last one
-    /// — the server's group-commit path. On return every record is
-    /// durable; connections waiting on any record in the batch may be
-    /// acknowledged.
-    ///
-    /// Failure poisons the handle exactly like [`Database::append`],
-    /// and the ack discipline inverts: **no** record in the batch may
-    /// be acknowledged, because the shared fsync vouched for none of
-    /// them. (After a crash, recovery keeps whatever torn-tail-clean
-    /// prefix of the batch reached disk — all of it unacknowledged, so
-    /// no client was promised anything recovery drops.)
-    pub fn append_many(&mut self, records: &[Vec<u8>]) -> Result<u64> {
-        self.check_poisoned()?;
-        match self.wal.append_many(records) {
-            Ok(lsn) => Ok(lsn),
-            Err(e) => {
-                self.poisoned =
-                    Some(format!("a WAL batch append failed and durability is unknown: {e}"));
-                metrics().poison_events.inc();
-                Err(e)
-            }
-        }
+        self.wal.append_many(records).inspect_err(|e| {
+            self.poisoned = Some(format!("a WAL append failed and durability is unknown: {e}"));
+            metrics().poison_events.inc();
+        })
     }
 
     /// Checkpoints `state` as generation *g+1* and swaps in a fresh WAL

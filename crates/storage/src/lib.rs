@@ -24,7 +24,10 @@
 //!   snapshot, plus a checksummed page map. Loading overlays and verifies
 //!   the combined payload, so a damaged overlay fails loudly instead of
 //!   assembling a wrong database.
-//! * [`ship`] — the **WAL shipping protocol**: CRC-framed
+//! * [`frame`] — the one `len | crc32 | payload` **frame** definition
+//!   WAL records, shipped messages and the SQL session protocol share:
+//!   writer, bounded stream reader, slice scanner.
+//! * [`ship`] — the **WAL shipping protocol**: framed
 //!   `Hello`/`Snapshot`/`Record`/`Heartbeat` messages over any byte
 //!   stream, used by the replication layer (`maybms_sql::replication`) to
 //!   stream committed records from a primary to read replicas.
@@ -57,6 +60,7 @@ pub mod bytes;
 pub mod crc;
 pub mod db;
 pub mod delta;
+pub mod frame;
 pub mod pager;
 pub mod ship;
 pub mod snapshot;

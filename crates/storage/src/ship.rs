@@ -19,8 +19,8 @@
 //! * [`Msg::Heartbeat`] — primary → follower when idle: names the
 //!   primary's last durable LSN so a caught-up follower can know it.
 //!
-//! Every message is framed like a WAL record — `len u32 | crc u32 |
-//! payload` — so a **torn stream** (connection cut mid-frame, bit flips
+//! Every message travels as one [`crate::frame`] frame — exactly like a
+//! WAL record — so a **torn stream** (connection cut mid-frame, bit flips
 //! in transit) is detected by [`recv_msg`] and surfaced as an error
 //! rather than a half-applied message; the follower drops the connection
 //! and reconnects with a fresh `Hello`, and the primary resumes from the
@@ -33,18 +33,11 @@ use std::io::{Read, Write};
 use maybms_relational::{Error, Result};
 
 use crate::bytes::{Reader, Writer};
-use crate::crc::crc32;
+use crate::frame::{read_frame, write_frame, MAX_FRAME_LEN};
 use crate::pager::io_err;
 
 /// Version of the shipping protocol; a mismatch fails the handshake.
 pub const SHIP_VERSION: u8 = 1;
-
-/// Upper bound on one frame's payload. The frame length field is not
-/// covered by the payload CRC, so a bit flip there must not be able to
-/// trigger an unbounded allocation or swallow gigabytes of good frames —
-/// anything larger than the biggest legitimate message (a full snapshot
-/// transfer) is rejected as corruption.
-pub const MAX_FRAME_LEN: usize = 1 << 30;
 
 const TAG_HELLO: u8 = 1;
 const TAG_SNAPSHOT: u8 = 2;
@@ -150,41 +143,15 @@ fn decode_msg(bytes: &[u8]) -> Result<Msg> {
 
 /// Writes one framed message to the stream and flushes it.
 pub fn send_msg<W: Write>(stream: &mut W, msg: &Msg) -> Result<()> {
-    let payload = encode_msg(msg);
-    let mut frame = Vec::with_capacity(8 + payload.len());
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&crc32(&payload).to_le_bytes());
-    frame.extend_from_slice(&payload);
-    stream
-        .write_all(&frame)
-        .map_err(|e| io_err("ship message", e))?;
-    stream.flush().map_err(|e| io_err("flush shipped message", e))
+    write_frame(stream, &encode_msg(msg)).map_err(|e| io_err("ship message", e))
 }
 
 /// Reads one framed message from the stream, verifying its checksum. A
 /// stream cut mid-frame, or a frame whose bytes were damaged in transit,
 /// is an error — the caller should drop the connection and re-handshake.
 pub fn recv_msg<R: Read>(stream: &mut R) -> Result<Msg> {
-    let mut header = [0u8; 8];
-    stream
-        .read_exact(&mut header)
-        .map_err(|e| io_err("receive message frame", e))?;
-    let len = u32::from_le_bytes(header[0..4].try_into().expect("4 bytes")) as usize; // maybms-lint: allow(no-panic-in-prod) -- the index range fixes the slice length, so try_into cannot fail
-    if len > MAX_FRAME_LEN {
-        return Err(Error::Storage(format!(
-            "shipped frame declares {len} bytes (max {MAX_FRAME_LEN}): corrupt stream"
-        )));
-    }
-    let stored = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes")); // maybms-lint: allow(no-panic-in-prod) -- the index range fixes the slice length, so try_into cannot fail
-    let mut payload = vec![0u8; len];
-    stream
-        .read_exact(&mut payload)
-        .map_err(|e| io_err("receive message body (torn stream?)", e))?;
-    if crc32(&payload) != stored {
-        return Err(Error::Storage(
-            "shipped message checksum mismatch (corrupt or torn stream)".into(),
-        ));
-    }
+    let payload = read_frame(stream, MAX_FRAME_LEN)
+        .map_err(|e| io_err("receive message frame (torn stream?)", e))?;
     decode_msg(&payload)
 }
 
@@ -224,40 +191,6 @@ mod tests {
         let mut cursor = &buf[..];
         for m in &msgs {
             assert_eq!(&recv_msg(&mut cursor).unwrap(), m);
-        }
-    }
-
-    #[test]
-    fn torn_stream_is_detected_at_every_offset() {
-        let mut buf = Vec::new();
-        send_msg(&mut buf, &Msg::Record { lsn: 9, payload: b"payload".to_vec() }).unwrap();
-        for cut in 0..buf.len() {
-            let mut cursor = &buf[..cut];
-            assert!(recv_msg(&mut cursor).is_err(), "cut at {cut} must not parse");
-        }
-    }
-
-    #[test]
-    fn oversized_frame_length_is_rejected_without_allocating() {
-        // a bit flip in the (un-checksummed) length field must error out
-        // instead of allocating gigabytes and swallowing later frames
-        let mut buf = Vec::new();
-        send_msg(&mut buf, &Msg::Record { lsn: 9, payload: b"payload".to_vec() }).unwrap();
-        buf[3] = 0xFF; // len |= 0xFF000000 — ~4 GiB
-        let mut cursor = &buf[..];
-        let err = recv_msg(&mut cursor).unwrap_err();
-        assert!(err.to_string().contains("corrupt stream"), "{err}");
-    }
-
-    #[test]
-    fn corrupt_frame_is_detected() {
-        let mut buf = Vec::new();
-        send_msg(&mut buf, &Msg::Record { lsn: 9, payload: b"payload".to_vec() }).unwrap();
-        for at in 8..buf.len() {
-            let mut bad = buf.clone();
-            bad[at] ^= 0x01;
-            let mut cursor = &bad[..];
-            assert!(recv_msg(&mut cursor).is_err(), "flip at {at} must not parse");
         }
     }
 }

@@ -4,7 +4,7 @@
 //! ```text
 //! header := magic "MAYBMSW\0" (8) | version u32 | generation u64
 //!         | base_lsn u64 | header_crc u32        (32 bytes total)
-//! record := payload_len u32 | payload_crc u32 | payload bytes
+//! record := one [`crate::frame`] frame (len u32 | crc u32 | payload)
 //! ```
 //!
 //! Records are opaque payloads (the SQL layer stores binary-encoded
@@ -42,7 +42,9 @@ use std::time::{Duration, Instant};
 use maybms_obs::Counter;
 use maybms_relational::{Error, Result};
 
+use crate::bytes::Reader;
 use crate::crc::crc32;
+use crate::frame::{self, Scan, FRAME_HEADER_LEN};
 use crate::pager::io_err;
 use crate::vfs::{std_vfs, OpenMode, Vfs, VfsFile};
 
@@ -161,8 +163,6 @@ pub fn note_fallback_poll() {
 /// Length of the WAL file header.
 pub const WAL_HEADER_LEN: u64 = 32;
 
-const RECORD_HEADER_LEN: usize = 8;
-
 /// An open write-ahead log positioned for appends.
 #[derive(Debug)]
 pub struct Wal {
@@ -204,42 +204,29 @@ fn decode_header(h: &[u8]) -> Result<(u64, u64)> {
     if h.len() < WAL_HEADER_LEN as usize || &h[0..8] != MAGIC {
         return Err(Error::Storage("not a MayBMS WAL (bad magic)".into()));
     }
-    let stored = u32::from_le_bytes(h[28..32].try_into().expect("4 bytes")); // maybms-lint: allow(no-panic-in-prod) -- the index range fixes the slice length, so try_into cannot fail
-    if crc32(&h[0..28]) != stored {
+    let mut r = Reader::new(&h[8..WAL_HEADER_LEN as usize]);
+    let (version, generation, base_lsn) = (r.get_u32()?, r.get_u64()?, r.get_u64()?);
+    if crc32(&h[0..28]) != r.get_u32()? {
         return Err(Error::Storage("WAL header checksum mismatch".into()));
     }
-    let version = u32::from_le_bytes(h[8..12].try_into().expect("4 bytes")); // maybms-lint: allow(no-panic-in-prod) -- the index range fixes the slice length, so try_into cannot fail
     if version != VERSION {
         return Err(Error::Storage(format!(
             "unsupported WAL format version {version} (this build reads {VERSION})"
         )));
     }
-    let generation = u64::from_le_bytes(h[12..20].try_into().expect("8 bytes")); // maybms-lint: allow(no-panic-in-prod) -- the index range fixes the slice length, so try_into cannot fail
-    let base_lsn = u64::from_le_bytes(h[20..28].try_into().expect("8 bytes")); // maybms-lint: allow(no-panic-in-prod) -- the index range fixes the slice length, so try_into cannot fail
     Ok((generation, base_lsn))
 }
 
 /// Scans `raw` (a whole WAL file) for complete records starting at the
 /// header end. Returns the records and the offset just past the last
-/// complete one — anything beyond that offset is a torn tail.
+/// complete one — anything beyond that offset is a torn tail (an
+/// incomplete or checksum-failing frame, and whatever follows it).
 fn scan_records(raw: &[u8]) -> (Vec<Vec<u8>>, usize) {
     let mut records = Vec::new();
-    let mut pos = WAL_HEADER_LEN as usize;
-    let mut end = pos;
-    while raw.len().saturating_sub(pos) >= RECORD_HEADER_LEN {
-        let len = u32::from_le_bytes(raw[pos..pos + 4].try_into().expect("4 bytes")) as usize; // maybms-lint: allow(no-panic-in-prod) -- the index range fixes the slice length, so try_into cannot fail
-        let stored = u32::from_le_bytes(raw[pos + 4..pos + 8].try_into().expect("4 bytes")); // maybms-lint: allow(no-panic-in-prod) -- the index range fixes the slice length, so try_into cannot fail
-        let body_at = pos + RECORD_HEADER_LEN;
-        if raw.len() - body_at < len {
-            break; // torn: the record body was cut short
-        }
-        let body = &raw[body_at..body_at + len];
-        if crc32(body) != stored {
-            break; // torn or corrupt: drop this record and the rest
-        }
+    let mut end = WAL_HEADER_LEN as usize;
+    while let Some(Scan::Frame(body)) = raw.get(end..).map(frame::scan) {
         records.push(body.to_vec());
-        pos = body_at + len;
-        end = pos;
+        end += FRAME_HEADER_LEN + body.len();
     }
     (records, end)
 }
@@ -377,77 +364,51 @@ impl Wal {
     }
 
     /// Appends one record and (by default) fsyncs, returning the LSN the
-    /// record was assigned. On return the record is committed: replay
-    /// after a crash will include it.
+    /// record was assigned — [`Wal::append_many`] with a batch of one.
     pub fn append(&mut self, payload: &[u8]) -> Result<u64> {
-        let mut frame = Vec::with_capacity(RECORD_HEADER_LEN + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(payload).to_le_bytes());
-        frame.extend_from_slice(payload);
+        self.append_many(&[payload])
+    }
+
+    /// Appends `records` as consecutive WAL records under a **single**
+    /// fsync, returning the LSN of the last one — the only write path
+    /// of the log: an embedded statement or transaction is a batch of
+    /// one, N concurrently submitted commit groups cost one durable
+    /// write instead of N.
+    ///
+    /// All frames are written with one `write_all`, then one
+    /// `sync_data`; on success every record is committed: replay after
+    /// a crash will include it. On failure nothing can be assumed
+    /// durable (the caller poisons the store); after a crash, torn-tail
+    /// truncation keeps whatever *prefix* of the batch reached disk —
+    /// safe, because no record in the batch was acknowledged unless the
+    /// shared fsync returned. Same-process tailers are woken once for
+    /// the whole batch.
+    pub fn append_many<P: AsRef<[u8]>>(&mut self, records: &[P]) -> Result<u64> {
+        if records.is_empty() {
+            return Ok(self.base_lsn + self.count);
+        }
+        let mut frames = Vec::new();
+        for payload in records {
+            frame::put_frame(&mut frames, payload.as_ref());
+        }
         self.file
             .seek(SeekFrom::Start(self.end))
             .map_err(|e| io_err("seek WAL end", e))?;
         self.file
-            .write_all(&frame)
-            .map_err(|e| io_err("append WAL record", e))?;
+            .write_all(&frames)
+            .map_err(|e| io_err("append WAL records", e))?;
         if self.sync {
             self.file.sync_data().map_err(|e| io_err("sync WAL append", e))?;
             self.sync_count += 1;
             metrics().fsyncs.inc();
         }
-        metrics().appends.inc();
-        metrics().bytes.add(frame.len() as u64);
-        self.end += frame.len() as u64;
-        self.count += 1;
-        // the record is durable (or as durable as this handle promises):
-        // wake same-process tailers blocked in `wait_for_commit`
-        let (counter, condvar) = &*self.notify;
-        *counter.lock().expect("commit notify lock") += 1; // maybms-lint: allow(no-panic-in-prod) -- lock poisoning means another thread already panicked; fail-stop instead of running on shared state of unknown integrity
-        condvar.notify_all();
-        Ok(self.base_lsn + self.count)
-    }
-
-    /// Appends `records` as consecutive WAL records under a **single**
-    /// fsync, returning the LSN of the last one — the group-commit
-    /// batch path: N concurrently submitted commit groups cost one
-    /// durable write instead of N.
-    ///
-    /// All frames are written with one `write_all`, then one
-    /// `sync_data`; on success every record is committed. On failure
-    /// nothing can be assumed durable (the caller poisons the store,
-    /// exactly as for [`Wal::append`]); after a crash, torn-tail
-    /// truncation keeps whatever *prefix* of the batch reached disk —
-    /// safe, because no record in the batch was acknowledged unless the
-    /// shared fsync returned. Same-process tailers are woken once for
-    /// the whole batch.
-    pub fn append_many(&mut self, records: &[Vec<u8>]) -> Result<u64> {
-        if records.is_empty() {
-            return Ok(self.base_lsn + self.count);
-        }
-        let total: usize = records.iter().map(|r| RECORD_HEADER_LEN + r.len()).sum();
-        let mut frame = Vec::with_capacity(total);
-        for payload in records {
-            frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            frame.extend_from_slice(&crc32(payload).to_le_bytes());
-            frame.extend_from_slice(payload);
-        }
-        self.file
-            .seek(SeekFrom::Start(self.end))
-            .map_err(|e| io_err("seek WAL end", e))?;
-        self.file
-            .write_all(&frame)
-            .map_err(|e| io_err("append WAL batch", e))?;
-        if self.sync {
-            self.file.sync_data().map_err(|e| io_err("sync WAL batch", e))?;
-            self.sync_count += 1;
-            metrics().fsyncs.inc();
-        }
         metrics().appends.add(records.len() as u64);
-        metrics().bytes.add(frame.len() as u64);
-        self.end += frame.len() as u64;
+        metrics().bytes.add(frames.len() as u64);
+        self.end += frames.len() as u64;
         self.count += records.len() as u64;
-        // one wakeup for the whole batch: tailers drain every new record
-        // from a single poll
+        // the records are durable (or as durable as this handle
+        // promises): one wakeup for the whole batch — tailers blocked in
+        // `wait_for_commit` drain every new record from a single poll
         let (counter, condvar) = &*self.notify;
         *counter.lock().expect("commit notify lock") += records.len() as u64; // maybms-lint: allow(no-panic-in-prod) -- lock poisoning means another thread already panicked; fail-stop instead of running on shared state of unknown integrity
         condvar.notify_all();
@@ -575,7 +536,7 @@ impl WalCursor {
             if rec_lsn > after {
                 break;
             }
-            offset += (RECORD_HEADER_LEN + payload.len()) as u64;
+            offset += (FRAME_HEADER_LEN + payload.len()) as u64;
             lsn = rec_lsn;
         }
         if lsn < after {
@@ -619,29 +580,29 @@ impl WalCursor {
 
         let mut out = Vec::new();
         let mut pos = 0usize;
-        while tail.len().saturating_sub(pos) >= RECORD_HEADER_LEN {
-            let len = u32::from_le_bytes(tail[pos..pos + 4].try_into().expect("4 bytes")) as usize; // maybms-lint: allow(no-panic-in-prod) -- the index range fixes the slice length, so try_into cannot fail
-            let stored = u32::from_le_bytes(tail[pos + 4..pos + 8].try_into().expect("4 bytes")); // maybms-lint: allow(no-panic-in-prod) -- the index range fixes the slice length, so try_into cannot fail
-            let body_at = pos + RECORD_HEADER_LEN;
-            if tail.len() - body_at < len {
-                break; // incomplete (a concurrent append in flight)
-            }
-            let body = &tail[body_at..body_at + len];
-            if crc32(body) != stored {
+        loop {
+            match frame::scan(&tail[pos..]) {
+                Scan::Frame(body) => {
+                    pos += FRAME_HEADER_LEN + body.len();
+                    self.offset += (FRAME_HEADER_LEN + body.len()) as u64;
+                    self.lsn += 1;
+                    out.push((self.lsn, body.to_vec()));
+                }
+                // nothing more, or a concurrent append still in flight
+                Scan::Incomplete => break,
                 // Appends write a frame front to back, so a frame whose
                 // whole body is on disk can only fail its checksum through
                 // corruption — never a write in flight. Silently stopping
                 // here would stall shipping forever while every follower
                 // believes it is caught up; surface it instead.
-                return Err(Error::Storage(format!(
-                    "WAL record at LSN {} failed its checksum mid-log                      (on-disk corruption; shipping cannot proceed past it)",
-                    self.lsn + 1
-                )));
+                Scan::Corrupt => {
+                    return Err(Error::Storage(format!(
+                        "WAL record at LSN {} failed its checksum mid-log \
+                         (on-disk corruption; shipping cannot proceed past it)",
+                        self.lsn + 1
+                    )))
+                }
             }
-            pos = body_at + len;
-            self.lsn += 1;
-            self.offset += (RECORD_HEADER_LEN + len) as u64;
-            out.push((self.lsn, body.to_vec()));
         }
         Ok(Polled::Records(out))
     }
@@ -762,7 +723,7 @@ mod tests {
         wal.append(b"first record").unwrap();
         wal.append(b"second record").unwrap();
         let mut raw = std::fs::read(&path).unwrap();
-        let first_body = WAL_HEADER_LEN as usize + RECORD_HEADER_LEN + 3;
+        let first_body = WAL_HEADER_LEN as usize + FRAME_HEADER_LEN + 3;
         raw[first_body] ^= 0xFF;
         std::fs::write(&path, &raw).unwrap();
         let mut cur = WalCursor::open(&path, 0).unwrap();

@@ -46,12 +46,32 @@ struct AckedGroup {
 }
 
 /// One client's random script: a mix of auto-commit mutations,
-/// explicit transactions (committed or rolled back), and reads.
+/// explicit transactions (with savepoints; committed or rolled back),
+/// and reads.
 /// Returns the groups the server acknowledged.
 fn client_script(addr: std::net::SocketAddr, client: usize, seed: u64) -> Vec<AckedGroup> {
     let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x9e37_79b9).wrapping_add(client as u64));
     let mut conn = Client::connect(addr).expect("connect");
     let mut acked = Vec::new();
+    // every client opens with a fixed savepoint drill: a re-used name
+    // shadows the older mark, and a rollback to the older of two marks
+    // kills the newer — only m1, m2 and m5 may reach the log
+    let m = |v: u32| format!("INSERT INTO t VALUES ({client}, {}, {v})", 100 + client);
+    let drill = vec![
+        TxnOp::Mutate(m(1)),
+        TxnOp::Savepoint("a"),
+        TxnOp::Mutate(m(2)),
+        TxnOp::Savepoint("b"),
+        TxnOp::Mutate(m(3)),
+        TxnOp::Savepoint("a"),
+        TxnOp::Mutate(m(4)),
+        TxnOp::RollbackTo("a"),
+        TxnOp::RollbackTo("b"),
+        TxnOp::Mutate(m(5)),
+    ];
+    let drilled = run_txn(&mut conn, drill, true).expect("the drill commits");
+    assert_eq!(drilled.stmts, [m(1), m(2), m(5)], "model of the savepoint drill");
+    acked.push(drilled);
     for _ in 0..20 {
         match rng.gen_range(0..10u32) {
             // auto-commit mutation: a one-statement group
@@ -62,23 +82,33 @@ fn client_script(addr: std::net::SocketAddr, client: usize, seed: u64) -> Vec<Ac
                     Err(e) => panic!("auto-commit refused: {e}"),
                 }
             }
-            // explicit transaction of 2–4 mutations with interleaved reads
+            // explicit transaction: mutations interleaved with savepoints
+            // and savepoint rollbacks, plus a read of its own preview
             5..=7 => {
-                conn.query_ok("BEGIN").expect("begin");
-                let n = rng.gen_range(2..=4usize);
-                let stmts: Vec<String> =
-                    (0..n).map(|_| random_mutation(&mut rng, client)).collect();
-                for s in &stmts {
-                    conn.query_ok(s).expect("txn stmt");
+                let steps = rng.gen_range(2..=7usize);
+                let mut ops = Vec::with_capacity(steps);
+                let mut live: Vec<&'static str> = Vec::new();
+                for _ in 0..steps {
+                    ops.push(match rng.gen_range(0..10u32) {
+                        // two names only, so re-use (shadowing) is common
+                        0..=1 => {
+                            let name = ["a", "b"][rng.gen_range(0..2usize)];
+                            live.push(name);
+                            TxnOp::Savepoint(name)
+                        }
+                        2..=3 if !live.is_empty() => {
+                            // any live mark, not just the newest: rolling
+                            // back to an older one kills the later ones
+                            let name = live[rng.gen_range(0..live.len())];
+                            let at = live.iter().rposition(|n| *n == name).expect("live name");
+                            live.truncate(at + 1);
+                            TxnOp::RollbackTo(name)
+                        }
+                        _ => TxnOp::Mutate(random_mutation(&mut rng, client)),
+                    });
                 }
-                // the transaction can read its own preview
-                conn.query_ok("SELECT CERTAIN k FROM t").expect("txn read");
-                if rng.gen_bool(0.2) {
-                    conn.query_ok("ROLLBACK").expect("rollback");
-                } else {
-                    let reply = conn.query_ok("COMMIT").expect("commit");
-                    acked.push(AckedGroup { lsn: reply.lsn, stmts });
-                }
+                let commit = !rng.gen_bool(0.2);
+                acked.extend(run_txn(&mut conn, ops, commit));
             }
             // reads on the latest published snapshot
             _ => {
@@ -87,6 +117,51 @@ fn client_script(addr: std::net::SocketAddr, client: usize, seed: u64) -> Vec<Ac
         }
     }
     acked
+}
+
+/// One step of an explicit transaction.
+enum TxnOp {
+    Mutate(String),
+    Savepoint(&'static str),
+    RollbackTo(&'static str),
+}
+
+/// Runs one explicit transaction over the wire while the test's own
+/// model tracks which statements survive the savepoint rollbacks (the
+/// latest mark of a name wins; rolling back to a mark kills the later
+/// ones but keeps the mark). Returns the acknowledged group — `None`
+/// when the transaction rolled back or nothing survived to be logged.
+fn run_txn(conn: &mut Client, ops: Vec<TxnOp>, commit: bool) -> Option<AckedGroup> {
+    conn.query_ok("BEGIN").expect("begin");
+    let mut stmts: Vec<String> = Vec::new();
+    let mut marks: Vec<(&str, usize)> = Vec::new();
+    for op in ops {
+        match op {
+            TxnOp::Mutate(sql) => {
+                conn.query_ok(&sql).expect("txn stmt");
+                stmts.push(sql);
+            }
+            TxnOp::Savepoint(name) => {
+                conn.query_ok(&format!("SAVEPOINT {name}")).expect("savepoint");
+                marks.push((name, stmts.len()));
+            }
+            TxnOp::RollbackTo(name) => {
+                conn.query_ok(&format!("ROLLBACK TO {name}")).expect("rollback to");
+                let at = marks.iter().rposition(|(n, _)| *n == name).expect("live savepoint");
+                stmts.truncate(marks[at].1);
+                marks.truncate(at + 1);
+            }
+        }
+    }
+    // the transaction can read its own preview
+    conn.query_ok("SELECT CERTAIN k FROM t").expect("txn read");
+    if !commit {
+        conn.query_ok("ROLLBACK").expect("rollback");
+        return None;
+    }
+    let reply = conn.query_ok("COMMIT").expect("commit");
+    // an empty survivor list is not submitted: no group, no LSN of its own
+    (!stmts.is_empty()).then_some(AckedGroup { lsn: reply.lsn, stmts })
 }
 
 fn random_mutation(rng: &mut StdRng, client: usize) -> String {

@@ -201,7 +201,7 @@ fn fsync_failure_mid_batch_poisons_and_nacks_every_waiter() {
 /// Regression for the cross-process notify gap: an in-process primary
 /// serving the same database a [`GroupCommitter`] writes must be woken
 /// by `wal::commit_notify` — never by its fallback poll. The serve
-/// loop's poll intervals are set far beyond the test deadline, so a
+/// loop's idle wait is set far beyond the test deadline, so a
 /// replica only catches up in time if the notify path works; and the
 /// `wal.notify_fallback_polls` counter must not move.
 #[test]
@@ -212,12 +212,10 @@ fn in_process_commit_notify_never_rides_the_fallback_poll() {
     let polls_before = counter("wal.notify_fallback_polls");
 
     let committer = GroupCommitter::spawn(session);
-    // poll intervals far beyond the per-commit deadline: if a commit
-    // reaches the replica, it got there via a notify wake-up
-    let primary = Primary::new(&path)
-        .with_poll_interval(Duration::from_secs(300))
-        .with_max_poll_interval(Duration::from_secs(300))
-        .with_heartbeat_interval(Duration::from_secs(300));
+    // the idle wait is bounded by the heartbeat interval, set far beyond
+    // the per-commit deadline: if a commit reaches the replica, it got
+    // there via a notify wake-up
+    let primary = Primary::new(&path).with_heartbeat_interval(Duration::from_secs(300));
     let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("addr");
     let accept = primary.listen(listener).expect("listen");
