@@ -1,5 +1,4 @@
-//! E10: multi-join execution — vectorized operators and cost-based join
-//! ordering against the tuple-at-a-time interpreter on AST order.
+//! E10: multi-join execution — what cost-based join ordering buys.
 //!
 //! The workload is a census-flavored star join: a wide `persons` fact
 //! table (IPUMS-coded occupation and state columns, a sprinkle of or-set
@@ -10,12 +9,9 @@
 //! the cost model (fed by `WsdStats`) starts from the selected tiny
 //! dimension and keeps every intermediate a fraction of that.
 //!
-//! Four engine/order combinations are measured:
-//! `tuple/ast`, `tuple/cost`, `vectorized/ast`, `vectorized/cost` —
-//! `BENCH_e10.json` records them all, and the headline claim is
-//! `vectorized/cost` vs `tuple/ast` (the PR-7 acceptance bar is ≥2× on
-//! a 1-CPU container, so the gain must come from batching and join
-//! order, not parallelism; rerun on multicore for the worker sweep).
+//! Both orders run on the one evaluator (compile + sequential
+//! `Executor`, so the gain is join order, not parallelism):
+//! `BENCH_e10.json` records `ast` and `cost`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use maybms_core::algebra::Query;
@@ -64,8 +60,7 @@ fn star_wsd(n: usize, noise_rate: f64) -> Wsd {
         let age = 18 + (mix(i ^ 0x77) % 73);
         let noisy = (mix(i ^ 0x5151) % 10_000) as f64 / 10_000.0 < noise_rate;
         if noisy {
-            // an uncertain age: exercises the open-template fallback of
-            // both engines identically
+            // an uncertain age: exercises the operators' open-template path
             w.push_orset(
                 "persons",
                 vec![
@@ -157,42 +152,18 @@ fn bench_e10(c: &mut Criterion) {
     let mut stats = maybms_core::stats::WsdStats::new();
     let opt = optimize_with_stats(&raw, &wsd, &mut stats).expect("optimize");
 
-    // sanity: all four pipelines agree before anything is timed
-    let reference = raw.eval(&wsd).expect("eval");
-    let ref_rows = reference.relation("result").expect("result").tuples.len();
-    let out = opt.eval(&wsd).expect("eval");
-    assert_eq!(
-        out.relation("result").expect("result").tuples.len(),
-        ref_rows,
-        "cost order changed the answer cardinality"
-    );
-    for (label, q) in [("ast", &raw), ("cost", &opt)] {
-        let plan = compile(q, &wsd).expect("compile");
-        let out = Executor::sequential().run(&plan, &wsd).expect("run");
-        assert_eq!(
-            out.relation("result").expect("result").tuples.len(),
-            ref_rows,
-            "vectorized/{label} changed the answer cardinality"
-        );
-    }
+    // sanity: both orders agree before anything is timed
+    let plans = [("ast", &raw), ("cost", &opt)]
+        .map(|(order, q)| (order, compile(q, &wsd).expect("compile")));
+    let rows = plans.each_ref().map(|(_, plan)| {
+        let out = Executor::sequential().run(plan, &wsd).expect("run");
+        out.relation("result").expect("result").tuples.len()
+    });
+    assert_eq!(rows[0], rows[1], "cost order changed the answer cardinality");
 
-    for (engine, order, q) in [
-        ("tuple", "ast", &raw),
-        ("tuple", "cost", &opt),
-        ("vectorized", "ast", &raw),
-        ("vectorized", "cost", &opt),
-    ] {
-        g.bench_with_input(BenchmarkId::new(engine, order), q, |b, q| {
-            if engine == "tuple" {
-                b.iter(|| std::hint::black_box(q.eval(&wsd).expect("eval")));
-            } else {
-                let plan = compile(q, &wsd).expect("compile");
-                b.iter(|| {
-                    std::hint::black_box(
-                        Executor::sequential().run(&plan, &wsd).expect("run"),
-                    )
-                });
-            }
+    for (order, plan) in &plans {
+        g.bench_with_input(BenchmarkId::from_parameter(order), plan, |b, plan| {
+            b.iter(|| std::hint::black_box(Executor::sequential().run(plan, &wsd).expect("run")));
         });
     }
     g.finish();

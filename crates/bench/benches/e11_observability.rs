@@ -19,8 +19,8 @@
 //!   append/frame/counter path itself rather than disk latency (with
 //!   real fsyncs the metric cost vanishes entirely into the sync).
 //! * `multijoin/obs={on,off}/n=N` — the E10 star-join path through the
-//!   vectorized executor: per-operator row counters, memo hit/miss
-//!   counters and worker-pool accounting all fire here.
+//!   executor: per-operator row counters and worker-pool accounting
+//!   fire here.
 //!
 //! For the compile-time variant, build with the bench crate's `obs-off`
 //! feature (`maybms-obs/off`): every metric operation compiles to
@@ -53,7 +53,7 @@ const N_STATES: u64 = 48;
 
 /// A compact version of E10's star schema: a fact table with a sprinkle
 /// of or-set noise plus two dimension tables — enough joins to light up
-/// the vectorized engine's counters without E10's full setup cost.
+/// the executor's counters without E10's full setup cost.
 fn star_wsd(n: usize) -> Wsd {
     let mut w = Wsd::new();
     w.add_relation(
@@ -211,7 +211,7 @@ fn bench_e11(c: &mut Criterion) {
     report(&mut g, BenchmarkId::new("wal_append", format!("obs=on/rows={rows}")), on_ns);
     report(&mut g, BenchmarkId::new("wal_append", format!("obs=off/rows={rows}")), off_ns);
 
-    // -- multi-join path (E10's star join, vectorized executor) --------
+    // -- multi-join path (E10's star join) -----------------------------
     let n = if fast { 1_000 } else { 4_000 };
     let wsd = star_wsd(n);
     let plan = compile(&star_query(), &wsd).expect("compile");

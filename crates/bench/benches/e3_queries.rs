@@ -40,7 +40,8 @@ fn bench_e3(c: &mut Criterion) {
 /// the unique `serial` column — pair generation dominates, so this
 /// isolates the partitioning win.
 fn bench_join_paths(c: &mut Criterion) {
-    use maybms_core::algebra::{join_op, join_op_nested, qualify_op};
+    use maybms_core::algebra::{join_op_in, join_op_nested, qualify_op};
+    use maybms_core::exec::WorkerPool;
     use maybms_relational::Expr;
 
     let n = 2_500;
@@ -55,7 +56,8 @@ fn bench_join_paths(c: &mut Criterion) {
     g.bench_function("hash_partitioned", |b| {
         b.iter(|| {
             let mut w = base.clone();
-            join_op(&mut w, "xq", "yq", &pred, "out").expect("hash join");
+            join_op_in(&mut w, "xq", "yq", &pred, "out", WorkerPool::sequential())
+                .expect("hash join");
             std::hint::black_box(w.relation("out").expect("out").tuples.len())
         });
     });

@@ -32,7 +32,7 @@ use maybms_core::codec::{decode_wsd, encode_wsd};
 use maybms_relational::Value;
 use maybms_sql::ast::{InsertValue, Statement};
 use maybms_sql::Session;
-use maybms_storage::{read_snapshot, wal_path_for, write_snapshot};
+use maybms_storage::{read_snapshot, std_vfs, wal_path_for, write_snapshot, DEFAULT_PAGE_SIZE};
 use maybms_worldset::OrSetRelation;
 
 fn fast_mode() -> bool {
@@ -257,19 +257,19 @@ fn bench_e7(c: &mut Criterion) {
         |b, wsd| {
             b.iter(|| {
                 let p = encode_wsd(wsd);
-                write_snapshot(&snap, 1, 0, &p).expect("save snapshot");
+                write_snapshot(&*std_vfs(), &snap, 1, 0, &p, DEFAULT_PAGE_SIZE).expect("save snapshot");
                 std::hint::black_box(p.len())
             });
         },
     );
 
-    write_snapshot(&snap, 1, 0, &payload).expect("seed snapshot");
+    write_snapshot(&*std_vfs(), &snap, 1, 0, &payload, DEFAULT_PAGE_SIZE).expect("seed snapshot");
     g.bench_with_input(
         BenchmarkId::new("snapshot_load", format!("bytes={}", payload.len())),
         &snap,
         |b, snap| {
             b.iter(|| {
-                let (_meta, p) = read_snapshot(snap).expect("read snapshot");
+                let (_meta, p) = read_snapshot(&*std_vfs(), snap).expect("read snapshot");
                 std::hint::black_box(decode_wsd(&p).expect("decode snapshot").stats())
             });
         },

@@ -25,7 +25,7 @@ use std::sync::Arc;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use maybms_sql::Session;
 use maybms_storage::crc::crc32;
-use maybms_storage::{FaultOp, FaultSpec, FaultVfs, Vfs, Wal, WAL_HEADER_LEN};
+use maybms_storage::{std_vfs, FaultOp, FaultSpec, FaultVfs, Vfs, Wal, WAL_HEADER_LEN};
 
 fn fast_mode() -> bool {
     std::env::var("MAYBMS_BENCH_FAST").map(|v| v != "0").unwrap_or(false)
@@ -103,7 +103,7 @@ fn bench_wal_append(c: &mut Criterion, fast: bool) {
         |b, rec| {
             b.iter(|| {
                 let _ = std::fs::remove_file(&std_log);
-                let mut wal = Wal::create(&std_log, 0, 0).expect("create WAL");
+                let mut wal = Wal::create(std_vfs(), &std_log, 0, 0).expect("create WAL");
                 wal.set_sync(false);
                 for _ in 0..records {
                     wal.append(rec).expect("append");
@@ -123,7 +123,7 @@ fn bench_wal_append(c: &mut Criterion, fast: bool) {
                 // a fresh in-memory FaultVfs per iteration: no real I/O at
                 // all, so this bounds the FaultVfs bookkeeping cost
                 let vfs: Arc<dyn Vfs> = Arc::new(FaultVfs::new());
-                let mut wal = Wal::create_with_vfs(vfs, &fault_log, 0, 0).expect("create WAL");
+                let mut wal = Wal::create(vfs, &fault_log, 0, 0).expect("create WAL");
                 wal.set_sync(false);
                 for _ in 0..records {
                     wal.append(rec).expect("append");

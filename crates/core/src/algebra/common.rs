@@ -161,8 +161,8 @@ where
 }
 
 /// Re-emits a tuple unchanged into `out`: identity cells (open fields
-/// aliased), existence inherited. Shared by selection's static keep path,
-/// dedup and the vectorized operators' slow paths.
+/// aliased), existence inherited. Shared by selection's static keep path
+/// and dedup.
 pub(crate) fn emit_passthrough(wsd: &mut Wsd, t: &TupleInfo, out: &str) -> Result<()> {
     let new_tid = wsd.fresh_tid();
     let all: Vec<usize> = (0..t.cells.len()).collect();

@@ -10,7 +10,7 @@
 //! # Hash partitioning
 //!
 //! When the predicate contains an equality conjunct across the two sides,
-//! [`join_op`] buckets the right tuples by the possible values of their
+//! [`join_op_in`] buckets the right tuples by the possible values of their
 //! equality column and probes each left tuple only against the buckets of
 //! *its* possible values — O(|L| + |R| + matches) pair generation instead
 //! of the O(|L|·|R|) nested loop. Bucketing on `Value` keys is sound
@@ -19,8 +19,8 @@
 //! multiple possible key values (open or-set fields) are inserted into one
 //! bucket per value and deduplicated at probe time; residual equality
 //! conjuncts still prune via possible-value intersection. Predicates with
-//! no cross-side equality conjunct fall back to [`join_op_nested`], which
-//! is also kept as the oracle reference for the hash path.
+//! no cross-side equality conjunct take the nested loop
+//! ([`join_op_nested`]), which the hash path is also tested against.
 
 use std::collections::HashMap;
 
@@ -39,7 +39,7 @@ use crate::exec::WorkerPool;
 
 /// input_l × input_r → out (cartesian product).
 pub fn product_op(wsd: &mut Wsd, left: &str, right: &str, out: &str) -> Result<()> {
-    join_op(wsd, left, right, &Expr::lit(true), out)
+    join_op_nested(wsd, left, right, &Expr::lit(true), out)
 }
 
 /// Pre-computed pruning state for one side of a join.
@@ -120,20 +120,14 @@ fn nested_scan(wsd: &mut Wsd, p: &JoinPrep, out: &str) -> Result<()> {
 }
 
 /// input_l ⋈_pred input_r → out. Hash-partitioned when an equality
-/// conjunct spans the two sides; nested loop otherwise. Sequential —
-/// see [`join_op_in`] for the pool-parallel probe.
-pub fn join_op(wsd: &mut Wsd, left: &str, right: &str, pred: &Expr, out: &str) -> Result<()> {
-    join_op_in(wsd, left, right, pred, out, WorkerPool::sequential())
-}
-
-/// [`join_op`] with the probe phase fanned out over `pool`.
+/// conjunct spans the two sides; nested loop otherwise.
 ///
 /// The probe splits in two: a read-only phase that, per left tuple,
 /// gathers candidate right tuples from its key buckets and prunes them
-/// through the residual equality conjuncts (parallel — this is the
-/// O(|L|) hot half), and a serial emit phase that materializes the
-/// surviving pairs in left-then-right order, so the output is identical
-/// to the nested-loop reference at every worker count.
+/// through the residual equality conjuncts (fanned out over `pool` —
+/// this is the O(|L|) hot half), and a serial emit phase that
+/// materializes the surviving pairs in left-then-right order, so the
+/// output is identical to the nested-loop reference at every worker count.
 pub fn join_op_in(
     wsd: &mut Wsd,
     left: &str,
@@ -185,9 +179,10 @@ pub fn join_op_in(
     Ok(())
 }
 
-/// The reference nested-loop θ-join: every template-tuple pair is
-/// considered, pruned only by per-pair possible-value intersection. Kept
-/// as the oracle the hash-partitioned path is tested against.
+/// The nested-loop θ-join: every template-tuple pair is considered,
+/// pruned only by per-pair possible-value intersection. Runs joins with
+/// no cross-side equality conjunct and products; the hash-partitioned
+/// path is tested against it.
 pub fn join_op_nested(
     wsd: &mut Wsd,
     left: &str,
@@ -202,7 +197,7 @@ pub fn join_op_nested(
 /// Extracts `l = r` conjuncts referencing one column from each side,
 /// returning positions in the concatenated schema (left position, right
 /// position ≥ larity).
-pub(crate) fn equality_pairs(
+fn equality_pairs(
     pred: &Expr,
     out_schema: &maybms_relational::Schema,
     larity: usize,
@@ -225,7 +220,7 @@ pub(crate) fn equality_pairs(
 }
 
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn emit_pair(
+fn emit_pair(
     wsd: &mut Wsd,
     bound: &maybms_relational::BoundExpr,
     positions: &[usize],
@@ -379,6 +374,7 @@ fn push_pair(
 #[cfg(test)]
 mod tests {
     use crate::algebra::Query;
+    use crate::exec::WorkerPool;
     use crate::wsd::Wsd;
     use maybms_relational::{ColumnType, Expr, Schema, Value};
     use maybms_worldset::eval::eval_in_all_worlds;
@@ -434,11 +430,12 @@ mod tests {
     /// nested-loop reference on the same inputs.
     fn check_hash_equals_nested(wsd: &Wsd, pred: &Expr) {
         let mut hash = wsd.clone();
-        super::join_op(&mut hash, "patients", "treats", pred, "out").unwrap();
+        let seq = WorkerPool::sequential();
+        super::join_op_in(&mut hash, "patients", "treats", pred, "out", seq).unwrap();
         let mut nested = wsd.clone();
         super::join_op_nested(&mut nested, "patients", "treats", pred, "out").unwrap();
-        let a = crate::algebra::extract(hash, "out", "result").unwrap();
-        let b = crate::algebra::extract(nested, "out", "result").unwrap();
+        let a = crate::algebra::extract_in(hash, "out", "result", seq).unwrap();
+        let b = crate::algebra::extract_in(nested, "out", "result", seq).unwrap();
         assert!(a
             .to_worldset(100_000)
             .unwrap()

@@ -17,21 +17,21 @@
 pub(crate) mod common;
 mod difference;
 mod dml;
-pub(crate) mod join;
-pub(crate) mod project;
+mod join;
+mod project;
 mod rename;
-pub(crate) mod select;
+mod select;
 mod union;
 
 pub use difference::difference_op;
 pub use dml::{delete_op, update_op, DmlReport};
-pub use join::{join_op, join_op_in, join_op_nested, product_op};
+pub use join::{join_op_in, join_op_nested, product_op};
 pub use project::project_op;
 pub use rename::{qualify_op, rename_op};
 pub use select::select_op;
 pub use union::union_op;
 
-use maybms_relational::{Error, Expr, Result};
+use maybms_relational::{Expr, Result};
 use maybms_worldset::eval::WorldQuery;
 
 use crate::normalize;
@@ -51,7 +51,8 @@ pub enum Query {
     Union(Box<Query>, Box<Query>),
     Difference(Box<Query>, Box<Query>),
     /// Duplicate elimination. Under the paper's set semantics of worlds
-    /// this is the identity on decompositions; it exists so plans map 1:1.
+    /// this changes no world; it compiles to a `Dedup` of redundant
+    /// certain templates, or to nothing over a set-shaped input.
     Distinct(Box<Query>),
     Rename(Box<Query>, String, String),
     Qualify(Box<Query>, String),
@@ -94,86 +95,13 @@ impl Query {
     }
 
     /// Evaluates the query on a decomposition, producing a decomposition of
-    /// the answer world-set whose single relation is named `"result"`.
+    /// the answer world-set whose single relation is named `"result"`:
+    /// [`compile`](crate::exec::compile) then a sequential
+    /// [`Executor`](crate::exec::Executor) run — the path production takes,
+    /// minus the optimizer and the worker pool.
     pub fn eval(&self, base: &Wsd) -> Result<Wsd> {
-        let mut wsd = base.clone();
-        let mut counter = 0usize;
-        let out = self.eval_into(&mut wsd, &mut counter)?;
-        extract(wsd, &out, "result")
-    }
-
-    /// Evaluates within `wsd`, adding intermediate relations, and returns
-    /// the name of the relation holding this subquery's answer.
-    fn eval_into(&self, wsd: &mut Wsd, counter: &mut usize) -> Result<String> {
-        let fresh = |wsd: &Wsd, counter: &mut usize| -> String {
-            loop {
-                let name = format!("__q{}", *counter);
-                *counter += 1;
-                if wsd.relation(&name).is_err() {
-                    return name;
-                }
-            }
-        };
-        Ok(match self {
-            Query::Table(name) => {
-                wsd.relation(name)?; // must exist
-                name.clone()
-            }
-            Query::Select(q, pred) => {
-                let input = q.eval_into(wsd, counter)?;
-                let out = fresh(wsd, counter);
-                select_op(wsd, &input, pred, &out)?;
-                out
-            }
-            Query::Project(q, cols) => {
-                let input = q.eval_into(wsd, counter)?;
-                let out = fresh(wsd, counter);
-                let names: Vec<&str> = cols.iter().map(String::as_str).collect();
-                project_op(wsd, &input, &names, &out)?;
-                out
-            }
-            Query::Product(a, b) => {
-                let left = a.eval_into(wsd, counter)?;
-                let right = b.eval_into(wsd, counter)?;
-                let out = fresh(wsd, counter);
-                product_op(wsd, &left, &right, &out)?;
-                out
-            }
-            Query::Join(a, b, pred) => {
-                let left = a.eval_into(wsd, counter)?;
-                let right = b.eval_into(wsd, counter)?;
-                let out = fresh(wsd, counter);
-                join_op(wsd, &left, &right, pred, &out)?;
-                out
-            }
-            Query::Union(a, b) => {
-                let left = a.eval_into(wsd, counter)?;
-                let right = b.eval_into(wsd, counter)?;
-                let out = fresh(wsd, counter);
-                union_op(wsd, &left, &right, &out)?;
-                out
-            }
-            Query::Difference(a, b) => {
-                let left = a.eval_into(wsd, counter)?;
-                let right = b.eval_into(wsd, counter)?;
-                let out = fresh(wsd, counter);
-                difference_op(wsd, &left, &right, &out)?;
-                out
-            }
-            Query::Distinct(q) => q.eval_into(wsd, counter)?,
-            Query::Rename(q, from, to) => {
-                let input = q.eval_into(wsd, counter)?;
-                let out = fresh(wsd, counter);
-                rename_op(wsd, &input, from, to, &out)?;
-                out
-            }
-            Query::Qualify(q, prefix) => {
-                let input = q.eval_into(wsd, counter)?;
-                let out = fresh(wsd, counter);
-                qualify_op(wsd, &input, prefix, &out)?;
-                out
-            }
-        })
+        let plan = crate::exec::compile(self, base)?;
+        crate::exec::Executor::sequential().run(&plan, base)
     }
 
     /// The same query as a [`WorldQuery`], for oracle comparison.
@@ -213,12 +141,8 @@ impl Query {
 }
 
 /// Keeps only `rel` (renamed to `as_name`), drops everything else, and
-/// normalizes. This is the final step of query evaluation.
-pub fn extract(wsd: Wsd, rel: &str, as_name: &str) -> Result<Wsd> {
-    extract_in(wsd, rel, as_name, crate::exec::WorkerPool::sequential())
-}
-
-/// [`extract`] with the normalization passes routed through `pool`.
+/// normalizes with the passes routed through `pool`. This is the final
+/// step of query evaluation.
 pub fn extract_in(
     mut wsd: Wsd,
     rel: &str,
@@ -246,14 +170,4 @@ pub fn extract_in(
     wsd.retain_fields(|f| kept_tids.contains(&f.tid));
     normalize::normalize_in(&mut wsd, pool);
     Ok(wsd)
-}
-
-/// Convenience used by the SQL layer: evaluate and keep the result name.
-pub fn eval_to(wsd: &Wsd, q: &Query, as_name: &str) -> Result<Wsd> {
-    let mut out = q.eval(wsd)?;
-    if as_name != "result" {
-        out.rename_relation("result", as_name)
-            .map_err(|e| Error::InvalidExpr(format!("renaming result: {e}")))?;
-    }
-    Ok(out)
 }

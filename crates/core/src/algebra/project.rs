@@ -35,9 +35,8 @@ pub fn project_op(wsd: &mut Wsd, input: &str, cols: &[&str], out: &str) -> Resul
 
 /// Projects a single template tuple onto `keep_positions`, emitting it into
 /// `out`. Handles the ⊥-capable dropped-field case by merging the marker
-/// components into a fresh existence column. Shared with the vectorized
-/// projection's slow path.
-pub(crate) fn project_tuple(
+/// components into a fresh existence column.
+fn project_tuple(
     wsd: &mut Wsd,
     t: &TupleInfo,
     keep_positions: &[usize],

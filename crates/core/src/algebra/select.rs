@@ -43,8 +43,8 @@ pub fn select_op(wsd: &mut Wsd, input: &str, pred: &Expr, out: &str) -> Result<(
 /// The per-tuple dynamic path of selection: the predicate references open
 /// fields, so the components carrying them (and the tuple's existence
 /// field, if open) are merged and a fresh existence column marks failing
-/// rows ⊥. Shared with the vectorized filter's slow path.
-pub(crate) fn select_tuple_dynamic(
+/// rows ⊥.
+fn select_tuple_dynamic(
     wsd: &mut Wsd,
     t: &TupleInfo,
     bound: &BoundExpr,

@@ -15,27 +15,28 @@
 //!   offline, so no rayon). Its `map` primitive is order-preserving and
 //!   deterministic at every worker count. Worker count comes from
 //!   `MAYBMS_WORKERS` or the machine's available parallelism.
-//! * [`run`] — [`Executor`], which walks the plan against a
-//!   decomposition and routes the embarrassingly parallel passes
-//!   through the pool: per-component scans in
-//!   [`crate::normalize::normalize_in`], per-cluster distributions in
-//!   [`crate::prob::tuple_confidence_opts_in`], and per-tuple probe
-//!   work in [`crate::algebra::join_op_in`].
+//! * [`run`] — [`Executor`], the one plan walker: each node calls its
+//!   tuple-at-a-time operator in [`crate::algebra`] (the only operator
+//!   implementations) and the embarrassingly parallel passes go through
+//!   the pool: per-tuple probe work in [`crate::algebra::join_op_in`],
+//!   per-component scans in [`crate::normalize::normalize_in`], and
+//!   per-cluster distributions in
+//!   [`crate::prob::tuple_confidence_opts_in`].
 //!
-//! The physical executor is world-equivalent to the logical interpreter
-//! ([`crate::algebra::Query::eval`]) at every worker count — property
-//! tests in `tests/oracle_properties.rs` enforce this for worker counts
-//! 1, 2 and N. This seam is where later scaling work (sharding, async
-//! sessions, multi-backend) plugs in.
+//! [`crate::algebra::Query::eval`] is `compile` + a sequential
+//! `Executor` run, so the library, the SQL session and the tests share
+//! this one evaluator. Its reference is world enumeration
+//! (`maybms_worldset::eval::eval_in_all_worlds`): property tests in
+//! `tests/oracle_properties.rs` hold the executor to it at worker counts
+//! 1, 2 and N and require the answer to be byte-identical under the
+//! codec across those counts.
 
 pub mod plan;
 pub mod pool;
 pub mod run;
-pub mod vector;
 
 pub use plan::{
     compile, explain_physical, explain_physical_annotated, schema_of, PhysOp, PhysicalPlan,
 };
 pub use pool::{default_workers, global_pool, WorkerPool};
 pub use run::{dedup_op, Executor, NodeTrace};
-pub use vector::{dedup_vec, encode, join_vec, project_vec, select_vec, Encoded, OPEN_CODE};

@@ -104,8 +104,8 @@ fn compile_node(q: &Query, wsd: &Wsd) -> Result<PhysOp> {
             pred: p.clone(),
         },
         Query::Project(i, cols) => {
-            // plan-time schema check: reject unknown columns here, like
-            // the logical interpreter does at runtime
+            // plan-time schema check: reject unknown columns before
+            // anything runs
             let s = schema_of(i, wsd)?;
             let names: Vec<&str> = cols.iter().map(String::as_str).collect();
             s.project(&names)?;

@@ -1,8 +1,8 @@
-//! The physical executor: walks a [`PhysicalPlan`] against a
-//! decomposition, materializing intermediate relations exactly like the
-//! logical interpreter but with the strategy fixed per node and the
-//! worker pool threaded through the parallel operators (hash-join
-//! probing, final normalization).
+//! The executor: the one plan walker. It evaluates a [`PhysicalPlan`]
+//! node by node against a working copy of the decomposition, each node
+//! calling its [`crate::algebra`] operator and materializing its answer
+//! as an intermediate relation, with the worker pool threaded through
+//! the parallel passes (hash-join probing, final normalization).
 
 use std::collections::HashSet;
 use std::sync::{Arc, OnceLock};
@@ -11,16 +11,15 @@ use std::time::{Duration, Instant};
 use maybms_obs::Counter;
 use maybms_relational::{Result, Value};
 
-use crate::algebra::common::{alias_cells, exists_loc, snapshot};
+use crate::algebra::common::{emit_passthrough, snapshot};
 use crate::algebra::{
-    self, difference_op, join_op_nested, product_op, qualify_op, rename_op, union_op,
+    self, difference_op, join_op_in, join_op_nested, product_op, project_op, qualify_op,
+    rename_op, select_op, union_op,
 };
-use crate::field::Field;
-use crate::wsd::{Existence, TemplateCell, TupleTemplate, Wsd};
+use crate::wsd::{Existence, TemplateCell, Wsd};
 
 use super::plan::{PhysOp, PhysicalPlan};
 use super::pool::WorkerPool;
-use super::vector::{dedup_vec, join_vec, project_vec, select_vec};
 
 /// One plan node's execution sample from [`Executor::run_traced`]: how
 /// many output template tuples it produced and how long its evaluation
@@ -73,6 +72,18 @@ fn row_counters() -> &'static [Arc<Counter>; 11] {
     C.get_or_init(|| OP_KINDS.map(|k| maybms_obs::counter(&format!("exec.rows.{k}"))))
 }
 
+/// A name for a node's intermediate relation that no relation of `wsd`
+/// carries yet.
+fn fresh(wsd: &Wsd, counter: &mut usize) -> String {
+    loop {
+        let name = format!("__p{}", *counter);
+        *counter += 1;
+        if wsd.relation(&name).is_err() {
+            return name;
+        }
+    }
+}
+
 /// Executes physical plans with a fixed worker pool.
 pub struct Executor<'p> {
     pool: &'p WorkerPool,
@@ -93,14 +104,9 @@ impl<'p> Executor<'p> {
     }
 
     /// Runs the plan on a decomposition, producing a decomposition of the
-    /// answer world-set whose single relation is named `"result"` —
-    /// world-equivalent to [`crate::algebra::Query::eval`] on the logical
-    /// plan the physical one was compiled from.
+    /// answer world-set whose single relation is named `"result"`.
     pub fn run(&self, plan: &PhysicalPlan, base: &Wsd) -> Result<Wsd> {
-        let mut wsd = base.clone();
-        let mut counter = 0usize;
-        let out = self.exec(&plan.root, &mut wsd, &mut counter, &mut None)?;
-        algebra::extract_in(wsd, &out, "result", self.pool)
+        self.run_with(plan, base, &mut None)
     }
 
     /// [`Executor::run`] recording, per plan node, the number of output
@@ -110,12 +116,23 @@ impl<'p> Executor<'p> {
     /// [`super::plan::explain_physical_annotated`] visits nodes, so
     /// `EXPLAIN ANALYZE` can zip them onto the rendered tree.
     pub fn run_traced(&self, plan: &PhysicalPlan, base: &Wsd) -> Result<(Wsd, Vec<NodeTrace>)> {
+        let mut trace = Some(Vec::new());
+        let result = self.run_with(plan, base, &mut trace)?;
+        Ok((result, trace.unwrap_or_default()))
+    }
+
+    /// Evaluates the plan inside a working copy of `base` (operators add
+    /// their intermediate relations to it), then keeps only the root's.
+    fn run_with(
+        &self,
+        plan: &PhysicalPlan,
+        base: &Wsd,
+        trace: &mut Option<Vec<NodeTrace>>,
+    ) -> Result<Wsd> {
         let mut wsd = base.clone();
         let mut counter = 0usize;
-        let mut trace = Some(Vec::new());
-        let out = self.exec(&plan.root, &mut wsd, &mut counter, &mut trace)?;
-        let result = algebra::extract_in(wsd, &out, "result", self.pool)?;
-        Ok((result, trace.expect("trace enabled"))) // maybms-lint: allow(no-panic-in-prod) -- the trace sink was installed at entry because tracing was requested
+        let out = self.exec(&plan.root, &mut wsd, &mut counter, trace)?;
+        algebra::extract_in(wsd, &out, "result", self.pool)
     }
 
     /// Evaluates one node into `wsd`, returning the name of the relation
@@ -129,15 +146,6 @@ impl<'p> Executor<'p> {
         counter: &mut usize,
         trace: &mut Option<Vec<NodeTrace>>,
     ) -> Result<String> {
-        let fresh = |wsd: &Wsd, counter: &mut usize| -> String {
-            loop {
-                let name = format!("__p{}", *counter);
-                *counter += 1;
-                if wsd.relation(&name).is_err() {
-                    return name;
-                }
-            }
-        };
         // claim this node's pre-order slot before descending
         #[allow(clippy::disallowed_methods)]
         // maybms-lint: allow(determinism) -- wall clock feeds only EXPLAIN ANALYZE node timings, never the decomposition or answer bytes
@@ -146,7 +154,7 @@ impl<'p> Executor<'p> {
             t.push(NodeTrace::default());
             t.len() - 1
         });
-        let out = self.exec_node(op, wsd, counter, trace, &fresh)?;
+        let out = self.exec_node(op, wsd, counter, trace)?;
         if trace.is_some() || maybms_obs::enabled() {
             let rows = wsd.relation(&out)?.tuples.len();
             row_counters()[op_kind_index(op)].add(rows as u64);
@@ -157,14 +165,12 @@ impl<'p> Executor<'p> {
         Ok(out)
     }
 
-    #[allow(clippy::type_complexity)]
     fn exec_node(
         &self,
         op: &PhysOp,
         wsd: &mut Wsd,
         counter: &mut usize,
         trace: &mut Option<Vec<NodeTrace>>,
-        fresh: &dyn Fn(&Wsd, &mut usize) -> String,
     ) -> Result<String> {
         Ok(match op {
             PhysOp::SeqScan { rel } => {
@@ -174,21 +180,21 @@ impl<'p> Executor<'p> {
             PhysOp::Filter { input, pred } => {
                 let i = self.exec(input, wsd, counter, trace)?;
                 let out = fresh(wsd, counter);
-                select_vec(wsd, &i, pred, &out, self.pool)?;
+                select_op(wsd, &i, pred, &out)?;
                 out
             }
             PhysOp::Project { input, cols } => {
                 let i = self.exec(input, wsd, counter, trace)?;
                 let out = fresh(wsd, counter);
                 let names: Vec<&str> = cols.iter().map(String::as_str).collect();
-                project_vec(wsd, &i, &names, &out, self.pool)?;
+                project_op(wsd, &i, &names, &out)?;
                 out
             }
             PhysOp::HashJoin { left, right, pred, .. } => {
                 let l = self.exec(left, wsd, counter, trace)?;
                 let r = self.exec(right, wsd, counter, trace)?;
                 let out = fresh(wsd, counter);
-                join_vec(wsd, &l, &r, pred, &out, self.pool)?;
+                join_op_in(wsd, &l, &r, pred, &out, self.pool)?;
                 out
             }
             PhysOp::NestedLoopJoin { left, right, pred } => {
@@ -222,7 +228,7 @@ impl<'p> Executor<'p> {
             PhysOp::Dedup { input } => {
                 let i = self.exec(input, wsd, counter, trace)?;
                 let out = fresh(wsd, counter);
-                dedup_vec(wsd, &i, &out)?;
+                dedup_op(wsd, &i, &out)?;
                 out
             }
             PhysOp::Rename { input, from, to } => {
@@ -266,17 +272,7 @@ pub fn dedup_op(wsd: &mut Wsd, input: &str, out: &str) -> Result<()> {
                 }
             }
         }
-        let new_tid = wsd.fresh_tid();
-        let all: Vec<usize> = (0..t.cells.len()).collect();
-        let cells = alias_cells(wsd, new_tid, t, &all)?;
-        let exists = match exists_loc(wsd, t)? {
-            None => Existence::Always,
-            Some(loc) => {
-                wsd.alias_field(Field::exists(new_tid), loc);
-                Existence::Open
-            }
-        };
-        wsd.push_template(out, TupleTemplate { tid: new_tid, cells, exists })?;
+        emit_passthrough(wsd, t, out)?;
     }
     Ok(())
 }
@@ -285,36 +281,43 @@ pub fn dedup_op(wsd: &mut Wsd, input: &str, out: &str) -> Result<()> {
 mod tests {
     use super::*;
     use crate::algebra::Query;
+    use crate::codec::encode_wsd;
     use crate::examples::medical_wsd;
     use crate::exec::plan::compile;
     use maybms_relational::{ColumnType, Expr, Schema};
+    use maybms_worldset::eval::eval_in_all_worlds;
 
-    fn run_both(q: &Query, wsd: &Wsd, workers: usize) -> (Wsd, Wsd) {
-        let logical = q.eval(wsd).expect("logical eval");
-        let pool = WorkerPool::new(workers);
+    /// Runs `q` at worker counts 1, 2 and 4: every answer must equal
+    /// evaluating `q` in each enumerated world, and all must be
+    /// byte-identical under the codec. Returns the sequential answer.
+    fn check_against_worlds(q: &Query, wsd: &Wsd) -> Wsd {
+        let per_world =
+            eval_in_all_worlds(&wsd.to_worldset(100_000).unwrap(), &q.to_world_query()).unwrap();
         let plan = compile(q, wsd).expect("compile");
-        let physical = Executor::new(&pool).run(&plan, wsd).expect("physical run");
-        (logical, physical)
+        let sequential = q.eval(wsd).expect("eval");
+        for workers in [1, 2, 4] {
+            let pool = WorkerPool::new(workers);
+            let out = Executor::new(&pool).run(&plan, wsd).expect("run");
+            out.validate().unwrap();
+            assert!(
+                out.to_worldset(100_000).unwrap().equivalent(&per_world, 1e-9),
+                "workers {workers}"
+            );
+            assert_eq!(encode_wsd(&out), encode_wsd(&sequential), "workers {workers}");
+        }
+        sequential
     }
 
     #[test]
-    fn paper_query_physical_equals_logical() {
-        let wsd = medical_wsd();
+    fn paper_query_matches_world_enumeration() {
         let q = Query::table("R")
             .select(Expr::col("diagnosis").eq(Expr::lit("pregnancy")))
             .project(["test"]);
-        for workers in [1, 2, 4] {
-            let (l, p) = run_both(&q, &wsd, workers);
-            p.validate().unwrap();
-            assert!(l
-                .to_worldset(10_000)
-                .unwrap()
-                .equivalent(&p.to_worldset(10_000).unwrap(), 1e-9));
-        }
+        check_against_worlds(&q, &medical_wsd());
     }
 
     #[test]
-    fn hash_join_physical_equals_logical() {
+    fn hash_join_matches_world_enumeration() {
         let mut wsd = medical_wsd();
         wsd.add_relation(
             "T",
@@ -327,13 +330,7 @@ mod tests {
             Query::table("T"),
             Expr::col("test").eq(Expr::col("tname")),
         );
-        for workers in [1, 3] {
-            let (l, p) = run_both(&q, &wsd, workers);
-            assert!(l
-                .to_worldset(100_000)
-                .unwrap()
-                .equivalent(&p.to_worldset(100_000).unwrap(), 1e-9));
-        }
+        check_against_worlds(&q, &wsd);
     }
 
     #[test]
@@ -343,16 +340,8 @@ mod tests {
         w.push_certain("r", vec![Value::Int(1)]).unwrap();
         // a self-union duplicates every certain template
         let q = Query::table("r").union(Query::table("r")).distinct();
-        let plan = compile(&q, &w).unwrap();
-        let out = Executor::sequential().run(&plan, &w).unwrap();
-        out.validate().unwrap();
+        let out = check_against_worlds(&q, &w);
         assert_eq!(out.relation("result").unwrap().tuples.len(), 1);
-        // and stays world-equivalent to the logical interpreter
-        let l = q.eval(&w).unwrap();
-        assert!(l
-            .to_worldset(100)
-            .unwrap()
-            .equivalent(&out.to_worldset(100).unwrap(), 1e-9));
     }
 
     #[test]
@@ -366,12 +355,6 @@ mod tests {
         )
         .unwrap();
         let q = Query::table("r").union(Query::table("r")).distinct();
-        let plan = compile(&q, &w).unwrap();
-        let out = Executor::sequential().run(&plan, &w).unwrap();
-        let l = q.eval(&w).unwrap();
-        assert!(l
-            .to_worldset(100)
-            .unwrap()
-            .equivalent(&out.to_worldset(100).unwrap(), 1e-9));
+        check_against_worlds(&q, &w);
     }
 }

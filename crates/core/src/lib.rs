@@ -61,22 +61,27 @@
 //!
 //! **Hash-partitioned joins and dense choice vectors.** When a join
 //! predicate contains a cross-side equality conjunct,
-//! [`algebra::join_op`] buckets right tuples by possible key values and
-//! probes instead of the O(|L|·|R|) nested loop (kept as
-//! [`algebra::join_op_nested`], the tested reference). World enumeration
+//! [`algebra::join_op_in`] buckets right tuples by possible key values
+//! and probes instead of the O(|L|·|R|) nested loop
+//! ([`algebra::join_op_nested`], which runs θ-joins and products and is
+//! what the hash path is tested against). World enumeration
 //! ([`wsd::Wsd::to_worldset`], [`wsd::Wsd::instantiate`]) and confidence
 //! computation ([`prob`]) walk choice spaces with a flat `Vec<usize>`
 //! indexed by component id and field locations resolved once per
 //! cluster — no per-world hash maps.
 //!
-//! **The physical layer and the worker pool.** [`exec`] compiles the
+//! **One evaluator and the worker pool.** [`exec`] compiles the
 //! optimized logical tree into a [`exec::PhysicalPlan`] of explicit
 //! operator nodes (hash vs nested-loop join chosen at plan time,
-//! `DISTINCT` elided when the input is set-shaped) and executes it with
-//! a hand-rolled fixed [`exec::WorkerPool`] (`MAYBMS_WORKERS` env
-//! override). The embarrassingly parallel passes — per-component
-//! normalize scans, per-cluster confidence distributions, per-tuple
-//! join probing — run through the pool and are deterministic at every
+//! `DISTINCT` elided when the input is set-shaped), and
+//! [`exec::Executor`] — the only plan walker; [`algebra::Query::eval`]
+//! is `compile` + a sequential run of it — evaluates each node with its
+//! tuple-at-a-time [`algebra`] operator, the only operator
+//! implementations. Its reference is per-world evaluation in
+//! `maybms-worldset`. A hand-rolled fixed [`exec::WorkerPool`]
+//! (`MAYBMS_WORKERS` env override) carries the embarrassingly parallel
+//! passes — per-component normalize scans, per-cluster confidence
+//! distributions, per-tuple join probing — deterministically at every
 //! worker count.
 //!
 //! **Durability.** [`codec`] serializes a whole decomposition to a

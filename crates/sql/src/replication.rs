@@ -84,7 +84,7 @@ use maybms_core::wsd::Wsd;
 use maybms_relational::{Error, Result};
 use maybms_storage::ship::{recv_msg, send_msg, Msg};
 use maybms_storage::wal::{self, Polled, WalCursor};
-use maybms_storage::{read_snapshot_state, wal_path_for};
+use maybms_storage::{read_snapshot_state, std_vfs, wal_path_for};
 
 use crate::session::{QueryResult, Session, SessionError, SessionResult};
 use crate::wire;
@@ -271,7 +271,7 @@ impl Primary {
                 return Ok(());
             }
             // Where does the follower stand relative to the current log?
-            let head = wal::head(&wal_path)?;
+            let head = wal::head(&*std_vfs(), &wal_path)?;
             if follower_lsn < head.base_lsn || follower_lsn > head.last_lsn {
                 // Behind the last checkpoint (its records were compacted
                 // into the snapshot) or from a foreign timeline: full
@@ -281,7 +281,7 @@ impl Primary {
                 last_sent = Instant::now(); // maybms-lint: allow(determinism) -- control-plane wall clock (heartbeat/staleness); applied bytes come solely from WAL records
                 follower_lsn = snap_lsn;
             }
-            let mut cursor = match WalCursor::open(&wal_path, follower_lsn) {
+            let mut cursor = match WalCursor::open(std_vfs(), &wal_path, follower_lsn) {
                 Ok(c) => c,
                 Err(_) => continue 'catchup, // swapped mid-decision; retry
             };
@@ -349,8 +349,8 @@ impl Primary {
     /// swapped the log.
     fn consistent_snapshot(&self) -> Result<(u64, u64, Vec<u8>)> {
         for _ in 0..500 {
-            let head = wal::head(&wal_path_for(&self.path))?;
-            match read_snapshot_state(&self.path)? {
+            let head = wal::head(&*std_vfs(), &wal_path_for(&self.path))?;
+            match read_snapshot_state(&*std_vfs(), &self.path)? {
                 Some((generation, lsn, payload))
                     if generation == head.generation && lsn == head.base_lsn =>
                 {

@@ -49,11 +49,10 @@ use maybms_obs::{Counter, Histogram};
 use maybms_relational::{Error, Result};
 
 use crate::delta::{
-    chunk_crcs, delta_path_for, overlay, payload_chunks, read_delta_with_vfs,
-    write_delta_with_vfs, DeltaMeta,
+    chunk_crcs, delta_path_for, overlay, payload_chunks, read_delta, write_delta, DeltaMeta,
 };
 use crate::pager::{page_crc, DEFAULT_PAGE_SIZE};
-use crate::snapshot::{read_snapshot_with_vfs, write_snapshot_with_vfs};
+use crate::snapshot::{read_snapshot, write_snapshot};
 use crate::crc::crc32;
 use crate::vfs::{std_vfs, Vfs};
 use crate::wal::Wal;
@@ -159,15 +158,7 @@ pub struct Recovered {
 /// checkpoint ever ran. This is the read side of a **snapshot transfer**
 /// (a replication follower too far behind the log); it performs the same
 /// overlay validation as recovery.
-pub fn read_snapshot_state(path: &Path) -> Result<Option<(u64, u64, Vec<u8>)>> {
-    read_snapshot_state_with_vfs(&*std_vfs(), path)
-}
-
-/// As [`read_snapshot_state`], on an explicit [`Vfs`].
-pub fn read_snapshot_state_with_vfs(
-    vfs: &dyn Vfs,
-    path: &Path,
-) -> Result<Option<(u64, u64, Vec<u8>)>> {
+pub fn read_snapshot_state(vfs: &dyn Vfs, path: &Path) -> Result<Option<(u64, u64, Vec<u8>)>> {
     Ok(load_snapshot_pair(vfs, path)?.map(|s| (s.generation, s.last_lsn, s.payload)))
 }
 
@@ -200,13 +191,13 @@ fn load_snapshot_pair(vfs: &dyn Vfs, path: &Path) -> Result<Option<SnapshotPair>
         }
         return Ok(None);
     }
-    let (meta, base_payload) = read_snapshot_with_vfs(vfs, path)?;
+    let (meta, base_payload) = read_snapshot(vfs, path)?;
     let base_page_crcs = chunk_crcs(&base_payload, meta.page_size);
     if vfs.exists(&delta_path) {
         // An unreadable overlay is genuine corruption (overlays are
         // published atomically, so a crash never leaves a torn one) —
         // fail loudly rather than quietly dropping a checkpoint.
-        let (dmeta, pages) = read_delta_with_vfs(vfs, &delta_path)?;
+        let (dmeta, pages) = read_delta(vfs, &delta_path)?;
         if dmeta.generation > meta.generation && dmeta.base_generation == meta.generation {
             if dmeta.page_size != meta.page_size {
                 return Err(Error::Storage(format!(
@@ -292,7 +283,7 @@ impl Database {
             // checkpoint artifact (log resets go through write-temp +
             // rename, so the file on disk is always a complete old or new
             // log) — fail loudly rather than silently discard commits.
-            let (wal, records) = Wal::open_with_vfs(Arc::clone(&vfs), &wal_path)?;
+            let (wal, records) = Wal::open(Arc::clone(&vfs), &wal_path)?;
             if wal.generation() == generation {
                 if wal.base_lsn() != covered_lsn {
                     return Err(Error::Storage(format!(
@@ -309,13 +300,13 @@ impl Database {
                 // inside the newer snapshot — start a fresh one at the
                 // LSN the snapshot covers.
                 (
-                    Wal::create_with_vfs(Arc::clone(&vfs), &wal_path, generation, covered_lsn)?,
+                    Wal::create(Arc::clone(&vfs), &wal_path, generation, covered_lsn)?,
                     Vec::new(),
                 )
             }
         } else {
             (
-                Wal::create_with_vfs(Arc::clone(&vfs), &wal_path, generation, covered_lsn)?,
+                Wal::create(Arc::clone(&vfs), &wal_path, generation, covered_lsn)?,
                 Vec::new(),
             )
         };
@@ -516,19 +507,14 @@ impl Database {
                     payload_crc: crc32(state),
                     pages: changed.len() as u32,
                 };
-                write_delta_with_vfs(
-                    &*self.vfs,
-                    &delta_path_for(&self.snapshot_path),
-                    &meta,
-                    &changed,
-                )?;
+                write_delta(&*self.vfs, &delta_path_for(&self.snapshot_path), &meta, &changed)?;
                 CheckpointKind::Incremental {
                     changed_pages: changed.len() as u32,
                     total_pages,
                 }
             }
             None => {
-                write_snapshot_with_vfs(
+                write_snapshot(
                     &*self.vfs,
                     &self.snapshot_path,
                     next,
@@ -557,7 +543,7 @@ impl Database {
         // this handle rather than let appends vanish silently. Reopening
         // recovers cleanly: snapshot g+1 + stale WAL → fresh WAL.
         self.state_crc = Some(state_crc);
-        match Wal::create_with_vfs(
+        match Wal::create(
             Arc::clone(&self.vfs),
             &wal_path_for(&self.snapshot_path),
             next,
@@ -833,17 +819,17 @@ mod tests {
     #[test]
     fn read_snapshot_state_sees_base_plus_overlay() {
         let path = tmp("readstate");
-        assert!(read_snapshot_state(&path).unwrap().is_none());
+        assert!(read_snapshot_state(&*std_vfs(), &path).unwrap().is_none());
         let mut db = Database::open_with_page_size(&path, 64).unwrap().db;
         db.append(b"x").unwrap();
         db.checkpoint(b"base state").unwrap();
-        let (generation, lsn, payload) = read_snapshot_state(&path).unwrap().unwrap();
+        let (generation, lsn, payload) = read_snapshot_state(&*std_vfs(), &path).unwrap().unwrap();
         assert_eq!((generation, lsn, payload.as_slice()), (1, 1, &b"base state"[..]));
         db.append(b"y").unwrap();
         // one byte differs, but a single-page payload always collapses to
         // a full rewrite (the overlay would be the whole snapshot)
         db.checkpoint(b"base statf").unwrap();
-        let (generation, lsn, payload) = read_snapshot_state(&path).unwrap().unwrap();
+        let (generation, lsn, payload) = read_snapshot_state(&*std_vfs(), &path).unwrap().unwrap();
         assert_eq!((generation, lsn, payload.as_slice()), (2, 2, &b"base statf"[..]));
         cleanup(&path);
     }

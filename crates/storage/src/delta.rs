@@ -39,9 +39,10 @@ use std::path::{Path, PathBuf};
 
 use maybms_relational::{Error, Result};
 
+use crate::bytes::Reader;
 use crate::crc::crc32;
 use crate::pager::{io_err, page_crc, Pager, PAGE_HEADER_LEN};
-use crate::vfs::{std_vfs, OpenMode, Vfs};
+use crate::vfs::{replace_atomically, OpenMode, Vfs};
 
 const MAGIC: &[u8; 8] = b"MAYBMSD\0";
 const VERSION: u32 = 1;
@@ -95,69 +96,42 @@ fn encode_preamble(meta: &DeltaMeta) -> [u8; DELTA_PREAMBLE_LEN] {
     p
 }
 
-fn decode_preamble(p: &[u8]) -> Result<DeltaMeta> {
-    if p.len() < DELTA_PREAMBLE_LEN {
-        return Err(Error::Storage(format!(
-            "incremental snapshot too short: {} bytes, preamble needs {DELTA_PREAMBLE_LEN}",
-            p.len()
-        )));
-    }
+fn decode_preamble(p: &[u8; DELTA_PREAMBLE_LEN]) -> Result<DeltaMeta> {
     if &p[0..8] != MAGIC {
         return Err(Error::Storage(
             "not a MayBMS incremental snapshot (bad magic)".into(),
         ));
     }
-    let stored = u32::from_le_bytes(p[56..60].try_into().expect("4 bytes")); // maybms-lint: allow(no-panic-in-prod) -- the index range fixes the slice length, so try_into cannot fail
-    if crc32(&p[0..56]) != stored {
+    let mut r = Reader::new(&p[8..]);
+    let (version, page_size) = (r.get_u32()?, r.get_u32()? as usize);
+    let (generation, base_generation, last_lsn) = (r.get_u64()?, r.get_u64()?, r.get_u64()?);
+    let (payload_len, payload_crc, pages) = (r.get_u64()?, r.get_u32()?, r.get_u32()?);
+    if crc32(&p[0..56]) != r.get_u32()? {
         return Err(Error::Storage(
             "incremental snapshot preamble checksum mismatch".into(),
         ));
     }
-    let version = u32::from_le_bytes(p[8..12].try_into().expect("4 bytes")); // maybms-lint: allow(no-panic-in-prod) -- the index range fixes the slice length, so try_into cannot fail
     if version != VERSION {
         return Err(Error::Storage(format!(
             "unsupported incremental snapshot version {version} (this build reads {VERSION})"
         )));
     }
-    Ok(DeltaMeta {
-        page_size: u32::from_le_bytes(p[12..16].try_into().expect("4 bytes")) as usize, // maybms-lint: allow(no-panic-in-prod) -- the index range fixes the slice length, so try_into cannot fail
-        generation: u64::from_le_bytes(p[16..24].try_into().expect("8 bytes")), // maybms-lint: allow(no-panic-in-prod) -- the index range fixes the slice length, so try_into cannot fail
-        base_generation: u64::from_le_bytes(p[24..32].try_into().expect("8 bytes")), // maybms-lint: allow(no-panic-in-prod) -- the index range fixes the slice length, so try_into cannot fail
-        last_lsn: u64::from_le_bytes(p[32..40].try_into().expect("8 bytes")), // maybms-lint: allow(no-panic-in-prod) -- the index range fixes the slice length, so try_into cannot fail
-        payload_len: u64::from_le_bytes(p[40..48].try_into().expect("8 bytes")), // maybms-lint: allow(no-panic-in-prod) -- the index range fixes the slice length, so try_into cannot fail
-        payload_crc: u32::from_le_bytes(p[48..52].try_into().expect("4 bytes")), // maybms-lint: allow(no-panic-in-prod) -- the index range fixes the slice length, so try_into cannot fail
-        pages: u32::from_le_bytes(p[52..56].try_into().expect("4 bytes")), // maybms-lint: allow(no-panic-in-prod) -- the index range fixes the slice length, so try_into cannot fail
-    })
+    Ok(DeltaMeta { generation, base_generation, last_lsn, page_size, payload_len, payload_crc, pages })
 }
 
-fn tmp_sibling(path: &Path) -> PathBuf {
-    let mut s = path.as_os_str().to_os_string();
-    s.push(".tmp");
-    PathBuf::from(s)
-}
-
-/// Writes the overlay at `path` (atomically): the changed pages of a new
-/// payload relative to a base snapshot. `pages` holds `(logical_index,
-/// chunk)` pairs, each chunk at most `page_size - PAGE_HEADER_LEN` bytes;
-/// `payload_len`/`payload_crc` describe the **combined** payload the
-/// overlay reconstructs.
-pub fn write_delta(path: &Path, meta: &DeltaMeta, pages: &[(u32, &[u8])]) -> Result<()> {
-    write_delta_with_vfs(&*std_vfs(), path, meta, pages)
-}
-
-/// As [`write_delta`], on an explicit [`Vfs`].
-pub fn write_delta_with_vfs(
+/// Writes the overlay at `path` (atomically — [`replace_atomically`]):
+/// the changed pages of a new payload relative to a base snapshot.
+/// `pages` holds `(logical_index, chunk)` pairs, each chunk at most
+/// `page_size - PAGE_HEADER_LEN` bytes; `payload_len`/`payload_crc`
+/// describe the **combined** payload the overlay reconstructs.
+pub fn write_delta(
     vfs: &dyn Vfs,
     path: &Path,
     meta: &DeltaMeta,
     pages: &[(u32, &[u8])],
 ) -> Result<()> {
     debug_assert_eq!(meta.pages as usize, pages.len());
-    let tmp = tmp_sibling(path);
-    {
-        let mut file = vfs
-            .open(&tmp, OpenMode::CreateTruncate)
-            .map_err(|e| io_err("create incremental snapshot temp file", e))?;
+    replace_atomically(vfs, path, "incremental snapshot", |mut file| {
         file.write_all(&encode_preamble(meta))
             .map_err(|e| io_err("write incremental snapshot preamble", e))?;
         // the page map, with its own checksum
@@ -174,27 +148,14 @@ pub fn write_delta_with_vfs(
         for (slot, (idx, chunk)) in pages.iter().enumerate() {
             pager.write_page_as(slot as u32, *idx, chunk)?;
         }
-        pager.sync()?;
-    }
-    vfs.rename(&tmp, path)
-        .map_err(|e| io_err("publish incremental snapshot (rename)", e))?;
-    // a failed directory fsync means the rename may not survive power
-    // loss — and a later WAL rotation that *does* survive would strand
-    // commits. Propagate it: the checkpoint fails before the WAL moves,
-    // which is a crash window recovery already handles.
-    vfs.sync_parent_dir(path).map_err(|e| io_err("sync overlay directory", e))?;
-    Ok(())
+        Ok(pager.into_file())
+    })
 }
 
 /// Reads and fully verifies the overlay at `path`: preamble, page map
 /// checksum, and every page checksum. Returns the metadata and the
 /// `(logical_index, chunk)` pairs.
-pub fn read_delta(path: &Path) -> Result<(DeltaMeta, DeltaPages)> {
-    read_delta_with_vfs(&*std_vfs(), path)
-}
-
-/// As [`read_delta`], on an explicit [`Vfs`].
-pub fn read_delta_with_vfs(vfs: &dyn Vfs, path: &Path) -> Result<(DeltaMeta, DeltaPages)> {
+pub fn read_delta(vfs: &dyn Vfs, path: &Path) -> Result<(DeltaMeta, DeltaPages)> {
     let mut file =
         vfs.open(path, OpenMode::Read).map_err(|e| io_err("open incremental snapshot", e))?;
     let mut preamble = [0u8; DELTA_PREAMBLE_LEN];
@@ -204,16 +165,13 @@ pub fn read_delta_with_vfs(vfs: &dyn Vfs, path: &Path) -> Result<(DeltaMeta, Del
     let map_len = meta.pages as usize * 4;
     let mut map = vec![0u8; map_len + 4];
     file.read_exact(&mut map).map_err(|e| io_err("read page map", e))?;
-    let stored = u32::from_le_bytes(map[map_len..].try_into().expect("4 bytes")); // maybms-lint: allow(no-panic-in-prod) -- the index range fixes the slice length, so try_into cannot fail
-    if crc32(&map[..map_len]) != stored {
+    let mut r = Reader::new(&map);
+    let indices: Vec<u32> = (0..meta.pages).map(|_| r.get_u32()).collect::<Result<_>>()?;
+    if crc32(&map[..map_len]) != r.get_u32()? {
         return Err(Error::Storage(
             "incremental snapshot page map checksum mismatch".into(),
         ));
     }
-    let indices: Vec<u32> = map[..map_len]
-        .chunks_exact(4)
-        .map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes"))) // maybms-lint: allow(no-panic-in-prod) -- the index range fixes the slice length, so try_into cannot fail
-        .collect();
     let base = (DELTA_PREAMBLE_LEN + map_len + 4) as u64;
     let mut pager = Pager::new(file, base, meta.page_size)?;
     let mut pages = Vec::with_capacity(indices.len());
@@ -297,6 +255,7 @@ mod tests {
     // tests corrupt bytes on disk and clean temp files directly
     #![allow(clippy::disallowed_methods)]
     use super::*;
+    use crate::vfs::std_vfs;
 
     fn tmp(name: &str) -> PathBuf {
         let p = std::env::temp_dir()
@@ -325,8 +284,8 @@ mod tests {
             payload_crc: crc32(new),
             pages: changed.len() as u32,
         };
-        write_delta(path, &meta, &changed).unwrap();
-        let (back_meta, pages) = read_delta(path).unwrap();
+        write_delta(&*std_vfs(), path, &meta, &changed).unwrap();
+        let (back_meta, pages) = read_delta(&*std_vfs(), path).unwrap();
         assert_eq!(back_meta, meta);
         overlay(old, &back_meta, &pages).unwrap()
     }
@@ -340,7 +299,7 @@ mod tests {
         let mut new = old.clone();
         new[100] ^= 0xFF;
         assert_eq!(round_trip(&path, &old, &new, page_size), new);
-        let (meta, _) = read_delta(&path).unwrap();
+        let (meta, _) = read_delta(&*std_vfs(), &path).unwrap();
         assert_eq!(meta.pages, 1, "one changed byte is one changed page");
 
         // growth and shrinkage both reconstruct exactly
@@ -351,7 +310,7 @@ mod tests {
         assert_eq!(round_trip(&path, &old, &shrunk, page_size), shrunk);
         // identical payloads need zero pages
         assert_eq!(round_trip(&path, &old, &old, page_size), old);
-        let (meta, pages) = read_delta(&path).unwrap();
+        let (meta, pages) = read_delta(&*std_vfs(), &path).unwrap();
         assert_eq!(meta.pages, 0);
         assert!(pages.is_empty());
         let _ = std::fs::remove_file(&path);
@@ -372,7 +331,7 @@ mod tests {
         let mut bad = pristine.clone();
         bad[DELTA_PREAMBLE_LEN + 1] ^= 0x01;
         std::fs::write(&path, &bad).unwrap();
-        let err = read_delta(&path).unwrap_err();
+        let err = read_delta(&*std_vfs(), &path).unwrap_err();
         assert!(err.to_string().contains("page map checksum"), "{err}");
 
         // flip a byte inside a stored page
@@ -380,7 +339,7 @@ mod tests {
         let page_at = DELTA_PREAMBLE_LEN + 2 * 4 + 4 + PAGE_HEADER_LEN + 1;
         bad_page[page_at] ^= 0x01;
         std::fs::write(&path, &bad_page).unwrap();
-        assert!(read_delta(&path).is_err());
+        assert!(read_delta(&*std_vfs(), &path).is_err());
 
         // point a map entry at the wrong page index: the page checksum
         // (seeded by logical index) no longer matches
@@ -392,11 +351,11 @@ mod tests {
         let crc = crc32(&bad_idx[DELTA_PREAMBLE_LEN..map_end]);
         bad_idx[map_end..map_end + 4].copy_from_slice(&crc.to_le_bytes());
         std::fs::write(&path, &bad_idx).unwrap();
-        assert!(read_delta(&path).is_err());
+        assert!(read_delta(&*std_vfs(), &path).is_err());
 
         // pristine still reads
         std::fs::write(&path, &pristine).unwrap();
-        assert!(read_delta(&path).is_ok());
+        assert!(read_delta(&*std_vfs(), &path).is_ok());
         let _ = std::fs::remove_file(&path);
     }
 

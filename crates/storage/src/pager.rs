@@ -201,9 +201,9 @@ impl Pager {
         Ok(out)
     }
 
-    /// fsyncs the underlying file.
-    pub fn sync(&mut self) -> Result<()> {
-        self.file.sync_all().map_err(|e| io_err("sync", e))
+    /// Hands the underlying file back (to whoever fsyncs and publishes it).
+    pub fn into_file(self) -> Box<dyn VfsFile> {
+        self.file
     }
 }
 

@@ -25,9 +25,10 @@ use std::path::Path;
 
 use maybms_relational::{Error, Result};
 
+use crate::bytes::Reader;
 use crate::crc::crc32;
-use crate::pager::{io_err, Pager, DEFAULT_PAGE_SIZE};
-use crate::vfs::{std_vfs, OpenMode, Vfs};
+use crate::pager::{io_err, Pager};
+use crate::vfs::{replace_atomically, OpenMode, Vfs};
 
 const MAGIC: &[u8; 8] = b"MAYBMS1\0";
 const VERSION: u32 = 2;
@@ -67,61 +68,32 @@ fn encode_preamble(
     p
 }
 
-fn decode_preamble(p: &[u8]) -> Result<(SnapshotMeta, u32)> {
-    if p.len() < PREAMBLE_LEN {
-        return Err(Error::Storage(format!(
-            "snapshot too short: {} bytes, preamble needs {PREAMBLE_LEN}",
-            p.len()
-        )));
-    }
+fn decode_preamble(p: &[u8; PREAMBLE_LEN]) -> Result<(SnapshotMeta, u32)> {
     if &p[0..8] != MAGIC {
         return Err(Error::Storage("not a MayBMS snapshot (bad magic)".into()));
     }
-    let stored = u32::from_le_bytes(p[44..48].try_into().expect("4 bytes")); // maybms-lint: allow(no-panic-in-prod) -- the index range fixes the slice length, so try_into cannot fail
-    if crc32(&p[0..44]) != stored {
+    let mut r = Reader::new(&p[8..]);
+    let (version, page_size, generation, last_lsn, payload_len, payload_crc) =
+        (r.get_u32()?, r.get_u32()?, r.get_u64()?, r.get_u64()?, r.get_u64()?, r.get_u32()?);
+    if crc32(&p[0..44]) != r.get_u32()? {
         return Err(Error::Storage("snapshot preamble checksum mismatch".into()));
     }
-    let version = u32::from_le_bytes(p[8..12].try_into().expect("4 bytes")); // maybms-lint: allow(no-panic-in-prod) -- the index range fixes the slice length, so try_into cannot fail
     if version != VERSION {
         return Err(Error::Storage(format!(
             "unsupported snapshot format version {version} (this build reads {VERSION})"
         )));
     }
-    let page_size = u32::from_le_bytes(p[12..16].try_into().expect("4 bytes")) as usize; // maybms-lint: allow(no-panic-in-prod) -- the index range fixes the slice length, so try_into cannot fail
-    let generation = u64::from_le_bytes(p[16..24].try_into().expect("8 bytes")); // maybms-lint: allow(no-panic-in-prod) -- the index range fixes the slice length, so try_into cannot fail
-    let last_lsn = u64::from_le_bytes(p[24..32].try_into().expect("8 bytes")); // maybms-lint: allow(no-panic-in-prod) -- the index range fixes the slice length, so try_into cannot fail
-    let payload_len = u64::from_le_bytes(p[32..40].try_into().expect("8 bytes")); // maybms-lint: allow(no-panic-in-prod) -- the index range fixes the slice length, so try_into cannot fail
-    let payload_crc = u32::from_le_bytes(p[40..44].try_into().expect("4 bytes")); // maybms-lint: allow(no-panic-in-prod) -- the index range fixes the slice length, so try_into cannot fail
+    let page_size = page_size as usize;
     Ok((SnapshotMeta { generation, last_lsn, page_size, payload_len }, payload_crc))
 }
 
-fn tmp_sibling(path: &Path) -> std::path::PathBuf {
-    let mut s = path.as_os_str().to_os_string();
-    s.push(".tmp");
-    std::path::PathBuf::from(s)
-}
-
 /// Writes `payload` as a generation-`generation` snapshot at `path`,
-/// covering the log through `last_lsn`: write-new to a temp sibling,
-/// fsync, rename over the old file.
-pub fn write_snapshot(path: &Path, generation: u64, last_lsn: u64, payload: &[u8]) -> Result<()> {
-    write_snapshot_with_page_size(path, generation, last_lsn, payload, DEFAULT_PAGE_SIZE)
-}
-
-/// As [`write_snapshot`] with an explicit page size (tests use tiny pages
-/// to exercise multi-page payloads cheaply).
-pub fn write_snapshot_with_page_size(
-    path: &Path,
-    generation: u64,
-    last_lsn: u64,
-    payload: &[u8],
-    page_size: usize,
-) -> Result<()> {
-    write_snapshot_with_vfs(&*std_vfs(), path, generation, last_lsn, payload, page_size)
-}
-
-/// As [`write_snapshot_with_page_size`], on an explicit [`Vfs`].
-pub fn write_snapshot_with_vfs(
+/// covering the log through `last_lsn`, in pages of `page_size` bytes:
+/// write-new to a temp sibling, fsync, rename over the old file, fsync
+/// the directory ([`replace_atomically`]). A failure anywhere fails the
+/// checkpoint before the WAL moves, which is a crash window recovery
+/// already handles.
+pub fn write_snapshot(
     vfs: &dyn Vfs,
     path: &Path,
     generation: u64,
@@ -129,34 +101,18 @@ pub fn write_snapshot_with_vfs(
     payload: &[u8],
     page_size: usize,
 ) -> Result<()> {
-    let tmp = tmp_sibling(path);
-    {
-        let mut file = vfs
-            .open(&tmp, OpenMode::CreateTruncate)
-            .map_err(|e| io_err("create snapshot temp file", e))?;
+    replace_atomically(vfs, path, "snapshot", |mut file| {
         file.write_all(&encode_preamble(page_size as u32, generation, last_lsn, payload))
             .map_err(|e| io_err("write snapshot preamble", e))?;
         let mut pager = Pager::new(file, PREAMBLE_LEN as u64, page_size)?;
         pager.write_payload(payload)?;
-        pager.sync()?;
-    }
-    vfs.rename(&tmp, path).map_err(|e| io_err("publish snapshot (rename)", e))?;
-    // a failed directory fsync means the rename may not survive power
-    // loss — and a later WAL rotation that *does* survive would strand
-    // commits. Propagate it: the checkpoint fails before the WAL moves,
-    // which is a crash window recovery already handles.
-    vfs.sync_parent_dir(path).map_err(|e| io_err("sync snapshot directory", e))?;
-    Ok(())
+        Ok(pager.into_file())
+    })
 }
 
 /// Reads and fully verifies the snapshot at `path`: preamble magic,
 /// version and checksum, every page checksum, and the whole-payload CRC.
-pub fn read_snapshot(path: &Path) -> Result<(SnapshotMeta, Vec<u8>)> {
-    read_snapshot_with_vfs(&*std_vfs(), path)
-}
-
-/// As [`read_snapshot`], on an explicit [`Vfs`].
-pub fn read_snapshot_with_vfs(vfs: &dyn Vfs, path: &Path) -> Result<(SnapshotMeta, Vec<u8>)> {
+pub fn read_snapshot(vfs: &dyn Vfs, path: &Path) -> Result<(SnapshotMeta, Vec<u8>)> {
     let mut file = vfs.open(path, OpenMode::Read).map_err(|e| io_err("open snapshot", e))?;
     let mut preamble = [0u8; PREAMBLE_LEN];
     file.read_exact(&mut preamble)
@@ -175,6 +131,8 @@ mod tests {
     // tests corrupt bytes on disk and clean temp files directly
     #![allow(clippy::disallowed_methods)]
     use super::*;
+    use crate::pager::DEFAULT_PAGE_SIZE;
+    use crate::vfs::std_vfs;
     use std::path::PathBuf;
 
     fn tmp(name: &str) -> PathBuf {
@@ -188,8 +146,8 @@ mod tests {
     fn round_trip_multi_page() {
         let path = tmp("roundtrip");
         let payload: Vec<u8> = (0..10_000u32).map(|i| (i % 253) as u8).collect();
-        write_snapshot_with_page_size(&path, 3, 9, &payload, 64).unwrap();
-        let (meta, back) = read_snapshot(&path).unwrap();
+        write_snapshot(&*std_vfs(), &path, 3, 9, &payload, 64).unwrap();
+        let (meta, back) = read_snapshot(&*std_vfs(), &path).unwrap();
         assert_eq!(meta.generation, 3);
         assert_eq!(meta.last_lsn, 9);
         assert_eq!(meta.page_size, 64);
@@ -200,8 +158,8 @@ mod tests {
     #[test]
     fn empty_payload_round_trips() {
         let path = tmp("empty");
-        write_snapshot(&path, 1, 0, &[]).unwrap();
-        let (meta, back) = read_snapshot(&path).unwrap();
+        write_snapshot(&*std_vfs(), &path, 1, 0, &[], DEFAULT_PAGE_SIZE).unwrap();
+        let (meta, back) = read_snapshot(&*std_vfs(), &path).unwrap();
         assert_eq!(meta.payload_len, 0);
         assert!(back.is_empty());
         let _ = std::fs::remove_file(&path);
@@ -210,20 +168,20 @@ mod tests {
     #[test]
     fn rewrite_replaces_atomically() {
         let path = tmp("rewrite");
-        write_snapshot_with_page_size(&path, 1, 1, b"old state", 32).unwrap();
-        write_snapshot_with_page_size(&path, 2, 5, b"new state, longer than before", 32).unwrap();
-        let (meta, back) = read_snapshot(&path).unwrap();
+        write_snapshot(&*std_vfs(), &path, 1, 1, b"old state", 32).unwrap();
+        write_snapshot(&*std_vfs(), &path, 2, 5, b"new state, longer than before", 32).unwrap();
+        let (meta, back) = read_snapshot(&*std_vfs(), &path).unwrap();
         assert_eq!(meta.generation, 2);
         assert_eq!(back, b"new state, longer than before");
         // no temp file left behind
-        assert!(!tmp_sibling(&path).exists());
+        assert!(!path.with_extension("maybms.tmp").exists());
         let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn corruption_rejected() {
         let path = tmp("corrupt");
-        write_snapshot_with_page_size(&path, 1, 0, b"payload bytes here", 32).unwrap();
+        write_snapshot(&*std_vfs(), &path, 1, 0, b"payload bytes here", 32).unwrap();
         let pristine = std::fs::read(&path).unwrap();
         // a payload byte inside the first page (after preamble + page header)
         let payload_at = PREAMBLE_LEN + crate::pager::PAGE_HEADER_LEN + 3;
@@ -231,24 +189,24 @@ mod tests {
         let mut flipped = pristine.clone();
         flipped[payload_at] ^= 0x40;
         std::fs::write(&path, &flipped).unwrap();
-        assert!(read_snapshot(&path).is_err());
+        assert!(read_snapshot(&*std_vfs(), &path).is_err());
 
         // corrupt the preamble instead (version field)
         let mut bad_version = pristine.clone();
         bad_version[9] ^= 1;
         std::fs::write(&path, &bad_version).unwrap();
-        assert!(read_snapshot(&path).is_err());
+        assert!(read_snapshot(&*std_vfs(), &path).is_err());
 
         // bad magic
         let mut bad_magic = pristine.clone();
         bad_magic[0] = b'X';
         std::fs::write(&path, &bad_magic).unwrap();
-        let err = read_snapshot(&path).unwrap_err();
+        let err = read_snapshot(&*std_vfs(), &path).unwrap_err();
         assert!(err.to_string().contains("magic"), "{err}");
 
         // pristine bytes still read fine
         std::fs::write(&path, &pristine).unwrap();
-        assert!(read_snapshot(&path).is_ok());
+        assert!(read_snapshot(&*std_vfs(), &path).is_ok());
         let _ = std::fs::remove_file(&path);
     }
 }

@@ -39,6 +39,10 @@ use std::io::{self, SeekFrom};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, OnceLock};
 
+use maybms_relational::Result;
+
+use crate::pager::io_err;
+
 /// How a file is opened through [`Vfs::open`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OpenMode {
@@ -184,6 +188,36 @@ impl Vfs for StdVfs {
 pub fn std_vfs() -> Arc<dyn Vfs> {
     static STD: OnceLock<Arc<StdVfs>> = OnceLock::new();
     STD.get_or_init(|| Arc::new(StdVfs)).clone()
+}
+
+/// Replaces the file at `path` atomically and durably — the one
+/// publish-by-rename sequence every storage file (snapshot, overlay,
+/// WAL) goes through: create-truncate the `<path>.tmp` sibling, let
+/// `fill` write it, fsync it, rename it over `path`, fsync the
+/// directory. A crash at any point leaves the complete old file or the
+/// complete new one. `what` names the file in each step's error.
+///
+/// The directory fsync's failure is propagated, not swallowed: without
+/// it the rename may not survive power loss, and whatever the caller
+/// does next (rotate the WAL, acknowledge commits appended to the new
+/// file) would rest on a directory entry that can still vanish.
+pub fn replace_atomically(
+    vfs: &dyn Vfs,
+    path: &Path,
+    what: &str,
+    fill: impl FnOnce(Box<dyn VfsFile>) -> Result<Box<dyn VfsFile>>,
+) -> Result<()> {
+    let mut tmp = path.as_os_str().to_os_string();
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
+    let file = vfs
+        .open(&tmp, OpenMode::CreateTruncate)
+        .map_err(|e| io_err(&format!("create {what} temp file"), e))?;
+    let mut file = fill(file)?;
+    file.sync_all().map_err(|e| io_err(&format!("sync new {what}"), e))?;
+    drop(file);
+    vfs.rename(&tmp, path).map_err(|e| io_err(&format!("publish {what} (rename)"), e))?;
+    vfs.sync_parent_dir(path).map_err(|e| io_err(&format!("sync {what} directory"), e))
 }
 
 // ---------------------------------------------------------------------

@@ -46,7 +46,7 @@ use crate::bytes::Reader;
 use crate::crc::crc32;
 use crate::frame::{self, Scan, FRAME_HEADER_LEN};
 use crate::pager::io_err;
-use crate::vfs::{std_vfs, OpenMode, Vfs, VfsFile};
+use crate::vfs::{replace_atomically, std_vfs, OpenMode, Vfs, VfsFile};
 
 const MAGIC: &[u8; 8] = b"MAYBMSW\0";
 const VERSION: u32 = 2;
@@ -233,33 +233,18 @@ fn scan_records(raw: &[u8]) -> (Vec<Vec<u8>>, usize) {
 
 impl Wal {
     /// Creates a fresh, empty log for `generation` at `path`, atomically
-    /// replacing whatever was there (write temp sibling + rename).
-    /// `base_lsn` is the LSN of the last record already captured by the
-    /// paired snapshot — the first record appended here gets
-    /// `base_lsn + 1`.
-    pub fn create(path: &Path, generation: u64, base_lsn: u64) -> Result<Wal> {
-        Wal::create_with_vfs(std_vfs(), path, generation, base_lsn)
-    }
-
-    /// As [`Wal::create`], on an explicit [`Vfs`].
-    pub fn create_with_vfs(
-        vfs: Arc<dyn Vfs>,
-        path: &Path,
-        generation: u64,
-        base_lsn: u64,
-    ) -> Result<Wal> {
-        let mut tmp = path.as_os_str().to_os_string();
-        tmp.push(".tmp");
-        let tmp = PathBuf::from(tmp);
-        {
-            let mut f = vfs
-                .open(&tmp, OpenMode::CreateTruncate)
-                .map_err(|e| io_err("create WAL temp file", e))?;
+    /// and durably replacing whatever was there
+    /// ([`replace_atomically`]: temp sibling, fsync, rename, directory
+    /// fsync — so no commit is ever acknowledged against a log whose
+    /// directory entry could still vanish). `base_lsn` is the LSN of the
+    /// last record already captured by the paired snapshot — the first
+    /// record appended here gets `base_lsn + 1`.
+    pub fn create(vfs: Arc<dyn Vfs>, path: &Path, generation: u64, base_lsn: u64) -> Result<Wal> {
+        replace_atomically(&*vfs, path, "WAL", |mut f| {
             f.write_all(&encode_header(generation, base_lsn))
                 .map_err(|e| io_err("write WAL header", e))?;
-            f.sync_all().map_err(|e| io_err("sync new WAL", e))?;
-        }
-        vfs.rename(&tmp, path).map_err(|e| io_err("publish WAL (rename)", e))?;
+            Ok(f)
+        })?;
         let file = vfs.open(path, OpenMode::ReadWrite).map_err(|e| io_err("reopen WAL", e))?;
         let notify = commit_notify_in(&*vfs, path);
         Ok(Wal {
@@ -280,12 +265,7 @@ impl Wal {
     /// order (the first has LSN `base_lsn() + 1`). A torn tail
     /// (incomplete or checksum-failing final record) is detected and
     /// truncated away; everything before it is kept.
-    pub fn open(path: &Path) -> Result<(Wal, Vec<Vec<u8>>)> {
-        Wal::open_with_vfs(std_vfs(), path)
-    }
-
-    /// As [`Wal::open`], on an explicit [`Vfs`].
-    pub fn open_with_vfs(vfs: Arc<dyn Vfs>, path: &Path) -> Result<(Wal, Vec<Vec<u8>>)> {
+    pub fn open(vfs: Arc<dyn Vfs>, path: &Path) -> Result<(Wal, Vec<Vec<u8>>)> {
         let mut file =
             vfs.open(path, OpenMode::ReadWrite).map_err(|e| io_err("open WAL", e))?;
         let mut raw = Vec::new();
@@ -462,12 +442,7 @@ pub struct WalHead {
 /// Reads the head summary of the WAL at `path` — what a replication
 /// primary consults to decide between shipping log records and falling
 /// back to a snapshot transfer.
-pub fn head(path: &Path) -> Result<WalHead> {
-    head_with_vfs(&*std_vfs(), path)
-}
-
-/// As [`head`], on an explicit [`Vfs`].
-pub fn head_with_vfs(vfs: &dyn Vfs, path: &Path) -> Result<WalHead> {
+pub fn head(vfs: &dyn Vfs, path: &Path) -> Result<WalHead> {
     let raw = vfs.read(path).map_err(|e| io_err("read WAL", e))?;
     let (generation, base_lsn) = decode_header(&raw)?;
     let (records, _) = scan_records(&raw);
@@ -513,12 +488,7 @@ impl WalCursor {
     /// Opens a cursor positioned **after** LSN `after` on the log at
     /// `path`. Fails when `after` predates the log's base LSN (the
     /// records before it live in the snapshot).
-    pub fn open(path: &Path, after: u64) -> Result<WalCursor> {
-        WalCursor::open_with_vfs(std_vfs(), path, after)
-    }
-
-    /// As [`WalCursor::open`], on an explicit [`Vfs`].
-    pub fn open_with_vfs(vfs: Arc<dyn Vfs>, path: &Path, after: u64) -> Result<WalCursor> {
+    pub fn open(vfs: Arc<dyn Vfs>, path: &Path, after: u64) -> Result<WalCursor> {
         let raw = vfs.read(path).map_err(|e| io_err("read WAL", e))?;
         let (generation, base_lsn) = decode_header(&raw)?;
         if after < base_lsn {
@@ -627,13 +597,13 @@ mod tests {
     fn append_and_replay() {
         let path = tmp("replay");
         {
-            let mut wal = Wal::create(&path, 7, 0).unwrap();
+            let mut wal = Wal::create(std_vfs(), &path, 7, 0).unwrap();
             assert_eq!(wal.append(b"first").unwrap(), 1);
             assert_eq!(wal.append(b"").unwrap(), 2);
             assert_eq!(wal.append(b"third record, a bit longer").unwrap(), 3);
             assert_eq!(wal.last_lsn(), 3);
         }
-        let (wal, records) = Wal::open(&path).unwrap();
+        let (wal, records) = Wal::open(std_vfs(), &path).unwrap();
         assert_eq!(wal.generation(), 7);
         assert_eq!(wal.base_lsn(), 0);
         assert_eq!(wal.last_lsn(), 3);
@@ -648,13 +618,13 @@ mod tests {
     fn lsns_continue_across_checkpoint_logs() {
         let path = tmp("lsn-continue");
         {
-            let mut wal = Wal::create(&path, 1, 41).unwrap();
+            let mut wal = Wal::create(std_vfs(), &path, 1, 41).unwrap();
             assert_eq!(wal.base_lsn(), 41);
             assert_eq!(wal.last_lsn(), 41);
             assert_eq!(wal.append(b"a").unwrap(), 42);
             assert_eq!(wal.append(b"b").unwrap(), 43);
         }
-        let (wal, records) = Wal::open(&path).unwrap();
+        let (wal, records) = Wal::open(std_vfs(), &path).unwrap();
         assert_eq!(records.len(), 2);
         assert_eq!(wal.last_lsn(), 43);
         let _ = std::fs::remove_file(&path);
@@ -663,7 +633,7 @@ mod tests {
     #[test]
     fn records_from_filters_by_lsn() {
         let path = tmp("records-from");
-        let mut wal = Wal::create(&path, 1, 10).unwrap();
+        let mut wal = Wal::create(std_vfs(), &path, 1, 10).unwrap();
         wal.append(b"eleven").unwrap();
         wal.append(b"twelve").unwrap();
         wal.append(b"thirteen").unwrap();
@@ -688,9 +658,9 @@ mod tests {
     #[test]
     fn cursor_tails_appends_and_detects_swap() {
         let path = tmp("cursor");
-        let mut wal = Wal::create(&path, 1, 0).unwrap();
+        let mut wal = Wal::create(std_vfs(), &path, 1, 0).unwrap();
         wal.append(b"one").unwrap();
-        let mut cur = WalCursor::open(&path, 0).unwrap();
+        let mut cur = WalCursor::open(std_vfs(), &path, 0).unwrap();
         let Polled::Records(r) = cur.poll().unwrap() else { panic!("expected records") };
         assert_eq!(r, vec![(1, b"one".to_vec())]);
         // nothing new: empty poll
@@ -703,7 +673,7 @@ mod tests {
         assert_eq!(r, vec![(2, b"two".to_vec()), (3, b"three".to_vec())]);
         assert_eq!(cur.lsn(), 3);
         // a checkpoint swaps in a fresh log: the cursor reports the reset
-        let _swapped = Wal::create(&path, 2, 3).unwrap();
+        let _swapped = Wal::create(std_vfs(), &path, 2, 3).unwrap();
         match cur.poll().unwrap() {
             Polled::Reset { generation, base_lsn } => {
                 assert_eq!(generation, 2);
@@ -719,14 +689,14 @@ mod tests {
         // a complete-by-length record failing its CRC is corruption, not
         // an in-flight append — polling must surface it, not stall
         let path = tmp("cursor-corrupt");
-        let mut wal = Wal::create(&path, 1, 0).unwrap();
+        let mut wal = Wal::create(std_vfs(), &path, 1, 0).unwrap();
         wal.append(b"first record").unwrap();
         wal.append(b"second record").unwrap();
         let mut raw = std::fs::read(&path).unwrap();
         let first_body = WAL_HEADER_LEN as usize + FRAME_HEADER_LEN + 3;
         raw[first_body] ^= 0xFF;
         std::fs::write(&path, &raw).unwrap();
-        let mut cur = WalCursor::open(&path, 0).unwrap();
+        let mut cur = WalCursor::open(std_vfs(), &path, 0).unwrap();
         let err = cur.poll().unwrap_err();
         assert!(err.to_string().contains("corruption"), "{err}");
         let _ = std::fs::remove_file(&path);
@@ -735,17 +705,17 @@ mod tests {
     #[test]
     fn cursor_open_mid_log() {
         let path = tmp("cursor-mid");
-        let mut wal = Wal::create(&path, 1, 0).unwrap();
+        let mut wal = Wal::create(std_vfs(), &path, 1, 0).unwrap();
         for payload in [b"a".as_slice(), b"bb", b"ccc"] {
             wal.append(payload).unwrap();
         }
-        let mut cur = WalCursor::open(&path, 2).unwrap();
+        let mut cur = WalCursor::open(std_vfs(), &path, 2).unwrap();
         let Polled::Records(r) = cur.poll().unwrap() else { panic!() };
         assert_eq!(r, vec![(3, b"ccc".to_vec())]);
         // past-the-end and pre-base positions are rejected
-        assert!(WalCursor::open(&path, 9).is_err());
-        let behind = Wal::create(&tmp("cursor-mid2"), 2, 5).unwrap();
-        assert!(WalCursor::open(behind.path(), 2).is_err());
+        assert!(WalCursor::open(std_vfs(), &path, 9).is_err());
+        let behind = Wal::create(std_vfs(), &tmp("cursor-mid2"), 2, 5).unwrap();
+        assert!(WalCursor::open(std_vfs(), behind.path(), 2).is_err());
         let _ = std::fs::remove_file(&path);
     }
 
@@ -753,7 +723,7 @@ mod tests {
     fn torn_tail_is_truncated_and_appends_resume() {
         let path = tmp("torn");
         {
-            let mut wal = Wal::create(&path, 1, 0).unwrap();
+            let mut wal = Wal::create(std_vfs(), &path, 1, 0).unwrap();
             wal.append(b"committed one").unwrap();
             wal.append(b"committed two").unwrap();
             wal.append(b"the torn one").unwrap();
@@ -764,13 +734,13 @@ mod tests {
         f.set_len(len - 5).unwrap();
         drop(f);
 
-        let (mut wal, records) = Wal::open(&path).unwrap();
+        let (mut wal, records) = Wal::open(std_vfs(), &path).unwrap();
         assert_eq!(records, vec![b"committed one".to_vec(), b"committed two".to_vec()]);
         assert_eq!(wal.last_lsn(), 2, "the torn record must not claim an LSN");
         // the torn frame is gone from disk; new appends land cleanly
         assert_eq!(wal.append(b"after recovery").unwrap(), 3);
         drop(wal);
-        let (_, records2) = Wal::open(&path).unwrap();
+        let (_, records2) = Wal::open(std_vfs(), &path).unwrap();
         assert_eq!(records2.len(), 3);
         assert_eq!(records2[2], b"after recovery");
         let _ = std::fs::remove_file(&path);
@@ -780,7 +750,7 @@ mod tests {
     fn corrupt_record_drops_suffix() {
         let path = tmp("corrupt");
         {
-            let mut wal = Wal::create(&path, 1, 0).unwrap();
+            let mut wal = Wal::create(std_vfs(), &path, 1, 0).unwrap();
             wal.append(b"good record").unwrap();
             wal.append(b"bad record!").unwrap();
             wal.append(b"unreachable").unwrap();
@@ -790,7 +760,7 @@ mod tests {
         let second_body = WAL_HEADER_LEN as usize + 8 + 11 + 8 + 2;
         raw[second_body] ^= 0xFF;
         std::fs::write(&path, &raw).unwrap();
-        let (_, records) = Wal::open(&path).unwrap();
+        let (_, records) = Wal::open(std_vfs(), &path).unwrap();
         assert_eq!(records, vec![b"good record".to_vec()]);
         let _ = std::fs::remove_file(&path);
     }
@@ -799,13 +769,13 @@ mod tests {
     fn create_replaces_existing_log() {
         let path = tmp("recreate");
         {
-            let mut wal = Wal::create(&path, 1, 0).unwrap();
+            let mut wal = Wal::create(std_vfs(), &path, 1, 0).unwrap();
             wal.append(b"old stuff").unwrap();
         }
-        let wal = Wal::create(&path, 2, 1).unwrap();
+        let wal = Wal::create(std_vfs(), &path, 2, 1).unwrap();
         assert!(wal.is_empty());
         drop(wal);
-        let (wal, records) = Wal::open(&path).unwrap();
+        let (wal, records) = Wal::open(std_vfs(), &path).unwrap();
         assert_eq!(wal.generation(), 2);
         assert_eq!(wal.base_lsn(), 1);
         assert!(records.is_empty());
@@ -815,7 +785,7 @@ mod tests {
     #[test]
     fn append_wakes_commit_waiters() {
         let path = tmp("notify");
-        let mut wal = Wal::create(&path, 1, 0).unwrap();
+        let mut wal = Wal::create(std_vfs(), &path, 1, 0).unwrap();
         let handle = commit_notify(&path);
         let seen = commit_seq(&handle);
         let waiter = {
@@ -847,7 +817,7 @@ mod tests {
     fn bad_header_rejected() {
         let path = tmp("badheader");
         std::fs::write(&path, b"definitely not a wal").unwrap();
-        assert!(Wal::open(&path).is_err());
+        assert!(Wal::open(std_vfs(), &path).is_err());
         let _ = std::fs::remove_file(&path);
     }
 }

@@ -3,11 +3,11 @@
 # ROADMAP aim 2. Counted: every *.rs under crates/<c>/src except files
 # named tests.rs; within a file only the lines above the first column-0
 # `#[cfg(test)]`; blank lines and lines holding only a `//` comment are
-# skipped. Fails when sql + server + storage exceeds CEILING.
+# skipped. Fails when sql + server + storage + core exceeds CEILING.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-CEILING=6404
+CEILING=12060
 
 count() {
     find "crates/$1/src" -name '*.rs' ! -name 'tests.rs' -print0 | sort -z |
@@ -24,9 +24,9 @@ for dir in crates/*/; do
     [ -d "crates/$c/src" ] || continue
     n=$(count "$c")
     printf '%-12s %6d\n' "$c" "$n"
-    case "$c" in sql | server | storage) gated=$((gated + n)) ;; esac
+    case "$c" in sql | server | storage | core) gated=$((gated + n)) ;; esac
 done
-printf '%-12s %6d  (ceiling %d)\n' "sql+server+storage" "$gated" "$CEILING"
+printf '%-12s %6d  (ceiling %d)\n' "sql+server+storage+core" "$gated" "$CEILING"
 if [ "$gated" -gt "$CEILING" ]; then
     echo "production line count grew past the recorded ceiling" >&2
     exit 1

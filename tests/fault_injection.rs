@@ -286,6 +286,12 @@ fn count_ops(groups: &[Group], op: FaultOp) -> u64 {
     vfs.op_count(op)
 }
 
+/// Whether a [`FaultVfs::fault_log`] line records a fault fired on the
+/// directory fsync that publishes a WAL file.
+fn is_wal_dir_sync(log_line: &str) -> bool {
+    log_line.contains("sync_parent_dir") && log_line.ends_with(".wal)")
+}
+
 /// An fsync that *fails* at every single sync point of the workload:
 /// recovery must land on a boundary at or after the last acked group
 /// (fsyncgate semantics — a failed fsync is never retried-and-trusted).
@@ -295,10 +301,12 @@ fn fsync_failure_at_every_sync_point() {
     let candidates = prefix_states(&groups);
     let syncs = count_ops(&groups, FaultOp::Sync);
     assert!(syncs >= 8, "expected a sync-heavy workload, saw {syncs}");
+    let mut wal_dir_syncs_hit = 0;
     for n in 0..syncs {
         let schedule = vec![FaultSpec::fail_sync(n)];
         let vfs = FaultVfs::with_schedule(schedule.clone());
         let outcome = run_script(&vfs, &groups);
+        wal_dir_syncs_hit += vfs.fault_log().iter().filter(|l| is_wal_dir_sync(l)).count();
         assert_crash_consistent(
             &format!("fsync-fail-{n}"),
             &vfs,
@@ -307,6 +315,9 @@ fn fsync_failure_at_every_sync_point() {
             &candidates,
         );
     }
+    // the sweep reached the directory fsync of every WAL publish: the
+    // log created at open and the two rotations by the checkpoints
+    assert_eq!(wal_dir_syncs_hit, 3);
 }
 
 /// An fsync that *lies* (reports success, persists nothing) at every
@@ -540,6 +551,40 @@ fn failed_fsync_poisons_until_reopen() {
     vfs.clear_schedule();
     let mut reopened = Session::open_with_vfs(DB, arc).unwrap();
     assert_eq!(reopened.execute("SELECT POSSIBLE x FROM t").unwrap().rows().len(), 1);
+}
+
+/// `CHECKPOINT` rotates the WAL by rename, and the rename is only
+/// durable once the directory is fsynced. When that fsync fails the
+/// checkpoint must report it and the handle must refuse every later
+/// write — a commit appended to the new log would be acknowledged
+/// against a directory entry that may not survive power loss — and
+/// reopening recovers everything committed before the checkpoint.
+#[test]
+fn failed_directory_fsync_on_wal_rotation_fails_the_checkpoint() {
+    let vfs = FaultVfs::new();
+    let arc: Arc<dyn Vfs> = Arc::new(vfs.clone());
+    let mut s = Session::open_with_vfs(DB, Arc::clone(&arc)).unwrap();
+    s.execute("CREATE TABLE t (x INT, tag TEXT)").unwrap();
+    s.execute("INSERT INTO t VALUES (1, 'committed')").unwrap();
+    let committed = encode_wsd(s.wsd());
+
+    // a checkpoint syncs: snapshot file, snapshot directory, new WAL
+    // file, WAL directory — fail the last
+    vfs.push_fault(FaultSpec::fail_sync(vfs.op_count(FaultOp::Sync) + 3));
+    let err = s.execute("CHECKPOINT").unwrap_err();
+    assert!(err.to_string().contains("sync WAL directory"), "{err}");
+    let fired = vfs.fault_log();
+    assert!(fired.len() == 1 && is_wal_dir_sync(&fired[0]), "{fired:?}");
+    assert!(s.is_poisoned());
+    let refused = s.execute("INSERT INTO t VALUES (2, 'never acknowledged')").unwrap_err();
+    assert!(refused.to_string().contains("poisoned"), "{refused}");
+
+    drop(s);
+    vfs.crash();
+    vfs.clear_schedule();
+    let mut reopened = Session::open_with_vfs(DB, arc).unwrap();
+    assert_eq!(encode_wsd(reopened.wsd()), committed);
+    reopened.execute("INSERT INTO t VALUES (2, 'after recovery')").unwrap();
 }
 
 /// Bit flips on every read of recovery: opening either fails loudly

@@ -38,7 +38,7 @@ fn wipe(path: &Path) {
 
 /// A workload touching every instrumented layer: DDL and or-set DML
 /// (WAL appends), a repair (normalization), world-set and confidence
-/// queries (vectorized executor, probability), a transaction, and an
+/// queries (executor, probability), a transaction, and an
 /// EXPLAIN ANALYZE (per-node tracing).
 const WORKLOAD: &str = "CREATE TABLE patients (pid INT, name TEXT, diagnosis TEXT); \
      CREATE TABLE treats (diagnosis TEXT, drug TEXT, cost INT); \

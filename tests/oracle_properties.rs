@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 
-use maybms_core::algebra::{extract, join_op, join_op_nested, Query};
+use maybms_core::algebra::{extract_in, join_op_in, join_op_nested, Query};
 use maybms_core::chase::{clean, Constraint};
 use maybms_core::codec::{decode_wsd, encode_wsd};
 use maybms_core::convert::from_worldset;
@@ -115,6 +115,53 @@ fn arb_query() -> impl Strategy<Value = Query> {
             }),
         ]
     })
+}
+
+/// Plans `q` with `plan`, compiles it and runs it at worker counts 1, 2
+/// and 4. Each answer's world-set must equal evaluating the raw `q` in
+/// every enumerated world of `wsd`, the answers must be byte-identical
+/// under the codec across worker counts (this is what exercises
+/// `join_op_in`'s pooled probe), and a query per-world evaluation
+/// rejects must be rejected at plan or execution time, and only then.
+fn check_executor_against_worlds(
+    wsd: &Wsd,
+    q: &Query,
+    mut plan: impl FnMut(&Query) -> maybms_relational::Result<Query>,
+) -> Result<(), TestCaseError> {
+    let worlds = wsd.to_worldset(1 << 16).expect("enumerate input");
+    let per_world = eval_in_all_worlds(&worlds, &q.to_world_query());
+    let mut first_bytes: Option<Vec<u8>> = None;
+    for workers in [1usize, 2, 4] {
+        let pool = WorkerPool::new(workers);
+        let answer = plan(q)
+            .and_then(|planned| compile(&planned, wsd))
+            .and_then(|plan| Executor::new(&pool).run(&plan, wsd));
+        match (&per_world, answer) {
+            (Ok(expected), Ok(got)) => {
+                got.validate().expect("valid result");
+                let got_worlds = got.to_worldset(1 << 16).expect("enumerate result");
+                prop_assert!(
+                    got_worlds.equivalent(expected, 1e-9),
+                    "executor diverged from per-world evaluation at {workers} workers"
+                );
+                let bytes = encode_wsd(&got);
+                let first = first_bytes.get_or_insert_with(|| bytes.clone());
+                prop_assert!(*first == bytes, "answer bytes at {workers} workers differ from 1 worker");
+            }
+            (Err(_), Err(_)) => {} // both reject: agreement
+            (Ok(_), Err(e)) => {
+                return Err(TestCaseError(format!(
+                    "executor rejected a query per-world evaluation accepts: {e}"
+                )))
+            }
+            (Err(e), Ok(_)) => {
+                return Err(TestCaseError(format!(
+                    "executor accepted a query per-world evaluation rejects: {e}"
+                )))
+            }
+        }
+    }
+    Ok(())
 }
 
 proptest! {
@@ -247,14 +294,15 @@ proptest! {
             Expr::col("x.a").eq(Expr::col("y.b"))
         };
 
+        let seq = WorkerPool::sequential();
         let mut hashed = base.clone();
-        join_op(&mut hashed, lhs_name, rhs_name, &pred, "out").expect("hash join");
-        let hashed = extract(hashed, "out", "result").expect("extract");
+        join_op_in(&mut hashed, lhs_name, rhs_name, &pred, "out", seq).expect("hash join");
+        let hashed = extract_in(hashed, "out", "result", seq).expect("extract");
         hashed.validate().expect("valid hash result");
 
         let mut nested = base.clone();
         join_op_nested(&mut nested, lhs_name, rhs_name, &pred, "out").expect("nested join");
-        let nested = extract(nested, "out", "result").expect("extract");
+        let nested = extract_in(nested, "out", "result", seq).expect("extract");
         nested.validate().expect("valid nested result");
 
         let a = hashed.to_worldset(1 << 16).expect("enumerate hash");
@@ -262,84 +310,26 @@ proptest! {
         prop_assert!(a.equivalent(&b, 1e-9), "hash join diverged from nested loop");
     }
 
-    /// The physical executor is world-equivalent to the logical
-    /// interpreter on random WSDs and queries, for every worker count
-    /// (1 = inline, 2 and 4 = threaded): compile the raw logical tree to
-    /// a physical plan, run it on a pool of each size, and compare the
-    /// answer world-sets. Queries the interpreter rejects must also be
-    /// rejected by the physical path (at plan or execution time).
+    /// The executor answers random queries on random WSDs exactly as
+    /// per-world evaluation does, at every worker count (1 = inline, 2
+    /// and 4 = threaded): compile the raw logical tree, run it on a pool
+    /// of each size. See [`check_executor_against_worlds`].
     #[test]
-    fn physical_executor_matches_logical_interpreter(wsd in arb_wsd(), q in arb_query()) {
-        let logical = q.eval(&wsd);
-        for workers in [1usize, 2, 4] {
-            let pool = WorkerPool::new(workers);
-            let physical = compile(&q, &wsd)
-                .and_then(|plan| Executor::new(&pool).run(&plan, &wsd));
-            match (&logical, physical) {
-                (Ok(l), Ok(p)) => {
-                    p.validate().expect("valid physical result");
-                    let lw = l.to_worldset(1 << 16).expect("enumerate logical");
-                    let pw = p.to_worldset(1 << 16).expect("enumerate physical");
-                    prop_assert!(
-                        lw.equivalent(&pw, 1e-9),
-                        "physical diverged from logical at {workers} workers"
-                    );
-                }
-                (Err(_), Err(_)) => {} // both reject: agreement
-                (Ok(_), Err(e)) => {
-                    return Err(TestCaseError(format!(
-                        "physical path rejected a query the interpreter accepts: {e}"
-                    )))
-                }
-                (Err(e), Ok(_)) => {
-                    return Err(TestCaseError(format!(
-                        "physical path accepted a query the interpreter rejects: {e}"
-                    )))
-                }
-            }
-        }
+    fn executor_matches_world_enumeration(wsd in arb_wsd(), q in arb_query()) {
+        check_executor_against_worlds(&wsd, &q, |q| Ok(q.clone()))?;
     }
 
     /// The cost-based optimizer (join reorder + predicate sinking, fed by
     /// a [`maybms_core::stats::WsdStats`] collector) composed with the
-    /// vectorized physical executor is world-equivalent to the logical
-    /// interpreter running the *raw* query, at worker counts 1/2/4: plan
-    /// choice and batch execution may change the evaluation order but
-    /// never the answer world-set. Queries the interpreter rejects must
-    /// be rejected by the optimized path too.
+    /// executor answers as per-world evaluation of the *raw* query does,
+    /// at worker counts 1/2/4: plan choice may change the evaluation
+    /// order but never the answer world-set.
     #[test]
-    fn optimized_physical_matches_logical_interpreter(wsd in arb_wsd(), q in arb_query()) {
-        use maybms_sql::optimizer::optimize_with_stats;
-        let logical = q.eval(&wsd);
+    fn optimized_executor_matches_world_enumeration(wsd in arb_wsd(), q in arb_query()) {
         let mut stats = maybms_core::stats::WsdStats::new();
-        for workers in [1usize, 2, 4] {
-            let pool = WorkerPool::new(workers);
-            let physical = optimize_with_stats(&q, &wsd, &mut stats)
-                .and_then(|opt| compile(&opt, &wsd))
-                .and_then(|plan| Executor::new(&pool).run(&plan, &wsd));
-            match (&logical, physical) {
-                (Ok(l), Ok(p)) => {
-                    p.validate().expect("valid optimized result");
-                    let lw = l.to_worldset(1 << 16).expect("enumerate logical");
-                    let pw = p.to_worldset(1 << 16).expect("enumerate optimized");
-                    prop_assert!(
-                        lw.equivalent(&pw, 1e-9),
-                        "optimized plan diverged from logical at {workers} workers"
-                    );
-                }
-                (Err(_), Err(_)) => {} // both reject: agreement
-                (Ok(_), Err(e)) => {
-                    return Err(TestCaseError(format!(
-                        "optimized path rejected a query the interpreter accepts: {e}"
-                    )))
-                }
-                (Err(e), Ok(_)) => {
-                    return Err(TestCaseError(format!(
-                        "optimized path accepted a query the interpreter rejects: {e}"
-                    )))
-                }
-            }
-        }
+        check_executor_against_worlds(&wsd, &q, |q| {
+            maybms_sql::optimizer::optimize_with_stats(q, &wsd, &mut stats)
+        })?;
     }
 
     /// Incremental (dirty-set) normalization is world-equivalent to the

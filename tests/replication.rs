@@ -14,7 +14,7 @@ use maybms_sql::replication::{Primary, Replica};
 use maybms_sql::{Session, SessionError};
 use maybms_storage::wal::{Polled, WalCursor};
 use maybms_storage::ship::{send_msg, Msg};
-use maybms_storage::{delta_path_for, wal_path_for};
+use maybms_storage::{delta_path_for, std_vfs, wal_path_for};
 
 fn db_path(name: &str) -> PathBuf {
     let p = std::env::temp_dir()
@@ -157,7 +157,7 @@ fn torn_stream_sweep_recovers_at_every_offset() {
 
     // Render the full catch-up stream (every WAL record as one framed
     // Record message), remembering each frame's end offset and LSN.
-    let mut cursor = WalCursor::open(&wal_path_for(&path), 0).unwrap();
+    let mut cursor = WalCursor::open(std_vfs(), &wal_path_for(&path), 0).unwrap();
     let Polled::Records(records) = cursor.poll().unwrap() else { panic!("fresh log") };
     assert_eq!(records.last().unwrap().0, final_lsn);
     let mut stream = Vec::new();
