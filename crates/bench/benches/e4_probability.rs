@@ -2,7 +2,6 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use maybms_core::algebra::Query;
-use maybms_core::prob;
 use maybms_relational::Expr;
 
 fn bench_e4(c: &mut Criterion) {
@@ -26,9 +25,7 @@ fn bench_e4(c: &mut Criterion) {
             &answer,
             |b, answer| {
                 b.iter(|| {
-                    std::hint::black_box(
-                        prob::tuple_confidence(answer, "result").expect("confidence"),
-                    )
+                    std::hint::black_box(answer.tuple_confidence("result").expect("confidence"))
                 });
             },
         );

@@ -1,20 +1,25 @@
-//! E6: worker-pool scaling of the embarrassingly parallel engine paths.
+//! E6: worker-pool scaling of the two fan-outs the engine has.
 //!
 //! Sweeps the worker count over (a) the confidence path — per-cluster
 //! joint-choice enumeration on a census decomposition whose components
 //! were merged into medium-sized correlation clusters, the workload the
-//! pool was built for — and (b) the from-scratch normalize path
-//! (per-component scans). Emits `BENCH_e6.json` with one entry per
-//! `path/workers` pair; the recorded `cpus` field gives the machine's
-//! available parallelism, without which the sweep cannot be interpreted
-//! (a 1-CPU container cannot show wall-clock speedup at any worker
-//! count).
+//! pool exists for — and (b) the hash-join probe on E3's census
+//! self-equi-join at 1 and 2 workers. One sequential row records
+//! from-scratch normalize, which has no fan-out. Emits `BENCH_e6.json`
+//! with one entry per `path/workers` pair; the recorded `cpus` field
+//! gives the machine's available parallelism, without which the sweep
+//! cannot be interpreted (a 1-CPU container cannot show wall-clock
+//! speedup at any worker count).
+
+use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use maybms_core::algebra::{join_op_in, qualify_op};
 use maybms_core::exec::WorkerPool;
-use maybms_core::normalize::normalize_from_scratch_in;
+use maybms_core::normalize::normalize_from_scratch;
 use maybms_core::prob::{tuple_confidence_opts_in, ProbOptions};
 use maybms_core::wsd::Wsd;
+use maybms_relational::Expr;
 
 const WORKER_SWEEP: [usize; 4] = [1, 2, 4, 8];
 
@@ -125,8 +130,41 @@ fn bench_e6(c: &mut Criterion) {
         );
     }
 
-    // (b) normalize: full-pass per-component scans on the noisy census
-    // decomposition (clone cost is identical across worker counts)
+    // (b) join probe: E3's census self-join on the unique `serial`
+    // column. Only `join_op_in` is timed; the working copy it writes the
+    // output relation into is cloned outside the clock.
+    let setup = maybms_bench::e3_setup(if fast_mode() { 600 } else { 2_500 }, 0.002, 3)
+        .expect("join probe setup");
+    let mut base = setup.wsd;
+    qualify_op(&mut base, maybms_census::CENSUS_REL, "x", "xq").expect("qualify x");
+    qualify_op(&mut base, maybms_census::CENSUS_REL, "y", "yq").expect("qualify y");
+    let pred = Expr::col("x.serial").eq(Expr::col("y.serial"));
+    // Whichever worker count ran first measured up to 1.6× slower than
+    // the same count run second (allocator growth on the first clones),
+    // so a few joins run off the clock before the sweep.
+    for _ in 0..5 {
+        let mut w = base.clone();
+        join_op_in(&mut w, "xq", "yq", &pred, "out", WorkerPool::sequential()).expect("warm up");
+    }
+    for workers in [1, 2] {
+        let pool = WorkerPool::new(workers);
+        g.bench_with_input(BenchmarkId::new("join_probe", workers), &base, |b, base| {
+            b.iter_custom(|iters| {
+                let mut total = Duration::ZERO;
+                for _ in 0..iters {
+                    let mut w = base.clone();
+                    let t = Instant::now();
+                    join_op_in(&mut w, "xq", "yq", &pred, "out", &pool).expect("hash join");
+                    total += t.elapsed();
+                    std::hint::black_box(w.relation("out").expect("out").tuples.len());
+                }
+                total
+            });
+        });
+    }
+
+    // (c) normalize: the full pass over the noisy census decomposition,
+    // sequential (it has no fan-out); the clone is inside the clock
     let noisy = {
         let base = maybms_census::generate(n * 4, 7);
         let os = maybms_census::inject(
@@ -136,20 +174,13 @@ fn bench_e6(c: &mut Criterion) {
         .expect("inject");
         maybms_census::to_wsd(&os).expect("decompose")
     };
-    for workers in WORKER_SWEEP {
-        let pool = WorkerPool::new(workers);
-        g.bench_with_input(
-            BenchmarkId::new("normalize", workers),
-            &noisy,
-            |b, noisy| {
-                b.iter(|| {
-                    let mut w = noisy.clone();
-                    normalize_from_scratch_in(&mut w, &pool);
-                    std::hint::black_box(w.stats())
-                });
-            },
-        );
-    }
+    g.bench_function("normalize", |b| {
+        b.iter(|| {
+            let mut w = noisy.clone();
+            normalize_from_scratch(&mut w);
+            std::hint::black_box(w.stats())
+        });
+    });
     g.finish();
 }
 

@@ -7,6 +7,7 @@ use maybms_census::{
     CENSUS_REL,
 };
 use maybms_core::chase::clean;
+use maybms_core::exec::WorkerPool;
 use maybms_core::prob;
 use maybms_core::wsd::Wsd;
 use maybms_relational::{Relation, Result};
@@ -207,10 +208,11 @@ pub fn e4_probability(n: usize, rates: &[f64], seed: u64) -> Result<Vec<E4Row>> 
             .select(Expr::col("age").eq(Expr::lit(30i64)))
             .project(["sex", "marst"]);
         let answer = q.eval(&wsd)?;
-        let (conf, time) = timed(|| prob::tuple_confidence_opts(
+        let (conf, time) = timed(|| prob::tuple_confidence_opts_in(
             &answer,
             "result",
             prob::ProbOptions::default(),
+            WorkerPool::sequential(),
         ));
         let conf = conf?;
         out.push(E4Row {
@@ -241,10 +243,11 @@ pub fn e4_probability(n: usize, rates: &[f64], seed: u64) -> Result<Vec<E4Row>> 
     if k >= 2 {
         wsd.merge_components(&chosen)?;
     }
-    let (conf, time) = timed(|| prob::tuple_confidence_opts(
+    let (conf, time) = timed(|| prob::tuple_confidence_opts_in(
         &wsd,
         CENSUS_REL,
         prob::ProbOptions { exact_cap: 1 << 16, ..Default::default() },
+        WorkerPool::sequential(),
     ));
     let conf = conf?;
     out.push(E4Row {
@@ -269,7 +272,7 @@ pub fn e5_demo() -> Result<f64> {
         .select(Expr::col("diagnosis").eq(Expr::lit("pregnancy")))
         .project(["test"]);
     let ans = q.eval(&wsd)?;
-    let conf = prob::tuple_confidence(&ans, "result")?;
+    let conf = ans.tuple_confidence("result")?;
     Ok(conf.first().map(|(_, p)| *p).unwrap_or(0.0))
 }
 

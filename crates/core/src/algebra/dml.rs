@@ -538,7 +538,7 @@ mod tests {
         assert_eq!(report, DmlReport { certain: 0, conditioned: 1 });
         // world probabilities are untouched (no renormalization): ann
         // survives with her ssn certainly 2 at confidence 0.6
-        let conf = crate::prob::tuple_confidence(&got, "p").unwrap();
+        let conf = got.tuple_confidence("p").unwrap();
         let ann = conf.iter().find(|(t, _)| t[1] == Value::str("ann")).unwrap();
         assert_eq!(ann.0[0], Value::Int(2));
         assert!((ann.1 - 0.6).abs() < 1e-9);
@@ -606,7 +606,7 @@ mod tests {
         let mut got = wsd.clone();
         update_op(&mut got, "p", &set, Some(&pred)).unwrap();
         // the or-set collapsed: ann's ssn is certain now
-        let conf = crate::prob::tuple_confidence(&got, "p").unwrap();
+        let conf = got.tuple_confidence("p").unwrap();
         let ann = conf.iter().find(|(t, _)| t[1] == Value::str("ann")).unwrap();
         assert_eq!(ann.0[0], Value::Int(9));
         assert!((ann.1 - 1.0).abs() < 1e-9);
@@ -723,7 +723,7 @@ mod tests {
         let pred = Expr::col("diagnosis").eq(Expr::lit("pregnancy"));
         check_delete(&wsd, "R", Some(&pred));
         delete_op(&mut wsd, "R", Some(&pred)).unwrap();
-        let conf = crate::prob::tuple_confidence(&wsd, "R").unwrap();
+        let conf = wsd.tuple_confidence("R").unwrap();
         assert!(conf.iter().all(|(t, _)| t[0] != Value::str("pregnancy")));
     }
 }

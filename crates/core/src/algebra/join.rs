@@ -434,8 +434,8 @@ mod tests {
         super::join_op_in(&mut hash, "patients", "treats", pred, "out", seq).unwrap();
         let mut nested = wsd.clone();
         super::join_op_nested(&mut nested, "patients", "treats", pred, "out").unwrap();
-        let a = crate::algebra::extract_in(hash, "out", "result", seq).unwrap();
-        let b = crate::algebra::extract_in(nested, "out", "result", seq).unwrap();
+        let a = crate::algebra::extract(hash, "out", "result").unwrap();
+        let b = crate::algebra::extract(nested, "out", "result").unwrap();
         assert!(a
             .to_worldset(100_000)
             .unwrap()

@@ -141,14 +141,8 @@ impl Query {
 }
 
 /// Keeps only `rel` (renamed to `as_name`), drops everything else, and
-/// normalizes with the passes routed through `pool`. This is the final
-/// step of query evaluation.
-pub fn extract_in(
-    mut wsd: Wsd,
-    rel: &str,
-    as_name: &str,
-    pool: &crate::exec::WorkerPool,
-) -> Result<Wsd> {
+/// normalizes. This is the final step of query evaluation.
+pub fn extract(mut wsd: Wsd, rel: &str, as_name: &str) -> Result<Wsd> {
     wsd.relation(rel)?;
     let keep: Vec<String> = wsd
         .relation_names()
@@ -168,6 +162,6 @@ pub fn extract_in(
         .map(|t| t.tid)
         .collect();
     wsd.retain_fields(|f| kept_tids.contains(&f.tid));
-    normalize::normalize_in(&mut wsd, pool);
+    normalize::normalize(&mut wsd);
     Ok(wsd)
 }

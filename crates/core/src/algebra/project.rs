@@ -130,7 +130,7 @@ mod tests {
         assert_eq!(stats.components, 1);
         assert_eq!(stats.max_component_rows, 2);
         // P(ultrasound) = 0.4
-        let conf = crate::prob::tuple_confidence(&out, "result").unwrap();
+        let conf = out.tuple_confidence("result").unwrap();
         assert_eq!(conf.len(), 1);
         assert_eq!(conf[0].0[0], Value::str("ultrasound"));
         assert!((conf[0].1 - 0.4).abs() < 1e-9);

@@ -552,7 +552,7 @@ mod tests {
         assert!(report.deleted_rows >= 1);
         assert!((report.removed_probability - 0.5).abs() < 1e-9);
         // after cleaning, ann's ssn is certainly 1
-        let conf = crate::prob::tuple_confidence(&cleaned, "p").unwrap();
+        let conf = cleaned.tuple_confidence("p").unwrap();
         assert!(conf
             .iter()
             .all(|(t, _)| !(t[0] == Value::Int(2) && t[1] == Value::str("ann"))));
@@ -581,7 +581,7 @@ mod tests {
         let report = clean(&mut cleaned, &cons).unwrap();
         assert!((report.removed_probability - 0.3).abs() < 1e-9);
         // renormalized: P(age=10) = 0.2/0.7
-        let conf = crate::prob::tuple_confidence(&cleaned, "r").unwrap();
+        let conf = cleaned.tuple_confidence("r").unwrap();
         let ten = conf.iter().find(|(t, _)| t[0] == Value::Int(10)).unwrap();
         assert!((ten.1 - 0.2 / 0.7).abs() < 1e-9);
     }

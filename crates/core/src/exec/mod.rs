@@ -10,18 +10,15 @@
 //!   simple rules: equi-join detection picks the hash strategy,
 //!   pushed-down predicates stay where the optimizer placed them, and
 //!   `DISTINCT` is elided when the input is already set-shaped.
-//! * [`pool`] — [`WorkerPool`], a hand-rolled fixed worker pool
-//!   (`std::thread` + a mutex/condvar queue; the container builds
-//!   offline, so no rayon). Its `map` primitive is order-preserving and
+//! * [`pool`] — [`WorkerPool`], a worker count plus `map`, an
+//!   order-preserving parallel map on `std::thread::scope` that is
 //!   deterministic at every worker count. Worker count comes from
 //!   `MAYBMS_WORKERS` or the machine's available parallelism.
 //! * [`run`] — [`Executor`], the one plan walker: each node calls its
 //!   tuple-at-a-time operator in [`crate::algebra`] (the only operator
-//!   implementations) and the embarrassingly parallel passes go through
-//!   the pool: per-tuple probe work in [`crate::algebra::join_op_in`],
-//!   per-component scans in [`crate::normalize::normalize_in`], and
-//!   per-cluster distributions in
-//!   [`crate::prob::tuple_confidence_opts_in`].
+//!   implementations). Two passes go through the pool: per-tuple probe
+//!   work in [`crate::algebra::join_op_in`] and per-cluster
+//!   distributions in [`crate::prob::tuple_confidence_opts_in`].
 //!
 //! [`crate::algebra::Query::eval`] is `compile` + a sequential
 //! `Executor` run, so the library, the SQL session and the tests share

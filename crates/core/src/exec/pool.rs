@@ -1,314 +1,40 @@
-//! A hand-rolled fixed worker pool: `std::thread` workers around a
-//! mutex/condvar task queue. No external dependencies — the container
-//! builds offline, so rayon-style crates are not an option.
+//! The worker pool: a worker count plus one primitive,
+//! [`WorkerPool::map`], a *blocking* parallel indexed map built on
+//! `std::thread::scope`. Nothing persists between calls — no threads, no
+//! queue — so there is nothing to shut down, and the borrow checker (not
+//! a latch) proves the helpers are gone before `map` returns.
 //!
-//! The pool exposes one primitive, [`WorkerPool::map`] (plus its sibling
-//! [`WorkerPool::map_mut`]): a *blocking* parallel indexed map that
-//! returns results in input order. Blocking is what makes lifetime
-//! erasure sound: the calling thread submits type-erased pointers into
-//! its own stack frame, participates in draining the batch itself, and
-//! does not return until every worker has signalled completion — so the
-//! borrowed batch provably outlives all tasks touching it.
+//! Determinism: the input is cut into chunks which the caller and its
+//! helpers claim from a shared iterator; every chunk's results are
+//! tagged with the chunk's index and concatenated in chunk order, so
+//! the output is in input order and bit-identical to the sequential run
+//! (for a pure `f`) at every worker count. The engine relies on this:
+//! both fan-outs (per-cluster confidence, join probing) must produce the
+//! same decomposition at worker counts 1, 2 and N.
 //!
-//! Determinism: `map` claims indices through a shared atomic cursor but
-//! writes each result into its own slot, so the output is always in
-//! input order and bit-identical to the sequential run (for a pure `f`),
-//! regardless of worker count. The engine relies on this: every parallel
-//! pass (normalize scans, per-cluster confidence, join probing) must
-//! produce the same decomposition at worker counts 1, 2 and N.
+//! Cost: one `map` call pays a thread spawn + join per helper (tens of
+//! µs), so callers fan out only where the items dwarf that — see
+//! `prob::cluster_distributions`.
 //!
 //! Sizing: [`default_workers`] honours the `MAYBMS_WORKERS` environment
 //! variable and falls back to `std::thread::available_parallelism`.
-//! [`WorkerPool::sequential`] is a shared zero-thread pool used by all
-//! the `*_in` entry points' sequential defaults.
 
-// Safety story for the unsafe below (the crate is #![deny(unsafe_code)]
-// everywhere else): `map` erases a stack-allocated `Batch` to `*const ()`
-// and hands it to helper threads, but blocks on the latch until every
-// helper signalled completion, so the pointee strictly outlives every
-// task. Output slots are written at most once each because indices are
-// claimed through an atomic cursor. The TSan/ASan/Miri CI jobs and the
-// seeded interleaving harness (`fuzz` module + tests/interleaving.rs)
-// check this dynamically.
-#![allow(unsafe_code)]
+use std::sync::{Arc, Mutex, OnceLock};
 
-use std::collections::VecDeque;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
-use std::thread::JoinHandle;
-use std::time::Duration;
+use maybms_obs::Counter;
 
-use maybms_obs::{Counter, Gauge};
-
-/// Worker-pool counters, resolved once. `tasks` (helper tasks enqueued)
-/// is deterministic for a fixed worker count; `steals` depends on
-/// scheduling and will differ run to run.
-struct PoolMetrics {
-    tasks: Arc<Counter>,
-    steals: Arc<Counter>,
-    queue_depth: Arc<Gauge>,
+/// `pool.tasks`: helper threads asked for, resolved once. Deterministic
+/// for a fixed worker count and input.
+fn tasks_metric() -> &'static Counter {
+    static M: OnceLock<Arc<Counter>> = OnceLock::new();
+    M.get_or_init(|| maybms_obs::counter("pool.tasks"))
 }
 
-fn metrics() -> &'static PoolMetrics {
-    static M: OnceLock<PoolMetrics> = OnceLock::new();
-    M.get_or_init(|| PoolMetrics {
-        tasks: maybms_obs::counter("pool.tasks"),
-        steals: maybms_obs::counter("pool.steals"),
-        queue_depth: maybms_obs::gauge("pool.queue_depth"),
-    })
-}
-
-/// Test-only seeded schedule perturbation.
-///
-/// The pool's races (shutdown vs. steal, latch vs. panic, nested maps)
-/// depend on thread timing the unit tests cannot control. This hook
-/// injects a deterministic pseudo-random choice of *nothing* / *yield* /
-/// *short sleep* at every scheduling decision point, keyed by a global
-/// seed — so `tests/interleaving.rs` can sweep seeds and explore many
-/// distinct interleavings reproducibly (and the sanitizer CI jobs see
-/// more than one execution). A seed of 0 (the default) disables the
-/// hook; production code never sets it.
-pub mod fuzz {
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    static SEED: AtomicU64 = AtomicU64::new(0);
-    static COUNTER: AtomicU64 = AtomicU64::new(0);
-
-    /// Enables perturbation under `seed` (nonzero) and resets the
-    /// decision counter so a given seed replays the same choices.
-    #[doc(hidden)]
-    pub fn set_seed(seed: u64) {
-        COUNTER.store(0, Ordering::SeqCst);
-        SEED.store(seed, Ordering::SeqCst);
-    }
-
-    /// Disables perturbation.
-    #[doc(hidden)]
-    pub fn clear() {
-        SEED.store(0, Ordering::SeqCst);
-    }
-
-    fn splitmix64(mut x: u64) -> u64 {
-        x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = x;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// One scheduling decision point; `site` distinguishes push / pop /
-    /// steal / drain so the same counter value perturbs them differently.
-    pub(super) fn perturb(site: u64) {
-        let seed = SEED.load(Ordering::Relaxed);
-        if seed == 0 {
-            return;
-        }
-        let n = COUNTER.fetch_add(1, Ordering::Relaxed);
-        let r = splitmix64(seed ^ site.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ n);
-        match r % 8 {
-            0..=4 => {}
-            5 | 6 => std::thread::yield_now(),
-            // up to ~31µs: long enough to reorder threads, short enough
-            // to keep a full seed sweep fast
-            _ => std::thread::sleep(std::time::Duration::from_micros((r >> 32) & 0x1F)),
-        }
-    }
-}
-
-// Site ids for fuzz::perturb.
-const SITE_PUSH: u64 = 1;
-const SITE_POP: u64 = 2;
-const SITE_TRY_POP: u64 = 3;
-const SITE_DRAIN: u64 = 4;
-const SITE_STEAL: u64 = 5;
-const SITE_DONE: u64 = 6;
-
-// ---------------------------------------------------------------------
-// Task plumbing
-// ---------------------------------------------------------------------
-
-/// A type-erased handle to one in-flight [`Batch`]: a raw pointer to the
-/// batch on the submitting thread's stack plus the monomorphized drain
-/// function for it, and the latch to signal when done.
-struct Task {
-    data: *const (),
-    run: unsafe fn(*const ()),
-    latch: Arc<Latch>,
-}
-
-// Safety: `data` points at a `Batch` whose captured references are all
-// `Sync`, and the submitting thread blocks on the latch until every task
-// has run, so the pointee strictly outlives the task.
-unsafe impl Send for Task {}
-
-/// Counts outstanding helper tasks of one `map` call.
-struct Latch {
-    left: Mutex<usize>,
-    cv: Condvar,
-}
-
-impl Latch {
-    fn new(n: usize) -> Latch {
-        Latch { left: Mutex::new(n), cv: Condvar::new() }
-    }
-
-    fn done(&self) {
-        fuzz::perturb(SITE_DONE);
-        let mut left = self.left.lock().expect("latch poisoned"); // maybms-lint: allow(no-panic-in-prod) -- lock poisoning means another thread already panicked; fail-stop instead of running on shared state of unknown integrity
-        *left -= 1;
-        if *left == 0 {
-            self.cv.notify_all();
-        }
-    }
-}
-
-/// The shared task queue: plain mutex + condvar, closed on pool drop.
-struct Queue {
-    state: Mutex<QueueState>,
-    cv: Condvar,
-}
-
-struct QueueState {
-    tasks: VecDeque<Task>,
-    shutdown: bool,
-}
-
-impl Queue {
-    fn new() -> Queue {
-        Queue {
-            state: Mutex::new(QueueState { tasks: VecDeque::new(), shutdown: false }),
-            cv: Condvar::new(),
-        }
-    }
-
-    fn push(&self, t: Task) {
-        fuzz::perturb(SITE_PUSH);
-        let mut s = self.state.lock().expect("queue poisoned"); // maybms-lint: allow(no-panic-in-prod) -- lock poisoning means another thread already panicked; fail-stop instead of running on shared state of unknown integrity
-        s.tasks.push_back(t);
-        drop(s);
-        metrics().queue_depth.add(1);
-        self.cv.notify_one();
-    }
-
-    /// Blocks until a task is available or the queue shuts down.
-    fn pop_blocking(&self) -> Option<Task> {
-        fuzz::perturb(SITE_POP);
-        let mut s = self.state.lock().expect("queue poisoned"); // maybms-lint: allow(no-panic-in-prod) -- lock poisoning means another thread already panicked; fail-stop instead of running on shared state of unknown integrity
-        loop {
-            if let Some(t) = s.tasks.pop_front() {
-                metrics().queue_depth.add(-1);
-                return Some(t);
-            }
-            if s.shutdown {
-                return None;
-            }
-            s = self.cv.wait(s).expect("queue poisoned"); // maybms-lint: allow(no-panic-in-prod) -- lock poisoning means another thread already panicked; fail-stop instead of running on shared state of unknown integrity
-        }
-    }
-
-    fn try_pop(&self) -> Option<Task> {
-        fuzz::perturb(SITE_TRY_POP);
-        let t = self.state.lock().expect("queue poisoned").tasks.pop_front(); // maybms-lint: allow(no-panic-in-prod) -- lock poisoning means another thread already panicked; fail-stop instead of running on shared state of unknown integrity
-        if t.is_some() {
-            metrics().queue_depth.add(-1);
-        }
-        t
-    }
-
-    fn close(&self) {
-        self.state.lock().expect("queue poisoned").shutdown = true; // maybms-lint: allow(no-panic-in-prod) -- lock poisoning means another thread already panicked; fail-stop instead of running on shared state of unknown integrity
-        self.cv.notify_all();
-    }
-}
-
-// ---------------------------------------------------------------------
-// The batch: one map call's shared state
-// ---------------------------------------------------------------------
-
-/// The shared state of one `map` call: an index cursor, the output slots
-/// and the user closure. Workers (and the calling thread) repeatedly
-/// claim chunks of indices and fill the corresponding slots.
-struct Batch<'a, R, F> {
-    f: &'a F,
-    out: *mut Option<R>,
-    len: usize,
-    chunk: usize,
-    next: &'a AtomicUsize,
-    panicked: &'a AtomicBool,
-}
-
-// Safety: `out` slots are written at most once each (indices are claimed
-// through the atomic cursor), `f` is `Sync`, and results are `Send`.
-unsafe impl<R: Send, F: Sync> Send for Batch<'_, R, F> {}
-unsafe impl<R: Send, F: Sync> Sync for Batch<'_, R, F> {}
-
-impl<R, F: Fn(usize) -> R> Batch<'_, R, F> {
-    /// Claims and processes index chunks until the cursor runs out (or a
-    /// sibling panicked). Never unwinds: panics are recorded and
-    /// re-raised by the submitting thread.
-    fn drain(&self) {
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            loop {
-                if self.panicked.load(Ordering::Relaxed) {
-                    break;
-                }
-                fuzz::perturb(SITE_DRAIN);
-                let start = self.next.fetch_add(self.chunk, Ordering::Relaxed);
-                if start >= self.len {
-                    break;
-                }
-                let end = (start + self.chunk).min(self.len);
-                for i in start..end {
-                    let r = (self.f)(i);
-                    // Safety: index i was claimed exactly once.
-                    unsafe { self.out.add(i).write(Some(r)) };
-                }
-            }
-        }));
-        if result.is_err() {
-            self.panicked.store(true, Ordering::SeqCst);
-        }
-    }
-}
-
-/// The monomorphized entry point stored in a [`Task`].
-unsafe fn drain_batch<R, F: Fn(usize) -> R>(p: *const ()) {
-    let batch = &*(p as *const Batch<'_, R, F>);
-    batch.drain();
-}
-
-/// A raw pointer that may cross threads (used by `map_mut`; disjoint
-/// indices guarantee exclusive access per element).
-struct SyncPtr<T>(*mut T);
-unsafe impl<T: Send> Send for SyncPtr<T> {}
-unsafe impl<T: Send> Sync for SyncPtr<T> {}
-
-impl<T> SyncPtr<T> {
-    /// Accessor (rather than field access) so closures capture the whole
-    /// `Sync` wrapper, not the raw pointer inside it.
-    fn at(&self, i: usize) -> *mut T {
-        // Safety of the offset is the caller's obligation.
-        unsafe { self.0.add(i) }
-    }
-}
-
-// ---------------------------------------------------------------------
-// The pool
-// ---------------------------------------------------------------------
-
-/// A fixed pool of worker threads. `WorkerPool::new(1)` spawns no
-/// threads and runs everything inline on the caller.
+/// A worker count. `WorkerPool::new(1)` runs everything inline on the
+/// caller.
+#[derive(Debug)]
 pub struct WorkerPool {
     workers: usize,
-    queue: Option<Arc<Queue>>,
-    handles: Vec<JoinHandle<()>>,
-}
-
-impl std::fmt::Debug for WorkerPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WorkerPool").field("workers", &self.workers).finish()
-    }
 }
 
 /// Worker count from the environment: `MAYBMS_WORKERS` if set (clamped
@@ -323,46 +49,24 @@ pub fn default_workers() -> usize {
         })
 }
 
-/// The process-wide shared pool, sized by [`default_workers`]. Sessions
-/// default to this so the threads are spawned once per process.
+/// The process-wide shared pool, sized by [`default_workers`] once per
+/// process. Sessions default to this.
 pub fn global_pool() -> Arc<WorkerPool> {
     static GLOBAL: OnceLock<Arc<WorkerPool>> = OnceLock::new();
     GLOBAL.get_or_init(|| Arc::new(WorkerPool::new(default_workers()))).clone()
 }
 
 impl WorkerPool {
-    /// A pool with `workers` total workers (the calling thread counts as
-    /// one: `new(4)` spawns 3 helper threads).
+    /// A pool of `workers` total workers (the calling thread counts as
+    /// one: a `map` on `new(4)` runs up to 3 helper threads).
     pub fn new(workers: usize) -> WorkerPool {
-        let workers = workers.max(1);
-        if workers == 1 {
-            return WorkerPool { workers, queue: None, handles: Vec::new() };
-        }
-        let queue = Arc::new(Queue::new());
-        let handles = (0..workers - 1)
-            .map(|i| {
-                let q = Arc::clone(&queue);
-                std::thread::Builder::new()
-                    .name(format!("maybms-worker-{i}"))
-                    .spawn(move || {
-                        while let Some(t) = q.pop_blocking() {
-                            // Safety: the submitter keeps the batch alive
-                            // until the latch is signalled below.
-                            unsafe { (t.run)(t.data) };
-                            t.latch.done();
-                        }
-                    })
-                    .expect("spawn worker thread") // maybms-lint: allow(no-panic-in-prod) -- thread spawn fails only on resource exhaustion at pool construction; fail-stop at startup
-            })
-            .collect();
-        WorkerPool { workers, queue: Some(queue), handles }
+        WorkerPool { workers: workers.max(1) }
     }
 
-    /// The shared zero-thread pool: `map` runs inline. The `*_in` entry
-    /// points of normalize/prob/join default to this.
+    /// The shared one-worker pool: `map` runs inline.
     pub fn sequential() -> &'static WorkerPool {
-        static SEQ: OnceLock<WorkerPool> = OnceLock::new();
-        SEQ.get_or_init(|| WorkerPool::new(1))
+        static SEQ: WorkerPool = WorkerPool { workers: 1 };
+        &SEQ
     }
 
     /// Total worker count (including the calling thread).
@@ -372,127 +76,62 @@ impl WorkerPool {
 
     /// Parallel indexed map over a shared slice: `out[i] = f(i, &items[i])`,
     /// in input order. Runs inline when the pool is sequential or the
-    /// input is a single item.
+    /// input is a single item. A panic in `f` on any thread is re-raised
+    /// on the caller once every helper has stopped.
     pub fn map<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
     where
         T: Sync,
         R: Send,
         F: Fn(usize, &T) -> R + Sync,
     {
-        self.for_each_index(items.len(), |i| f(i, &items[i]))
-    }
-
-    /// Parallel indexed map with exclusive access to each element:
-    /// `out[i] = f(i, &mut items[i])`. Sound because every index is
-    /// claimed exactly once across workers.
-    pub fn map_mut<T, R, F>(&self, items: &mut [T], f: F) -> Vec<R>
-    where
-        T: Send,
-        R: Send,
-        F: Fn(usize, &mut T) -> R + Sync,
-    {
-        let ptr = SyncPtr(items.as_mut_ptr());
-        self.for_each_index(items.len(), move |i| {
-            // Safety: index i is visited exactly once; elements are disjoint.
-            let item = unsafe { &mut *ptr.at(i) };
-            f(i, item)
-        })
-    }
-
-    /// The scheduling core shared by `map`/`map_mut`.
-    fn for_each_index<R, F>(&self, n: usize, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(usize) -> R + Sync,
-    {
-        if n == 0 {
-            return Vec::new();
-        }
+        let n = items.len();
         let workers = self.workers.min(n);
-        let queue = match (&self.queue, workers) {
-            (Some(q), w) if w > 1 => q,
-            _ => return (0..n).map(f).collect(),
-        };
-
-        let mut out: Vec<Option<R>> = Vec::with_capacity(n);
-        out.resize_with(n, || None);
-        let next = AtomicUsize::new(0);
-        let panicked = AtomicBool::new(false);
-        // Chunked claiming amortizes the cursor contention on fine-grained
-        // items while still balancing uneven per-item costs.
-        let chunk = (n / (workers * 8)).max(1);
-        let batch = Batch {
-            f: &f,
-            out: out.as_mut_ptr(),
-            len: n,
-            chunk,
-            next: &next,
-            panicked: &panicked,
-        };
-
-        let helpers = workers - 1;
-        metrics().tasks.add(helpers as u64);
-        let latch = Arc::new(Latch::new(helpers));
-        for _ in 0..helpers {
-            queue.push(Task {
-                data: &batch as *const Batch<'_, R, F> as *const (),
-                run: drain_batch::<R, F>,
-                latch: Arc::clone(&latch),
-            });
+        if workers <= 1 {
+            return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
         }
-
-        // The calling thread is worker 0.
-        batch.drain();
-
-        // Wait for the helpers, stealing queued tasks meanwhile so nested
-        // or concurrent map calls cannot starve each other.
-        loop {
-            {
-                let left = latch.left.lock().expect("latch poisoned"); // maybms-lint: allow(no-panic-in-prod) -- lock poisoning means another thread already panicked; fail-stop instead of running on shared state of unknown integrity
-                if *left == 0 {
-                    break;
+        // Chunked claiming amortizes the lock on fine-grained items while
+        // still balancing uneven per-item costs.
+        let chunk = (n / (workers * 8)).max(1);
+        let todo = Mutex::new(items.chunks(chunk).enumerate());
+        // Each claimant returns its chunks tagged with the chunk index.
+        // `todo` is never held across `f`, so it cannot be poisoned.
+        let drain = || {
+            let mut mine: Vec<(usize, Vec<R>)> = Vec::new();
+            while let Some((ci, part)) = todo.lock().ok().and_then(|mut it| it.next()) {
+                let base = ci * chunk;
+                mine.push((ci, part.iter().enumerate().map(|(j, t)| f(base + j, t)).collect()));
+            }
+            mine
+        };
+        tasks_metric().add(workers as u64 - 1);
+        let mut parts = std::thread::scope(|s| {
+            // A failed spawn (resource exhaustion) only means the caller
+            // drains more of the chunks itself.
+            let helpers: Vec<_> = (1..workers)
+                .filter_map(|i| {
+                    let name = format!("maybms-worker-{i}");
+                    std::thread::Builder::new().name(name).spawn_scoped(s, drain).ok()
+                })
+                .collect();
+            let mut parts = drain();
+            for h in helpers {
+                match h.join() {
+                    Ok(theirs) => parts.extend(theirs),
+                    // the scope joins the remaining helpers, then unwinds
+                    Err(payload) => std::panic::resume_unwind(payload),
                 }
             }
-            if let Some(t) = queue.try_pop() {
-                fuzz::perturb(SITE_STEAL);
-                metrics().steals.inc();
-                unsafe { (t.run)(t.data) };
-                t.latch.done();
-                continue;
-            }
-            let left = latch.left.lock().expect("latch poisoned"); // maybms-lint: allow(no-panic-in-prod) -- lock poisoning means another thread already panicked; fail-stop instead of running on shared state of unknown integrity
-            if *left == 0 {
-                break;
-            }
-            let _ = latch
-                .cv
-                .wait_timeout(left, Duration::from_millis(1))
-                .expect("latch poisoned"); // maybms-lint: allow(no-panic-in-prod) -- lock poisoning means another thread already panicked; fail-stop instead of running on shared state of unknown integrity
-        }
-
-        if panicked.load(Ordering::SeqCst) {
-            panic!("a maybms worker task panicked"); // maybms-lint: allow(no-panic-in-prod) -- re-propagates a worker task panic to the caller; swallowing it would return corrupt results
-        }
-        out.into_iter()
-            .map(|slot| slot.expect("every index drained")) // maybms-lint: allow(no-panic-in-prod) -- the latch guarantees every output slot was filled before wait() returned
-            .collect()
-    }
-}
-
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        if let Some(q) = self.queue.take() {
-            q.close();
-        }
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
+            parts
+        });
+        parts.sort_unstable_by_key(|&(ci, _)| ci);
+        parts.into_iter().flat_map(|(_, out)| out).collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::panic::AssertUnwindSafe;
 
     #[test]
     fn map_preserves_order_at_any_worker_count() {
@@ -514,18 +153,13 @@ mod tests {
     }
 
     #[test]
-    fn map_mut_mutates_in_place() {
-        let pool = WorkerPool::new(3);
-        let mut items: Vec<u64> = (0..257).collect();
-        let changed = pool.map_mut(&mut items, |_, x| {
-            *x += 1;
-            *x % 2 == 0
-        });
-        assert_eq!(items[0], 1);
-        assert_eq!(items[256], 257);
-        // result i reports whether items[i] = i + 1 is even
-        let expect: Vec<bool> = (0..257u64).map(|i| (i + 1) % 2 == 0).collect();
-        assert_eq!(changed, expect);
+    fn nested_map_completes() {
+        let pool = WorkerPool::new(4);
+        let outer: Vec<u64> = (0..16).collect();
+        let inner: Vec<u64> = (0..100).collect();
+        let got = pool.map(&outer, |_, &a| pool.map(&inner, |_, &b| a * b).iter().sum::<u64>());
+        let expect: Vec<u64> = outer.iter().map(|a| a * 4950).collect();
+        assert_eq!(got, expect);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! node by node against a working copy of the decomposition, each node
 //! calling its [`crate::algebra`] operator and materializing its answer
 //! as an intermediate relation, with the worker pool threaded through
-//! the parallel passes (hash-join probing, final normalization).
+//! to the one parallel pass a plan has (hash-join probing).
 
 use std::collections::HashSet;
 use std::sync::{Arc, OnceLock};
@@ -84,7 +84,7 @@ fn fresh(wsd: &Wsd, counter: &mut usize) -> String {
     }
 }
 
-/// Executes physical plans with a fixed worker pool.
+/// Executes physical plans; hash joins probe on `pool`.
 pub struct Executor<'p> {
     pool: &'p WorkerPool,
 }
@@ -94,7 +94,7 @@ impl<'p> Executor<'p> {
         Executor { pool }
     }
 
-    /// A sequential executor (shared zero-thread pool).
+    /// A sequential executor (the shared one-worker pool).
     pub fn sequential() -> Executor<'static> {
         Executor { pool: WorkerPool::sequential() }
     }
@@ -132,7 +132,7 @@ impl<'p> Executor<'p> {
         let mut wsd = base.clone();
         let mut counter = 0usize;
         let out = self.exec(&plan.root, &mut wsd, &mut counter, trace)?;
-        algebra::extract_in(wsd, &out, "result", self.pool)
+        algebra::extract(wsd, &out, "result")
     }
 
     /// Evaluates one node into `wsd`, returning the name of the relation

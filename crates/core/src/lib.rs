@@ -78,11 +78,11 @@
 //! is `compile` + a sequential run of it — evaluates each node with its
 //! tuple-at-a-time [`algebra`] operator, the only operator
 //! implementations. Its reference is per-world evaluation in
-//! `maybms-worldset`. A hand-rolled fixed [`exec::WorkerPool`]
-//! (`MAYBMS_WORKERS` env override) carries the embarrassingly parallel
-//! passes — per-component normalize scans, per-cluster confidence
-//! distributions, per-tuple join probing — deterministically at every
-//! worker count.
+//! `maybms-worldset`. [`exec::WorkerPool`] (a worker count,
+//! `MAYBMS_WORKERS` env override, and a `std::thread::scope` map)
+//! carries the two embarrassingly parallel passes — per-cluster
+//! confidence distributions and per-tuple join probing —
+//! deterministically at every worker count.
 //!
 //! **Durability.** [`codec`] serializes a whole decomposition to a
 //! lossless, versioned binary payload (and validates on load); the
@@ -94,9 +94,7 @@
 //! storage/replication → session) and the invariants each layer's tests
 //! enforce is in `docs/ARCHITECTURE.md` at the repository root.
 
-// unsafe is confined to exec::pool (type-erased batch pointers behind a
-// latch); everything else in the crate is checked
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub mod algebra;
 pub mod bigint;

@@ -27,6 +27,10 @@
 //! marks everything dirty first — the full-fixpoint escape hatch used by
 //! oracle tests; [`normalize_full`] additionally re-factorizes components
 //! into independent parts (see [`crate::factorize`]).
+//!
+//! Every pass is a sequential loop over the dirty components: each is
+//! microseconds of work, and a per-component fan-out over the worker
+//! pool never measured faster (`BENCH_e6.json` before PR 18).
 
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, OnceLock};
@@ -43,18 +47,15 @@ use crate::wsd::{Existence, TemplateCell, Wsd};
 /// by dead tuples carry irrelevant values and are set to ⊥ (this is what
 /// turns the paper's `(⊥, TSH)` row into `(⊥, ⊥)`), enabling row merging.
 /// Tuple/column ownership comes from the reverse field index; cells are
-/// tested through interned codes, not materialized rows. Components are
-/// independent, so the scan phase fans out over the pool; the ⊥ writes
-/// are applied serially afterwards.
-fn propagate_bottom(wsd: &mut Wsd, comps: &[usize], pool: &WorkerPool) {
-    let all_writes: Vec<Vec<(usize, usize)>> =
-        pool.map(comps, |_, &ci| bottom_writes_of(wsd, ci));
-    for (&ci, writes) in comps.iter().zip(&all_writes) {
+/// tested through interned codes, not materialized rows.
+fn propagate_bottom(wsd: &mut Wsd, comps: &[usize]) {
+    for &ci in comps {
+        let writes = bottom_writes_of(wsd, ci);
         if writes.is_empty() {
             continue;
         }
         let comp = wsd.component_mut_silent(ci).expect("live component"); // maybms-lint: allow(no-panic-in-prod) -- component indices are maintained by the WSD itself; a dangling index means the decomposition is corrupt, so fail-stop
-        for &(row, col) in writes {
+        for (row, col) in writes {
             comp.set_bottom(row, col);
         }
         wsd.mark_dirty(ci);
@@ -113,13 +114,12 @@ fn bottom_writes_of(wsd: &Wsd, ci: usize) -> Vec<(usize, usize)> {
 /// Step 2: drop tuples that exist in no world — those with an open field or
 /// existence column that is ⊥ in *every* row of its component. Only columns
 /// of dirty components can have become all-⊥ since the last normalize, so
-/// only those are scanned (in parallel; the template edit is serial).
-fn drop_dead_tuples(wsd: &mut Wsd, comps: &[usize], pool: &WorkerPool) {
-    let per_comp: Vec<Vec<Tid>> = pool.map(comps, |_, &ci| {
-        let Some(comp) = wsd.component(ci) else { return Vec::new() };
-        let rev = wsd.fields_of_component(ci);
-        let mut dead = Vec::new();
-        for (col, fields) in rev.iter().enumerate() {
+/// only those are scanned.
+fn drop_dead_tuples(wsd: &mut Wsd, comps: &[usize]) {
+    let mut dead: HashSet<Tid> = HashSet::new();
+    for &ci in comps {
+        let Some(comp) = wsd.component(ci) else { continue };
+        for (col, fields) in wsd.fields_of_component(ci).iter().enumerate() {
             if fields.is_empty() || col >= comp.num_fields() {
                 continue;
             }
@@ -127,9 +127,7 @@ fn drop_dead_tuples(wsd: &mut Wsd, comps: &[usize], pool: &WorkerPool) {
                 dead.extend(fields.iter().map(|f| f.tid));
             }
         }
-        dead
-    });
-    let dead: HashSet<Tid> = per_comp.into_iter().flatten().collect();
+    }
     if dead.is_empty() {
         return;
     }
@@ -141,36 +139,29 @@ fn drop_dead_tuples(wsd: &mut Wsd, comps: &[usize], pool: &WorkerPool) {
 
 /// Step 3: inline constant columns. A column whose cells are the same
 /// non-⊥ value in every row does not vary across worlds: attribute fields
-/// become certain template values, existence fields become `Always`. The
-/// constant detection scans fan out; template edits stay serial.
-fn inline_constants(wsd: &mut Wsd, comps: &[usize], pool: &WorkerPool) {
+/// become certain template values, existence fields become `Always`.
+fn inline_constants(wsd: &mut Wsd, comps: &[usize]) {
     // (field, Some(value) for attrs / None for exists) pairs to inline
-    let per_comp: Vec<Vec<(crate::field::Field, Option<maybms_relational::Value>)>> =
-        pool.map(comps, |_, &ci| {
-            let Some(comp) = wsd.component(ci) else { return Vec::new() };
-            let rev = wsd.fields_of_component(ci);
-            let mut resolved = Vec::new();
-            for (col, fields) in rev.iter().enumerate() {
-                if fields.is_empty() || col >= comp.num_fields() {
-                    continue;
-                }
-                if let Some(cell) = comp.column_constant(col) {
-                    for &f in fields {
-                        match (f.kind, cell) {
-                            (FieldKind::Attr(_), Cell::Val(v)) => {
-                                resolved.push((f, Some(v.clone())))
-                            }
-                            (FieldKind::Exists, _) => resolved.push((f, None)),
-                            (FieldKind::Attr(_), Cell::Bottom) => {
-                                unreachable!("constant is non-⊥") // maybms-lint: allow(no-panic-in-prod) -- constants are never bottom by parser construction
-                            }
+    let mut resolved: Vec<(crate::field::Field, Option<maybms_relational::Value>)> = Vec::new();
+    for &ci in comps {
+        let Some(comp) = wsd.component(ci) else { continue };
+        for (col, fields) in wsd.fields_of_component(ci).iter().enumerate() {
+            if fields.is_empty() || col >= comp.num_fields() {
+                continue;
+            }
+            if let Some(cell) = comp.column_constant(col) {
+                for &f in fields {
+                    match (f.kind, cell) {
+                        (FieldKind::Attr(_), Cell::Val(v)) => resolved.push((f, Some(v.clone()))),
+                        (FieldKind::Exists, _) => resolved.push((f, None)),
+                        (FieldKind::Attr(_), Cell::Bottom) => {
+                            unreachable!("constant is non-⊥") // maybms-lint: allow(no-panic-in-prod) -- constants are never bottom by parser construction
                         }
                     }
                 }
             }
-            resolved
-        });
-    let resolved: Vec<_> = per_comp.into_iter().flatten().collect();
+        }
+    }
     if resolved.is_empty() {
         return;
     }
@@ -208,51 +199,32 @@ fn inline_constants(wsd: &mut Wsd, comps: &[usize], pool: &WorkerPool) {
 /// component onto the columns still referenced by some template field
 /// (merging rows and summing probabilities — this is what removes the
 /// paper's Symptom component after the projection). Fieldless components
-/// are dropped. Projections (the expensive half) run on the pool; slot
-/// replacement and field remapping are serial.
-fn gc_columns(wsd: &mut Wsd, comps: &[usize], pool: &WorkerPool) {
-    // per component: None = untouched, Some((keep, replacement))
-    type GcPlan = Option<(Vec<usize>, Option<crate::component::Component>)>;
-    let plans: Vec<GcPlan> = pool.map(comps, |_, &ci| {
-        let comp = wsd.component(ci)?;
+/// are dropped.
+fn gc_columns(wsd: &mut Wsd, comps: &[usize]) {
+    for &ci in comps {
+        let Some(comp) = wsd.component(ci) else { continue };
         let rev = wsd.fields_of_component(ci);
         let keep: Vec<usize> = (0..comp.num_fields())
             .filter(|&c| rev.get(c).map(|v| !v.is_empty()).unwrap_or(false))
             .collect();
         if keep.len() == comp.num_fields() {
-            return None;
+            continue;
         }
         if keep.is_empty() {
-            return Some((keep, None));
+            wsd.replace_component(ci, None);
+            continue;
         }
         let projected = comp.project_columns(&keep);
-        Some((keep, Some(projected)))
-    });
-    for (&ci, plan) in comps.iter().zip(plans) {
-        match plan {
-            None => {}
-            Some((_, None)) => wsd.replace_component(ci, None),
-            Some((keep, Some(projected))) => {
-                wsd.replace_component(ci, Some(projected));
-                wsd.remap_columns(ci, &keep);
-                wsd.mark_dirty(ci);
-            }
-        }
+        wsd.replace_component(ci, Some(projected));
+        wsd.remap_columns(ci, &keep);
+        wsd.mark_dirty(ci);
     }
 }
 
-/// Step 5: merge duplicate rows in every dirty component. The components
-/// are temporarily taken out of their slots so the dedups (each confined
-/// to one component) can run on the pool.
-fn dedup_rows(wsd: &mut Wsd, comps: &[usize], pool: &WorkerPool) {
-    let mut work: Vec<(usize, crate::component::Component)> = comps
-        .iter()
-        .filter_map(|&ci| wsd.components[ci].take().map(|c| (ci, c)))
-        .collect();
-    let changed: Vec<bool> = pool.map_mut(&mut work, |_, (_, c)| c.dedup_rows(1e-12));
-    for ((ci, c), ch) in work.into_iter().zip(changed) {
-        wsd.components[ci] = Some(c);
-        if ch {
+/// Step 5: merge duplicate rows in every dirty component.
+fn dedup_rows(wsd: &mut Wsd, comps: &[usize]) {
+    for &ci in comps {
+        if wsd.component_mut_silent(ci).is_some_and(|c| c.dedup_rows(1e-12)) {
             wsd.mark_dirty(ci);
         }
     }
@@ -260,20 +232,10 @@ fn dedup_rows(wsd: &mut Wsd, comps: &[usize], pool: &WorkerPool) {
 
 /// The incremental normalization pipeline: drains the dirty set to a
 /// fixpoint, then compacts component slots. Components untouched since the
-/// last normalize are never scanned. Sequential — [`normalize_in`] routes
-/// the per-component passes through a worker pool.
+/// last normalize are never scanned.
 pub fn normalize(wsd: &mut Wsd) {
-    normalize_in(wsd, WorkerPool::sequential());
-}
-
-/// [`normalize`] with the per-component passes fanned out over `pool`.
-/// Deterministic: every pass computes its mutations in a read-only
-/// parallel scan and applies them serially in component order, so the
-/// resulting decomposition is identical at every worker count.
-pub fn normalize_in(wsd: &mut Wsd, pool: &WorkerPool) {
     /// Normalization counters, resolved once: fixpoint passes run and
-    /// dirty components scanned. Both are driven by the deterministic
-    /// drain loop, so totals are identical at every worker count.
+    /// dirty components scanned.
     struct NormMetrics {
         passes: Arc<Counter>,
         components: Arc<Counter>,
@@ -294,15 +256,21 @@ pub fn normalize_in(wsd: &mut Wsd, pool: &WorkerPool) {
         did_work = true;
         metrics().passes.inc();
         metrics().components.add(dirty.len() as u64);
-        propagate_bottom(wsd, &dirty, pool);
-        drop_dead_tuples(wsd, &dirty, pool);
-        inline_constants(wsd, &dirty, pool);
-        gc_columns(wsd, &dirty, pool);
-        dedup_rows(wsd, &dirty, pool);
+        propagate_bottom(wsd, &dirty);
+        drop_dead_tuples(wsd, &dirty);
+        inline_constants(wsd, &dirty);
+        gc_columns(wsd, &dirty);
+        dedup_rows(wsd, &dirty);
     }
     if did_work || wsd.has_tombstones() {
         wsd.compact();
     }
+}
+
+/// [`normalize`]; the pool is ignored. Kept because the frozen
+/// `benchmark/` crate imports this name — fold it in the next benchmark PR.
+pub fn normalize_in(wsd: &mut Wsd, _pool: &WorkerPool) {
+    normalize(wsd);
 }
 
 /// Full-pass normalization: marks every live component dirty first. The
@@ -311,12 +279,6 @@ pub fn normalize_in(wsd: &mut Wsd, pool: &WorkerPool) {
 pub fn normalize_from_scratch(wsd: &mut Wsd) {
     wsd.mark_all_dirty();
     normalize(wsd);
-}
-
-/// [`normalize_from_scratch`] on a worker pool (the E6 scaling bench).
-pub fn normalize_from_scratch_in(wsd: &mut Wsd, pool: &WorkerPool) {
-    wsd.mark_all_dirty();
-    normalize_in(wsd, pool);
 }
 
 /// Full normalization plus factorization of every component into

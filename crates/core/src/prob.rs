@@ -78,12 +78,7 @@ pub struct Confidence {
 }
 
 /// Exact-by-default tuple confidence: every possible answer tuple of `rel`
-/// with `P(tuple ∈ rel)`.
-pub fn tuple_confidence(wsd: &Wsd, rel: &str) -> Result<Vec<(Tuple, f64)>> {
-    tuple_confidence_in(wsd, rel, WorkerPool::sequential())
-}
-
-/// [`tuple_confidence`] on a worker pool.
+/// with `P(tuple ∈ rel)`, the per-cluster walks fanned out over `pool`.
 pub fn tuple_confidence_in(
     wsd: &Wsd,
     rel: &str,
@@ -96,11 +91,6 @@ pub fn tuple_confidence_in(
 }
 
 /// Tuples certain to be in `rel` (confidence 1 within `1e-9`).
-pub fn certain_tuples(wsd: &Wsd, rel: &str) -> Result<Vec<Tuple>> {
-    certain_tuples_in(wsd, rel, WorkerPool::sequential())
-}
-
-/// [`certain_tuples`] on a worker pool.
 pub fn certain_tuples_in(wsd: &Wsd, rel: &str, pool: &WorkerPool) -> Result<Vec<Tuple>> {
     Ok(tuple_confidence_in(wsd, rel, pool)?
         .into_iter()
@@ -110,33 +100,18 @@ pub fn certain_tuples_in(wsd: &Wsd, rel: &str, pool: &WorkerPool) -> Result<Vec<
 }
 
 /// Tuples possible in `rel` (confidence > 0).
-pub fn possible_tuples(wsd: &Wsd, rel: &str) -> Result<Vec<Tuple>> {
-    possible_tuples_in(wsd, rel, WorkerPool::sequential())
-}
-
-/// [`possible_tuples`] on a worker pool.
 pub fn possible_tuples_in(wsd: &Wsd, rel: &str, pool: &WorkerPool) -> Result<Vec<Tuple>> {
     Ok(tuple_confidence_in(wsd, rel, pool)?.into_iter().map(|(t, _)| t).collect())
 }
 
 /// Expected cardinality of `rel` under set semantics:
 /// `E[|rel|] = Σ_v P(v ∈ rel)` by linearity of expectation.
-pub fn expected_count(wsd: &Wsd, rel: &str) -> Result<f64> {
-    expected_count_in(wsd, rel, WorkerPool::sequential())
-}
-
-/// [`expected_count`] on a worker pool.
 pub fn expected_count_in(wsd: &Wsd, rel: &str, pool: &WorkerPool) -> Result<f64> {
     Ok(tuple_confidence_in(wsd, rel, pool)?.iter().map(|(_, p)| p).sum())
 }
 
 /// Expected sum of column `col` over `rel` (set semantics):
 /// `E[Σ_{t∈rel} t.col] = Σ_v v.col · P(v ∈ rel)`. NULLs contribute 0.
-pub fn expected_sum(wsd: &Wsd, rel: &str, col: &str) -> Result<f64> {
-    expected_sum_in(wsd, rel, col, WorkerPool::sequential())
-}
-
-/// [`expected_sum`] on a worker pool.
 pub fn expected_sum_in(wsd: &Wsd, rel: &str, col: &str, pool: &WorkerPool) -> Result<f64> {
     let idx = wsd.relation(rel)?.schema.index_of(col)?;
     Ok(tuple_confidence_in(wsd, rel, pool)?
@@ -145,13 +120,8 @@ pub fn expected_sum_in(wsd: &Wsd, rel: &str, col: &str, pool: &WorkerPool) -> Re
         .sum())
 }
 
-/// `P(rel is non-empty)` — the confidence of a boolean query.
-pub fn nonempty_confidence(wsd: &Wsd, rel: &str) -> Result<f64> {
-    nonempty_confidence_in(wsd, rel, WorkerPool::sequential())
-}
-
-/// [`nonempty_confidence`] with the per-cluster walks fanned out over
-/// `pool`.
+/// `P(rel is non-empty)` — the confidence of a boolean query, with the
+/// per-cluster walks fanned out over `pool`.
 pub fn nonempty_confidence_in(wsd: &Wsd, rel: &str, pool: &WorkerPool) -> Result<f64> {
     let m = metrics();
     m.calls.inc();
@@ -178,23 +148,15 @@ fn nonempty_confidence_inner(wsd: &Wsd, rel: &str, pool: &WorkerPool) -> Result<
 }
 
 impl Wsd {
-    /// Convenience method: see [`tuple_confidence`].
+    /// Convenience method: [`tuple_confidence_in`] on the sequential pool.
     pub fn tuple_confidence(&self, rel: &str) -> Result<Vec<(Tuple, f64)>> {
-        tuple_confidence(self, rel)
+        tuple_confidence_in(self, rel, WorkerPool::sequential())
     }
 }
 
-/// Full-control variant returning exactness flags.
-pub fn tuple_confidence_opts(
-    wsd: &Wsd,
-    rel: &str,
-    opts: ProbOptions,
-) -> Result<Vec<Confidence>> {
-    tuple_confidence_opts_in(wsd, rel, opts, WorkerPool::sequential())
-}
-
-/// [`tuple_confidence_opts`] with the per-cluster distribution walks
-/// fanned out over `pool`. Clusters are independent random variables, so
+/// Full-control variant returning exactness flags, with the per-cluster
+/// distribution walks fanned out over `pool` when they are large enough
+/// to pay for it. Clusters are independent random variables, so
 /// their joint-choice enumerations parallelize embarrassingly; the
 /// per-value merge runs serially in cluster order, making the result
 /// bit-identical to the sequential path at every worker count.
@@ -425,11 +387,28 @@ fn resolve_relation(wsd: &Wsd, rel: &str) -> Result<HashMap<Tid, ResolvedTuple>>
     Ok(out)
 }
 
-/// Evaluates every cluster's distribution, fanning the independent
-/// cluster walks out over `pool`. Sequential pools reuse one dense
-/// scratch vector across clusters (the zero-allocation hot path);
-/// parallel pools give each cluster its own. Results come back in
-/// cluster order either way.
+/// The joint choice count of a cluster's components (saturating).
+fn joint_choices(wsd: &Wsd, cl: &Cluster) -> Result<u64> {
+    cl.comps.iter().try_fold(1u64, |joint, &c| {
+        let comp =
+            wsd.component(c).ok_or_else(|| Error::InvalidExpr(format!("dead component {c}")))?;
+        Ok(joint.saturating_mul(comp.num_rows() as u64))
+    })
+}
+
+/// Tuple evaluations (choices walked × tuples in the cluster, summed over
+/// clusters) below which [`cluster_distributions`] stays on the caller's
+/// thread. One evaluation measured 0.15 µs (two-tuple clusters) to 1.2 µs
+/// (E6's wide census clusters) and a `WorkerPool::map` call pays 20–90 µs
+/// per helper thread, so this asks for at least ~2.5 ms of walking: the
+/// scoreboard's largest statement has 5 688 evaluations, E6 has 10⁵–10⁶.
+const FAN_OUT_MIN_EVALS: u64 = 1 << 14;
+
+/// Evaluates every cluster's distribution, in cluster order. The
+/// independent cluster walks fan out over `pool` when there is more than
+/// one and together they are worth a thread spawn; otherwise one
+/// sequential loop reuses a single dense scratch vector across clusters
+/// (the zero-allocation hot path).
 fn cluster_distributions(
     wsd: &Wsd,
     clusters: &[Cluster],
@@ -437,7 +416,15 @@ fn cluster_distributions(
     opts: ProbOptions,
     pool: &WorkerPool,
 ) -> Result<Vec<ClusterDist>> {
-    if pool.workers() <= 1 || clusters.len() <= 1 {
+    let mut evals = 0u64;
+    if pool.workers() > 1 && clusters.len() > 1 {
+        for cl in clusters {
+            let joint = joint_choices(wsd, cl)?;
+            let walked = if joint <= opts.exact_cap { joint } else { opts.mc_samples as u64 };
+            evals = evals.saturating_add(walked.saturating_mul(cl.tids.len() as u64));
+        }
+    }
+    if evals < FAN_OUT_MIN_EVALS {
         let mut choice = vec![0usize; wsd.num_component_slots()];
         return clusters
             .iter()
@@ -485,19 +472,10 @@ fn cluster_distribution(
         return Ok(dist);
     }
 
-    let mut joint: u64 = 1;
-    for &c in &cl.comps {
-        let rows = wsd
-            .component(c)
-            .ok_or_else(|| Error::InvalidExpr(format!("dead component {c}")))?
-            .num_rows() as u64;
-        joint = joint.saturating_mul(rows);
-    }
-
     for &c in &cl.comps {
         choice[c] = 0;
     }
-    if joint <= opts.exact_cap {
+    if joint_choices(wsd, cl)? <= opts.exact_cap {
         enumerate_cluster(wsd, cl, &tuples, choice, &mut dist)?;
     } else {
         sample_cluster(wsd, cl, &tuples, choice, &mut dist, opts)?;
@@ -649,7 +627,7 @@ mod tests {
     }
 
     fn assert_matches_oracle(wsd: &Wsd, rel: &str) {
-        let fast = tuple_confidence(wsd, rel).unwrap();
+        let fast = wsd.tuple_confidence(rel).unwrap();
         let slow = oracle_confidence(wsd, rel);
         assert_eq!(fast.len(), slow.len(), "answer sets differ: {fast:?} vs {slow:?}");
         for ((t1, p1), (t2, p2)) in fast.iter().zip(&slow) {
@@ -666,7 +644,7 @@ mod tests {
             .select(Expr::col("diagnosis").eq(Expr::lit("pregnancy")))
             .project(["test"]);
         let ans = q.eval(&wsd).unwrap();
-        let conf = tuple_confidence(&ans, "result").unwrap();
+        let conf = ans.tuple_confidence("result").unwrap();
         assert_eq!(conf.len(), 1);
         assert!((conf[0].1 - 0.4).abs() < 1e-12);
         assert_matches_oracle(&ans, "result");
@@ -691,7 +669,7 @@ mod tests {
             )
             .unwrap();
         }
-        let conf = tuple_confidence(&w, "r").unwrap();
+        let conf = w.tuple_confidence("r").unwrap();
         let one = conf.iter().find(|(t, _)| t[0] == Value::Int(1)).unwrap();
         assert!((one.1 - 0.75).abs() < 1e-12);
         assert_matches_oracle(&w, "r");
@@ -700,10 +678,10 @@ mod tests {
     #[test]
     fn certain_and_possible() {
         let wsd = medical_wsd();
-        let certain = certain_tuples(&wsd, "R").unwrap();
+        let certain = certain_tuples_in(&wsd, "R", WorkerPool::sequential()).unwrap();
         assert_eq!(certain.len(), 1); // the obesity record
         assert_eq!(certain[0][0], Value::str("obesity"));
-        let possible = possible_tuples(&wsd, "R").unwrap();
+        let possible = possible_tuples_in(&wsd, "R", WorkerPool::sequential()).unwrap();
         assert_eq!(possible.len(), 5); // 4 r1-variants + obesity
     }
 
@@ -712,12 +690,13 @@ mod tests {
         let wsd = medical_wsd();
         let q = Query::table("R").select(Expr::col("diagnosis").eq(Expr::lit("pregnancy")));
         let ans = q.eval(&wsd).unwrap();
-        let p = nonempty_confidence(&ans, "result").unwrap();
+        let p = nonempty_confidence_in(&ans, "result", WorkerPool::sequential()).unwrap();
         assert!((p - 0.4).abs() < 1e-9);
         // selecting the certain tuple: always nonempty
         let q2 = Query::table("R").select(Expr::col("diagnosis").eq(Expr::lit("obesity")));
         let ans2 = q2.eval(&wsd).unwrap();
-        assert!((nonempty_confidence(&ans2, "result").unwrap() - 1.0).abs() < 1e-12);
+        let p2 = nonempty_confidence_in(&ans2, "result", WorkerPool::sequential()).unwrap();
+        assert!((p2 - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -736,12 +715,42 @@ mod tests {
         let live = w.live_components();
         w.merge_components(&live).unwrap();
         let opts = ProbOptions { exact_cap: 1, mc_samples: 60_000, seed: 42 };
-        let est = tuple_confidence_opts(&w, "r", opts).unwrap();
+        let est = tuple_confidence_opts_in(&w, "r", opts, WorkerPool::sequential()).unwrap();
         let exact = oracle_confidence(&w, "r");
         for c in &est {
             assert!(!c.exact);
             let (_, p) = exact.iter().find(|(t, _)| *t == c.tuple).unwrap();
             assert!((c.p - p).abs() < 0.02, "MC estimate too far: {} vs {}", c.p, p);
+        }
+    }
+
+    /// Eight correlated clusters of 3 tuples × 12³ joint choices are past
+    /// `FAN_OUT_MIN_EVALS`, so workers > 1 takes the `pool.map` branch; its
+    /// answer must be bit-identical to the sequential loop's.
+    #[test]
+    fn fan_out_is_bit_identical_to_sequential() {
+        let mut w = Wsd::new();
+        w.add_relation("r", Schema::new(vec![("a", ColumnType::Int)])).unwrap();
+        for g in 0..8i64 {
+            for _ in 0..3 {
+                let alts = (0..12).map(|k| (Value::Int(g * 100 + k), 1.0 / 12.0)).collect();
+                w.push_orset("r", vec![OrSetCell::weighted(alts).unwrap()]).unwrap();
+            }
+        }
+        for group in w.live_components().chunks(3) {
+            w.merge_components(group).unwrap();
+        }
+        let clusters = cluster_tuples(&w, "r").unwrap();
+        let evals: u64 = clusters
+            .iter()
+            .map(|cl| joint_choices(&w, cl).unwrap() * cl.tids.len() as u64)
+            .sum();
+        assert!(clusters.len() == 8 && evals >= FAN_OUT_MIN_EVALS, "{evals} evaluations");
+        let opts = ProbOptions::default();
+        let seq = tuple_confidence_opts_in(&w, "r", opts, WorkerPool::sequential()).unwrap();
+        for workers in [2, 4] {
+            let par = tuple_confidence_opts_in(&w, "r", opts, &WorkerPool::new(workers)).unwrap();
+            assert_eq!(par, seq, "workers = {workers}");
         }
     }
 }

@@ -20,9 +20,10 @@
 //!    hot paths cache the returned handle in a `OnceLock`. With the
 //!    `off` cargo feature every operation compiles to nothing.
 //! 3. **Deterministic where the engine is.** Counters driven by the
-//!    deterministic execution paths (rows per operator, memo decisions)
-//!    total identically at every worker count; scheduling-dependent
-//!    counters (pool steals) are documented as such.
+//!    deterministic execution paths (rows per operator, normalize
+//!    passes) total identically at every worker count; a counter that
+//!    depends on scheduling or the worker count (`pool.tasks`) is
+//!    documented as such.
 //!
 //! ```
 //! let c = maybms_obs::counter("demo.requests");

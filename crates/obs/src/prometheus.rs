@@ -62,12 +62,12 @@ mod tests {
         let _g = flag_lock();
         let r = Registry::new();
         r.counter("wal.appends").add(3);
-        r.gauge("pool.queue_depth").set(-2);
+        r.gauge("server.connections").set(-2);
         let text = prometheus_text(&r);
         assert!(text.contains("# TYPE maybms_wal_appends counter"), "{text}");
         assert!(text.contains("maybms_wal_appends 3"), "{text}");
-        assert!(text.contains("# TYPE maybms_pool_queue_depth gauge"), "{text}");
-        assert!(text.contains("maybms_pool_queue_depth -2"), "{text}");
+        assert!(text.contains("# TYPE maybms_server_connections gauge"), "{text}");
+        assert!(text.contains("maybms_server_connections -2"), "{text}");
     }
 
     #[test]

@@ -163,8 +163,8 @@ impl Server {
     }
 }
 
-/// Accepts connections and routes each by its first bytes: HTTP
-/// metrics scrape, SQL session, or replica feed.
+/// Accepts connections and gives each its own thread (see [`route`]);
+/// never reads from one, so no peer can hold up the next accept.
 fn accept_loop(
     listener: TcpListener,
     handle: CommitHandle,
@@ -195,47 +195,49 @@ fn accept_loop(
     }
 }
 
-/// Sniffs one connection's first bytes and spawns its handler.
+/// Spawns one connection's thread, which sniffs the first bytes — for
+/// at most the sniffing grace period, so neither the accept loop nor
+/// shutdown ever waits on a peer that says nothing — and runs the
+/// handler they select.
 fn route(
     stream: TcpStream,
     handle: &CommitHandle,
     stop: &Arc<AtomicBool>,
     primary: &Option<Arc<Primary>>,
 ) -> Option<JoinHandle<()>> {
-    // the listener is non-blocking; handlers want blocking I/O
-    if stream.set_nonblocking(false).is_err() {
-        return None;
-    }
-    match peek_first_bytes(&stream) {
-        Some(four) if four == *b"GET " => thread::Builder::new()
-            .name("maybms-metrics".into())
-            .spawn(move || {
-                let _ = serve_metrics_http(stream);
-            })
-            .ok(),
-        Some(four) if four == proto::PROTO_MAGIC => {
-            let handle = handle.clone();
-            let stop = Arc::clone(stop);
-            thread::Builder::new()
-                .name("maybms-conn".into())
-                .spawn(move || {
-                    let mut stream = stream;
+    let handle = handle.clone();
+    let stop = Arc::clone(stop);
+    let primary = primary.clone();
+    thread::Builder::new()
+        .name("maybms-conn".into())
+        .spawn(move || {
+            let mut stream = stream;
+            // the listener is non-blocking; handlers want blocking I/O
+            if stream.set_nonblocking(false).is_err() {
+                return;
+            }
+            match peek_first_bytes(&stream) {
+                Some(four) if four == *b"GET " => {
+                    let _ = serve_metrics_http(stream);
+                }
+                Some(four) if four == proto::PROTO_MAGIC => {
                     let mut magic = [0u8; 4];
                     if io::Read::read_exact(&mut stream, &mut magic).is_ok() {
                         let _ = conn::handle_conn(stream, handle, stop);
                     }
-                })
-                .ok()
-        }
-        _ => {
-            // anything else is a replica saying hello (its first frame
-            // is a length header, which collides with neither magic);
-            // serve threads exit on `Primary::stop`, so they are
-            // detached rather than tracked in `conns`
-            if let Some(p) = primary {
-                let _ = p.spawn_serve(stream);
+                }
+                // anything else is a replica saying hello (its first
+                // frame is a length header, which collides with neither
+                // magic); serve threads exit on `Primary::stop`, so they
+                // are detached rather than tracked in `conns`
+                Some(_) => {
+                    if let Some(p) = primary {
+                        let _ = p.spawn_serve(stream);
+                    }
+                }
+                // silent or gone: dropping the stream hangs up
+                None => {}
             }
-            None
-        }
-    }
+        })
+        .ok()
 }

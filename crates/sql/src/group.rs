@@ -31,7 +31,7 @@
 //!   O(1) and never block the writer.
 //!
 //! The committer also serves in-process replication for free: the batch
-//! append signals `maybms_storage::wal::commit_notify`, so a
+//! append signals `maybms_storage::wal::commit_notify_in`, so a
 //! [`crate::replication::Primary`] tailing the same WAL in this process
 //! wakes immediately instead of riding its polling fallback.
 

@@ -191,7 +191,7 @@ impl ReplStatus {
 /// only ever observes fully framed, fsynced records.
 ///
 /// An idle serve loop blocks on the WAL's **commit notification**
-/// ([`maybms_storage::wal::commit_notify`]): a commit appended by the
+/// ([`maybms_storage::wal::commit_notify_in`]): a commit appended by the
 /// serving session wakes it immediately, so same-process shipping has no
 /// poll-interval latency floor. The wait is bounded by the **heartbeat
 /// interval** ([`Primary::with_heartbeat_interval`]): while idle, the
@@ -233,7 +233,7 @@ impl Primary {
     /// is now rather than the end of a long idle interval.
     pub fn stop(&self) {
         self.shutdown.store(true, Ordering::Relaxed);
-        let notify = wal::commit_notify(&wal_path_for(&self.path));
+        let notify = wal::commit_notify_in(&*std_vfs(), &wal_path_for(&self.path));
         wal::wake_commit_waiters(&notify);
     }
 
@@ -259,7 +259,7 @@ impl Primary {
         // Same-process commits signal this handle from `Wal::append_many`,
         // so an idle serve loop wakes immediately; the heartbeat interval
         // bounds the wait for everything that cannot signal it.
-        let commit_notify = wal::commit_notify(&wal_path);
+        let commit_notify = wal::commit_notify_in(&*std_vfs(), &wal_path);
         let mut commits_seen = wal::commit_seq(&commit_notify);
         // whether the last idle wait gave up without a commit signal —
         // if records then show up anyway, the notification path missed
@@ -397,15 +397,20 @@ impl Primary {
             while !this.is_stopped() {
                 match listener.accept() {
                     Ok((stream, _addr)) => {
-                        let _ = stream.set_nodelay(true);
-                        // the accepted stream may inherit the listener's
-                        // non-blocking mode on some platforms
-                        let _ = stream.set_nonblocking(false);
-                        if sniff_http(&stream) {
-                            workers.push(std::thread::spawn(move || serve_metrics_http(stream)));
-                        } else {
-                            workers.push(this.spawn_serve(stream));
-                        }
+                        // sniffed on the connection's own thread: the
+                        // accept loop never waits on a peer
+                        let this = this.clone();
+                        workers.push(std::thread::spawn(move || {
+                            let _ = stream.set_nodelay(true);
+                            // the accepted stream may inherit the listener's
+                            // non-blocking mode on some platforms
+                            let _ = stream.set_nonblocking(false);
+                            match peek_first_bytes(&stream) {
+                                Some(four) if &four == b"GET " => serve_metrics_http(stream),
+                                Some(_) => this.serve(stream),
+                                None => Ok(()), // silent or gone: hang up
+                            }
+                        }));
                     }
                     Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                         std::thread::sleep(Duration::from_millis(2));
@@ -420,33 +425,34 @@ impl Primary {
     }
 }
 
-/// Peeks a fresh connection's first bytes without consuming them: `GET `
-/// means an HTTP Prometheus scrape, anything else the ship protocol.
-/// Waits briefly for the client's first bytes (both kinds of client send
-/// immediately after connecting).
-pub fn sniff_http(stream: &TcpStream) -> bool {
-    matches!(peek_first_bytes(stream), Some(four) if &four == b"GET ")
-}
-
 /// Peeks a fresh connection's first four bytes without consuming them
-/// (`None` when the peer closed or sent nothing within the grace
-/// period) — the protocol-sniffing primitive shared by
-/// [`Primary::listen`] and the `maybms-server` listener, which
-/// multiplexes HTTP metrics scrapes, the ship protocol and the SQL
-/// session protocol on one port.
+/// (`None` when the peer closed or sent nothing within the ~200 ms grace
+/// period; every kind of client sends immediately after connecting) —
+/// the protocol-sniffing primitive shared by [`Primary::listen`] and the
+/// `maybms-server` listener, which multiplexes HTTP metrics scrapes, the
+/// ship protocol and the SQL session protocol on one port. It blocks for
+/// up to the grace period, so it is called on the connection's own
+/// thread, never on an accept loop. Leaves the stream without a read
+/// timeout.
 pub fn peek_first_bytes(stream: &TcpStream) -> Option<[u8; 4]> {
+    // a blocking peek on a silent peer returns only through this timeout
+    stream.set_read_timeout(Some(Duration::from_millis(200))).ok()?;
     let mut buf = [0u8; 4];
+    let mut sniffed = None;
     for _ in 0..200 {
         match stream.peek(&mut buf) {
-            Ok(n) if n >= 4 => return Some(buf),
-            Ok(0) => return None, // peer closed without sending anything
-            Ok(_) => {}
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
-            Err(_) => return None,
+            Ok(n) if n >= 4 => {
+                sniffed = Some(buf);
+                break;
+            }
+            // part of a preamble: poll for the rest
+            Ok(n) if n > 0 => std::thread::sleep(Duration::from_millis(1)),
+            // closed, silent for the whole grace period, or broken
+            _ => break,
         }
-        std::thread::sleep(Duration::from_millis(1));
     }
-    None
+    stream.set_read_timeout(None).ok()?;
+    sniffed
 }
 
 /// Answers one Prometheus scrape: drains the request head (its contents

@@ -46,7 +46,7 @@ use crate::bytes::Reader;
 use crate::crc::crc32;
 use crate::frame::{self, Scan, FRAME_HEADER_LEN};
 use crate::pager::io_err;
-use crate::vfs::{replace_atomically, std_vfs, OpenMode, Vfs, VfsFile};
+use crate::vfs::{replace_atomically, OpenMode, Vfs, VfsFile};
 
 const MAGIC: &[u8; 8] = b"MAYBMSW\0";
 const VERSION: u32 = 2;
@@ -87,17 +87,13 @@ fn notify_registry() -> &'static Mutex<HashMap<PathBuf, CommitNotify>> {
 }
 
 /// The commit-notification handle for the WAL at `path` (created on
-/// first use). Cheap to call; clones share the underlying counter.
-/// Canonicalizes through the production VFS so an appender and a tailer
-/// naming the same file through different spellings share a handle.
-pub fn commit_notify(path: &Path) -> CommitNotify {
-    commit_notify_in(&*std_vfs(), path)
-}
-
-/// As [`commit_notify`], canonicalizing through an explicit [`Vfs`] —
-/// the handle a [`Wal`] opened on that VFS registers under. For virtual
-/// filesystems the canonical key is the raw path, which [`commit_notify`]
-/// also falls back to, so in-process appenders and tailers always meet.
+/// first use). Cheap to call; clones share the underlying counter. The
+/// key is `path` canonicalized through `vfs` — the [`Vfs`] the [`Wal`]
+/// was opened on — so an appender and a tailer naming the same file
+/// through different spellings share a handle. A virtual filesystem's
+/// canonical key is the raw path, which `std_vfs()` falls back to for a
+/// file that is not on disk, so in-process appenders and tailers
+/// always meet.
 pub fn commit_notify_in(vfs: &dyn Vfs, path: &Path) -> CommitNotify {
     // maybms-lint: allow(no-panic-in-prod) -- registry mutex poisoning means a sibling thread already crashed mid-insert; fail-stop
     let mut reg = notify_registry().lock().expect("notify registry lock");
@@ -185,7 +181,7 @@ pub struct Wal {
     sync_count: u64,
     /// Signalled after every durable append so same-process tailers
     /// (the replication primary) wake without waiting out a poll
-    /// interval. See [`commit_notify`].
+    /// interval. See [`commit_notify_in`].
     notify: CommitNotify,
 }
 
@@ -583,6 +579,7 @@ mod tests {
     // tests corrupt bytes on disk and clean temp files directly
     #![allow(clippy::disallowed_methods)]
     use super::*;
+    use crate::vfs::std_vfs;
     use std::fs::OpenOptions;
     use std::path::PathBuf;
 
@@ -786,7 +783,7 @@ mod tests {
     fn append_wakes_commit_waiters() {
         let path = tmp("notify");
         let mut wal = Wal::create(std_vfs(), &path, 1, 0).unwrap();
-        let handle = commit_notify(&path);
+        let handle = commit_notify_in(&*std_vfs(), &path);
         let seen = commit_seq(&handle);
         let waiter = {
             let handle = Arc::clone(&handle);
@@ -806,7 +803,7 @@ mod tests {
 
     #[test]
     fn wait_for_commit_times_out_when_idle() {
-        let handle = commit_notify(Path::new("maybms-wal-test-no-such-file"));
+        let handle = commit_notify_in(&*std_vfs(), Path::new("maybms-wal-test-no-such-file"));
         let seen = commit_seq(&handle);
         let start = std::time::Instant::now();
         assert_eq!(wait_for_commit(&handle, seen, Duration::from_millis(15)), seen);

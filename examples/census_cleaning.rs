@@ -7,7 +7,6 @@
 
 use maybms_census::{cleaning_constraints, generate, inject, to_wsd, NoiseSpec, CENSUS_REL};
 use maybms_core::chase::clean;
-use maybms_core::prob;
 use maybms_relational::Expr;
 
 fn main() {
@@ -56,7 +55,7 @@ fn main() {
         .select(Expr::col("age").lt(Expr::lit(15i64)))
         .project(["marst"]);
     let answer = q.eval(&wsd).expect("query");
-    let conf = prob::tuple_confidence(&answer, "result").expect("confidence");
+    let conf = answer.tuple_confidence("result").expect("confidence");
     println!("\nmarital status of persons younger than 15 (after cleaning):");
     for (t, p) in conf {
         println!("  marst = {}  with probability {p:.4}", t[0]);

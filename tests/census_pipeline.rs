@@ -6,7 +6,6 @@ use maybms_census::{
 };
 use maybms_core::algebra::Query;
 use maybms_core::chase::clean;
-use maybms_core::prob;
 use maybms_relational::Expr;
 
 #[test]
@@ -39,7 +38,7 @@ fn pipeline_small() {
         .select(Expr::col("age").lt(Expr::lit(15i64)))
         .project(["marst"]);
     let ans = q.eval(&wsd).unwrap();
-    for (t, p) in prob::tuple_confidence(&ans, "result").unwrap() {
+    for (t, p) in ans.tuple_confidence("result").unwrap() {
         assert!(p > 0.0);
         assert_eq!(
             t[0],

@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 
-use maybms_core::algebra::{extract_in, join_op_in, join_op_nested, Query};
+use maybms_core::algebra::{extract, join_op_in, join_op_nested, Query};
 use maybms_core::chase::{clean, Constraint};
 use maybms_core::codec::{decode_wsd, encode_wsd};
 use maybms_core::convert::from_worldset;
@@ -213,7 +213,7 @@ proptest! {
     /// Confidence computed on the decomposition equals brute force.
     #[test]
     fn confidence_matches_brute_force(wsd in arb_wsd()) {
-        let fast = prob::tuple_confidence(&wsd, "r").expect("confidence");
+        let fast = wsd.tuple_confidence("r").expect("confidence");
         let slow = wsd.to_worldset(1 << 16).expect("enumerate").tuple_confidence("r");
         prop_assert_eq!(fast.len(), slow.len());
         for ((t1, p1), (t2, p2)) in fast.iter().zip(&slow) {
@@ -261,9 +261,9 @@ proptest! {
     #[test]
     fn expected_aggregates_match_brute_force(wsd in arb_wsd()) {
         let ws = wsd.to_worldset(1 << 16).expect("enumerate");
-        let ec = prob::expected_count(&wsd, "r").expect("ecount");
+        let ec = prob::expected_count_in(&wsd, "r", WorkerPool::sequential()).expect("ecount");
         prop_assert!((ec - ws.expected_count("r")).abs() < 1e-9);
-        let es = prob::expected_sum(&wsd, "r", "a").expect("esum");
+        let es = prob::expected_sum_in(&wsd, "r", "a", WorkerPool::sequential()).expect("esum");
         prop_assert!((es - ws.expected_sum("r", 0)).abs() < 1e-9);
     }
 
@@ -297,12 +297,12 @@ proptest! {
         let seq = WorkerPool::sequential();
         let mut hashed = base.clone();
         join_op_in(&mut hashed, lhs_name, rhs_name, &pred, "out", seq).expect("hash join");
-        let hashed = extract_in(hashed, "out", "result", seq).expect("extract");
+        let hashed = extract(hashed, "out", "result").expect("extract");
         hashed.validate().expect("valid hash result");
 
         let mut nested = base.clone();
         join_op_nested(&mut nested, lhs_name, rhs_name, &pred, "out").expect("nested join");
-        let nested = extract_in(nested, "out", "result", seq).expect("extract");
+        let nested = extract(nested, "out", "result").expect("extract");
         nested.validate().expect("valid nested result");
 
         let a = hashed.to_worldset(1 << 16).expect("enumerate hash");
@@ -367,8 +367,8 @@ proptest! {
         );
         match (q.eval(&wsd), q.eval(&back)) {
             (Ok(a), Ok(b)) => {
-                let ca = prob::tuple_confidence(&a, "result").expect("confidence original");
-                let cb = prob::tuple_confidence(&b, "result").expect("confidence decoded");
+                let ca = a.tuple_confidence("result").expect("confidence original");
+                let cb = b.tuple_confidence("result").expect("confidence decoded");
                 prop_assert_eq!(ca.len(), cb.len());
                 for ((t1, p1), (t2, p2)) in ca.iter().zip(&cb) {
                     prop_assert_eq!(t1, t2, "answer tuples diverged after round trip");

@@ -4,7 +4,6 @@
 use maybms::prelude::*;
 use maybms_core::algebra::Query;
 use maybms_core::examples::medical_wsd;
-use maybms_core::prob;
 
 #[test]
 fn the_wsd_represents_four_worlds_as_a_product_of_five_components() {
@@ -70,7 +69,7 @@ fn prob_construct_returns_the_papers_number() {
         .select(Expr::col("diagnosis").eq(Expr::lit("pregnancy")))
         .project(["test"]);
     let ans = q.eval(&wsd).unwrap();
-    let conf = prob::tuple_confidence(&ans, "result").unwrap();
+    let conf = ans.tuple_confidence("result").unwrap();
     assert_eq!(conf.len(), 1);
     assert_eq!(conf[0].0[0], Value::str("ultrasound"));
     assert!((conf[0].1 - 0.4).abs() < 1e-12);

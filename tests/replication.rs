@@ -335,6 +335,46 @@ fn tcp_replication_with_failover_reads() {
     rm_db(&path);
 }
 
+/// A peer that connects to the ship listener and never sends a byte
+/// holds up neither a follower arriving after it nor `Primary::stop`,
+/// and is hung up on once the sniffing grace period is over.
+#[test]
+fn a_silent_peer_blocks_neither_the_ship_listener_nor_its_stop() {
+    use std::net::TcpStream;
+    use std::time::{Duration, Instant};
+    const SOON: Duration = Duration::from_secs(1);
+
+    let path = db_path("silent");
+    let (primary_session, _) = run_script(&path);
+    let primary = Primary::new(&path);
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let accept_loop = primary.listen(listener).unwrap();
+    let mut silent = TcpStream::connect(addr).unwrap();
+    silent.set_read_timeout(Some(SOON)).unwrap();
+
+    let began = Instant::now();
+    let stream = TcpStream::connect(addr).unwrap();
+    stream.set_read_timeout(Some(SOON)).unwrap();
+    let mut replica = Replica::new();
+    let mut conn = replica.connect(stream).unwrap();
+    replica
+        .sync_to(&mut conn, primary_session.last_lsn().unwrap())
+        .expect("a follower is served while a silent peer is open");
+    assert_eq!(encode_wsd(replica.session().wsd()), encode_wsd(primary_session.wsd()));
+    assert!(began.elapsed() < SOON, "served after {:?}", began.elapsed());
+
+    let closed = silent.read(&mut [0u8; 1]).expect("the listener hangs up on the silent peer");
+    assert_eq!(closed, 0);
+
+    let _silent = TcpStream::connect(addr).unwrap();
+    primary.stop();
+    let (done, stopped) = std::sync::mpsc::channel();
+    std::thread::spawn(move || done.send(accept_loop.join().is_ok()));
+    assert_eq!(stopped.recv_timeout(SOON), Ok(true), "stop with a silent peer open");
+    rm_db(&path);
+}
+
 /// A follower driven by `follow_with_retry` survives a *flapping*
 /// primary: the serving process dies mid-stream, a new one comes up
 /// later (same database files), and the follower reconnects with capped

@@ -7,10 +7,11 @@
 //! drop those bytes, or the rest of the frame is parsed as a new header
 //! and the connection dies on a bogus length or checksum.
 
-use std::io::Write;
+use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::sync::mpsc;
 use std::thread::sleep;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use maybms_server::proto::{self, Request, Response};
 use maybms_server::Server;
@@ -88,4 +89,36 @@ fn an_oversized_request_closes_the_connection() {
     let err = proto::recv_response(&mut stream).expect_err("the server must hang up");
     assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof, "{err}");
     drop(server.shutdown().expect("shutdown"));
+}
+
+/// A peer that connects and never sends a byte is the server's problem
+/// for its own thread's sniffing grace period only: a client arriving
+/// after it is answered at once, the server hangs up on it, and shutdown
+/// does not wait for one.
+#[test]
+fn a_silent_peer_blocks_neither_accept_nor_shutdown() {
+    const SOON: Duration = Duration::from_secs(1);
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let server = Server::serve(Session::new(), listener).expect("serve");
+    let mut silent = TcpStream::connect(server.addr()).expect("connect and say nothing");
+    silent.set_read_timeout(Some(SOON)).expect("timeout");
+
+    let began = Instant::now();
+    let mut second = TcpStream::connect(server.addr()).expect("connect");
+    second.set_read_timeout(Some(SOON)).expect("timeout");
+    second.write_all(&proto::PROTO_MAGIC).expect("magic");
+    let hello = proto::recv_response(&mut second).expect("hello while a silent peer is open");
+    assert!(matches!(hello, Response::Hello { .. }), "{hello:?}");
+    second.write_all(&frame_of("SHOW TABLES")).expect("send");
+    let reply = proto::recv_response(&mut second).expect("reply while a silent peer is open");
+    assert!(matches!(reply, Response::Ok { .. }), "{reply:?}");
+    assert!(began.elapsed() < SOON, "answered after {:?}", began.elapsed());
+
+    let closed = silent.read(&mut [0u8; 1]).expect("the server hangs up on the silent peer");
+    assert_eq!(closed, 0);
+
+    let _silent = TcpStream::connect(server.addr()).expect("a fresh silent peer");
+    let (done, shut_down) = mpsc::channel();
+    std::thread::spawn(move || done.send(server.shutdown().is_ok()));
+    assert_eq!(shut_down.recv_timeout(SOON), Ok(true), "shutdown with a silent peer open");
 }

@@ -7,7 +7,7 @@
 //!   nobody), and later commits are refused at the gate;
 //! * the in-process commit-notify path: a WAL-shipping primary serving
 //!   the same database never rides the fallback poll — commits reach a
-//!   replica through `wal::commit_notify` wake-ups, and the
+//!   replica through `wal::commit_notify_in` wake-ups, and the
 //!   `wal.notify_fallback_polls` counter stays at zero even when the
 //!   serve loop's poll interval is far beyond the test deadline.
 
@@ -200,7 +200,7 @@ fn fsync_failure_mid_batch_poisons_and_nacks_every_waiter() {
 
 /// Regression for the cross-process notify gap: an in-process primary
 /// serving the same database a [`GroupCommitter`] writes must be woken
-/// by `wal::commit_notify` — never by its fallback poll. The serve
+/// by `wal::commit_notify_in` — never by its fallback poll. The serve
 /// loop's idle wait is set far beyond the test deadline, so a
 /// replica only catches up in time if the notify path works; and the
 /// `wal.notify_fallback_polls` counter must not move.
