@@ -1,43 +1,28 @@
 //! Shared machinery for the WSD operators.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use maybms_relational::{BoundExpr, Error, Expr, Result, Schema, Tuple, Value};
 
 use crate::cell::Cell;
 use crate::component::RowRef;
 use crate::field::{Field, Tid};
-use crate::wsd::{Existence, TemplateCell, Wsd};
+use crate::wsd::{Existence, RelTemplate, TemplateCell, TupleTemplate, Wsd};
 
-/// A snapshot of one template tuple, taken before mutation begins so the
-/// borrow checker stays happy while operators rewrite the WSD.
-#[derive(Debug, Clone)]
-pub(crate) struct TupleInfo {
-    pub tid: Tid,
-    pub cells: Vec<TemplateCell>,
-    pub exists: Existence,
-}
-
-/// Snapshots all tuples of a relation together with its schema.
-pub(crate) fn snapshot(wsd: &Wsd, rel: &str) -> Result<(Schema, Vec<TupleInfo>)> {
-    let tpl = wsd.relation(rel)?;
-    let infos = tpl
-        .tuples
-        .iter()
-        .map(|t| TupleInfo {
-            tid: t.tid,
-            cells: t.cells.clone(),
-            exists: t.exists,
-        })
-        .collect();
-    Ok((tpl.schema.clone(), infos))
+/// The input relation an operator reads while it rewrites the WSD: a
+/// shared handle on its template, O(1). Should the operator write to
+/// that same relation, the write copies it away from this handle, so
+/// drop the handle first to write in place.
+pub(crate) fn snapshot(wsd: &Wsd, rel: &str) -> Result<Arc<RelTemplate>> {
+    wsd.shared_relation(rel).cloned()
 }
 
 /// The open fields of a tuple restricted to the given attribute positions,
 /// with their current component locations.
 pub(crate) fn open_fields_at(
     wsd: &Wsd,
-    t: &TupleInfo,
+    t: &TupleTemplate,
     positions: &[usize],
 ) -> Result<Vec<(usize, (usize, usize))>> {
     let mut out = Vec::new();
@@ -53,13 +38,16 @@ pub(crate) fn open_fields_at(
 }
 
 /// All open attribute fields of a tuple.
-pub(crate) fn all_open_fields(wsd: &Wsd, t: &TupleInfo) -> Result<Vec<(usize, (usize, usize))>> {
+pub(crate) fn all_open_fields(
+    wsd: &Wsd,
+    t: &TupleTemplate,
+) -> Result<Vec<(usize, (usize, usize))>> {
     let all: Vec<usize> = (0..t.cells.len()).collect();
     open_fields_at(wsd, t, &all)
 }
 
 /// The existence location of a tuple, if its existence is open.
-pub(crate) fn exists_loc(wsd: &Wsd, t: &TupleInfo) -> Result<Option<(usize, usize)>> {
+pub(crate) fn exists_loc(wsd: &Wsd, t: &TupleTemplate) -> Result<Option<(usize, usize)>> {
     match t.exists {
         Existence::Always => Ok(None),
         Existence::Open => wsd
@@ -93,7 +81,7 @@ pub(crate) fn eval_partial(bound: &BoundExpr, arity: usize, vals: &HashMap<usize
 }
 
 /// Fetches the certain values of a tuple at the given positions.
-pub(crate) fn certain_values_at(t: &TupleInfo, positions: &[usize]) -> HashMap<usize, Value> {
+pub(crate) fn certain_values_at(t: &TupleTemplate, positions: &[usize]) -> HashMap<usize, Value> {
     let mut m = HashMap::new();
     for &pos in positions {
         if let TemplateCell::Certain(v) = &t.cells[pos] {
@@ -109,7 +97,7 @@ pub(crate) fn certain_values_at(t: &TupleInfo, positions: &[usize]) -> HashMap<u
 pub(crate) fn alias_cells(
     wsd: &mut Wsd,
     new_tid: Tid,
-    src: &TupleInfo,
+    src: &TupleTemplate,
     src_positions: &[usize],
 ) -> Result<Vec<TemplateCell>> {
     let mut cells = Vec::with_capacity(src_positions.len());
@@ -163,7 +151,7 @@ where
 /// Re-emits a tuple unchanged into `out`: identity cells (open fields
 /// aliased), existence inherited. Shared by selection's static keep path
 /// and dedup.
-pub(crate) fn emit_passthrough(wsd: &mut Wsd, t: &TupleInfo, out: &str) -> Result<()> {
+pub(crate) fn emit_passthrough(wsd: &mut Wsd, t: &TupleTemplate, out: &str) -> Result<()> {
     let new_tid = wsd.fresh_tid();
     let all: Vec<usize> = (0..t.cells.len()).collect();
     let cells = alias_cells(wsd, new_tid, t, &all)?;
@@ -174,7 +162,7 @@ pub(crate) fn emit_passthrough(wsd: &mut Wsd, t: &TupleInfo, out: &str) -> Resul
             Existence::Open
         }
     };
-    wsd.push_template(out, crate::wsd::TupleTemplate { tid: new_tid, cells, exists })
+    wsd.push_template(out, TupleTemplate { tid: new_tid, cells: cells.into(), exists })
 }
 
 /// Whether the tuple is dead in this row of the merged component: some of
@@ -190,7 +178,7 @@ pub(crate) fn dead_in_row(row: RowRef<'_>, cols: &[usize]) -> bool {
 pub(crate) fn possible_values_of(
     wsd: &Wsd,
     _rel: &str,
-    t: &TupleInfo,
+    t: &TupleTemplate,
     pos: usize,
 ) -> Result<Vec<Value>> {
     match &t.cells[pos] {

@@ -7,6 +7,8 @@
 //! values overlap `t`'s on every column are considered, and only the
 //! components those candidates actually touch are merged.
 
+use std::sync::Arc;
+
 use maybms_relational::{Result, Value};
 
 use crate::cell::Cell;
@@ -15,20 +17,20 @@ use crate::wsd::{Existence, TemplateCell, TupleTemplate, Wsd};
 
 use super::common::{
     add_exists_column, alias_cells, all_open_fields, dead_in_row, exists_loc, possible_values_of,
-    snapshot, values_intersect, TupleInfo,
+    snapshot, values_intersect,
 };
 
 /// input_l − input_r → out.
 pub fn difference_op(wsd: &mut Wsd, left: &str, right: &str, out: &str) -> Result<()> {
-    let (ls, lt) = snapshot(wsd, left)?;
-    let (rs, rt) = snapshot(wsd, right)?;
-    ls.union_compatible(&rs)?;
-    let arity = ls.len();
-    wsd.add_relation(out, ls.clone())?;
+    let (l, r) = (snapshot(wsd, left)?, snapshot(wsd, right)?);
+    l.schema.union_compatible(&r.schema)?;
+    let arity = l.schema.len();
+    wsd.add_relation(out, l.schema.clone())?;
+    let (lt, rt) = (&l.tuples, &r.tuples);
 
     // possible values per right tuple per column (for pruning)
     let mut r_poss: Vec<Vec<Vec<Value>>> = Vec::with_capacity(rt.len());
-    for s in &rt {
+    for s in rt {
         let mut cols = Vec::with_capacity(arity);
         for pos in 0..arity {
             cols.push(possible_values_of(wsd, right, s, pos)?);
@@ -36,13 +38,13 @@ pub fn difference_op(wsd: &mut Wsd, left: &str, right: &str, out: &str) -> Resul
         r_poss.push(cols);
     }
 
-    for t in &lt {
+    for t in lt {
         let mut t_poss: Vec<Vec<Value>> = Vec::with_capacity(arity);
         for pos in 0..arity {
             t_poss.push(possible_values_of(wsd, left, t, pos)?);
         }
         // candidate right tuples: overlap on every column
-        let candidates: Vec<&TupleInfo> = rt
+        let candidates: Vec<&TupleTemplate> = rt
             .iter()
             .enumerate()
             .filter(|(i, _)| {
@@ -64,7 +66,7 @@ pub fn difference_op(wsd: &mut Wsd, left: &str, right: &str, out: &str) -> Resul
                     Existence::Open
                 }
             };
-            wsd.push_template(out, TupleTemplate { tid: new_tid, cells, exists })?;
+            wsd.push_template(out, TupleTemplate { tid: new_tid, cells: cells.into(), exists })?;
             continue;
         }
 
@@ -77,7 +79,7 @@ pub fn difference_op(wsd: &mut Wsd, left: &str, right: &str, out: &str) -> Resul
         if t_all_certain && t.exists == Existence::Always {
             let killed = candidates.iter().any(|s| {
                 s.exists == Existence::Always
-                    && s.cells.iter().zip(&t.cells).all(|(a, b)| match (a, b) {
+                    && s.cells.iter().zip(t.cells.iter()).all(|(a, b)| match (a, b) {
                         (TemplateCell::Certain(x), TemplateCell::Certain(y)) => x == y,
                         _ => false,
                     })
@@ -109,7 +111,7 @@ pub fn difference_op(wsd: &mut Wsd, left: &str, right: &str, out: &str) -> Resul
             let cells = alias_cells(wsd, new_tid, t, &identity)?;
             wsd.push_template(
                 out,
-                TupleTemplate { tid: new_tid, cells, exists: Existence::Always },
+                TupleTemplate { tid: new_tid, cells: cells.into(), exists: Existence::Always },
             )?;
             continue;
         }
@@ -123,7 +125,7 @@ pub fn difference_op(wsd: &mut Wsd, left: &str, right: &str, out: &str) -> Resul
             t_watch.push(col);
         }
         struct Cand {
-            cells: Vec<TemplateCell>,
+            cells: Arc<[TemplateCell]>,
             open: Vec<(usize, usize)>, // (position, merged column)
             watch: Vec<usize>,
         }
@@ -198,7 +200,7 @@ pub fn difference_op(wsd: &mut Wsd, left: &str, right: &str, out: &str) -> Resul
         let cells = alias_cells(wsd, new_tid, t, &identity)?;
         wsd.push_template(
             out,
-            TupleTemplate { tid: new_tid, cells, exists: Existence::Open },
+            TupleTemplate { tid: new_tid, cells: cells.into(), exists: Existence::Open },
         )?;
     }
     Ok(())

@@ -38,6 +38,7 @@
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
+use std::sync::Arc;
 
 use maybms_relational::{Error, Expr, Result, Value};
 
@@ -71,9 +72,10 @@ impl DmlReport {
 /// `DELETE FROM rel WHERE pred` on the decomposition (`pred = None`
 /// deletes every tuple). Normalizes afterwards.
 pub fn delete_op(wsd: &mut Wsd, rel: &str, pred: Option<&Expr>) -> Result<DmlReport> {
-    let (schema, tuples) = snapshot(wsd, rel)?;
+    let input = snapshot(wsd, rel)?;
+    let (schema, tuples) = (&input.schema, &input.tuples);
     let bound = match pred {
-        Some(p) => Some(bind_pred(p, &schema)?),
+        Some(p) => Some(bind_pred(p, schema)?),
         None => None,
     };
     let arity = schema.len();
@@ -81,7 +83,7 @@ pub fn delete_op(wsd: &mut Wsd, rel: &str, pred: Option<&Expr>) -> Result<DmlRep
     let mut removed: Vec<Tid> = Vec::new();
     let mut replaced: Vec<(Tid, TupleTemplate)> = Vec::new();
 
-    for t in &tuples {
+    for t in tuples {
         let Some((bound, positions)) = &bound else {
             // unconditional DELETE: the tuple is gone from every world
             removed.push(t.tid);
@@ -149,11 +151,12 @@ pub fn delete_op(wsd: &mut Wsd, rel: &str, pred: Option<&Expr>) -> Result<DmlRep
         let cells = alias_cells(wsd, new_tid, t, &identity)?;
         replaced.push((
             t.tid,
-            TupleTemplate { tid: new_tid, cells, exists: Existence::Open },
+            TupleTemplate { tid: new_tid, cells: cells.into(), exists: Existence::Open },
         ));
         report.conditioned += 1;
     }
 
+    drop(input); // so the edits below copy the relation only if a clone shares it
     apply_template_edits(wsd, rel, removed, replaced, Vec::new());
     normalize::normalize(wsd);
     Ok(report)
@@ -169,7 +172,8 @@ pub fn update_op(
     set: &[(String, Value)],
     pred: Option<&Expr>,
 ) -> Result<DmlReport> {
-    let (schema, tuples) = snapshot(wsd, rel)?;
+    let input = snapshot(wsd, rel)?;
+    let (schema, tuples) = (&input.schema, &input.tuples);
     if set.is_empty() {
         return Err(Error::InvalidExpr("UPDATE with an empty SET list".into()));
     }
@@ -185,7 +189,7 @@ pub fn update_op(
         assignments.push((pos, v.clone()));
     }
     let bound = match pred {
-        Some(p) => Some(bind_pred(p, &schema)?),
+        Some(p) => Some(bind_pred(p, schema)?),
         None => None,
     };
     let arity = schema.len();
@@ -193,7 +197,7 @@ pub fn update_op(
     let mut replaced: Vec<(Tid, TupleTemplate)> = Vec::new();
     let mut edited: Vec<(Tid, Vec<(usize, Value)>)> = Vec::new();
 
-    for t in &tuples {
+    for t in tuples {
         let (open, known) = match &bound {
             Some((_, positions)) => {
                 (open_fields_at(wsd, t, positions)?, certain_values_at(t, positions))
@@ -340,7 +344,7 @@ pub fn update_op(
                 Existence::Open
             }
         };
-        replaced.push((t.tid, TupleTemplate { tid: new_tid, cells, exists }));
+        replaced.push((t.tid, TupleTemplate { tid: new_tid, cells: cells.into(), exists }));
         if statically_decided {
             report.certain += 1;
         } else {
@@ -348,6 +352,7 @@ pub fn update_op(
         }
     }
 
+    drop(input); // so the edits below copy the relation only if a clone shares it
     apply_template_edits(wsd, rel, Vec::new(), replaced, edited);
     normalize::normalize(wsd);
     Ok(report)
@@ -367,7 +372,7 @@ fn apply_template_edits(
 ) {
     let gone: HashSet<Tid> =
         removed.iter().copied().chain(replaced.iter().map(|&(old, _)| old)).collect();
-    let tpl = wsd.relations.get_mut(rel).expect("snapshotted above"); // maybms-lint: allow(no-panic-in-prod) -- the relation was snapshotted from this same map earlier in the function
+    let tpl = wsd.relation_mut(rel).expect("snapshotted above"); // maybms-lint: allow(no-panic-in-prod) -- the relation was snapshotted from this same map earlier in the function
     if !removed.is_empty() {
         let rm: HashSet<Tid> = removed.into_iter().collect();
         tpl.tuples.retain(|t| !rm.contains(&t.tid));
@@ -385,7 +390,7 @@ fn apply_template_edits(
         if let Some(&i) = slot_of.get(&tid) {
             for (pos, v) in assignments {
                 debug_assert!(matches!(tpl.tuples[i].cells[pos], TemplateCell::Certain(_)));
-                tpl.tuples[i].cells[pos] = TemplateCell::Certain(v);
+                Arc::make_mut(&mut tpl.tuples[i].cells)[pos] = TemplateCell::Certain(v);
             }
         }
     }

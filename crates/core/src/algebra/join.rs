@@ -23,17 +23,18 @@
 //! ([`join_op_nested`]), which the hash path is also tested against.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use maybms_relational::{CmpOp, Expr, Result, Value};
 
 use crate::cell::Cell;
 use crate::field::Field;
-use crate::wsd::{Existence, TupleTemplate, Wsd};
+use crate::wsd::{Existence, RelTemplate, TupleTemplate, Wsd};
 
 use super::common::{
     add_exists_column, alias_cells, bind_pred, bucket_by_possible_values, certain_values_at,
     dead_in_row, eval_partial, exists_loc, open_fields_at, possible_values_of, snapshot,
-    values_intersect, TupleInfo,
+    values_intersect,
 };
 use crate::exec::WorkerPool;
 
@@ -52,7 +53,7 @@ struct SidePoss {
 fn side_poss(
     wsd: &Wsd,
     rel: &str,
-    tuples: &[TupleInfo],
+    tuples: &[TupleTemplate],
     positions: impl Fn(usize) -> usize + Copy,
     npairs: usize,
 ) -> Result<SidePoss> {
@@ -69,8 +70,8 @@ fn side_poss(
 
 /// Inputs every join strategy needs, snapshotted and bound exactly once.
 struct JoinPrep {
-    lt: Vec<TupleInfo>,
-    rt: Vec<TupleInfo>,
+    l: Arc<RelTemplate>,
+    r: Arc<RelTemplate>,
     bound: maybms_relational::BoundExpr,
     positions: Vec<usize>,
     larity: usize,
@@ -89,23 +90,22 @@ fn prepare_join(
     pred: &Expr,
     out: &str,
 ) -> Result<JoinPrep> {
-    let (ls, lt) = snapshot(wsd, left)?;
-    let (rs, rt) = snapshot(wsd, right)?;
-    let out_schema = ls.concat(&rs);
-    let larity = ls.len();
+    let (l, r) = (snapshot(wsd, left)?, snapshot(wsd, right)?);
+    let out_schema = l.schema.concat(&r.schema);
+    let larity = l.schema.len();
     let eq_pairs = equality_pairs(pred, &out_schema, larity);
     let (bound, positions) = bind_pred(pred, &out_schema)?;
     let arity = out_schema.len();
     wsd.add_relation(out, out_schema)?;
-    let l_poss = side_poss(wsd, left, &lt, |k| eq_pairs[k].0, eq_pairs.len())?;
-    let r_poss = side_poss(wsd, right, &rt, |k| eq_pairs[k].1 - larity, eq_pairs.len())?;
-    Ok(JoinPrep { lt, rt, bound, positions, larity, arity, eq_pairs, l_poss, r_poss })
+    let l_poss = side_poss(wsd, left, &l.tuples, |k| eq_pairs[k].0, eq_pairs.len())?;
+    let r_poss = side_poss(wsd, right, &r.tuples, |k| eq_pairs[k].1 - larity, eq_pairs.len())?;
+    Ok(JoinPrep { l, r, bound, positions, larity, arity, eq_pairs, l_poss, r_poss })
 }
 
 /// The nested-loop pair scan shared by both entry points.
 fn nested_scan(wsd: &mut Wsd, p: &JoinPrep, out: &str) -> Result<()> {
-    for (li, t) in p.lt.iter().enumerate() {
-        for (ri, s) in p.rt.iter().enumerate() {
+    for (li, t) in p.l.tuples.iter().enumerate() {
+        for (ri, s) in p.r.tuples.iter().enumerate() {
             // prune on equality conjuncts
             let prunable = (0..p.eq_pairs.len()).any(|k| {
                 !values_intersect(&p.l_poss.per_tuple[li][k], &p.r_poss.per_tuple[ri][k])
@@ -140,7 +140,8 @@ pub fn join_op_in(
     if p.eq_pairs.is_empty() {
         return nested_scan(wsd, &p, out);
     }
-    let JoinPrep { lt, rt, bound, positions, larity, arity, eq_pairs, l_poss, r_poss } = p;
+    let JoinPrep { l, r, bound, positions, larity, arity, eq_pairs, l_poss, r_poss } = p;
+    let (lt, rt) = (&l.tuples, &r.tuples);
 
     // Partition the right side on the first equality conjunct: bucket by
     // every possible non-NULL key value (index shared with the chase).
@@ -149,7 +150,7 @@ pub fn join_op_in(
 
     // Parallel probe: per left tuple, candidate right tuples in ascending
     // order, already pruned by the residual equality conjuncts.
-    let cands: Vec<Vec<usize>> = pool.map(&lt, |li, _| {
+    let cands: Vec<Vec<usize>> = pool.map(lt, |li, _| {
         let mut cand: Vec<usize> = Vec::new();
         for v in &l_poss.per_tuple[li][0] {
             if v.is_null() {
@@ -226,8 +227,8 @@ fn emit_pair(
     positions: &[usize],
     larity: usize,
     out: &str,
-    t: &TupleInfo,
-    s: &TupleInfo,
+    t: &TupleTemplate,
+    s: &TupleTemplate,
     arity: usize,
 ) -> Result<()> {
     // positions referencing the left tuple map to t, the rest (shifted) to s
@@ -340,8 +341,8 @@ fn push_pair(
     wsd: &mut Wsd,
     out: &str,
     new_tid: crate::field::Tid,
-    t: &TupleInfo,
-    s: &TupleInfo,
+    t: &TupleTemplate,
+    s: &TupleTemplate,
     exists: Existence,
 ) -> Result<()> {
     let t_id: Vec<usize> = (0..t.cells.len()).collect();
@@ -367,7 +368,7 @@ fn push_pair(
             }
         }
     }
-    wsd.push_template(out, TupleTemplate { tid: new_tid, cells, exists })?;
+    wsd.push_template(out, TupleTemplate { tid: new_tid, cells: cells.into(), exists })?;
     Ok(())
 }
 

@@ -140,28 +140,13 @@ impl Query {
     }
 }
 
-/// Keeps only `rel` (renamed to `as_name`), drops everything else, and
-/// normalizes. This is the final step of query evaluation.
-pub fn extract(mut wsd: Wsd, rel: &str, as_name: &str) -> Result<Wsd> {
-    wsd.relation(rel)?;
-    let keep: Vec<String> = wsd
-        .relation_names()
-        .filter(|n| *n != rel)
-        .map(str::to_string)
-        .collect();
-    for name in keep {
-        wsd.remove_relation(&name)?;
-    }
-    if rel != as_name {
-        wsd.rename_relation(rel, as_name)?;
-    }
-    let kept_tids: std::collections::HashSet<crate::field::Tid> = wsd
-        .relation(as_name)?
-        .tuples
-        .iter()
-        .map(|t| t.tid)
-        .collect();
-    wsd.retain_fields(|f| kept_tids.contains(&f.tid));
-    normalize::normalize(&mut wsd);
-    Ok(wsd)
+/// The final step of query evaluation: a decomposition of `rel` alone,
+/// renamed `as_name`, built from its template and the components its
+/// fields reach (slots renumbered in increasing old index), then
+/// normalized. The rest of `wsd` is dropped without being written, so
+/// only the result is normalized ([`Wsd`]'s "Sharing").
+pub fn extract(wsd: Wsd, rel: &str, as_name: &str) -> Result<Wsd> {
+    let mut answer = wsd.into_relation(rel, as_name)?;
+    normalize::normalize(&mut answer);
+    Ok(answer)
 }

@@ -14,20 +14,20 @@ use crate::field::Field;
 use crate::wsd::{Existence, TupleTemplate, Wsd};
 
 use super::common::{
-    add_exists_column, alias_cells, dead_in_row, exists_loc, open_fields_at, snapshot, TupleInfo,
+    add_exists_column, alias_cells, dead_in_row, exists_loc, open_fields_at, snapshot,
 };
 
 /// π_cols(input) → out.
 pub fn project_op(wsd: &mut Wsd, input: &str, cols: &[&str], out: &str) -> Result<()> {
-    let (schema, tuples) = snapshot(wsd, input)?;
-    let out_schema = schema.project(cols)?;
+    let input = snapshot(wsd, input)?;
+    let out_schema = input.schema.project(cols)?;
     let keep_positions: Vec<usize> = cols
         .iter()
-        .map(|c| schema.index_of(c))
+        .map(|c| input.schema.index_of(c))
         .collect::<Result<_>>()?;
     wsd.add_relation(out, out_schema)?;
 
-    for t in &tuples {
+    for t in &input.tuples {
         project_tuple(wsd, t, &keep_positions, out)?;
     }
     Ok(())
@@ -38,7 +38,7 @@ pub fn project_op(wsd: &mut Wsd, input: &str, cols: &[&str], out: &str) -> Resul
 /// components into a fresh existence column.
 fn project_tuple(
     wsd: &mut Wsd,
-    t: &TupleInfo,
+    t: &TupleTemplate,
     keep_positions: &[usize],
     out: &str,
 ) -> Result<()> {
@@ -68,7 +68,7 @@ fn project_tuple(
             }
         };
         let cells = alias_cells(wsd, new_tid, t, keep_positions)?;
-        wsd.push_template(out, TupleTemplate { tid: new_tid, cells, exists })?;
+        wsd.push_template(out, TupleTemplate { tid: new_tid, cells: cells.into(), exists })?;
         return Ok(());
     }
 
@@ -98,7 +98,7 @@ fn project_tuple(
     let cells = alias_cells(wsd, new_tid, t, keep_positions)?;
     wsd.push_template(
         out,
-        TupleTemplate { tid: new_tid, cells, exists: Existence::Open },
+        TupleTemplate { tid: new_tid, cells: cells.into(), exists: Existence::Open },
     )?;
     Ok(())
 }

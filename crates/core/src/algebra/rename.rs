@@ -8,7 +8,7 @@ use crate::wsd::{Existence, TupleTemplate, Wsd};
 
 use super::common::{alias_cells, exists_loc, snapshot};
 
-fn copy_tuples(wsd: &mut Wsd, tuples: &[super::common::TupleInfo], out: &str) -> Result<()> {
+fn copy_tuples(wsd: &mut Wsd, tuples: &[TupleTemplate], out: &str) -> Result<()> {
     for t in tuples {
         let new_tid = wsd.fresh_tid();
         let identity: Vec<usize> = (0..t.cells.len()).collect();
@@ -20,24 +20,24 @@ fn copy_tuples(wsd: &mut Wsd, tuples: &[super::common::TupleInfo], out: &str) ->
                 Existence::Open
             }
         };
-        wsd.push_template(out, TupleTemplate { tid: new_tid, cells, exists })?;
+        wsd.push_template(out, TupleTemplate { tid: new_tid, cells: cells.into(), exists })?;
     }
     Ok(())
 }
 
 /// ρ_{from→to}(input) → out.
 pub fn rename_op(wsd: &mut Wsd, input: &str, from: &str, to: &str, out: &str) -> Result<()> {
-    let (schema, tuples) = snapshot(wsd, input)?;
-    let renamed = schema.rename(from, to)?;
+    let input = snapshot(wsd, input)?;
+    let renamed = input.schema.rename(from, to)?;
     wsd.add_relation(out, renamed)?;
-    copy_tuples(wsd, &tuples, out)
+    copy_tuples(wsd, &input.tuples, out)
 }
 
 /// Prefixes every column name with `prefix.` — used before self-joins.
 pub fn qualify_op(wsd: &mut Wsd, input: &str, prefix: &str, out: &str) -> Result<()> {
-    let (schema, tuples) = snapshot(wsd, input)?;
-    wsd.add_relation(out, schema.qualify(prefix))?;
-    copy_tuples(wsd, &tuples, out)
+    let input = snapshot(wsd, input)?;
+    wsd.add_relation(out, input.schema.qualify(prefix))?;
+    copy_tuples(wsd, &input.tuples, out)
 }
 
 #[cfg(test)]

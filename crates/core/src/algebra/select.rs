@@ -14,17 +14,17 @@ use crate::wsd::{Existence, TupleTemplate, Wsd};
 
 use super::common::{
     add_exists_column, alias_cells, bind_pred, certain_values_at, dead_in_row, emit_passthrough,
-    eval_partial, exists_loc, open_fields_at, snapshot, TupleInfo,
+    eval_partial, exists_loc, open_fields_at, snapshot,
 };
 
 /// σ_pred(input) → out.
 pub fn select_op(wsd: &mut Wsd, input: &str, pred: &Expr, out: &str) -> Result<()> {
-    let (schema, tuples) = snapshot(wsd, input)?;
-    let (bound, positions) = bind_pred(pred, &schema)?;
-    wsd.add_relation(out, schema.clone())?;
-    let arity = schema.len();
+    let input = snapshot(wsd, input)?;
+    let (bound, positions) = bind_pred(pred, &input.schema)?;
+    wsd.add_relation(out, input.schema.clone())?;
+    let arity = input.schema.len();
 
-    for t in &tuples {
+    for t in &input.tuples {
         let open = open_fields_at(wsd, t, &positions)?;
         if open.is_empty() {
             // Static decision.
@@ -46,7 +46,7 @@ pub fn select_op(wsd: &mut Wsd, input: &str, pred: &Expr, out: &str) -> Result<(
 /// rows ⊥.
 fn select_tuple_dynamic(
     wsd: &mut Wsd,
-    t: &TupleInfo,
+    t: &TupleTemplate,
     bound: &BoundExpr,
     positions: &[usize],
     arity: usize,
@@ -94,7 +94,7 @@ fn select_tuple_dynamic(
     let cells = alias_cells(wsd, new_tid, t, &identity)?;
     wsd.push_template(
         out,
-        TupleTemplate { tid: new_tid, cells, exists: Existence::Open },
+        TupleTemplate { tid: new_tid, cells: cells.into(), exists: Existence::Open },
     )?;
     Ok(())
 }

@@ -12,12 +12,11 @@ use super::common::{alias_cells, exists_loc, snapshot};
 
 /// input_l ∪ input_r → out (set semantics at the world level).
 pub fn union_op(wsd: &mut Wsd, left: &str, right: &str, out: &str) -> Result<()> {
-    let (ls, lt) = snapshot(wsd, left)?;
-    let (rs, rt) = snapshot(wsd, right)?;
-    ls.union_compatible(&rs)?;
-    wsd.add_relation(out, ls.clone())?;
+    let (l, r) = (snapshot(wsd, left)?, snapshot(wsd, right)?);
+    l.schema.union_compatible(&r.schema)?;
+    wsd.add_relation(out, l.schema.clone())?;
 
-    for t in lt.iter().chain(rt.iter()) {
+    for t in l.tuples.iter().chain(&r.tuples) {
         let new_tid = wsd.fresh_tid();
         let identity: Vec<usize> = (0..t.cells.len()).collect();
         let cells = alias_cells(wsd, new_tid, t, &identity)?;
@@ -28,7 +27,7 @@ pub fn union_op(wsd: &mut Wsd, left: &str, right: &str, out: &str) -> Result<()>
                 Existence::Open
             }
         };
-        wsd.push_template(out, TupleTemplate { tid: new_tid, cells, exists })?;
+        wsd.push_template(out, TupleTemplate { tid: new_tid, cells: cells.into(), exists })?;
     }
     Ok(())
 }

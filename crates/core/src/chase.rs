@@ -14,12 +14,12 @@ use maybms_relational::{Error, Expr, Result, Value};
 
 use crate::cell::Cell;
 use crate::normalize;
-use crate::wsd::{Existence, TemplateCell, Wsd};
+use crate::wsd::{Existence, TemplateCell, TupleTemplate, Wsd};
 
 use crate::algebra::common::{
     bind_pred, bucket_by_possible_values, certain_values_at, eval_partial,
     exists_loc as exists_loc_support, open_fields_at as open_fields_support,
-    possible_values_of, snapshot, values_intersect, TupleInfo as TupleInfoS,
+    possible_values_of, snapshot, values_intersect,
 };
 
 /// An integrity constraint.
@@ -161,7 +161,7 @@ pub fn clean(wsd: &mut Wsd, constraints: &[Constraint]) -> Result<CleaningReport
 /// Components a tuple's consistency check must observe: the open fields at
 /// `positions`, the existence field, and every other open field whose
 /// column can be ⊥ (a deletion marker elsewhere decides existence too).
-fn relevant_comps(wsd: &Wsd, t: &TupleInfoS, positions: &[usize]) -> Result<Vec<usize>> {
+fn relevant_comps(wsd: &Wsd, t: &TupleTemplate, positions: &[usize]) -> Result<Vec<usize>> {
     let mut comps: Vec<usize> = Vec::new();
     for &(_, (c, _)) in &open_fields_support(wsd, t, positions)? {
         comps.push(c);
@@ -222,11 +222,12 @@ fn enforce_tuple_check(
     report: &mut CleaningReport,
     kept_fraction: &mut f64,
 ) -> Result<()> {
-    let (schema, tuples) = snapshot(wsd, rel)?;
-    let (bound, positions) = bind_pred(pred, &schema)?;
+    let input = snapshot(wsd, rel)?;
+    let (schema, tuples) = (&input.schema, &input.tuples);
+    let (bound, positions) = bind_pred(pred, schema)?;
     let arity = schema.len();
 
-    for t in &tuples {
+    for t in tuples {
         report.checks += 1;
         let open = open_fields_support(wsd, t, &positions)?;
         let known = certain_values_at(t, &positions);
@@ -294,7 +295,7 @@ fn enforce_tuple_check(
 /// Columns (in the tuple's merged component) that must all be non-⊥ for the
 /// tuple to exist. Only valid right after `relevant_comps` + merge, when
 /// all ⊥-capable fields live in one component.
-fn alive_columns(wsd: &Wsd, t: &TupleInfoS) -> Result<Vec<usize>> {
+fn alive_columns(wsd: &Wsd, t: &TupleTemplate) -> Result<Vec<usize>> {
     let mut cols = Vec::new();
     let all: Vec<usize> = (0..t.cells.len()).collect();
     let mut comp_idx: Option<usize> = None;
@@ -321,7 +322,8 @@ fn enforce_fd(
     report: &mut CleaningReport,
     kept_fraction: &mut f64,
 ) -> Result<()> {
-    let (schema, tuples) = snapshot(wsd, rel)?;
+    let input = snapshot(wsd, rel)?;
+    let (schema, tuples) = (&input.schema, &input.tuples);
     let li: Vec<usize> = lhs
         .iter()
         .map(|c| schema.index_of(c))
@@ -343,7 +345,7 @@ fn enforce_fd(
     // the live ones after earlier deletions, so pruning stays sound (the
     // kill closure re-reads live rows).
     let mut poss: Vec<Vec<Vec<Value>>> = Vec::with_capacity(tuples.len());
-    for t in &tuples {
+    for t in tuples {
         let per: Vec<Vec<Value>> = all_pos
             .iter()
             .map(|&p| possible_values_of(wsd, rel, t, p))
@@ -480,7 +482,7 @@ fn enforce_fd(
     Ok(())
 }
 
-fn cert(t: &TupleInfoS, pos: usize) -> Option<&Value> {
+fn cert(t: &TupleTemplate, pos: usize) -> Option<&Value> {
     match &t.cells[pos] {
         TemplateCell::Certain(v) => Some(v),
         TemplateCell::Open => None,

@@ -18,6 +18,7 @@
 //! [`Error::Storage`] instead of a panic or a silently wrong database.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::sync::Arc;
 
 use maybms_relational::{Column, ColumnType, Error, Result, Schema};
 use maybms_storage::{Reader, Writer};
@@ -25,7 +26,7 @@ use maybms_storage::{Reader, Writer};
 use crate::cell::Cell;
 use crate::component::Component;
 use crate::field::{Field, FieldKind, Tid};
-use crate::wsd::{Existence, RelTemplate, TemplateCell, TupleTemplate, Wsd};
+use crate::wsd::{Existence, RelTemplate, Slot, TemplateCell, TupleTemplate, Wsd};
 
 /// Version of the payload encoding (independent of the container format).
 pub const CODEC_VERSION: u32 = 1;
@@ -112,7 +113,7 @@ pub fn encode_wsd(wsd: &Wsd) -> Vec<u8> {
                 Existence::Open => 1,
             });
             w.put_u32(t.cells.len() as u32);
-            for cell in &t.cells {
+            for cell in t.cells.iter() {
                 match cell {
                     TemplateCell::Certain(v) => {
                         w.put_u8(0);
@@ -125,9 +126,9 @@ pub fn encode_wsd(wsd: &Wsd) -> Vec<u8> {
     }
 
     // component slots, tombstones included
-    w.put_u32(wsd.components.len() as u32);
-    for slot in &wsd.components {
-        match slot {
+    w.put_u32(wsd.slots.len() as u32);
+    for slot in &wsd.slots {
+        match &slot.comp {
             None => w.put_u8(0),
             Some(c) => {
                 w.put_u8(1);
@@ -149,10 +150,10 @@ pub fn encode_wsd(wsd: &Wsd) -> Vec<u8> {
     }
 
     // reverse index, exact order preserved
-    w.put_u32(wsd.rev.len() as u32);
-    for cols in &wsd.rev {
-        w.put_u32(cols.len() as u32);
-        for fields in cols {
+    w.put_u32(wsd.slots.len() as u32);
+    for slot in &wsd.slots {
+        w.put_u32(slot.rev.len() as u32);
+        for fields in slot.rev.iter() {
             w.put_u32(fields.len() as u32);
             for &f in fields {
                 put_field(&mut w, f);
@@ -223,8 +224,7 @@ fn get_component(r: &mut Reader) -> Result<Component> {
     for _ in 0..nrows {
         probs.push(r.get_f64()?);
     }
-    let mut cols = Vec::with_capacity(nfields);
-    for _ in 0..nfields {
+    Component::from_parts(fields, probs, || {
         let dict_len = r.get_u32()? as usize;
         if dict_len > r.remaining() {
             return Err(Error::Storage(format!(
@@ -239,9 +239,8 @@ fn get_component(r: &mut Reader) -> Result<Component> {
         for _ in 0..nrows {
             codes.push(r.get_u32()?);
         }
-        cols.push((dict, codes));
-    }
-    Component::from_parts(fields, cols, probs)
+        Ok((dict, codes))
+    })
 }
 
 /// Decodes a snapshot payload back into a decomposition, verifying all
@@ -286,9 +285,11 @@ pub fn decode_wsd(bytes: &[u8]) -> Result<Wsd> {
                     }
                 });
             }
-            tuples.push(TupleTemplate { tid, cells, exists });
+            // one memcpy into the shared allocation: measured cheaper than
+            // moving the cells in one by one
+            tuples.push(TupleTemplate { tid, cells: cells.into(), exists });
         }
-        if relations.insert(name.clone(), RelTemplate { schema, tuples }).is_some() {
+        if relations.insert(name.clone(), Arc::new(RelTemplate { schema, tuples })).is_some() {
             return Err(Error::Storage(format!("duplicate relation {name} in snapshot")));
         }
     }
@@ -299,11 +300,11 @@ pub fn decode_wsd(bytes: &[u8]) -> Result<Wsd> {
             "corrupt component count {nslots} exceeds remaining payload"
         )));
     }
-    let mut components: Vec<Option<Component>> = Vec::with_capacity(nslots);
+    let mut components: Vec<Option<Arc<Component>>> = Vec::with_capacity(nslots);
     for _ in 0..nslots {
         components.push(match r.get_u8()? {
             0 => None,
-            1 => Some(get_component(&mut r)?),
+            1 => Some(Arc::new(get_component(&mut r)?)),
             t => return Err(Error::Storage(format!("unknown component slot tag {t}"))),
         });
     }
@@ -330,15 +331,17 @@ pub fn decode_wsd(bytes: &[u8]) -> Result<Wsd> {
             "reverse index covers {nrev} slots for {nslots} components"
         )));
     }
-    let mut rev = Vec::with_capacity(nrev);
-    for _ in 0..nrev {
+    // each row is read into `row` and moved into its own shared
+    // allocation: one allocation per row, as many as a `Vec` would take
+    let mut slots = Vec::with_capacity(nrev);
+    let mut row: Vec<Vec<Field>> = Vec::new();
+    for comp in components {
         let ncols = r.get_u32()? as usize;
         if ncols > r.remaining() {
             return Err(Error::Storage(format!(
                 "corrupt reverse-index width {ncols} exceeds remaining payload"
             )));
         }
-        let mut cols = Vec::with_capacity(ncols);
         for _ in 0..ncols {
             let n = r.get_u32()? as usize;
             if n > r.remaining() {
@@ -350,9 +353,9 @@ pub fn decode_wsd(bytes: &[u8]) -> Result<Wsd> {
             for _ in 0..n {
                 fields.push(get_field(&mut r)?);
             }
-            cols.push(fields);
+            row.push(fields);
         }
-        rev.push(cols);
+        slots.push(Slot { comp, rev: row.drain(..).collect() });
     }
 
     let ndirty = r.get_u32()? as usize;
@@ -361,7 +364,7 @@ pub fn decode_wsd(bytes: &[u8]) -> Result<Wsd> {
             "corrupt dirty count {ndirty} exceeds remaining payload"
         )));
     }
-    let mut dirty = BTreeSet::new();
+    let mut dirty = Vec::with_capacity(ndirty);
     for _ in 0..ndirty {
         let i = r.get_u32()? as usize;
         if i >= nslots {
@@ -369,11 +372,13 @@ pub fn decode_wsd(bytes: &[u8]) -> Result<Wsd> {
                 "dirty index {i} out of range for {nslots} component slots"
             )));
         }
-        dirty.insert(i);
+        dirty.push(i);
     }
+    // written in ascending order, so the set is built in one bulk pass
+    let dirty: BTreeSet<usize> = dirty.into_iter().collect();
     r.expect_end()?;
 
-    let wsd = Wsd::from_parts(relations, components, field_map, rev, dirty, next_tid);
+    let wsd = Wsd::from_parts(relations, slots, field_map, dirty, next_tid);
     wsd.validate()
         .map_err(|e| Error::Storage(format!("snapshot failed validation on load: {e}")))?;
     Ok(wsd)

@@ -66,6 +66,15 @@ impl Column {
         }
     }
 
+    /// Whether some dictionary entry is referenced by no code.
+    fn has_orphans(&self) -> bool {
+        let mut referenced = vec![false; self.dict.len()];
+        for &code in &self.codes {
+            referenced[code as usize] = true;
+        }
+        referenced.contains(&false)
+    }
+
     /// Re-interns the whole column from an iterator of kept row indices,
     /// dropping dictionary entries no longer referenced.
     fn compact(&mut self, kept: &[usize]) {
@@ -160,23 +169,19 @@ impl Component {
     }
 
     /// Rebuilds a component from its raw columnar parts — the snapshot
-    /// codec's constructor. Column shapes and code ranges are checked here
-    /// (a corrupt snapshot must not panic later); probabilistic invariants
-    /// are left to [`Component::validate`].
+    /// codec's constructor. `next_col` yields one `(dictionary, codes)`
+    /// column per field, in order, straight into the component's column
+    /// vector. Column shapes and code ranges are checked here (a corrupt
+    /// snapshot must not panic later); probabilistic invariants are left
+    /// to [`Component::validate`].
     pub(crate) fn from_parts(
         fields: Vec<Field>,
-        raw_cols: Vec<(Vec<Cell>, Vec<u32>)>,
         probs: Vec<f64>,
+        mut next_col: impl FnMut() -> Result<(Vec<Cell>, Vec<u32>)>,
     ) -> Result<Component> {
-        if raw_cols.len() != fields.len() {
-            return Err(Error::Storage(format!(
-                "component has {} columns for {} fields",
-                raw_cols.len(),
-                fields.len()
-            )));
-        }
-        let mut cols = Vec::with_capacity(raw_cols.len());
-        for (dict, codes) in raw_cols {
+        let mut cols = Vec::with_capacity(fields.len());
+        for _ in 0..fields.len() {
+            let (dict, codes) = next_col()?;
             if codes.len() != probs.len() {
                 return Err(Error::Storage(format!(
                     "column holds {} codes for {} rows",
@@ -422,10 +427,13 @@ impl Component {
         Component { fields, cols, probs, ragged_arity: None }
     }
 
-    /// Merges duplicate rows, summing probabilities, and drops rows with
-    /// probability below `eps` (renormalizing the remainder). Returns true
-    /// iff anything changed. Single hash pass over interned codes.
-    pub fn dedup_rows(&mut self, eps: f64) -> bool {
+    /// Plans merging duplicate rows (summing probabilities) and dropping
+    /// rows with probability below `eps` (renormalizing the remainder):
+    /// the rows to keep, first occurrences, with their new probabilities,
+    /// or `None` when nothing would change. Single hash pass over interned
+    /// codes; read-only, so a shared component is copied only when the
+    /// plan changes it ([`Component::apply_dedup`]).
+    pub(crate) fn dedup_plan(&self, eps: f64) -> Option<(Vec<usize>, Vec<f64>)> {
         let n = self.num_rows();
         let mut first_of: HashMap<Vec<u32>, usize> = HashMap::with_capacity(n);
         let mut kept_rows: Vec<usize> = Vec::new();
@@ -442,7 +450,7 @@ impl Component {
             }
         }
         if kept_rows.len() == n && probs.iter().all(|&p| p > eps) {
-            return false;
+            return None;
         }
         // Drop below-eps rows, then renormalize.
         let (kept_rows, mut probs): (Vec<usize>, Vec<f64>) = kept_rows
@@ -456,11 +464,15 @@ impl Component {
                 *p /= total;
             }
         }
+        Some((kept_rows, probs))
+    }
+
+    /// Applies a [`Component::dedup_plan`].
+    pub(crate) fn apply_dedup(&mut self, (kept_rows, probs): (Vec<usize>, Vec<f64>)) {
         for col in &mut self.cols {
             col.compact(&kept_rows);
         }
         self.probs = probs;
-        true
     }
 
     /// Retains the rows `keep` approves (by row view), compacting the
@@ -502,20 +514,20 @@ impl Component {
     pub fn compact(&mut self) -> bool {
         let all_rows: Vec<usize> = (0..self.num_rows()).collect();
         let mut changed = false;
-        for col in &mut self.cols {
-            let mut referenced = vec![false; col.dict.len()];
-            for &code in &col.codes {
-                referenced[code as usize] = true;
-            }
-            if referenced.iter().all(|&r| r) {
-                continue; // nothing orphaned; keep codes and order as-is
-            }
+        // columns with nothing orphaned keep their codes and order as-is
+        for col in self.cols.iter_mut().filter(|c| c.has_orphans()) {
             // Re-intern keeping every row: same remap logic the row-subset
             // paths (retain/dedup/project) already use.
             col.compact(&all_rows);
             changed = true;
         }
         changed
+    }
+
+    /// Whether [`Component::compact`] would change anything — a read-only
+    /// check, so a shared component is copied only when it has garbage.
+    pub(crate) fn has_garbage(&self) -> bool {
+        self.cols.iter().any(Column::has_orphans)
     }
 
     /// Rescales every probability by `1/total` (chase renormalization).
@@ -777,11 +789,11 @@ mod tests {
                 CompRow::new(vec![val("b")], 0.4),
             ],
         );
-        assert!(c.dedup_rows(0.0));
+        c.apply_dedup(c.dedup_plan(0.0).unwrap());
         assert_eq!(c.num_rows(), 2);
         c.validate().unwrap();
-        // second call is a no-op
-        assert!(!c.dedup_rows(0.0));
+        // a second pass finds nothing to do
+        assert!(c.dedup_plan(0.0).is_none());
     }
 
     #[test]

@@ -57,7 +57,7 @@ pub fn medical_wsd() -> Wsd {
         "R",
         TupleTemplate {
             tid: r1,
-            cells: vec![TemplateCell::Open, TemplateCell::Open, TemplateCell::Open],
+            cells: vec![TemplateCell::Open, TemplateCell::Open, TemplateCell::Open].into(),
             exists: Existence::Always,
         },
     )
@@ -75,7 +75,7 @@ pub fn medical_wsd() -> Wsd {
         "R",
         TupleTemplate {
             tid: r2,
-            cells: vec![TemplateCell::Open, TemplateCell::Open, TemplateCell::Open],
+            cells: vec![TemplateCell::Open, TemplateCell::Open, TemplateCell::Open].into(),
             exists: Existence::Always,
         },
     )

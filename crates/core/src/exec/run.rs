@@ -3,6 +3,12 @@
 //! calling its [`crate::algebra`] operator and materializing its answer
 //! as an intermediate relation, with the worker pool threaded through
 //! to the one parallel pass a plan has (hash-join probing).
+//!
+//! The working copy is a shared clone ([`Wsd`]'s "Sharing"): taking it
+//! copies pointers, operators copy only the components and
+//! reverse-index rows they write, and [`algebra::extract`] builds the
+//! answer from the root relation and the components it reaches — so a
+//! statement costs what it touches, not the size of the database.
 
 use std::collections::HashSet;
 use std::sync::{Arc, OnceLock};
@@ -121,8 +127,8 @@ impl<'p> Executor<'p> {
         Ok((result, trace.unwrap_or_default()))
     }
 
-    /// Evaluates the plan inside a working copy of `base` (operators add
-    /// their intermediate relations to it), then keeps only the root's.
+    /// Evaluates the plan inside a shared clone of `base` (operators add
+    /// their intermediate relations to it), then extracts the root's.
     fn run_with(
         &self,
         plan: &PhysicalPlan,
@@ -253,10 +259,10 @@ impl<'p> Executor<'p> {
 /// templates (component-backed fields or open existence) pass through
 /// untouched — their correlations make them semantically distinct.
 pub fn dedup_op(wsd: &mut Wsd, input: &str, out: &str) -> Result<()> {
-    let (schema, tuples) = snapshot(wsd, input)?;
-    wsd.add_relation(out, schema)?;
+    let input = snapshot(wsd, input)?;
+    wsd.add_relation(out, input.schema.clone())?;
     let mut seen: HashSet<Vec<Value>> = HashSet::new();
-    for t in &tuples {
+    for t in &input.tuples {
         if t.exists == Existence::Always {
             let certain: Option<Vec<Value>> = t
                 .cells
@@ -331,6 +337,41 @@ mod tests {
             Expr::col("test").eq(Expr::col("tname")),
         );
         check_against_worlds(&q, &wsd);
+    }
+
+    /// A point selection over a large base copies nothing of it: the base
+    /// re-encodes to the same bytes, and the answer holds exactly the one
+    /// component its tuple reaches — no tombstones, no other slots — and
+    /// shares it with the base instead of copying it.
+    #[test]
+    fn point_selection_answer_holds_only_what_it_reaches() {
+        use maybms_worldset::OrSetCell;
+        let mut base = Wsd::new();
+        base.add_relation("r", Schema::new(vec![("id", ColumnType::Int), ("v", ColumnType::Int)]))
+            .unwrap();
+        for id in 0..1_200i64 {
+            let v = OrSetCell::weighted(vec![(Value::Int(id), 0.5), (Value::Int(-id), 0.5)]);
+            base.push_orset("r", vec![OrSetCell::certain(id), v.unwrap()]).unwrap();
+        }
+        crate::normalize::normalize(&mut base);
+        assert!(base.num_components() >= 1_000);
+        let before = encode_wsd(&base);
+
+        let q = Query::table("r").select(Expr::col("id").eq(Expr::lit(600i64)));
+        let answer = Executor::sequential().run(&compile(&q, &base).unwrap(), &base).unwrap();
+        assert_eq!(encode_wsd(&base), before, "the base is untouched");
+        answer.validate().unwrap();
+        assert_eq!(answer.relation("result").unwrap().tuples.len(), 1);
+        assert_eq!(answer.num_component_slots(), 1);
+        assert_eq!(answer.num_components(), 1);
+        assert!(!answer.has_tombstones());
+        let tid = answer.relation("result").unwrap().tuples[0].tid;
+        let (c, _) = answer.field_loc(crate::field::Field::attr(tid, 1)).unwrap();
+        let shared = base.live_components().into_iter().any(|i| {
+            let (a, b) = (&answer.slots[c].comp, &base.slots[i].comp);
+            matches!((a, b), (Some(a), Some(b)) if std::sync::Arc::ptr_eq(a, b))
+        });
+        assert!(shared, "the answer's component is the base's, not a copy");
     }
 
     #[test]

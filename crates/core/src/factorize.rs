@@ -184,7 +184,7 @@ pub fn factorize_all(wsd: &mut Wsd) {
         for (f, col) in leftover {
             wsd.alias_field(f, remap[&col]);
         }
-        wsd.replace_component(idx, None);
+        wsd.drop_component(idx);
     }
     wsd.compact();
 }
@@ -301,7 +301,7 @@ mod tests {
             "r",
             crate::wsd::TupleTemplate {
                 tid: t,
-                cells: vec![crate::wsd::TemplateCell::Open, crate::wsd::TemplateCell::Open],
+                cells: vec![crate::wsd::TemplateCell::Open, crate::wsd::TemplateCell::Open].into(),
                 exists: crate::wsd::Existence::Always,
             },
         )

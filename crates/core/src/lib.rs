@@ -27,7 +27,7 @@
 //! # Performance architecture
 //!
 //! The paper's pitch is that `10^(10^6)`-world databases are *cheap to
-//! process*; the engine's hot paths are built around four structures that
+//! process*; the engine's hot paths are built around the structures that
 //! keep that promise at scale:
 //!
 //! **Columnar components.** A [`component::Component`] stores its cells
@@ -58,6 +58,14 @@
 //! termination; already-normalized regions are never rescanned.
 //! [`normalize::normalize_from_scratch`] is the full-pass escape hatch
 //! and the oracle reference.
+//!
+//! **Structural sharing.** A [`wsd::Wsd`] is a persistent value: its
+//! relation templates, tuple cells, components and reverse-index rows
+//! each sit behind an `Arc`, so a clone copies pointers and every
+//! mutation copies only what it writes (see the `wsd` module's
+//! "Sharing"). The executor's per-statement working copy and a writer's
+//! copy-on-write of a published snapshot therefore cost what the
+//! statement touches, not the size of the database.
 //!
 //! **Hash-partitioned joins and dense choice vectors.** When a join
 //! predicate contains a cross-side equality conjunct,

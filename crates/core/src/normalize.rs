@@ -131,8 +131,11 @@ fn drop_dead_tuples(wsd: &mut Wsd, comps: &[usize]) {
     if dead.is_empty() {
         return;
     }
+    // copy-on-write only the relations that hold a dead tuple
     for tpl in wsd.relations.values_mut() {
-        tpl.tuples.retain(|t| !dead.contains(&t.tid));
+        if tpl.tuples.iter().any(|t| dead.contains(&t.tid)) {
+            Arc::make_mut(tpl).tuples.retain(|t| !dead.contains(&t.tid));
+        }
     }
     wsd.retain_fields(|f| !dead.contains(&f.tid));
 }
@@ -177,12 +180,11 @@ fn inline_constants(wsd: &mut Wsd, comps: &[usize]) {
     }
     for (f, val) in resolved {
         let Some((rel, i)) = where_is.get(&f.tid) else { continue };
-        let t = &mut wsd.relations.get_mut(rel).expect("indexed").tuples[*i]; // maybms-lint: allow(no-panic-in-prod) -- rel names were collected from this same relations map above
+        let t = &mut wsd.relation_mut(rel).expect("indexed").tuples[*i]; // maybms-lint: allow(no-panic-in-prod) -- rel names were collected from this same relations map above
         match (f.kind, val) {
             (FieldKind::Attr(pos), Some(v)) => {
-                let cell = &mut t.cells[pos as usize];
-                if matches!(cell, TemplateCell::Open) {
-                    *cell = TemplateCell::Certain(v);
+                if matches!(t.cells[pos as usize], TemplateCell::Open) {
+                    Arc::make_mut(&mut t.cells)[pos as usize] = TemplateCell::Certain(v);
                     wsd.unmap_field(f);
                 }
             }
@@ -211,20 +213,23 @@ fn gc_columns(wsd: &mut Wsd, comps: &[usize]) {
             continue;
         }
         if keep.is_empty() {
-            wsd.replace_component(ci, None);
+            wsd.drop_component(ci);
             continue;
         }
-        let projected = comp.project_columns(&keep);
-        wsd.replace_component(ci, Some(projected));
-        wsd.remap_columns(ci, &keep);
+        wsd.project_component(ci, &keep);
         wsd.mark_dirty(ci);
     }
 }
 
-/// Step 5: merge duplicate rows in every dirty component.
+/// Step 5: merge duplicate rows in every dirty component. Planned on the
+/// (possibly shared) component; only a component that changes is copied.
 fn dedup_rows(wsd: &mut Wsd, comps: &[usize]) {
     for &ci in comps {
-        if wsd.component_mut_silent(ci).is_some_and(|c| c.dedup_rows(1e-12)) {
+        let Some(plan) = wsd.component(ci).and_then(|c| c.dedup_plan(1e-12)) else {
+            continue;
+        };
+        if let Some(c) = wsd.component_mut_silent(ci) {
+            c.apply_dedup(plan);
             wsd.mark_dirty(ci);
         }
     }
@@ -247,13 +252,13 @@ pub fn normalize(wsd: &mut Wsd) {
             components: maybms_obs::counter("normalize.components"),
         })
     }
-    let mut did_work = false;
+    let mut drained: Vec<usize> = Vec::new();
     loop {
         let dirty = wsd.take_dirty();
         if dirty.is_empty() {
             break;
         }
-        did_work = true;
+        drained.extend(&dirty);
         metrics().passes.inc();
         metrics().components.add(dirty.len() as u64);
         propagate_bottom(wsd, &dirty);
@@ -262,8 +267,10 @@ pub fn normalize(wsd: &mut Wsd) {
         gc_columns(wsd, &dirty);
         dedup_rows(wsd, &dirty);
     }
-    if did_work || wsd.has_tombstones() {
-        wsd.compact();
+    if !drained.is_empty() || wsd.has_tombstones() {
+        drained.sort_unstable();
+        drained.dedup();
+        wsd.compact_touched(&drained);
     }
 }
 
@@ -334,7 +341,7 @@ mod tests {
             "R",
             crate::wsd::TupleTemplate {
                 tid: r1,
-                cells: vec![TemplateCell::Open, TemplateCell::Open, TemplateCell::Open],
+                cells: vec![TemplateCell::Open, TemplateCell::Open, TemplateCell::Open].into(),
                 exists: Existence::Always,
             },
         )
@@ -350,7 +357,7 @@ mod tests {
             "R",
             crate::wsd::TupleTemplate {
                 tid: r2,
-                cells: vec![TemplateCell::Open, TemplateCell::Open, TemplateCell::Open],
+                cells: vec![TemplateCell::Open, TemplateCell::Open, TemplateCell::Open].into(),
                 exists: Existence::Always,
             },
         )
@@ -392,7 +399,7 @@ mod tests {
             "r",
             crate::wsd::TupleTemplate {
                 tid: t,
-                cells: vec![TemplateCell::Open],
+                cells: vec![TemplateCell::Open].into(),
                 exists: Existence::Always,
             },
         )
@@ -515,7 +522,7 @@ mod tests {
         );
         w.add_component(orphan);
         // gc keeps it while the field map still references it — so first
-        // drop the mappings, as extract() does.
+        // drop the mappings, as deleting its tuple would.
         w.clear_field_map();
         normalize(&mut w);
         assert_eq!(w.num_components(), 0);

@@ -35,8 +35,37 @@
 //! so an already-normalized region of the decomposition costs nothing.
 //! [`crate::normalize::normalize_full`] marks everything dirty first and
 //! is the full-fixpoint escape hatch (and oracle reference).
+//!
+//! # Sharing
+//!
+//! A `Wsd` is a persistent value, stored the way the paper stores one — as
+//! separate relations — so that a copy shares everything a later mutation
+//! does not touch. Each relation template sits behind its own `Arc`; so
+//! does each component, and so does each component's reverse-index row
+//! (whose column headers live in that `Arc`'s own allocation), and so do
+//! each tuple's cells. Cloning therefore costs a few reference-count
+//! increments per relation and per component slot, a flat copy of the
+//! field map (`Copy` entries) and a copy of the dirty set; no tuple, row
+//! or dictionary value is copied. Every mutator reaches what it changes
+//! through `Arc::make_mut`, which copies that one part the first time it
+//! is written while another clone still shares it, and writes in place
+//! otherwise:
+//!
+//! * pushing or removing tuples copies that relation's tuple headers;
+//!   editing a tuple also copies its cells;
+//! * aliasing or unmapping a field copies one reverse-index row, never
+//!   the component it indexes;
+//! * ⊥-marking, adding a column to or deleting rows from a component
+//!   copies that component;
+//! * merging reads its parts shared and writes a new slot; dropping a
+//!   relation or a component copies nothing.
+//!
+//! So the executor's per-statement clone and a writer's copy-on-write of
+//! a published snapshot cost what the statement touches, not the size of
+//! the database, and the clones never observe each other's writes.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::sync::Arc;
 
 use maybms_relational::{Error, Relation, Result, Schema, Tuple, Value};
 use maybms_worldset::{OrSetCell, World, WorldSet};
@@ -62,11 +91,12 @@ pub enum Existence {
     Open,
 }
 
-/// One template tuple.
+/// One template tuple. Its cells are shared, so copying a relation's
+/// template copies tuple headers, not values.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TupleTemplate {
     pub tid: Tid,
-    pub cells: Vec<TemplateCell>,
+    pub cells: Arc<[TemplateCell]>,
     pub exists: Existence,
 }
 
@@ -88,21 +118,40 @@ pub struct WsdStats {
     pub max_component_rows: usize,
 }
 
+/// One component slot: the component — `None` for a tombstone left by a
+/// merge or a drop, which keeps later indices stable until
+/// [`Wsd::compact`] — and its reverse-index row, each shared on its own,
+/// so that aliasing a field (a write to the row) never copies the
+/// component. The default slot is a tombstone (an empty shared row
+/// allocates nothing).
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Slot {
+    pub(crate) comp: Option<Arc<Component>>,
+    /// `rev[col]` lists the fields currently mapped to column `col`.
+    pub(crate) rev: Arc<[Vec<Field>]>,
+}
+
+impl Slot {
+    pub(crate) fn new(comp: Component, rev: Arc<[Vec<Field>]>) -> Slot {
+        Slot { comp: Some(Arc::new(comp)), rev }
+    }
+}
+
 /// A probabilistic world-set decomposition over a multi-relation database.
+/// Cloning shares every relation template and component slot (see the
+/// module's "Sharing" section).
 #[derive(Debug, Clone)]
 pub struct Wsd {
-    pub(crate) relations: BTreeMap<String, RelTemplate>,
-    /// Components with tombstones: merging replaces entries by `None`
-    /// while keeping indices stable; [`Wsd::compact`] drops tombstones.
-    pub(crate) components: Vec<Option<Component>>,
+    pub(crate) relations: BTreeMap<String, Arc<RelTemplate>>,
+    /// Component slots, tombstones included: merging replaces its parts
+    /// by tombstones while keeping indices stable; [`Wsd::compact`] drops
+    /// them.
+    pub(crate) slots: Vec<Slot>,
     /// field → (component index, column index). Many-to-one: derived tuples
     /// *alias* the columns of the tuples they were computed from, which is
     /// how correlations between query results and their inputs are kept.
     /// `pub(crate)` for the lossless snapshot codec ([`crate::codec`]).
     pub(crate) field_map: HashMap<Field, (usize, usize)>,
-    /// Reverse index, aligned with `components`: `rev[c][col]` lists the
-    /// fields currently mapped to `(c, col)`.
-    pub(crate) rev: Vec<Vec<Vec<Field>>>,
     /// Components touched since the last incremental normalize.
     pub(crate) dirty: BTreeSet<usize>,
     pub(crate) next_tid: u64,
@@ -130,9 +179,8 @@ impl Wsd {
     pub fn new() -> Wsd {
         Wsd {
             relations: BTreeMap::new(),
-            components: Vec::new(),
+            slots: Vec::new(),
             field_map: HashMap::new(),
-            rev: Vec::new(),
             dirty: BTreeSet::new(),
             next_tid: 0,
             clock: 0,
@@ -175,24 +223,13 @@ impl Wsd {
     /// responsible for running [`Wsd::validate`] on the result; this does
     /// no checking itself.
     pub(crate) fn from_parts(
-        relations: BTreeMap<String, RelTemplate>,
-        components: Vec<Option<Component>>,
+        relations: BTreeMap<String, Arc<RelTemplate>>,
+        slots: Vec<Slot>,
         field_map: HashMap<Field, (usize, usize)>,
-        rev: Vec<Vec<Vec<Field>>>,
         dirty: BTreeSet<usize>,
         next_tid: u64,
     ) -> Wsd {
-        Wsd {
-            relations,
-            components,
-            field_map,
-            rev,
-            dirty,
-            next_tid,
-            clock: 0,
-            rel_epochs: BTreeMap::new(),
-            comp_epoch: 0,
-        }
+        Wsd { relations, slots, field_map, dirty, next_tid, ..Wsd::new() }
     }
 
     // ------------------------------------------------------------------
@@ -206,13 +243,29 @@ impl Wsd {
             return Err(Error::DuplicateRelation(name));
         }
         self.touch_relation(&name);
-        self.relations.insert(name, RelTemplate { schema, tuples: Vec::new() });
+        self.relations.insert(name, Arc::new(RelTemplate { schema, tuples: Vec::new() }));
         Ok(())
     }
 
     pub fn relation(&self, name: &str) -> Result<&RelTemplate> {
+        self.shared_relation(name).map(|t| &**t)
+    }
+
+    /// The relation's shared template: holding it keeps the template
+    /// readable while the decomposition is mutated (a write to this
+    /// relation meanwhile copies it away from the holder).
+    pub(crate) fn shared_relation(&self, name: &str) -> Result<&Arc<RelTemplate>> {
         self.relations
             .get(name)
+            .ok_or_else(|| Error::UnknownRelation(name.to_string()))
+    }
+
+    /// Write access to a relation's template, copying it first when a
+    /// clone still shares it.
+    pub(crate) fn relation_mut(&mut self, name: &str) -> Result<&mut RelTemplate> {
+        self.relations
+            .get_mut(name)
+            .map(Arc::make_mut)
             .ok_or_else(|| Error::UnknownRelation(name.to_string()))
     }
 
@@ -220,7 +273,11 @@ impl Wsd {
         self.relations.keys().map(String::as_str)
     }
 
-    pub fn remove_relation(&mut self, name: &str) -> Result<RelTemplate> {
+    pub fn remove_relation(&mut self, name: &str) -> Result<()> {
+        self.take_relation(name).map(drop)
+    }
+
+    fn take_relation(&mut self, name: &str) -> Result<Arc<RelTemplate>> {
         let t = self
             .relations
             .remove(name)
@@ -231,7 +288,7 @@ impl Wsd {
 
     /// Renames a relation.
     pub fn rename_relation(&mut self, from: &str, to: impl Into<String>) -> Result<()> {
-        let t = self.remove_relation(from)?;
+        let t = self.take_relation(from)?;
         let to = to.into();
         if self.relations.contains_key(&to) {
             self.relations.insert(from.to_string(), t);
@@ -255,7 +312,7 @@ impl Wsd {
     /// operators that know their output cardinality call this once instead
     /// of growing the vector push by push.
     pub(crate) fn reserve_tuples(&mut self, rel: &str, additional: usize) {
-        if let Some(tpl) = self.relations.get_mut(rel) {
+        if let Ok(tpl) = self.relation_mut(rel) {
             tpl.tuples.reserve(additional);
         }
     }
@@ -267,26 +324,23 @@ impl Wsd {
     /// Appends a certain tuple (all fields inline, exists in every world).
     pub fn push_certain(&mut self, rel: &str, values: Vec<Value>) -> Result<Tid> {
         let tid = self.fresh_tid();
-        let tpl = self
-            .relations
-            .get_mut(rel)
-            .ok_or_else(|| Error::UnknownRelation(rel.to_string()))?;
-        if values.len() != tpl.schema.len() {
+        let schema = &self.relation(rel)?.schema;
+        if values.len() != schema.len() {
             return Err(Error::TypeError(format!(
                 "tuple arity {} vs schema {}",
                 values.len(),
-                tpl.schema.len()
+                schema.len()
             )));
         }
         for (i, v) in values.iter().enumerate() {
-            if !v.matches_type(tpl.schema.column(i).ty) {
+            if !v.matches_type(schema.column(i).ty) {
                 return Err(Error::TypeError(format!(
                     "value {v} not valid for column {}",
-                    tpl.schema.column(i).name
+                    schema.column(i).name
                 )));
             }
         }
-        tpl.tuples.push(TupleTemplate {
+        self.relation_mut(rel)?.tuples.push(TupleTemplate {
             tid,
             cells: values.into_iter().map(TemplateCell::Certain).collect(),
             exists: Existence::Always,
@@ -302,10 +356,7 @@ impl Wsd {
     pub fn push_orset(&mut self, rel: &str, cells: Vec<OrSetCell>) -> Result<Tid> {
         let tid = self.fresh_tid();
         {
-            let tpl = self
-                .relations
-                .get(rel)
-                .ok_or_else(|| Error::UnknownRelation(rel.to_string()))?;
+            let tpl = self.relation(rel)?;
             if cells.len() != tpl.schema.len() {
                 return Err(Error::TypeError(format!(
                     "or-set tuple arity {} vs schema {}",
@@ -341,10 +392,9 @@ impl Wsd {
                 tcells.push(TemplateCell::Open);
             }
         }
-        let tpl = self.relations.get_mut(rel).expect("checked above"); // maybms-lint: allow(no-panic-in-prod) -- presence was checked at the top of this function
-        tpl.tuples.push(TupleTemplate {
+        self.relation_mut(rel)?.tuples.push(TupleTemplate {
             tid,
-            cells: tcells,
+            cells: tcells.into(),
             exists: Existence::Always,
         });
         self.touch_relation(rel);
@@ -355,18 +405,14 @@ impl Wsd {
     /// component columns for every `Open` cell (and for `Existence::Open`)
     /// via [`Wsd::add_component`] or [`Wsd::alias_field`].
     pub fn push_template(&mut self, rel: &str, t: TupleTemplate) -> Result<()> {
-        let tpl = self
-            .relations
-            .get_mut(rel)
-            .ok_or_else(|| Error::UnknownRelation(rel.to_string()))?;
-        if t.cells.len() != tpl.schema.len() {
+        let arity = self.relation(rel)?.schema.len();
+        if t.cells.len() != arity {
             return Err(Error::TypeError(format!(
-                "template arity {} vs schema {}",
-                t.cells.len(),
-                tpl.schema.len()
+                "template arity {} vs schema {arity}",
+                t.cells.len()
             )));
         }
-        tpl.tuples.push(t);
+        self.relation_mut(rel)?.tuples.push(t);
         self.touch_relation(rel);
         Ok(())
     }
@@ -376,21 +422,25 @@ impl Wsd {
     // ------------------------------------------------------------------
 
     fn rev_insert(&mut self, f: Field, (c, col): (usize, usize)) {
-        let cols = &mut self.rev[c];
-        if col >= cols.len() {
-            cols.resize_with(col + 1, Vec::new);
+        let rev = &mut self.slots[c].rev;
+        if col >= rev.len() {
+            // the row grows only when a column is added to the component;
+            // a row this clone owns gives up its lists instead of copying
+            let new_cols = std::iter::repeat_with(Vec::new).take(col + 1 - rev.len());
+            *rev = match Arc::get_mut(rev) {
+                Some(row) => row.iter_mut().map(std::mem::take).chain(new_cols).collect(),
+                None => rev.iter().cloned().chain(new_cols).collect(),
+            };
         }
-        cols[col].push(f);
+        Arc::make_mut(rev)[col].push(f);
     }
 
     fn rev_remove(&mut self, f: Field, (c, col): (usize, usize)) {
-        if let Some(cols) = self.rev.get_mut(c) {
-            if let Some(v) = cols.get_mut(col) {
-                if let Some(pos) = v.iter().position(|&g| g == f) {
-                    v.swap_remove(pos);
-                }
-            }
-        }
+        let Some(slot) = self.slots.get_mut(c) else { return };
+        let Some(pos) = slot.rev.get(col).and_then(|v| v.iter().position(|&g| g == f)) else {
+            return;
+        };
+        Arc::make_mut(&mut slot.rev)[col].swap_remove(pos);
     }
 
     /// Makes `field` an alias for an existing component column. Used by
@@ -423,7 +473,7 @@ impl Wsd {
     /// Drops every mapping whose field fails `pred`, marking the affected
     /// components dirty.
     pub(crate) fn retain_fields(&mut self, mut pred: impl FnMut(&Field) -> bool) {
-        let doomed: Vec<(Field, (usize, usize))> = self
+        let mut doomed: Vec<(Field, (usize, usize))> = self
             .field_map
             .iter()
             .filter(|(f, _)| !pred(f))
@@ -432,6 +482,10 @@ impl Wsd {
         if doomed.is_empty() {
             return;
         }
+        // removal order decides reverse-index order (`swap_remove`), so
+        // take it from the fields, not from this map's hash seed: two
+        // copies of one decomposition must stay byte-identical
+        doomed.sort_unstable();
         for (f, loc) in doomed {
             self.field_map.remove(&f);
             self.rev_remove(f, loc);
@@ -454,16 +508,15 @@ impl Wsd {
     /// The fields currently mapped to column `col` of component `c` — the
     /// reverse index read normalization and clustering are built on.
     pub fn fields_at(&self, c: usize, col: usize) -> &[Field] {
-        self.rev
-            .get(c)
-            .and_then(|cols| cols.get(col))
+        self.fields_of_component(c)
+            .get(col)
             .map(Vec::as_slice)
             .unwrap_or(&[])
     }
 
     /// Per-column field lists of component `c` (reverse index row).
     pub fn fields_of_component(&self, c: usize) -> &[Vec<Field>] {
-        self.rev.get(c).map(Vec::as_slice).unwrap_or(&[])
+        self.slots.get(c).map(|s| &*s.rev).unwrap_or(&[])
     }
 
     /// Number of field-map entries (all relations).
@@ -482,8 +535,8 @@ impl Wsd {
 
     /// Marks every live component dirty (full renormalization).
     pub(crate) fn mark_all_dirty(&mut self) {
-        for (i, c) in self.components.iter().enumerate() {
-            if c.is_some() {
+        for (i, s) in self.slots.iter().enumerate() {
+            if s.comp.is_some() {
                 self.dirty.insert(i);
             }
         }
@@ -493,19 +546,16 @@ impl Wsd {
     /// Drains the dirty set, returning the live indices it contained.
     pub(crate) fn take_dirty(&mut self) -> Vec<usize> {
         let taken = std::mem::take(&mut self.dirty);
-        taken
-            .into_iter()
-            .filter(|&i| self.components.get(i).map(Option::is_some).unwrap_or(false))
-            .collect()
+        taken.into_iter().filter(|&i| self.is_live(i)).collect()
+    }
+
+    fn is_live(&self, i: usize) -> bool {
+        self.slots.get(i).is_some_and(|s| s.comp.is_some())
     }
 
     /// The live components currently marked dirty (peek, for stats/tests).
     pub fn dirty_components(&self) -> Vec<usize> {
-        self.dirty
-            .iter()
-            .copied()
-            .filter(|&i| self.components.get(i).map(Option::is_some).unwrap_or(false))
-            .collect()
+        self.dirty.iter().copied().filter(|&i| self.is_live(i)).collect()
     }
 
     // ------------------------------------------------------------------
@@ -515,10 +565,10 @@ impl Wsd {
     /// Registers a component; its fields become defined in the field map
     /// (and indexed in the reverse index). The new component is dirty.
     pub fn add_component(&mut self, c: Component) -> usize {
-        let idx = self.components.len();
-        self.rev.push(vec![Vec::new(); c.num_fields()]);
+        let idx = self.slots.len();
         let fields: Vec<Field> = c.fields().to_vec();
-        self.components.push(Some(c));
+        let rev = (0..c.num_fields()).map(|_| Vec::new()).collect();
+        self.slots.push(Slot::new(c, rev));
         for (col, f) in fields.into_iter().enumerate() {
             self.alias_field(f, (idx, col));
         }
@@ -528,92 +578,93 @@ impl Wsd {
     }
 
     pub fn component(&self, idx: usize) -> Option<&Component> {
-        self.components.get(idx).and_then(|c| c.as_ref())
+        self.slots.get(idx).and_then(|s| s.comp.as_deref())
     }
 
     /// Mutable component access. Conservatively marks the component dirty —
     /// callers that only *read* should use [`Wsd::component`].
     pub fn component_mut(&mut self, idx: usize) -> Option<&mut Component> {
-        if self.components.get(idx).map(Option::is_some).unwrap_or(false) {
+        if self.is_live(idx) {
             self.dirty.insert(idx);
             self.touch_components();
         }
-        self.components.get_mut(idx).and_then(|c| c.as_mut())
+        self.component_mut_silent(idx)
     }
 
     /// Mutable access *without* dirty marking — normalization passes use
     /// this and mark explicitly only when they change something.
     pub(crate) fn component_mut_silent(&mut self, idx: usize) -> Option<&mut Component> {
-        self.components.get_mut(idx).and_then(|c| c.as_mut())
+        self.slots.get_mut(idx)?.comp.as_mut().map(Arc::make_mut)
     }
 
-    /// Replaces a component slot (normalization/factorization internals).
-    /// Dropping a component requires its reverse-index row to be empty.
-    pub(crate) fn replace_component(&mut self, idx: usize, c: Option<Component>) {
-        if c.is_none() {
-            debug_assert!(
-                self.rev[idx].iter().all(Vec::is_empty),
-                "dropping component {idx} with mapped fields"
-            );
-            self.rev[idx].clear();
-        }
-        self.components[idx] = c;
+    /// Drops a component (normalization/factorization internals), leaving
+    /// a tombstone. Its reverse-index row must be empty.
+    pub(crate) fn drop_component(&mut self, idx: usize) {
+        debug_assert!(
+            self.slots[idx].rev.iter().all(Vec::is_empty),
+            "dropping component {idx} with mapped fields"
+        );
+        self.slots[idx] = Slot::default();
         self.touch_components();
     }
 
-    /// After a component was projected onto `keep` (old column indices, in
-    /// the new order), rewrites the field map and reverse index of its
-    /// surviving columns. Columns not in `keep` must be unreferenced.
-    pub(crate) fn remap_columns(&mut self, idx: usize, keep: &[usize]) {
-        let old_row = std::mem::take(&mut self.rev[idx]);
-        let mut new_row: Vec<Vec<Field>> = vec![Vec::new(); keep.len()];
-        for (new_col, &old_col) in keep.iter().enumerate() {
-            let fields = old_row.get(old_col).cloned().unwrap_or_default();
-            for &f in &fields {
-                self.field_map.insert(f, (idx, new_col));
-            }
-            new_row[new_col] = fields;
-        }
+    /// Projects component `idx` onto `keep` (old column indices, in the
+    /// new order; see [`Component::project_columns`]) and rewrites the
+    /// field map and reverse index of its surviving columns. Columns not
+    /// in `keep` must be unreferenced.
+    pub(crate) fn project_component(&mut self, idx: usize, keep: &[usize]) {
+        let slot = &self.slots[idx];
+        let Some(comp) = &slot.comp else { return };
         debug_assert!(
-            old_row
+            slot.rev
                 .iter()
                 .enumerate()
                 .all(|(c, v)| keep.contains(&c) || v.is_empty()),
-            "remap_columns dropped a referenced column of component {idx}"
+            "project_component dropped a referenced column of component {idx}"
         );
-        self.rev[idx] = new_row;
+        let projected = comp.project_columns(keep);
+        let rev: Arc<[Vec<Field>]> = keep
+            .iter()
+            .map(|&old_col| slot.rev.get(old_col).cloned().unwrap_or_default())
+            .collect();
+        for (new_col, fields) in rev.iter().enumerate() {
+            for &f in fields {
+                self.field_map.insert(f, (idx, new_col));
+            }
+        }
+        self.slots[idx] = Slot::new(projected, rev);
         self.touch_components();
     }
 
     /// Indices of live (non-tombstoned) components.
     pub fn live_components(&self) -> Vec<usize> {
-        self.components
-            .iter()
-            .enumerate()
-            .filter_map(|(i, c)| c.as_ref().map(|_| i))
-            .collect()
+        (0..self.slots.len()).filter(|&i| self.is_live(i)).collect()
+    }
+
+    fn live(&self) -> impl Iterator<Item = &Component> {
+        self.slots.iter().filter_map(|s| s.comp.as_deref())
     }
 
     pub fn num_components(&self) -> usize {
-        self.components.iter().filter(|c| c.is_some()).count()
+        self.live().count()
     }
 
     /// Total component slots including tombstones — the length dense
     /// choice vectors must have.
     pub fn num_component_slots(&self) -> usize {
-        self.components.len()
+        self.slots.len()
     }
 
     /// Whether any component slot is a tombstone (merged/dropped).
     pub fn has_tombstones(&self) -> bool {
-        self.components.iter().any(Option::is_none)
+        self.slots.iter().any(|s| s.comp.is_none())
     }
 
     /// Merges the given components into one (their relational product) and
     /// returns its index. All field-map entries pointing into the merged
     /// components are retargeted **through the reverse index** — O(fields
     /// of the merged components), not O(all fields). Duplicate indices are
-    /// tolerated.
+    /// tolerated. The parts are read shared and left as tombstones.
     pub fn merge_components(&mut self, indices: &[usize]) -> Result<usize> {
         let mut idxs: Vec<usize> = indices.to_vec();
         idxs.sort_unstable();
@@ -624,38 +675,35 @@ impl Wsd {
         if idxs.len() == 1 {
             return Ok(idxs[0]);
         }
-        // Take the parts (leaving tombstones) and compute column offsets.
-        let mut parts: Vec<(usize, Component)> = Vec::with_capacity(idxs.len());
-        for &i in &idxs {
-            let c = self.components[i]
-                .take()
-                .ok_or_else(|| Error::InvalidExpr(format!("component {i} is dead")))?;
-            parts.push((i, c));
-        }
-        let mut offsets: Vec<(usize, usize)> = Vec::with_capacity(parts.len());
-        let mut acc = 0usize;
-        for (i, c) in &parts {
-            offsets.push((*i, acc));
-            acc += c.num_fields();
-        }
-        let mut it = parts.into_iter();
-        let (_, first) = it.next().expect("nonempty"); // maybms-lint: allow(no-panic-in-prod) -- callers pass a nonempty group; an empty one is a broken decomposition invariant
-        let merged = it.fold(first, |a, (_, b)| a.product(&b));
-        let width = merged.num_fields();
+        let parts: Vec<&Component> = idxs
+            .iter()
+            .map(|&i| {
+                self.component(i)
+                    .ok_or_else(|| Error::InvalidExpr(format!("component {i} is dead")))
+            })
+            .collect::<Result<_>>()?;
+        let merged = parts[2..]
+            .iter()
+            .fold(parts[0].product(parts[1]), |acc, p| acc.product(p));
 
-        let new_idx = self.components.len();
-        self.components.push(Some(merged));
-        self.rev.push(vec![Vec::new(); width]);
-        // Retarget exactly the fields indexed under the merged parts.
-        for &(old_idx, off) in &offsets {
-            let old_cols = std::mem::take(&mut self.rev[old_idx]);
-            for (col, fields) in old_cols.into_iter().enumerate() {
-                for f in fields {
-                    let new_loc = (new_idx, off + col);
-                    self.field_map.insert(f, new_loc);
-                    self.rev[new_idx][off + col].push(f);
+        // Retarget exactly the fields indexed under the merged parts, at
+        // each part's column offset.
+        let new_idx = self.slots.len();
+        let mut rev: Vec<Vec<Field>> = Vec::with_capacity(merged.num_fields());
+        for &old_idx in &idxs {
+            let old = &self.slots[old_idx];
+            let width = old.comp.as_deref().map_or(0, Component::num_fields);
+            for col in 0..width {
+                let fields = old.rev.get(col).cloned().unwrap_or_default();
+                for &f in &fields {
+                    self.field_map.insert(f, (new_idx, rev.len()));
                 }
+                rev.push(fields);
             }
+        }
+        self.slots.push(Slot::new(merged, rev.into()));
+        for &old_idx in &idxs {
+            self.slots[old_idx] = Slot::default();
             self.dirty.remove(&old_idx);
         }
         self.dirty.insert(new_idx);
@@ -695,7 +743,7 @@ impl Wsd {
     /// counts (merging equal databases) require enumeration.
     pub fn world_count(&self) -> BigUint {
         let mut n = BigUint::one();
-        for c in self.components.iter().flatten() {
+        for c in self.live() {
             n = n.mul_u64(c.num_rows() as u64);
         }
         n
@@ -706,11 +754,11 @@ impl Wsd {
     /// row of component `c`; slots of dead components are ignored). No
     /// per-world allocation beyond the output relation itself.
     pub fn instantiate(&self, choice: &[usize]) -> Result<World> {
-        if choice.len() < self.components.len() {
+        if choice.len() < self.slots.len() {
             return Err(Error::InvalidExpr(format!(
                 "choice vector has {} slots for {} components",
                 choice.len(),
-                self.components.len()
+                self.slots.len()
             )));
         }
         let mut w = World::new();
@@ -783,7 +831,7 @@ impl Wsd {
             .iter()
             .map(|&i| self.component(i).expect("live").num_rows()) // maybms-lint: allow(no-panic-in-prod) -- component indices are maintained by the WSD itself; a dangling index means the decomposition is corrupt, so fail-stop
             .collect();
-        let mut choice = vec![0usize; self.components.len()];
+        let mut choice = vec![0usize; self.slots.len()];
         loop {
             let mut p = 1.0;
             for &c in &live {
@@ -815,7 +863,7 @@ impl Wsd {
     /// reverse-index consistency, template arity and typing of certain
     /// cells, open cells mapped, existence fields mapped.
     pub fn validate(&self) -> Result<()> {
-        for c in self.components.iter().flatten() {
+        for c in self.live() {
             c.validate()?;
         }
         for (f, &(c, col)) in &self.field_map {
@@ -834,7 +882,7 @@ impl Wsd {
                 )));
             }
         }
-        let rev_count: usize = self.rev.iter().flatten().map(Vec::len).sum();
+        let rev_count: usize = self.slots.iter().flat_map(|s| s.rev.iter()).map(Vec::len).sum();
         if rev_count != self.field_map.len() {
             return Err(Error::InvalidExpr(format!(
                 "reverse index holds {rev_count} entries for {} mapped fields",
@@ -903,18 +951,13 @@ impl Wsd {
                         .sum::<usize>()
             })
             .sum();
-        let comps: usize = self
-            .components
-            .iter()
-            .flatten()
-            .map(Component::size_bytes)
-            .sum();
+        let comps: usize = self.live().map(Component::size_bytes).sum();
         template + comps
     }
 
     /// Summary statistics.
     pub fn stats(&self) -> WsdStats {
-        let live: Vec<&Component> = self.components.iter().flatten().collect();
+        let live: Vec<&Component> = self.live().collect();
         WsdStats {
             relations: self.relations.len(),
             template_tuples: self.relations.values().map(|t| t.tuples.len()).sum(),
@@ -929,27 +972,41 @@ impl Wsd {
     }
 
     /// Drops tombstoned component slots, remapping the field map, reverse
-    /// index and dirty set, and garbage-collects each surviving
-    /// component's interned-cell dictionaries ([`Component::compact`]).
+    /// index and dirty set, and garbage-collects the interned-cell
+    /// dictionaries ([`Component::compact`]) of the dirty components.
     /// Call after batches of merges/deletes to keep indices dense and
     /// dictionaries tight.
     pub fn compact(&mut self) {
-        for c in self.components.iter_mut().flatten() {
-            c.compact();
-        }
-        let mut remap: Vec<Option<usize>> = vec![None; self.components.len()];
-        let mut new_comps: Vec<Option<Component>> = Vec::with_capacity(self.components.len());
-        let mut new_rev: Vec<Vec<Vec<Field>>> = Vec::with_capacity(self.rev.len());
-        let old_rev = std::mem::take(&mut self.rev);
-        for ((i, c), rev_row) in self.components.drain(..).enumerate().zip(old_rev) {
-            if let Some(c) = c {
-                remap[i] = Some(new_comps.len());
-                new_comps.push(Some(c));
-                new_rev.push(rev_row);
+        let dirty: Vec<usize> = self.dirty.iter().copied().collect();
+        self.compact_touched(&dirty);
+    }
+
+    /// [`Wsd::compact`], garbage-collecting the dictionaries of `touched`
+    /// only. Every mutation that can orphan a dictionary entry marks its
+    /// component dirty, so once a normalize has drained the dirty set the
+    /// components it drained are the only ones that can hold garbage —
+    /// everything else was compacted by an earlier normalize.
+    pub(crate) fn compact_touched(&mut self, touched: &[usize]) {
+        for &i in touched {
+            if let Some(c) = self.slots.get_mut(i).and_then(|s| s.comp.as_mut()) {
+                if c.has_garbage() {
+                    Arc::make_mut(c).compact();
+                }
             }
         }
-        self.components = new_comps;
-        self.rev = new_rev;
+        self.touch_components();
+        if !self.has_tombstones() {
+            return;
+        }
+        let mut remap: Vec<Option<usize>> = vec![None; self.slots.len()];
+        let mut kept = 0;
+        for (i, s) in self.slots.iter().enumerate() {
+            if s.comp.is_some() {
+                remap[i] = Some(kept);
+                kept += 1;
+            }
+        }
+        self.slots.retain(|s| s.comp.is_some());
         self.field_map.retain(|_, loc| remap[loc.0].is_some());
         for loc in self.field_map.values_mut() {
             loc.0 = remap[loc.0].expect("retained"); // maybms-lint: allow(no-panic-in-prod) -- retained components were assigned Some when the remap table was built above
@@ -958,7 +1015,53 @@ impl Wsd {
             .into_iter()
             .filter_map(|i| remap.get(i).copied().flatten())
             .collect();
-        self.touch_components();
+    }
+
+    /// The decomposition of relation `rel` alone, renamed `as_name`: its
+    /// template and the component slots its tuples' fields reach,
+    /// renumbered in increasing old index. The field map and each reached
+    /// slot's reverse-index row keep only the fields of `rel`'s tuples (in
+    /// their old order); a slot that lost a field, or was dirty here, is
+    /// dirty in the result (what [`crate::normalize::normalize`] then
+    /// cleans up). Costs one sequential pass over the field map and the
+    /// slot list — the size of the flat copies `clone` already made — plus
+    /// O(reached slots); nothing outside the result is written.
+    pub(crate) fn into_relation(mut self, rel: &str, as_name: &str) -> Result<Wsd> {
+        let tpl = self.take_relation(rel)?;
+        let kept: HashSet<Tid> = tpl.tuples.iter().map(|t| t.tid).collect();
+        let keep = |f: &Field| kept.contains(&f.tid);
+        let mut field_map = std::mem::take(&mut self.field_map);
+        field_map.retain(|f, _| keep(f));
+        // old slot index → new one, for the slots the kept fields reach
+        let mut renumber = vec![None; self.slots.len()];
+        for &(c, _) in field_map.values() {
+            renumber[c] = Some(0);
+        }
+        let mut out = Wsd { next_tid: self.next_tid, clock: self.clock, ..Wsd::new() };
+        let mut dirty = Vec::new();
+        for (old_idx, mut slot) in std::mem::take(&mut self.slots).into_iter().enumerate() {
+            let Some(new_idx) = renumber[old_idx].as_mut() else { continue };
+            *new_idx = out.slots.len();
+            let loses_fields = slot.rev.iter().flatten().any(|f| !keep(f));
+            if loses_fields {
+                for fields in Arc::make_mut(&mut slot.rev).iter_mut() {
+                    fields.retain(keep);
+                }
+            }
+            if loses_fields || self.dirty.contains(&old_idx) {
+                dirty.push(*new_idx);
+            }
+            out.slots.push(slot);
+        }
+        for loc in field_map.values_mut() {
+            loc.0 = renumber[loc.0].expect("reached above"); // maybms-lint: allow(no-panic-in-prod) -- every kept location was marked reached when the renumbering table was built above
+        }
+        out.field_map = field_map;
+        out.dirty = dirty.into_iter().collect();
+        out.touch_relation(as_name);
+        out.relations.insert(as_name.to_string(), tpl);
+        out.touch_components();
+        Ok(out)
     }
 }
 
@@ -969,6 +1072,76 @@ mod tests {
 
     fn schema() -> Schema {
         Schema::new(vec![("a", ColumnType::Int), ("b", ColumnType::Str)])
+    }
+
+    /// Which relations (by name) and component slots (by index) `a` and
+    /// `b` still share — the same allocation, not equal contents.
+    fn shared_parts(a: &Wsd, b: &Wsd) -> (Vec<String>, Vec<usize>) {
+        let rels = a
+            .relations
+            .iter()
+            .filter(|(n, t)| b.relations.get(*n).is_some_and(|u| Arc::ptr_eq(t, u)))
+            .map(|(n, _)| n.clone())
+            .collect();
+        let slots = a
+            .slots
+            .iter()
+            .zip(&b.slots)
+            .enumerate()
+            .filter(|(_, (s, t))| {
+                let comp = match (&s.comp, &t.comp) {
+                    (Some(c), Some(d)) => Arc::ptr_eq(c, d),
+                    (c, d) => c.is_none() && d.is_none(),
+                };
+                comp && Arc::ptr_eq(&s.rev, &t.rev)
+            })
+            .map(|(i, _)| i)
+            .collect();
+        (rels, slots)
+    }
+
+    #[test]
+    fn one_row_insert_copies_one_relation_spine_and_no_component() {
+        let mut a = orset_wsd();
+        a.add_relation("s", schema()).unwrap();
+        a.push_orset(
+            "s",
+            vec![
+                OrSetCell::uniform(vec![Value::Int(5), Value::Int(6)]).unwrap(),
+                OrSetCell::certain("y"),
+            ],
+        )
+        .unwrap();
+        let before = a.num_component_slots();
+        let mut b = a.clone();
+        let (rels, slots) = shared_parts(&a, &b);
+        assert_eq!(rels, ["r", "s"], "a clone shares every relation");
+        assert_eq!(slots, (0..before).collect::<Vec<_>>(), "and every slot");
+
+        b.push_orset(
+            "r",
+            vec![
+                OrSetCell::uniform(vec![Value::Int(7), Value::Int(8)]).unwrap(),
+                OrSetCell::certain("z"),
+            ],
+        )
+        .unwrap();
+        let (rels, slots) = shared_parts(&a, &b);
+        assert_eq!(rels, ["s"], "only the written relation was copied");
+        assert_eq!(slots, (0..before).collect::<Vec<_>>(), "no pre-existing slot was copied");
+        assert_eq!(b.num_component_slots(), before + 1);
+        assert_eq!(a.relation("r").unwrap().tuples.len(), 2, "the original is unchanged");
+        b.validate().unwrap();
+
+        // aliasing into a slot copies its reverse-index row, not its component
+        let loc = b.field_loc(Field::attr(b.relation("s").unwrap().tuples[0].tid, 0)).unwrap();
+        b.alias_field(Field::attr(Tid(1_000), 0), loc);
+        let (_, slots) = shared_parts(&a, &b);
+        assert!(!slots.contains(&loc.0));
+        assert_eq!(slots.len(), before - 1);
+        let (sa, sb) = (&a.slots[loc.0], &b.slots[loc.0]);
+        assert!(Arc::ptr_eq(sa.comp.as_ref().unwrap(), sb.comp.as_ref().unwrap()));
+        assert_eq!((a.fields_at(loc.0, 0).len(), b.fields_at(loc.0, 0).len()), (1, 2));
     }
 
     fn orset_wsd() -> Wsd {
@@ -1063,7 +1236,7 @@ mod tests {
         w.merge_components(&live).unwrap();
         w.compact();
         w.validate().unwrap();
-        assert_eq!(w.components.len(), 1);
+        assert_eq!(w.slots.len(), 1);
         assert_eq!(w.to_worldset(100).unwrap().len(), 4);
     }
 

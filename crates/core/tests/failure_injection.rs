@@ -17,7 +17,7 @@ fn unmapped_open_field_is_rejected() {
     let tid = w.fresh_tid();
     w.push_template(
         "r",
-        TupleTemplate { tid, cells: vec![TemplateCell::Open], exists: Existence::Always },
+        TupleTemplate { tid, cells: vec![TemplateCell::Open].into(), exists: Existence::Always },
     )
     .unwrap();
     assert!(w.validate().is_err());
@@ -34,7 +34,7 @@ fn unmapped_existence_is_rejected() {
         "r",
         TupleTemplate {
             tid,
-            cells: vec![TemplateCell::Certain(Value::Int(1))],
+            cells: vec![TemplateCell::Certain(Value::Int(1))].into(),
             exists: Existence::Open,
         },
     )
@@ -53,7 +53,7 @@ fn bad_component_probabilities_are_rejected() {
     ));
     w.push_template(
         "r",
-        TupleTemplate { tid, cells: vec![TemplateCell::Open], exists: Existence::Always },
+        TupleTemplate { tid, cells: vec![TemplateCell::Open].into(), exists: Existence::Always },
     )
     .unwrap();
     assert!(w.validate().is_err());
@@ -68,7 +68,7 @@ fn type_violating_certain_cell_is_rejected() {
         "r",
         TupleTemplate {
             tid,
-            cells: vec![TemplateCell::Certain(Value::str("not an int"))],
+            cells: vec![TemplateCell::Certain(Value::str("not an int"))].into(),
             exists: Existence::Always,
         },
     )
@@ -89,7 +89,7 @@ fn arity_mismatch_is_rejected() {
                 cells: vec![
                     TemplateCell::Certain(Value::Int(1)),
                     TemplateCell::Certain(Value::Int(2)),
-                ],
+                ].into(),
                 exists: Existence::Always,
             },
         )
@@ -150,7 +150,7 @@ fn queries_against_corrupt_field_maps_error() {
     manual
         .push_template(
             "r",
-            TupleTemplate { tid, cells: vec![TemplateCell::Open], exists: Existence::Always },
+            TupleTemplate { tid, cells: vec![TemplateCell::Open].into(), exists: Existence::Always },
         )
         .unwrap();
     manual.validate().unwrap();

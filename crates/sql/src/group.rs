@@ -266,10 +266,10 @@ fn writer_loop(
 /// in memory, all surviving groups under one fsync, acks strictly after
 /// it.
 fn run_batch(session: &mut Session, batch: Vec<Submission>, published: &Arc<Mutex<WsdSnapshot>>) {
-    // Lives until the acks are out: the waiting connections still share
-    // the pre-batch decomposition, and whoever drops the last reference
-    // frees it. Dropped here, after the acks, that is usually this
-    // thread — not a connection thread between its ack and its reply.
+    // The rollback point of the batch's append. The decomposition is
+    // structurally shared, so dropping the pre-batch state frees only what
+    // the batch replaced — cheap on any thread — and it is dropped as
+    // soon as the append has returned.
     let pre_batch = session.mark();
     // Apply each group in dequeue order. `survivors[i]` pairs the
     // submission with its results; groups the admission gate refuses (a
@@ -295,7 +295,9 @@ fn run_batch(session: &mut Session, batch: Vec<Submission>, published: &Arc<Mute
         return;
     }
 
-    match session.append_records(&records, Some(&pre_batch)) {
+    let appended = session.append_records(&records, Some(&pre_batch));
+    drop(pre_batch);
+    match appended {
         Ok(last_lsn) => {
             // one fsync covered `records.len()` groups; publish, then ack
             metrics().groups.add(records.len() as u64);

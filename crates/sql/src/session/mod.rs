@@ -175,7 +175,11 @@ impl QueryResult {
 ///
 /// Cloning and holding a snapshot is O(1) — it shares the state by
 /// `Arc`; the owning session copies-on-write at its next mutation, so
-/// the snapshot never changes underneath its holder. `lsn` is `0` for
+/// the snapshot never changes underneath its holder. That copy is a
+/// shared clone of the decomposition (see `maybms_core::wsd`, "Sharing"):
+/// the writer copies only the relations and components it touches, and
+/// the snapshot keeps sharing everything else, so dropping the last
+/// holder frees only what no later state still shares. `lsn` is `0` for
 /// sessions with no backing store (no log to have a position in).
 ///
 /// Snapshots are the unit of the server's snapshot isolation: the group
@@ -344,7 +348,8 @@ impl Session {
         &self.pool
     }
 
-    /// The live decomposition this session queries and mutates.
+    /// The live decomposition this session queries and mutates. Queries
+    /// run on a shared clone of it, so a statement costs what it touches.
     pub fn wsd(&self) -> &Wsd {
         &self.wsd
     }
@@ -352,7 +357,9 @@ impl Session {
     /// Mutable access to the decomposition (bypasses SQL and the WAL —
     /// durable sessions should mutate through statements instead).
     /// Copies-on-write when a snapshot, open transaction or savepoint
-    /// still shares the decomposition.
+    /// still shares the decomposition; that copy is a shared clone, and
+    /// each later write copies only the relation or component it
+    /// touches.
     pub fn wsd_mut(&mut self) -> &mut Wsd {
         Arc::make_mut(&mut self.wsd)
     }
@@ -360,7 +367,8 @@ impl Session {
     /// An immutable, LSN-stamped snapshot of the session's current state.
     ///
     /// O(1): the snapshot shares the live decomposition by `Arc`; the
-    /// session's next mutation copies-on-write away from it, so the
+    /// session's next mutation copies-on-write away from it — copying
+    /// only what that mutation touches, the rest stays shared — so the
     /// snapshot stays frozen at exactly the state (and WAL position) it
     /// was taken at, however long it is held and however far writers
     /// advance. This is the read side of the server's snapshot
