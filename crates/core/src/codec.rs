@@ -20,7 +20,7 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
-use maybms_relational::{Column, ColumnType, Error, Result, Schema};
+use maybms_relational::{Column, Error, Result, Schema};
 use maybms_storage::{Reader, Writer};
 
 use crate::cell::Cell;
@@ -56,20 +56,11 @@ fn put_cell(w: &mut Writer, c: &Cell) {
     }
 }
 
-fn column_type_tag(ty: ColumnType) -> u8 {
-    match ty {
-        ColumnType::Bool => 0,
-        ColumnType::Int => 1,
-        ColumnType::Float => 2,
-        ColumnType::Str => 3,
-    }
-}
-
 fn put_schema(w: &mut Writer, s: &Schema) {
     w.put_u32(s.len() as u32);
     for c in s.columns() {
         w.put_str(&c.name);
-        w.put_u8(column_type_tag(c.ty));
+        w.put_column_type(c.ty);
     }
 }
 
@@ -196,14 +187,7 @@ fn get_schema(r: &mut Reader) -> Result<Schema> {
     let mut cols = Vec::with_capacity(n.min(1 << 16));
     for _ in 0..n {
         let name = r.get_str()?;
-        let ty = match r.get_u8()? {
-            0 => ColumnType::Bool,
-            1 => ColumnType::Int,
-            2 => ColumnType::Float,
-            3 => ColumnType::Str,
-            t => return Err(Error::Storage(format!("unknown column type tag {t}"))),
-        };
-        cols.push(Column::new(name, ty));
+        cols.push(Column::new(name, r.get_column_type()?));
     }
     Ok(Schema::from_columns(cols))
 }
@@ -388,7 +372,7 @@ pub fn decode_wsd(bytes: &[u8]) -> Result<Wsd> {
 mod tests {
     use super::*;
     use crate::examples::medical_wsd;
-    use maybms_relational::Value;
+    use maybms_relational::{ColumnType, Value};
     use maybms_worldset::OrSetCell;
 
     fn demo_wsd() -> Wsd {

@@ -3,12 +3,13 @@
 //! [`WsdStats`] is the collector: it computes per-relation statistics
 //! ([`RelStats`] — row counts and per-column distinct counts, including
 //! every possible value of open fields) on demand and caches them.
-//! Invalidation is **incremental, like the dirty set**: the [`Wsd`] keeps
-//! a per-relation template epoch and a global component epoch
-//! ([`Wsd::relation_epoch`] / [`Wsd::component_epoch`]), and a cached
-//! entry is recomputed only when the epochs it was computed under have
-//! moved. Statistics of fully-certain relations survive mutations of
-//! other relations and of components entirely.
+//! An entry is keyed on the shared parts of the [`Wsd`] it read: the
+//! relation's template and, for each component slot its open fields
+//! reach, the component and the slot's reverse-index row. Every write
+//! moves the part it changes to a new allocation (see the "Sharing"
+//! section of [`crate::wsd`]), so an entry is reused exactly when every
+//! part it read is still the same allocation. Statistics survive writes
+//! to other relations and to components their relation does not reach.
 //!
 //! On top of the raw statistics sit the estimators used by the SQL
 //! optimizer's join-order search and by `EXPLAIN`:
@@ -18,14 +19,17 @@
 //! equalities, `1/3` for range predicates) and, for the physical tree, a
 //! cumulative cost in abstract "rows touched" units.
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
+use std::sync::{Arc, Weak};
 
 use maybms_relational::{CmpOp, Expr, Result, Value};
 
 use crate::algebra::Query;
+use crate::component::Component;
 use crate::exec::PhysOp;
 use crate::field::Field;
-use crate::wsd::{Existence, TemplateCell, Wsd};
+use crate::wsd::{Existence, RelTemplate, TemplateCell, Wsd};
 
 /// Statistics of one column of a relation template.
 #[derive(Debug, Clone, PartialEq)]
@@ -58,16 +62,48 @@ impl RelStats {
     }
 }
 
+/// A component slot a cached entry read: its index, its component and its
+/// reverse-index row.
+type SlotRead = (usize, Weak<Component>, Weak<[Vec<Field>]>);
+
+/// A cached [`RelStats`] and the shared parts it was computed from. Each
+/// part is held as a `Weak`, which keeps the allocation (so its address
+/// is not reused) but neither its contents nor a share of them: a write
+/// to a part moves it to a new allocation instead of copying it.
 #[derive(Debug, Clone)]
 struct CachedRel {
-    rel_epoch: u64,
-    comp_epoch: u64,
+    template: Weak<RelTemplate>,
+    /// The slots the relation's open fields reach; a field cannot move
+    /// without leaving its slot's reverse-index row. `None` when an open
+    /// field maps to no live component (a decomposition
+    /// [`Wsd::validate`] rejects), so that the entry is never reused.
+    slots: Option<Vec<SlotRead>>,
     stats: RelStats,
 }
 
+impl CachedRel {
+    /// Whether every part this entry read is still the same allocation
+    /// in `wsd`, whose template of the relation is `tpl`.
+    fn is_current(&self, wsd: &Wsd, tpl: &Arc<RelTemplate>) -> bool {
+        same(&self.template, tpl)
+            && self.slots.as_ref().is_some_and(|slots| {
+                slots.iter().all(|(i, comp, rev)| {
+                    wsd.slots.get(*i).is_some_and(|s| {
+                        s.comp.as_ref().is_some_and(|c| same(comp, c)) && same(rev, &s.rev)
+                    })
+                })
+            })
+    }
+}
+
+fn same<T: ?Sized>(w: &Weak<T>, a: &Arc<T>) -> bool {
+    std::ptr::addr_eq(w.as_ptr(), Arc::as_ptr(a))
+}
+
 /// The statistics collector: a per-relation cache of [`RelStats`] keyed
-/// by the [`Wsd`] mutation epochs. Cheap to clone when empty; intended to
-/// live next to a session and persist across queries.
+/// by the shared parts of the [`Wsd`] each entry read. Cheap to clone
+/// when empty; intended to live next to a session and persist across
+/// queries.
 #[derive(Debug, Clone, Default)]
 pub struct WsdStats {
     cache: HashMap<String, CachedRel>,
@@ -81,38 +117,21 @@ impl WsdStats {
         WsdStats::default()
     }
 
-    /// Statistics of `rel`, recomputed only if the relation's template
-    /// epoch moved — or, for relations with open fields, if any component
-    /// changed.
+    /// Statistics of `rel`, recomputed only if the relation's template,
+    /// or a component slot its open fields reach, changed.
     pub fn rel(&mut self, wsd: &Wsd, rel: &str) -> Result<&RelStats> {
-        let rel_epoch = wsd.relation_epoch(rel);
-        let comp_epoch = wsd.component_epoch();
-        let valid = match self.cache.get(rel) {
-            Some(c) => {
-                c.rel_epoch == rel_epoch
-                    && (!c.stats.has_open || c.comp_epoch == comp_epoch)
+        let tpl = wsd.shared_relation(rel)?;
+        let cached = match self.cache.entry(rel.to_string()) {
+            Entry::Occupied(e) if e.get().is_current(wsd, tpl) => {
+                self.hits += 1;
+                e.into_mut()
             }
-            None => false,
+            e => {
+                self.misses += 1;
+                e.insert_entry(compute_rel_stats(wsd, tpl)).into_mut()
+            }
         };
-        if valid {
-            self.hits += 1;
-        } else {
-            let stats = compute_rel_stats(wsd, rel)?;
-            self.misses += 1;
-            self.cache
-                .insert(rel.to_string(), CachedRel { rel_epoch, comp_epoch, stats });
-        }
-        Ok(&self.cache.get(rel).expect("just inserted").stats) // maybms-lint: allow(no-panic-in-prod) -- the entry was inserted on the previous line
-    }
-
-    /// Cardinalities (row counts) of the live components — the
-    /// decomposition-level view of how much uncertainty each component
-    /// carries.
-    pub fn component_cardinalities(&self, wsd: &Wsd) -> Vec<usize> {
-        wsd.live_components()
-            .into_iter()
-            .map(|i| wsd.component(i).expect("live").num_rows()) // maybms-lint: allow(no-panic-in-prod) -- component indices are maintained by the WSD itself; a dangling index means the decomposition is corrupt, so fail-stop
-            .collect()
+        Ok(&cached.stats)
     }
 
     /// `(cache hits, recomputations)` since construction — the
@@ -122,8 +141,7 @@ impl WsdStats {
     }
 }
 
-fn compute_rel_stats(wsd: &Wsd, rel: &str) -> Result<RelStats> {
-    let tpl = wsd.relation(rel)?;
+fn compute_rel_stats(wsd: &Wsd, tpl: &Arc<RelTemplate>) -> CachedRel {
     let ncols = tpl.schema.len();
     let mut sets: Vec<HashSet<Value>> = vec![HashSet::new(); ncols];
     let mut open: Vec<bool> = vec![false; ncols];
@@ -131,6 +149,8 @@ fn compute_rel_stats(wsd: &Wsd, rel: &str) -> Result<RelStats> {
     // Possible values of a component column are scanned once even when
     // many open fields alias the same column.
     let mut col_cache: HashMap<(usize, usize), Vec<Value>> = HashMap::new();
+    let mut reached = Vec::new();
+    let mut complete = true;
     for t in &tpl.tuples {
         if t.exists == Existence::Open {
             has_open = true;
@@ -143,15 +163,18 @@ fn compute_rel_stats(wsd: &Wsd, rel: &str) -> Result<RelStats> {
                 TemplateCell::Open => {
                     open[i] = true;
                     has_open = true;
-                    if let Some(loc) = wsd.field_loc(Field::attr(t.tid, i as u32)) {
-                        let vals = col_cache.entry(loc).or_insert_with(|| {
-                            wsd.component(loc.0)
-                                .map(|c| c.possible_values_col(loc.1))
-                                .unwrap_or_default()
-                        });
-                        for v in vals.iter() {
-                            sets[i].insert(v.clone());
-                        }
+                    let Some(loc) = wsd.field_loc(Field::attr(t.tid, i as u32)) else {
+                        complete = false;
+                        continue;
+                    };
+                    let vals = col_cache.entry(loc).or_insert_with(|| {
+                        reached.push(loc.0);
+                        wsd.component(loc.0)
+                            .map(|c| c.possible_values_col(loc.1))
+                            .unwrap_or_default()
+                    });
+                    for v in vals.iter() {
+                        sets[i].insert(v.clone());
                     }
                 }
             }
@@ -164,7 +187,21 @@ fn compute_rel_stats(wsd: &Wsd, rel: &str) -> Result<RelStats> {
             has_open: open[i],
         })
         .collect();
-    Ok(RelStats { rows: tpl.tuples.len(), has_open, cols })
+    reached.sort_unstable();
+    reached.dedup();
+    // `None` as soon as one reached slot is dead
+    let slots: Option<Vec<SlotRead>> = reached
+        .into_iter()
+        .map(|c| {
+            let s = wsd.slots.get(c)?;
+            Some((c, Arc::downgrade(s.comp.as_ref()?), Arc::downgrade(&s.rev)))
+        })
+        .collect();
+    CachedRel {
+        template: Arc::downgrade(tpl),
+        slots: slots.filter(|_| complete),
+        stats: RelStats { rows: tpl.tuples.len(), has_open, cols },
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -458,6 +495,8 @@ pub fn estimate_phys(op: &PhysOp, wsd: &Wsd, stats: &mut WsdStats) -> Result<Phy
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cell::Cell;
+    use crate::field::Tid;
     use maybms_relational::{ColumnType, Schema};
     use maybms_worldset::OrSetCell;
 
@@ -541,6 +580,63 @@ mod tests {
         assert_eq!(rs.distinct_of("a"), Some(5)); // {1,2,9} ∪ {4,5}
         let (_, misses_after) = s.counters();
         assert_eq!(misses_after, misses_before + 1, "merge must recompute");
+
+        // So does a ⊥-write to a reached slot: 4 is no longer possible.
+        let tid = w.relation("r").unwrap().tuples[3].tid;
+        let (c, col) = w.field_loc(Field::attr(tid, 0)).unwrap();
+        let comp = w.component_mut(c).unwrap();
+        for row in 0..comp.num_rows() {
+            if comp.cell(row, col) == &Cell::Val(Value::Int(4)) {
+                comp.set_bottom(row, col);
+            }
+        }
+        assert_eq!(s.rel(&w, "r").unwrap().distinct_of("a"), Some(4)); // {1,2,9} ∪ {5}
+        assert_eq!(s.counters().1, misses_after + 1, "a ⊥-write must recompute");
+
+        // ... an alias into a reached slot ...
+        w.alias_field(Field::attr(Tid(1_000), 0), (c, col));
+        let _ = s.rel(&w, "r").unwrap();
+        assert_eq!(s.counters().1, misses_after + 2, "an alias must recompute");
+
+        // ... and a compact that renumbers it (the merge left tombstones).
+        w.compact();
+        assert_ne!(w.field_loc(Field::attr(tid, 0)), Some((c, col)));
+        assert_eq!(s.rel(&w, "r").unwrap().distinct_of("a"), Some(4));
+        assert_eq!(s.counters().1, misses_after + 3, "a compact must recompute");
+
+        // An or-set insert into another relation reaches no slot r reads.
+        w.add_relation("s", Schema::new(vec![("c", ColumnType::Int)])).unwrap();
+        w.push_orset("s", vec![OrSetCell::uniform(vec![Value::Int(1), Value::Int(2)]).unwrap()])
+            .unwrap();
+        let (hits, misses) = s.counters();
+        assert_eq!(s.rel(&w, "r").unwrap().distinct_of("a"), Some(4));
+        assert_eq!(s.counters(), (hits + 1, misses), "an unreached write must keep the entry");
+    }
+
+    #[test]
+    fn one_collector_tells_equally_built_decompositions_apart() {
+        // the same calls with other values: only the contents differ
+        let build = |alts: [i64; 2], certain: &[(i64, &str)]| {
+            let mut w = wsd_with(certain);
+            w.push_orset(
+                "r",
+                vec![
+                    OrSetCell::uniform(alts.map(Value::Int).to_vec()).unwrap(),
+                    OrSetCell::certain("x"),
+                ],
+            )
+            .unwrap();
+            w
+        };
+        let a = build([7, 8], &[(1, "x"), (2, "y")]);
+        let b = build([5, 6], &[(1, "x"), (1, "x")]);
+        let mut s = WsdStats::new();
+        for _ in 0..2 {
+            let ra = s.rel(&a, "r").unwrap();
+            assert_eq!((ra.distinct_of("a"), ra.distinct_of("b")), (Some(4), Some(2)));
+            let rb = s.rel(&b, "r").unwrap();
+            assert_eq!((rb.distinct_of("a"), rb.distinct_of("b")), (Some(3), Some(1)));
+        }
     }
 
     #[test]
@@ -577,20 +673,5 @@ mod tests {
         let q3 = Query::table("r").select(Expr::col("a").gt(Expr::lit(1i64)));
         let est3 = estimate_query(&q3, &w, &mut s).unwrap();
         assert!((est3.rows - 2.0).abs() < 1e-9, "rows = {}", est3.rows);
-    }
-
-    #[test]
-    fn component_cardinalities_reported() {
-        let mut w = wsd_with(&[]);
-        w.push_orset(
-            "r",
-            vec![
-                OrSetCell::uniform(vec![Value::Int(1), Value::Int(2), Value::Int(3)]).unwrap(),
-                OrSetCell::certain("x"),
-            ],
-        )
-        .unwrap();
-        let s = WsdStats::new();
-        assert_eq!(s.component_cardinalities(&w), vec![3]);
     }
 }

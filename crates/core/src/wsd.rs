@@ -63,6 +63,12 @@
 //! So the executor's per-statement clone and a writer's copy-on-write of
 //! a published snapshot cost what the statement touches, not the size of
 //! the database, and the clones never observe each other's writes.
+//!
+//! `Arc::make_mut` also moves a part to a new allocation while only a
+//! `Weak` still points at it, so an allocation that anything observes
+//! never changes contents. That is why there is no mutation counter: the
+//! statistics cache ([`crate::stats::WsdStats`]) keys each entry on the
+//! allocations it read.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
@@ -155,18 +161,6 @@ pub struct Wsd {
     /// Components touched since the last incremental normalize.
     pub(crate) dirty: BTreeSet<usize>,
     pub(crate) next_tid: u64,
-    /// Monotone mutation clock feeding the epoch counters below.
-    pub(crate) clock: u64,
-    /// Per-relation template epochs: the clock value of the last mutation
-    /// that touched the relation's template (push/remove/rename). The
-    /// statistics collector ([`crate::stats::WsdStats`]) uses these for
-    /// cache invalidation, mirroring how the dirty set scopes incremental
-    /// normalization.
-    pub(crate) rel_epochs: BTreeMap<String, u64>,
-    /// Clock value of the last component mutation (add/merge/alias/⊥
-    /// writes/compaction). Stats of relations with open fields depend on
-    /// component contents and are invalidated by this.
-    pub(crate) comp_epoch: u64,
 }
 
 impl Default for Wsd {
@@ -183,39 +177,7 @@ impl Wsd {
             field_map: HashMap::new(),
             dirty: BTreeSet::new(),
             next_tid: 0,
-            clock: 0,
-            rel_epochs: BTreeMap::new(),
-            comp_epoch: 0,
         }
-    }
-
-    // ------------------------------------------------------------------
-    // Epoch bookkeeping (statistics invalidation)
-    // ------------------------------------------------------------------
-
-    fn tick(&mut self) -> u64 {
-        self.clock += 1;
-        self.clock
-    }
-
-    fn touch_relation(&mut self, rel: &str) {
-        let t = self.tick();
-        self.rel_epochs.insert(rel.to_string(), t);
-    }
-
-    fn touch_components(&mut self) {
-        self.comp_epoch = self.tick();
-    }
-
-    /// Epoch of the last template mutation of `rel` (0 if never mutated).
-    /// Together with [`Wsd::component_epoch`] this keys the stats cache.
-    pub fn relation_epoch(&self, rel: &str) -> u64 {
-        self.rel_epochs.get(rel).copied().unwrap_or(0)
-    }
-
-    /// Epoch of the last component mutation (0 if none yet).
-    pub fn component_epoch(&self) -> u64 {
-        self.comp_epoch
     }
 
     /// Reassembles a decomposition from its raw parts — the snapshot
@@ -229,7 +191,7 @@ impl Wsd {
         dirty: BTreeSet<usize>,
         next_tid: u64,
     ) -> Wsd {
-        Wsd { relations, slots, field_map, dirty, next_tid, ..Wsd::new() }
+        Wsd { relations, slots, field_map, dirty, next_tid }
     }
 
     // ------------------------------------------------------------------
@@ -242,7 +204,6 @@ impl Wsd {
         if self.relations.contains_key(&name) {
             return Err(Error::DuplicateRelation(name));
         }
-        self.touch_relation(&name);
         self.relations.insert(name, Arc::new(RelTemplate { schema, tuples: Vec::new() }));
         Ok(())
     }
@@ -278,12 +239,9 @@ impl Wsd {
     }
 
     fn take_relation(&mut self, name: &str) -> Result<Arc<RelTemplate>> {
-        let t = self
-            .relations
+        self.relations
             .remove(name)
-            .ok_or_else(|| Error::UnknownRelation(name.to_string()))?;
-        self.touch_relation(name);
-        Ok(t)
+            .ok_or_else(|| Error::UnknownRelation(name.to_string()))
     }
 
     /// Renames a relation.
@@ -294,7 +252,6 @@ impl Wsd {
             self.relations.insert(from.to_string(), t);
             return Err(Error::DuplicateRelation(to));
         }
-        self.touch_relation(&to);
         self.relations.insert(to, t);
         Ok(())
     }
@@ -345,7 +302,6 @@ impl Wsd {
             cells: values.into_iter().map(TemplateCell::Certain).collect(),
             exists: Existence::Always,
         });
-        self.touch_relation(rel);
         Ok(tid)
     }
 
@@ -397,7 +353,6 @@ impl Wsd {
             cells: tcells.into(),
             exists: Existence::Always,
         });
-        self.touch_relation(rel);
         Ok(tid)
     }
 
@@ -413,7 +368,6 @@ impl Wsd {
             )));
         }
         self.relation_mut(rel)?.tuples.push(t);
-        self.touch_relation(rel);
         Ok(())
     }
 
@@ -458,7 +412,6 @@ impl Wsd {
         }
         self.rev_insert(field, loc);
         self.dirty.insert(loc.0);
-        self.touch_components();
     }
 
     /// Removes a field's mapping (if any), marking its component dirty.
@@ -466,7 +419,6 @@ impl Wsd {
         if let Some(loc) = self.field_map.remove(&field) {
             self.rev_remove(field, loc);
             self.dirty.insert(loc.0);
-            self.touch_components();
         }
     }
 
@@ -491,7 +443,6 @@ impl Wsd {
             self.rev_remove(f, loc);
             self.dirty.insert(loc.0);
         }
-        self.touch_components();
     }
 
     /// Test/tooling hook: forgets all field mappings.
@@ -530,7 +481,6 @@ impl Wsd {
 
     pub(crate) fn mark_dirty(&mut self, c: usize) {
         self.dirty.insert(c);
-        self.touch_components();
     }
 
     /// Marks every live component dirty (full renormalization).
@@ -540,7 +490,6 @@ impl Wsd {
                 self.dirty.insert(i);
             }
         }
-        self.touch_components();
     }
 
     /// Drains the dirty set, returning the live indices it contained.
@@ -573,7 +522,6 @@ impl Wsd {
             self.alias_field(f, (idx, col));
         }
         self.dirty.insert(idx);
-        self.touch_components();
         idx
     }
 
@@ -586,7 +534,6 @@ impl Wsd {
     pub fn component_mut(&mut self, idx: usize) -> Option<&mut Component> {
         if self.is_live(idx) {
             self.dirty.insert(idx);
-            self.touch_components();
         }
         self.component_mut_silent(idx)
     }
@@ -605,7 +552,6 @@ impl Wsd {
             "dropping component {idx} with mapped fields"
         );
         self.slots[idx] = Slot::default();
-        self.touch_components();
     }
 
     /// Projects component `idx` onto `keep` (old column indices, in the
@@ -633,7 +579,6 @@ impl Wsd {
             }
         }
         self.slots[idx] = Slot::new(projected, rev);
-        self.touch_components();
     }
 
     /// Indices of live (non-tombstoned) components.
@@ -707,7 +652,6 @@ impl Wsd {
             self.dirty.remove(&old_idx);
         }
         self.dirty.insert(new_idx);
-        self.touch_components();
         Ok(new_idx)
     }
 
@@ -994,7 +938,6 @@ impl Wsd {
                 }
             }
         }
-        self.touch_components();
         if !self.has_tombstones() {
             return;
         }
@@ -1037,7 +980,7 @@ impl Wsd {
         for &(c, _) in field_map.values() {
             renumber[c] = Some(0);
         }
-        let mut out = Wsd { next_tid: self.next_tid, clock: self.clock, ..Wsd::new() };
+        let mut out = Wsd { next_tid: self.next_tid, ..Wsd::new() };
         let mut dirty = Vec::new();
         for (old_idx, mut slot) in std::mem::take(&mut self.slots).into_iter().enumerate() {
             let Some(new_idx) = renumber[old_idx].as_mut() else { continue };
@@ -1058,9 +1001,7 @@ impl Wsd {
         }
         out.field_map = field_map;
         out.dirty = dirty.into_iter().collect();
-        out.touch_relation(as_name);
         out.relations.insert(as_name.to_string(), tpl);
-        out.touch_components();
         Ok(out)
     }
 }

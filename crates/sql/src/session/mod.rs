@@ -235,8 +235,8 @@ pub struct Session {
     /// recoverable in place — nothing on disk was damaged.
     degraded: Option<String>,
     /// Cardinality statistics over the session's decomposition, reused
-    /// across queries; the epoch scheme inside invalidates per-relation
-    /// entries when the decomposition changes, so this never goes stale.
+    /// across queries: an entry is reused only while the shared parts of
+    /// the decomposition it read are still the same allocations.
     stats: WsdStats,
     /// The trace of the statement currently inside [`Session::execute`]:
     /// `run_select_inner` pushes its optimize/compile/execute spans here.

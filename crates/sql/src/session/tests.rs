@@ -277,6 +277,36 @@ fn explain_reports_estimates_and_analyze_actuals() {
 }
 
 #[test]
+fn estimates_follow_the_data_across_rewinds() {
+    // a rewind hands back an older decomposition, and a later write with
+    // other values rebuilds one shaped like the rewound one: statistics
+    // cached inside the transaction must not be taken for it
+    for rewind in ["ROLLBACK", "ROLLBACK TO a"] {
+        let mut s = Session::new();
+        for sql in [
+            "CREATE TABLE r (a INT)",
+            "INSERT INTO r VALUES (1)",
+            "BEGIN",
+            "SAVEPOINT a",
+            "INSERT INTO r VALUES (2)",
+            "INSERT INTO r VALUES (3)",
+        ] {
+            s.execute(sql).unwrap();
+        }
+        let txt = s.execute("EXPLAIN SELECT * FROM r").unwrap().ack().to_string();
+        assert!(txt.contains("est rows=3"), "{rewind}: inside the transaction:\n{txt}");
+        for sql in [rewind, "CREATE TABLE s (b INT)", "INSERT INTO r VALUES (4)"] {
+            s.execute(sql).unwrap();
+        }
+        let txt = s.execute("EXPLAIN SELECT * FROM r").unwrap().ack().to_string();
+        assert!(
+            txt.contains("est rows=2") && !txt.contains("est rows=3"),
+            "{rewind}: r holds 2 rows:\n{txt}"
+        );
+    }
+}
+
+#[test]
 fn show_metrics_returns_live_rows() {
     let mut s = medical_session();
     // touch the executor so at least the exec.rows counters exist

@@ -17,7 +17,7 @@
 //! length-prefixed, exact float bit patterns) with a leading format
 //! version so old logs fail loudly instead of misparsing.
 
-use maybms_relational::{BinOp, CmpOp, ColumnType, Error, Expr, Result};
+use maybms_relational::{BinOp, CmpOp, Error, Expr, Result};
 use maybms_storage::{Reader, Writer};
 
 use crate::ast::{InsertValue, RepairStmt, Statement};
@@ -55,25 +55,6 @@ pub fn is_mutation(stmt: &Statement) -> bool {
             | Statement::Update { .. }
             | Statement::Repair(_)
     )
-}
-
-fn column_type_tag(ty: ColumnType) -> u8 {
-    match ty {
-        ColumnType::Bool => 0,
-        ColumnType::Int => 1,
-        ColumnType::Float => 2,
-        ColumnType::Str => 3,
-    }
-}
-
-fn get_column_type(r: &mut Reader) -> Result<ColumnType> {
-    Ok(match r.get_u8()? {
-        0 => ColumnType::Bool,
-        1 => ColumnType::Int,
-        2 => ColumnType::Float,
-        3 => ColumnType::Str,
-        t => return Err(Error::Storage(format!("unknown column type tag {t}"))),
-    })
 }
 
 fn put_names(w: &mut Writer, names: &[String]) {
@@ -269,7 +250,7 @@ pub fn encode_statement(stmt: &Statement) -> Result<Vec<u8>> {
             w.put_u32(columns.len() as u32);
             for (n, ty) in columns {
                 w.put_str(n);
-                w.put_u8(column_type_tag(*ty));
+                w.put_column_type(*ty);
             }
         }
         Statement::DropTable { name } => {
@@ -360,7 +341,7 @@ pub fn decode_statement(bytes: &[u8]) -> Result<Statement> {
             let mut columns = Vec::with_capacity(n.min(1 << 16));
             for _ in 0..n {
                 let cname = r.get_str()?;
-                let ty = get_column_type(&mut r)?;
+                let ty = r.get_column_type()?;
                 columns.push((cname, ty));
             }
             Statement::CreateTable { name, columns }

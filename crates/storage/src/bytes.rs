@@ -7,7 +7,7 @@
 //! 754 bit pattern so round trips are bit-identical. No varints: the
 //! formats here trade a few bytes for trivially auditable framing.
 
-use maybms_relational::{Error, Result, Value};
+use maybms_relational::{ColumnType, Error, Result, Value};
 
 /// An append-only byte sink.
 #[derive(Debug, Default)]
@@ -98,6 +98,16 @@ impl Writer {
                 self.put_str(s);
             }
         }
+    }
+
+    /// Encodes a [`ColumnType`] as a one-byte tag.
+    pub fn put_column_type(&mut self, ty: ColumnType) {
+        self.put_u8(match ty {
+            ColumnType::Bool => 0,
+            ColumnType::Int => 1,
+            ColumnType::Float => 2,
+            ColumnType::Str => 3,
+        });
     }
 }
 
@@ -199,6 +209,17 @@ impl<'a> Reader<'a> {
             3 => Value::Float(self.get_f64()?),
             4 => Value::Str(self.get_str()?.into()),
             t => return Err(Error::Storage(format!("unknown value tag {t}"))),
+        })
+    }
+
+    /// Decodes a [`ColumnType`] written by [`Writer::put_column_type`].
+    pub fn get_column_type(&mut self) -> Result<ColumnType> {
+        Ok(match self.get_u8()? {
+            0 => ColumnType::Bool,
+            1 => ColumnType::Int,
+            2 => ColumnType::Float,
+            3 => ColumnType::Str,
+            t => return Err(Error::Storage(format!("unknown column type tag {t}"))),
         })
     }
 
