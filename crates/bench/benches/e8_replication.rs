@@ -74,7 +74,7 @@ fn bench_ship(c: &mut Criterion, fast: bool) {
     };
     let final_lsn = session.last_lsn().expect("durable");
     let wal_bytes = std::fs::metadata(wal_path_for(&db)).expect("wal").len();
-    let primary = Primary::new(&db);
+    let primary = Primary::new(&session).expect("durable");
 
     let mut g = c.benchmark_group("e8_replication");
     g.sample_size(10);

@@ -175,12 +175,7 @@ pub(crate) fn dead_in_row(row: RowRef<'_>, cols: &[usize]) -> bool {
 /// Possible values of the field of `t` at `pos` (singleton for certain
 /// cells), for join/difference pruning. Reads the component column directly
 /// through the field map — O(component rows), independent of relation size.
-pub(crate) fn possible_values_of(
-    wsd: &Wsd,
-    _rel: &str,
-    t: &TupleTemplate,
-    pos: usize,
-) -> Result<Vec<Value>> {
+pub(crate) fn possible_values_of(wsd: &Wsd, t: &TupleTemplate, pos: usize) -> Result<Vec<Value>> {
     match &t.cells[pos] {
         TemplateCell::Certain(v) => Ok(vec![v.clone()]),
         TemplateCell::Open => {

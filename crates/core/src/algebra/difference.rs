@@ -33,7 +33,7 @@ pub fn difference_op(wsd: &mut Wsd, left: &str, right: &str, out: &str) -> Resul
     for s in rt {
         let mut cols = Vec::with_capacity(arity);
         for pos in 0..arity {
-            cols.push(possible_values_of(wsd, right, s, pos)?);
+            cols.push(possible_values_of(wsd, s, pos)?);
         }
         r_poss.push(cols);
     }
@@ -41,7 +41,7 @@ pub fn difference_op(wsd: &mut Wsd, left: &str, right: &str, out: &str) -> Resul
     for t in lt {
         let mut t_poss: Vec<Vec<Value>> = Vec::with_capacity(arity);
         for pos in 0..arity {
-            t_poss.push(possible_values_of(wsd, left, t, pos)?);
+            t_poss.push(possible_values_of(wsd, t, pos)?);
         }
         // candidate right tuples: overlap on every column
         let candidates: Vec<&TupleTemplate> = rt

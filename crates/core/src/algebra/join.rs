@@ -52,7 +52,6 @@ struct SidePoss {
 
 fn side_poss(
     wsd: &Wsd,
-    rel: &str,
     tuples: &[TupleTemplate],
     positions: impl Fn(usize) -> usize + Copy,
     npairs: usize,
@@ -61,7 +60,7 @@ fn side_poss(
     for t in tuples {
         let mut per = Vec::with_capacity(npairs);
         for k in 0..npairs {
-            per.push(possible_values_of(wsd, rel, t, positions(k))?);
+            per.push(possible_values_of(wsd, t, positions(k))?);
         }
         per_tuple.push(per);
     }
@@ -97,8 +96,8 @@ fn prepare_join(
     let (bound, positions) = bind_pred(pred, &out_schema)?;
     let arity = out_schema.len();
     wsd.add_relation(out, out_schema)?;
-    let l_poss = side_poss(wsd, left, &l.tuples, |k| eq_pairs[k].0, eq_pairs.len())?;
-    let r_poss = side_poss(wsd, right, &r.tuples, |k| eq_pairs[k].1 - larity, eq_pairs.len())?;
+    let l_poss = side_poss(wsd, &l.tuples, |k| eq_pairs[k].0, eq_pairs.len())?;
+    let r_poss = side_poss(wsd, &r.tuples, |k| eq_pairs[k].1 - larity, eq_pairs.len())?;
     Ok(JoinPrep { l, r, bound, positions, larity, arity, eq_pairs, l_poss, r_poss })
 }
 

@@ -348,7 +348,7 @@ fn enforce_fd(
     for t in tuples {
         let per: Vec<Vec<Value>> = all_pos
             .iter()
-            .map(|&p| possible_values_of(wsd, rel, t, p))
+            .map(|&p| possible_values_of(wsd, t, p))
             .collect::<Result<_>>()?;
         poss.push(per);
     }

@@ -125,4 +125,4 @@ pub use bigint::BigUint;
 pub use cell::Cell;
 pub use component::{CompRow, Component};
 pub use field::{Field, FieldKind, Tid};
-pub use wsd::{Existence, RelTemplate, TemplateCell, TupleTemplate, Wsd, WsdStats};
+pub use wsd::{Existence, RelTemplate, TemplateCell, TupleTemplate, Wsd, WsdShape};

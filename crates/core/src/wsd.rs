@@ -113,9 +113,11 @@ pub struct RelTemplate {
     pub tuples: Vec<TupleTemplate>,
 }
 
-/// Summary statistics of a decomposition (used by experiment tables).
+/// The shape of a decomposition — relation, tuple, component and row
+/// counts — as [`Wsd::stats`] summarizes it for experiment tables (the
+/// optimizer's statistics cache is [`crate::stats::WsdStats`]).
 #[derive(Debug, Clone, PartialEq)]
-pub struct WsdStats {
+pub struct WsdShape {
     pub relations: usize,
     pub template_tuples: usize,
     pub components: usize,
@@ -900,9 +902,9 @@ impl Wsd {
     }
 
     /// Summary statistics.
-    pub fn stats(&self) -> WsdStats {
+    pub fn stats(&self) -> WsdShape {
         let live: Vec<&Component> = self.live().collect();
-        WsdStats {
+        WsdShape {
             relations: self.relations.len(),
             template_tuples: self.relations.values().map(|t| t.tuples.len()).sum(),
             components: live.len(),

@@ -25,7 +25,11 @@
 //! One listener port serves three protocols, told apart by the first
 //! bytes a client sends (see [`proto`]): `"MBSQ"` opens a SQL session,
 //! `"GET "` is scraped as Prometheus metrics, and anything else is
-//! handed to the WAL-shipping replica feed.
+//! handed to the WAL-shipping replica feed — always on for a durable
+//! session: a [`Primary`] built from the served session, which ships
+//! only what its durable horizon covers. The feed shows nothing a SQL
+//! client on the same port could not read. An in-memory session has no
+//! log to ship, so such a peer is hung up on.
 //!
 //! ```no_run
 //! use std::net::TcpListener;
@@ -51,14 +55,14 @@ pub mod proto;
 
 mod conn;
 
-use std::io;
+use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
-use maybms_sql::replication::{peek_first_bytes, serve_metrics_http, Primary};
+use maybms_sql::replication::Primary;
 use maybms_sql::{CommitHandle, GroupCommitConfig, Session};
 
 pub use maybms_sql::{CommitAck, WsdSnapshot};
@@ -69,9 +73,6 @@ pub use proto::{Client, ErrKind, Reply, ServerError};
 pub struct ServerConfig {
     /// Group-commit batching parameters, forwarded to the writer thread.
     pub group: GroupCommitConfig,
-    /// Serve the WAL-shipping replica feed on the same port (requires a
-    /// durable session; ignored otherwise). Defaults to `false`.
-    pub replica_feed: bool,
 }
 
 /// A running server: owns the accept thread, the per-connection
@@ -83,7 +84,7 @@ pub struct Server {
     accept: Option<JoinHandle<()>>,
     conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
     committer: maybms_sql::GroupCommitter,
-    primary: Option<Arc<Primary>>,
+    primary: Option<Primary>,
 }
 
 impl Server {
@@ -94,8 +95,8 @@ impl Server {
 
     /// Starts the group-commit writer and the accept loop. Connections
     /// are served on one thread each; the listener multiplexes SQL
-    /// sessions, metrics scrapes, and (with `cfg.replica_feed`) the
-    /// replica protocol by sniffing each connection's first bytes.
+    /// sessions, metrics scrapes, and (for a durable session) the
+    /// replica feed by sniffing each connection's first bytes.
     pub fn serve_with(
         session: Session,
         listener: TcpListener,
@@ -104,10 +105,7 @@ impl Server {
         let addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
 
-        let primary = match (&cfg.replica_feed, session.storage_path()) {
-            (true, Some(path)) => Some(Arc::new(Primary::new(path))),
-            _ => None,
-        };
+        let primary = Primary::new(&session);
         let committer = maybms_sql::GroupCommitter::spawn_with(session, cfg.group);
         let handle = committer.handle();
         let stop = Arc::new(AtomicBool::new(false));
@@ -170,7 +168,7 @@ fn accept_loop(
     handle: CommitHandle,
     stop: Arc<AtomicBool>,
     conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
-    primary: Option<Arc<Primary>>,
+    primary: Option<Primary>,
 ) {
     while !stop.load(Ordering::SeqCst) {
         let stream = match listener.accept() {
@@ -203,7 +201,7 @@ fn route(
     stream: TcpStream,
     handle: &CommitHandle,
     stop: &Arc<AtomicBool>,
-    primary: &Option<Arc<Primary>>,
+    primary: &Option<Primary>,
 ) -> Option<JoinHandle<()>> {
     let handle = handle.clone();
     let stop = Arc::clone(stop);
@@ -222,7 +220,7 @@ fn route(
                 }
                 Some(four) if four == proto::PROTO_MAGIC => {
                     let mut magic = [0u8; 4];
-                    if io::Read::read_exact(&mut stream, &mut magic).is_ok() {
+                    if stream.read_exact(&mut magic).is_ok() {
                         let _ = conn::handle_conn(stream, handle, stop);
                     }
                 }
@@ -232,6 +230,7 @@ fn route(
                 // are detached rather than tracked in `conns`
                 Some(_) => {
                     if let Some(p) = primary {
+                        let _ = stream.set_nodelay(true);
                         let _ = p.spawn_serve(stream);
                     }
                 }
@@ -240,4 +239,52 @@ fn route(
             }
         })
         .ok()
+}
+
+/// Peeks a fresh connection's first four bytes without consuming them
+/// (`None` when the peer closed or sent nothing within the ~200 ms grace
+/// period; every kind of client sends immediately after connecting). It
+/// blocks for up to the grace period, so [`route`] calls it on the
+/// connection's own thread, never on the accept loop. Leaves the stream
+/// without a read timeout.
+fn peek_first_bytes(stream: &TcpStream) -> Option<[u8; 4]> {
+    // a blocking peek on a silent peer returns only through this timeout
+    stream.set_read_timeout(Some(Duration::from_millis(200))).ok()?;
+    let mut buf = [0u8; 4];
+    let mut sniffed = None;
+    for _ in 0..200 {
+        match stream.peek(&mut buf) {
+            Ok(n) if n >= 4 => {
+                sniffed = Some(buf);
+                break;
+            }
+            // part of a preamble: poll for the rest
+            Ok(n) if n > 0 => thread::sleep(Duration::from_millis(1)),
+            // closed, silent for the whole grace period, or broken
+            _ => break,
+        }
+    }
+    stream.set_read_timeout(None).ok()?;
+    sniffed
+}
+
+/// Answers one Prometheus scrape: drains the request head (its contents
+/// don't matter — every path serves the same registry) and writes the
+/// global metrics in text exposition format, then closes.
+fn serve_metrics_http(mut stream: TcpStream) -> io::Result<()> {
+    let mut head = Vec::new();
+    let mut buf = [0u8; 512];
+    while !head.windows(4).any(|w| w == b"\r\n\r\n") && head.len() < 8192 {
+        match stream.read(&mut buf)? {
+            0 => break,
+            n => head.extend_from_slice(&buf[..n]),
+        }
+    }
+    let body = maybms_obs::prometheus_text(maybms_obs::global());
+    let response = format!(
+        "HTTP/1.1 200 OK\r\nContent-Type: text/plain; version=0.0.4\r\n\
+         Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
+        body.len()
+    );
+    stream.write_all(response.as_bytes())
 }

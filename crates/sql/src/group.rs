@@ -30,10 +30,12 @@
 //!   publishes an LSN-stamped [`WsdSnapshot`]; readers pick it up in
 //!   O(1) and never block the writer.
 //!
-//! The committer also serves in-process replication for free: the batch
-//! append signals `maybms_storage::wal::commit_notify_in`, so a
-//! [`crate::replication::Primary`] tailing the same WAL in this process
-//! wakes immediately instead of riding its polling fallback.
+//! The committer also serves replication for free: a successful batch
+//! append moves the database's durable horizon
+//! ([`maybms_storage::DurableHorizon`]), so a
+//! [`crate::replication::Primary`] built from the same session wakes at
+//! once and ships the batch — and a failed one moves nothing, so nothing
+//! NACKed is ever shipped.
 
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex, OnceLock};

@@ -19,11 +19,16 @@
 //! with its WAL:
 //!
 //! * position within the log → stream `Record { lsn, … }` messages from
-//!   there, then keep tailing the log (only **fsynced** records are ever
-//!   shipped — a replica can never get ahead of the primary's durable
-//!   state);
+//!   there, then keep tailing the log. Only **durable** records are ever
+//!   shipped: the primary reads no further than the database's
+//!   [`DurableHorizon`], which moves only after an append's write *and*
+//!   fsync returned `Ok`, and passes it as the bound of every
+//!   [`WalCursor::poll`]. A frame already on disk whose fsync is pending,
+//!   or failed and poisoned the database, never leaves — so, short of a
+//!   lying fsync, a replica can never get ahead of what the primary
+//!   recovers after a crash;
 //! * position before the log's `base_lsn` (a checkpoint compacted the
-//!   records away) or past its end (a foreign timeline) → send one
+//!   records away) or past the horizon (a foreign timeline) → send one
 //!   `Snapshot` message with the full effective state (base + overlay),
 //!   which the follower swaps in wholesale, then stream records.
 //!
@@ -37,9 +42,8 @@
 //! stop flag. On the other side, the primary heartbeats while idle
 //! (time-based, see [`Primary::with_heartbeat_interval`]) so a follower
 //! can bound how stale it might be ([`Replica::is_stale`]) and tails the
-//! log event-driven: the session's commits signal the WAL's
-//! notify-on-commit handle, and the heartbeat interval doubles as the
-//! re-poll cadence for anything the signal cannot cover.
+//! log event-driven: it blocks on the durable horizon, which every
+//! successful append moves, and the heartbeat interval bounds that wait.
 //!
 //! # Read-only replicas
 //!
@@ -55,7 +59,7 @@
 //!
 //! // the primary serves its durable database to followers
 //! let mut session = Session::open("db.maybms").unwrap();
-//! let primary = Primary::new("db.maybms");
+//! let primary = Primary::new(&session).expect("a durable session");
 //! let (to_primary, from_replica) = UnixStream::pair().unwrap();
 //! let server = primary.spawn_serve(from_replica);
 //!
@@ -70,8 +74,7 @@
 //! ```
 
 use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
@@ -84,7 +87,7 @@ use maybms_core::wsd::Wsd;
 use maybms_relational::{Error, Result};
 use maybms_storage::ship::{recv_msg, send_msg, Msg};
 use maybms_storage::wal::{self, Polled, WalCursor};
-use maybms_storage::{read_snapshot_state, std_vfs, wal_path_for};
+use maybms_storage::{read_snapshot_state, wal_path_for, DurableHorizon, Vfs};
 
 use crate::session::{QueryResult, Session, SessionError, SessionResult};
 use crate::wire;
@@ -182,59 +185,61 @@ impl ReplStatus {
     }
 }
 
-/// The serving side of replication: watches a database's files (snapshot
-/// pair + WAL) and streams committed records to connected followers.
+/// The serving side of replication: streams a durable database's
+/// committed records to connected followers.
 ///
-/// A `Primary` does not own the database — the read-write [`Session`]
-/// does. It opens its own read-only handles on the files, so it can run
-/// from any thread next to the session that is executing statements; it
-/// only ever observes fully framed, fsynced records.
+/// A `Primary` is built from the [`Session`] that owns the database
+/// ([`Primary::new`]) and keeps only shared handles on it: the database's
+/// [`Vfs`], its path and its [`DurableHorizon`]. It therefore runs on any
+/// thread next to the session (or the server's group committer) that is
+/// executing statements, on whatever filesystem the database lives on —
+/// a `FaultVfs` included.
 ///
-/// An idle serve loop blocks on the WAL's **commit notification**
-/// ([`maybms_storage::wal::commit_notify_in`]): a commit appended by the
-/// serving session wakes it immediately, so same-process shipping has no
-/// poll-interval latency floor. The wait is bounded by the **heartbeat
-/// interval** ([`Primary::with_heartbeat_interval`]): while idle, the
-/// loop wakes that often, sends a heartbeat so followers can bound
-/// staleness (see [`Replica::is_stale`]), and re-polls the log — which
-/// is also how a checkpoint's log swap, or an append from another
-/// process (which cannot signal), is picked up.
+/// An idle serve loop blocks on the durable horizon: a commit wakes it
+/// at once, and no record past the horizon is ever read. The wait is
+/// bounded by the **heartbeat interval**
+/// ([`Primary::with_heartbeat_interval`]): while idle, the loop wakes
+/// that often, sends a heartbeat so followers can bound staleness (see
+/// [`Replica::is_stale`]), and re-polls the log — which is also how a
+/// checkpoint's log swap is picked up.
 #[derive(Debug, Clone)]
 pub struct Primary {
+    vfs: Arc<dyn Vfs>,
     path: PathBuf,
+    horizon: DurableHorizon,
     shutdown: Arc<AtomicBool>,
     heartbeat_interval: Duration,
 }
 
 impl Primary {
-    /// A primary serving the database at `path` (the same path the
-    /// serving [`Session::open`] used). The database must exist — open
-    /// the session first.
-    pub fn new(path: impl AsRef<Path>) -> Primary {
-        Primary {
-            path: path.as_ref().to_path_buf(),
+    /// A primary serving `session`'s database, or `None` when the
+    /// session is in-memory only.
+    pub fn new(session: &Session) -> Option<Primary> {
+        let db = session.database()?;
+        Some(Primary {
+            vfs: Arc::clone(db.vfs()),
+            path: db.snapshot_path().to_path_buf(),
+            horizon: db.durable_horizon().clone(),
             shutdown: Arc::new(AtomicBool::new(false)),
             heartbeat_interval: Duration::from_millis(25),
-        }
+        })
     }
 
     /// Overrides how much idle time passes between heartbeats — and
-    /// between re-polls of a log nobody signalled (default 25 ms).
-    /// Followers use heartbeats to bound their staleness estimate, so
-    /// this should be well under the follower's [`Replica::is_stale`]
-    /// timeout.
+    /// between re-polls of an idle log (default 25 ms). Followers use
+    /// heartbeats to bound their staleness estimate, so this should be
+    /// well under the follower's [`Replica::is_stale`] timeout.
     pub fn with_heartbeat_interval(mut self, interval: Duration) -> Primary {
         self.heartbeat_interval = interval;
         self
     }
 
-    /// Tells every serve loop (and accept loop) to exit at its next poll,
-    /// and wakes loops parked in [`wal::wait_for_commit`] so "next poll"
+    /// Tells every serve loop to exit at its next poll, and wakes loops
+    /// parked on the durable horizon (without moving it) so "next poll"
     /// is now rather than the end of a long idle interval.
     pub fn stop(&self) {
         self.shutdown.store(true, Ordering::Relaxed);
-        let notify = wal::commit_notify_in(&*std_vfs(), &wal_path_for(&self.path));
-        wal::wake_commit_waiters(&notify);
+        self.horizon.wake_all();
     }
 
     /// Whether [`Primary::stop`] was called.
@@ -256,32 +261,33 @@ impl Primary {
         };
         let mut follower_lsn = last_lsn;
         let wal_path = wal_path_for(&self.path);
-        // Same-process commits signal this handle from `Wal::append_many`,
-        // so an idle serve loop wakes immediately; the heartbeat interval
-        // bounds the wait for everything that cannot signal it.
-        let commit_notify = wal::commit_notify_in(&*std_vfs(), &wal_path);
-        let mut commits_seen = wal::commit_seq(&commit_notify);
-        // whether the last idle wait gave up without a commit signal —
-        // if records then show up anyway, the notification path missed
-        // them (a cross-process appender) and the poll was a fallback
-        let mut waited_out = false;
         let mut last_sent = Instant::now(); // maybms-lint: allow(determinism) -- control-plane wall clock (heartbeat/staleness); applied bytes come solely from WAL records
         'catchup: loop {
             if self.is_stopped() {
                 return Ok(());
             }
             // Where does the follower stand relative to the current log?
-            let head = wal::head(&*std_vfs(), &wal_path)?;
-            if follower_lsn < head.base_lsn || follower_lsn > head.last_lsn {
+            let head = wal::head(&*self.vfs, &wal_path)?;
+            if follower_lsn < head.base_lsn || follower_lsn > self.horizon.lsn() {
                 // Behind the last checkpoint (its records were compacted
                 // into the snapshot) or from a foreign timeline: full
-                // state transfer, then stream from the snapshot's LSN.
-                let (generation, snap_lsn, payload) = self.consistent_snapshot()?;
+                // state transfer, then stream from the snapshot's LSN. A
+                // checkpoint publishes its snapshot (at the horizon)
+                // before it swaps the log, so the snapshot read after the
+                // log's head covers at least the log's base.
+                let (generation, snap_lsn, payload) = read_snapshot_state(&*self.vfs, &self.path)?
+                    .unwrap_or_else(|| (0, 0, encode_wsd(&Wsd::new())));
+                if snap_lsn < head.base_lsn {
+                    return Err(Error::Storage(format!(
+                        "snapshot at LSN {snap_lsn} predates its log (base LSN {})",
+                        head.base_lsn
+                    )));
+                }
                 send_msg(&mut stream, &Msg::Snapshot { generation, last_lsn: snap_lsn, payload })?;
                 last_sent = Instant::now(); // maybms-lint: allow(determinism) -- control-plane wall clock (heartbeat/staleness); applied bytes come solely from WAL records
                 follower_lsn = snap_lsn;
             }
-            let mut cursor = match WalCursor::open(std_vfs(), &wal_path, follower_lsn) {
+            let mut cursor = match WalCursor::open(Arc::clone(&self.vfs), &wal_path, follower_lsn) {
                 Ok(c) => c,
                 Err(_) => continue 'catchup, // swapped mid-decision; retry
             };
@@ -289,7 +295,7 @@ impl Primary {
                 if self.is_stopped() {
                     return Ok(());
                 }
-                match cursor.poll()? {
+                match cursor.poll(self.horizon.lsn())? {
                     Polled::Reset { .. } => {
                         // a checkpoint swapped the log; the outer loop
                         // re-decides (stream on if still covered, fall
@@ -299,7 +305,7 @@ impl Primary {
                     Polled::Records(recs) if recs.is_empty() => {
                         if last_sent.elapsed() >= self.heartbeat_interval {
                             // the empty poll just proved the cursor is at
-                            // the log's end — no file scan needed
+                            // the horizon — no file scan needed
                             send_msg(
                                 &mut stream,
                                 &Msg::Heartbeat {
@@ -310,25 +316,15 @@ impl Primary {
                             metrics().heartbeats.inc();
                             last_sent = Instant::now(); // maybms-lint: allow(determinism) -- control-plane wall clock (heartbeat/staleness); applied bytes come solely from WAL records
                         }
-                        // block until a commit signals (instant for
-                        // same-process appends) or the next heartbeat
-                        // is due
-                        let seen_before = commits_seen;
-                        commits_seen = wal::wait_for_commit(
-                            &commit_notify,
-                            commits_seen,
+                        // block until a commit moves the horizon, stop is
+                        // called, or the next heartbeat is due
+                        self.horizon.wait_past(
+                            cursor.lsn(),
                             self.heartbeat_interval.saturating_sub(last_sent.elapsed()),
+                            &self.shutdown,
                         );
-                        waited_out = commits_seen == seen_before;
                     }
                     Polled::Records(recs) => {
-                        if waited_out {
-                            // the wait timed out yet the log had moved:
-                            // these records arrived without an in-process
-                            // signal — a genuine fallback poll
-                            wal::note_fallback_poll();
-                            waited_out = false;
-                        }
                         for (lsn, payload) in recs {
                             let bytes = payload.len() as u64;
                             send_msg(&mut stream, &Msg::Record { lsn, payload })?;
@@ -343,31 +339,6 @@ impl Primary {
         }
     }
 
-    /// Reads a `(generation, last_lsn, payload)` triple where the
-    /// snapshot pair and the WAL agree — retrying across the tiny window
-    /// in which a checkpoint has published its snapshot but not yet
-    /// swapped the log.
-    fn consistent_snapshot(&self) -> Result<(u64, u64, Vec<u8>)> {
-        for _ in 0..500 {
-            let head = wal::head(&*std_vfs(), &wal_path_for(&self.path))?;
-            match read_snapshot_state(&*std_vfs(), &self.path)? {
-                Some((generation, lsn, payload))
-                    if generation == head.generation && lsn == head.base_lsn =>
-                {
-                    return Ok((generation, lsn, payload))
-                }
-                None if head.generation == 0 => {
-                    // never checkpointed: the state at LSN 0 is empty
-                    return Ok((0, 0, encode_wsd(&Wsd::new())));
-                }
-                _ => std::thread::sleep(Duration::from_millis(2)),
-            }
-        }
-        Err(Error::Storage(
-            "could not observe a consistent snapshot/WAL pair (checkpoint in progress?)".into(),
-        ))
-    }
-
     /// [`Primary::serve`] on a new thread; the handle yields the reason
     /// the connection ended.
     pub fn spawn_serve<S: Read + Write + Send + 'static>(
@@ -377,106 +348,6 @@ impl Primary {
         let this = self.clone();
         std::thread::spawn(move || this.serve(stream))
     }
-
-    /// Accepts connections on `listener` (one serve thread each) until
-    /// [`Primary::stop`]. The listener is switched to non-blocking so the
-    /// accept loop can observe the stop flag.
-    ///
-    /// The port is shared with Prometheus scrapes: a connection whose
-    /// first bytes are `GET ` is answered with one HTTP response carrying
-    /// the global metrics registry in text exposition format; anything
-    /// else is a follower speaking the ship protocol (whose `Hello`
-    /// frame can never start with `GET `).
-    pub fn listen(&self, listener: TcpListener) -> Result<JoinHandle<()>> {
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| Error::Storage(format!("listener non-blocking: {e}")))?;
-        let this = self.clone();
-        Ok(std::thread::spawn(move || {
-            let mut workers = Vec::new();
-            while !this.is_stopped() {
-                match listener.accept() {
-                    Ok((stream, _addr)) => {
-                        // sniffed on the connection's own thread: the
-                        // accept loop never waits on a peer
-                        let this = this.clone();
-                        workers.push(std::thread::spawn(move || {
-                            let _ = stream.set_nodelay(true);
-                            // the accepted stream may inherit the listener's
-                            // non-blocking mode on some platforms
-                            let _ = stream.set_nonblocking(false);
-                            match peek_first_bytes(&stream) {
-                                Some(four) if &four == b"GET " => serve_metrics_http(stream),
-                                Some(_) => this.serve(stream),
-                                None => Ok(()), // silent or gone: hang up
-                            }
-                        }));
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(2));
-                    }
-                    Err(_) => break,
-                }
-            }
-            for w in workers {
-                let _ = w.join();
-            }
-        }))
-    }
-}
-
-/// Peeks a fresh connection's first four bytes without consuming them
-/// (`None` when the peer closed or sent nothing within the ~200 ms grace
-/// period; every kind of client sends immediately after connecting) —
-/// the protocol-sniffing primitive shared by [`Primary::listen`] and the
-/// `maybms-server` listener, which multiplexes HTTP metrics scrapes, the
-/// ship protocol and the SQL session protocol on one port. It blocks for
-/// up to the grace period, so it is called on the connection's own
-/// thread, never on an accept loop. Leaves the stream without a read
-/// timeout.
-pub fn peek_first_bytes(stream: &TcpStream) -> Option<[u8; 4]> {
-    // a blocking peek on a silent peer returns only through this timeout
-    stream.set_read_timeout(Some(Duration::from_millis(200))).ok()?;
-    let mut buf = [0u8; 4];
-    let mut sniffed = None;
-    for _ in 0..200 {
-        match stream.peek(&mut buf) {
-            Ok(n) if n >= 4 => {
-                sniffed = Some(buf);
-                break;
-            }
-            // part of a preamble: poll for the rest
-            Ok(n) if n > 0 => std::thread::sleep(Duration::from_millis(1)),
-            // closed, silent for the whole grace period, or broken
-            _ => break,
-        }
-    }
-    stream.set_read_timeout(None).ok()?;
-    sniffed
-}
-
-/// Answers one Prometheus scrape: drains the request head (its contents
-/// don't matter — every path serves the same registry) and writes the
-/// global metrics in text exposition format, then closes.
-pub fn serve_metrics_http(mut stream: TcpStream) -> Result<()> {
-    let mut head = Vec::new();
-    let mut buf = [0u8; 512];
-    while !head.windows(4).any(|w| w == b"\r\n\r\n") && head.len() < 8192 {
-        match stream.read(&mut buf) {
-            Ok(0) => break,
-            Ok(n) => head.extend_from_slice(&buf[..n]),
-            Err(e) => return Err(Error::Storage(format!("metrics scrape read: {e}"))),
-        }
-    }
-    let body = maybms_obs::prometheus_text(maybms_obs::global());
-    let response = format!(
-        "HTTP/1.1 200 OK\r\nContent-Type: text/plain; version=0.0.4\r\n\
-         Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    );
-    stream
-        .write_all(response.as_bytes())
-        .map_err(|e| Error::Storage(format!("metrics scrape write: {e}")))
 }
 
 /// A follower's live connection to a primary (the stream after the

@@ -167,10 +167,10 @@ impl Session {
         self.storage.as_ref().map(Database::last_lsn)
     }
 
-    /// The database file path, if attached — a server uses it to serve
-    /// the WAL-shipping replica feed for the same database.
-    pub fn storage_path(&self) -> Option<&Path> {
-        self.storage.as_ref().map(Database::snapshot_path)
+    /// The backing store, if attached — the replication primary reads
+    /// its files, `Vfs` and durable horizon.
+    pub(crate) fn database(&self) -> Option<&Database> {
+        self.storage.as_ref()
     }
 
     /// Committed WAL bytes (header included), if attached — tests use

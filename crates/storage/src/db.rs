@@ -39,10 +39,17 @@
 //! * full checkpoint only: after the base rename but before the stale
 //!   overlay is deleted — base *g+1* + overlay *≤ g*: the overlay is
 //!   ignored (and removed) on the next open.
+//!
+//! **Durable horizon** ([`DurableHorizon`]): the LSN of the last record
+//! whose append returned `Ok`. It is the only commit signal: the
+//! replication primary waits on it and ships no record past it, so a
+//! frame that is on disk but whose fsync has not returned (or failed and
+//! poisoned the handle) never leaves the process.
 
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, OnceLock};
-use std::time::Instant;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
+use std::time::{Duration, Instant};
 
 use maybms_obs::registry::DURATION_US_BOUNDS;
 use maybms_obs::{Counter, Histogram};
@@ -116,6 +123,63 @@ struct BaseInfo {
     page_crcs: Vec<u32>,
 }
 
+/// A database's **durable horizon**: the LSN of the last record whose
+/// append returned `Ok`, paired with a condvar that wakes waiters when
+/// it moves. It starts at the recovered `last_lsn`, moves only inside
+/// [`Database::append_many`] after the WAL append (and its fsync)
+/// returned, and is untouched by a checkpoint — LSNs continue across the
+/// log swap. Clones share the value.
+#[derive(Debug, Clone)]
+pub struct DurableHorizon(Arc<(Mutex<u64>, Condvar)>);
+
+impl DurableHorizon {
+    fn new(lsn: u64) -> DurableHorizon {
+        DurableHorizon(Arc::new((Mutex::new(lsn), Condvar::new())))
+    }
+
+    fn lock(&self) -> MutexGuard<'_, u64> {
+        let (lsn, _) = &*self.0;
+        lsn.lock().expect("durable horizon lock") // maybms-lint: allow(no-panic-in-prod) -- lock poisoning means another thread already panicked; fail-stop instead of running on shared state of unknown integrity
+    }
+
+    fn advance(&self, lsn: u64) {
+        *self.lock() = lsn;
+        self.0 .1.notify_all();
+    }
+
+    /// The current horizon: every record up to this LSN is durable.
+    pub fn lsn(&self) -> u64 {
+        *self.lock()
+    }
+
+    /// Blocks until the horizon passes `seen`, `stop` is raised, or
+    /// `timeout` elapses, and returns the horizon. Returns at once when
+    /// it is already past `seen`, so a caller that read the log up to
+    /// `seen` can never miss a commit that landed before it blocked.
+    pub fn wait_past(&self, seen: u64, timeout: Duration, stop: &AtomicBool) -> u64 {
+        let deadline = Instant::now() + timeout;
+        let mut lsn = self.lock();
+        while *lsn <= seen && !stop.load(Ordering::Relaxed) {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                break;
+            }
+            let moved = &self.0 .1;
+            // maybms-lint: allow(no-panic-in-prod) -- lock poisoning means another thread already panicked; fail-stop instead of running on shared state of unknown integrity
+            lsn = moved.wait_timeout(lsn, left).expect("durable horizon lock").0;
+        }
+        *lsn
+    }
+
+    /// Wakes every [`DurableHorizon::wait_past`] waiter without moving
+    /// the horizon. Raise the waiters' stop flag first: each re-checks
+    /// it under the lock, so none can miss this wake-up.
+    pub fn wake_all(&self) {
+        let _held = self.lock();
+        self.0 .1.notify_all();
+    }
+}
+
 /// An open durable database (snapshot + WAL handles).
 #[derive(Debug)]
 pub struct Database {
@@ -139,6 +203,8 @@ pub struct Database {
     /// All writes refuse until reopen; reopening recovers the last
     /// consistent durable state.
     poisoned: Option<String>,
+    /// The LSN of the last record whose append returned `Ok`.
+    horizon: DurableHorizon,
 }
 
 /// What [`Database::open`] recovered from disk.
@@ -314,6 +380,7 @@ impl Database {
         Ok(Recovered {
             db: Database {
                 snapshot_path: path.to_path_buf(),
+                horizon: DurableHorizon::new(wal.last_lsn()),
                 wal,
                 generation,
                 page_size,
@@ -341,6 +408,16 @@ impl Database {
     /// The write-ahead-log path (`*.maybms.wal`).
     pub fn wal_path(&self) -> PathBuf {
         wal_path_for(&self.snapshot_path)
+    }
+
+    /// The filesystem this database's files live on.
+    pub fn vfs(&self) -> &Arc<dyn Vfs> {
+        &self.vfs
+    }
+
+    /// The durable horizon — see [`DurableHorizon`].
+    pub fn durable_horizon(&self) -> &DurableHorizon {
+        &self.horizon
     }
 
     /// LSN of the last committed record (monotone across the database's
@@ -431,13 +508,21 @@ impl Database {
     /// shared fsync vouched for none of them. (After a crash, recovery
     /// keeps whatever torn-tail-clean prefix of the batch reached disk
     /// — all of it unacknowledged, so no client was promised anything
-    /// recovery drops.)
+    /// recovery drops.) The [`DurableHorizon`] moves only on success.
     pub fn append_many<P: AsRef<[u8]>>(&mut self, records: &[P]) -> Result<u64> {
         self.check_poisoned()?;
-        self.wal.append_many(records).inspect_err(|e| {
-            self.poisoned = Some(format!("a WAL append failed and durability is unknown: {e}"));
-            metrics().poison_events.inc();
-        })
+        match self.wal.append_many(records) {
+            Ok(lsn) => {
+                self.horizon.advance(lsn);
+                Ok(lsn)
+            }
+            Err(e) => {
+                let reason = format!("a WAL append failed and durability is unknown: {e}");
+                self.poisoned = Some(reason);
+                metrics().poison_events.inc();
+                Err(e)
+            }
+        }
     }
 
     /// Checkpoints `state` as generation *g+1* and swaps in a fresh WAL
@@ -861,5 +946,77 @@ mod tests {
         std::fs::write(&wal, b"garbage").unwrap();
         assert!(Database::open(&path).is_err());
         cleanup(&path);
+    }
+
+    fn fault_db(vfs: &crate::vfs::FaultVfs) -> Database {
+        let vfs = Arc::new(vfs.clone());
+        Database::open_with_vfs("/horizon/db.maybms", DEFAULT_PAGE_SIZE, vfs).unwrap().db
+    }
+
+    #[test]
+    fn horizon_moves_only_after_a_successful_append() {
+        use crate::vfs::{FaultOp, FaultSpec, FaultVfs};
+        let vfs = FaultVfs::new();
+        let mut db = fault_db(&vfs);
+        db.append(b"one").unwrap();
+        db.append(b"two").unwrap();
+        let horizon = db.durable_horizon().clone();
+        assert_eq!(horizon.lsn(), 2);
+        // a checkpoint swaps the log but not the numbering
+        db.checkpoint(b"state").unwrap();
+        assert_eq!(horizon.lsn(), 2);
+        // a failed fsync poisons the handle and leaves the horizon alone,
+        // although the frame is on the (volatile) log
+        vfs.push_fault(FaultSpec::fail_sync(vfs.op_count(FaultOp::Sync)));
+        assert!(db.append(b"three").is_err());
+        assert_eq!(horizon.lsn(), 2);
+        drop(db);
+        // reopening starts the horizon at the recovered last LSN
+        vfs.crash();
+        assert_eq!(fault_db(&vfs).durable_horizon().lsn(), 2);
+    }
+
+    #[test]
+    fn horizon_wait_is_woken_by_an_append() {
+        let vfs = crate::vfs::FaultVfs::new();
+        let mut db = fault_db(&vfs);
+        let horizon = db.durable_horizon().clone();
+        let stop = Arc::new(AtomicBool::new(false));
+        let waiter = {
+            let (horizon, stop) = (horizon.clone(), Arc::clone(&stop));
+            // the append, not the 30 s deadline, must end this wait
+            std::thread::spawn(move || horizon.wait_past(0, Duration::from_secs(30), &stop))
+        };
+        db.append(b"wake up").unwrap();
+        assert_eq!(waiter.join().unwrap(), 1);
+        // a horizon already past `seen` returns at once
+        assert_eq!(horizon.wait_past(0, Duration::from_secs(30), &stop), 1);
+    }
+
+    #[test]
+    fn horizon_wake_all_releases_stopped_waiters_without_moving_it() {
+        let vfs = crate::vfs::FaultVfs::new();
+        let horizon = fault_db(&vfs).durable_horizon().clone();
+        let stop = Arc::new(AtomicBool::new(false));
+        let waiters: Vec<_> = (0..3)
+            .map(|_| {
+                let (horizon, stop) = (horizon.clone(), Arc::clone(&stop));
+                std::thread::spawn(move || horizon.wait_past(0, Duration::from_secs(30), &stop))
+            })
+            .collect();
+        stop.store(true, Ordering::Relaxed);
+        horizon.wake_all();
+        for w in waiters {
+            assert_eq!(w.join().unwrap(), 0);
+        }
+        assert_eq!(horizon.lsn(), 0);
+    }
+
+    #[test]
+    fn horizon_wait_times_out_when_idle() {
+        let db = fault_db(&crate::vfs::FaultVfs::new());
+        let (began, stop) = (Instant::now(), AtomicBool::new(false));
+        assert_eq!(db.durable_horizon().wait_past(0, Duration::from_millis(15), &stop), 0);
+        assert!(began.elapsed() >= Duration::from_millis(15));
     }
 }

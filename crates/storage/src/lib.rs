@@ -68,7 +68,9 @@ pub mod vfs;
 pub mod wal;
 
 pub use bytes::{Reader, Writer};
-pub use db::{read_snapshot_state, wal_path_for, CheckpointKind, Database, Recovered};
+pub use db::{
+    read_snapshot_state, wal_path_for, CheckpointKind, Database, DurableHorizon, Recovered,
+};
 pub use delta::{delta_path_for, DeltaMeta};
 pub use pager::{Pager, DEFAULT_PAGE_SIZE, PAGE_HEADER_LEN};
 pub use ship::{recv_msg, send_msg, Msg};

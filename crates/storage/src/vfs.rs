@@ -93,14 +93,6 @@ pub trait Vfs: Send + Sync + fmt::Debug {
     /// fsyncs the directory *containing* `path`, so a rename that
     /// published a file there survives power loss.
     fn sync_parent_dir(&self, path: &Path) -> io::Result<()>;
-    /// Resolves `path` to a canonical spelling, so two names for the
-    /// same file (relative vs absolute, through symlinks) key shared
-    /// state — the WAL commit-notification registry uses this. The
-    /// default returns the path unchanged, which is exact for virtual
-    /// filesystems whose paths are plain map keys.
-    fn canonicalize(&self, path: &Path) -> PathBuf {
-        path.to_path_buf()
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -175,12 +167,6 @@ impl Vfs for StdVfs {
             _ => Path::new("."),
         };
         std::fs::File::open(dir)?.sync_all()
-    }
-    fn canonicalize(&self, path: &Path) -> PathBuf {
-        // a path that cannot be resolved (not created yet) keys by its
-        // raw form; commit notification is an optimization, the poll
-        // fallback still covers it
-        std::fs::canonicalize(path).unwrap_or_else(|_| path.to_path_buf())
     }
 }
 

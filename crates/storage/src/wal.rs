@@ -32,12 +32,18 @@
 //! same generation (see [`crate::db`]). A log whose generation does not
 //! match the snapshot's is stale (crash between the two steps of a
 //! checkpoint) and is discarded instead of replayed twice.
+//!
+//! # Tailing
+//!
+//! The log signals nothing. A frame is on the file as soon as its
+//! `write_all` returns, before its fsync does, so a tailer must not trust
+//! the file's end: it reads up to the owning database's durable horizon
+//! ([`crate::db::DurableHorizon`]), which moves only after an append
+//! returned `Ok`, and passes it as the bound of [`WalCursor::poll`].
 
-use std::collections::HashMap;
 use std::io::SeekFrom;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
-use std::time::{Duration, Instant};
+use std::sync::{Arc, OnceLock};
 
 use maybms_obs::Counter;
 use maybms_relational::{Error, Result};
@@ -56,7 +62,6 @@ struct WalMetrics {
     appends: Arc<Counter>,
     fsyncs: Arc<Counter>,
     bytes: Arc<Counter>,
-    notify_fallback_polls: Arc<Counter>,
 }
 
 fn metrics() -> &'static WalMetrics {
@@ -65,95 +70,7 @@ fn metrics() -> &'static WalMetrics {
         appends: maybms_obs::counter("wal.appends"),
         fsyncs: maybms_obs::counter("wal.fsyncs"),
         bytes: maybms_obs::counter("wal.bytes"),
-        notify_fallback_polls: maybms_obs::counter("wal.notify_fallback_polls"),
     })
-}
-
-/// Process-wide commit-notification handle for one WAL path: a commit
-/// counter guarded by a mutex, paired with a condvar that
-/// [`Wal::append`] signals after each durable record. Tailers block on
-/// it via [`wait_for_commit`] instead of sleeping a fixed interval, so
-/// same-process shipping reacts to a commit immediately; the counter
-/// only ever increases, never resets, so a stale `seen` value can only
-/// cause a spurious (cheap) wakeup, never a missed one.
-pub type CommitNotify = Arc<(Mutex<u64>, Condvar)>;
-
-/// Handles keyed by canonicalized WAL path, shared by every [`Wal`] and
-/// waiter in the process. Entries are tiny and never removed — a
-/// process touches a bounded set of database paths.
-fn notify_registry() -> &'static Mutex<HashMap<PathBuf, CommitNotify>> {
-    static REGISTRY: OnceLock<Mutex<HashMap<PathBuf, CommitNotify>>> = OnceLock::new();
-    REGISTRY.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-/// The commit-notification handle for the WAL at `path` (created on
-/// first use). Cheap to call; clones share the underlying counter. The
-/// key is `path` canonicalized through `vfs` — the [`Vfs`] the [`Wal`]
-/// was opened on — so an appender and a tailer naming the same file
-/// through different spellings share a handle. A virtual filesystem's
-/// canonical key is the raw path, which `std_vfs()` falls back to for a
-/// file that is not on disk, so in-process appenders and tailers
-/// always meet.
-pub fn commit_notify_in(vfs: &dyn Vfs, path: &Path) -> CommitNotify {
-    // maybms-lint: allow(no-panic-in-prod) -- registry mutex poisoning means a sibling thread already crashed mid-insert; fail-stop
-    let mut reg = notify_registry().lock().expect("notify registry lock");
-    Arc::clone(reg.entry(vfs.canonicalize(path)).or_default())
-}
-
-/// The handle's current commit counter — pass it to [`wait_for_commit`]
-/// as the position already observed.
-pub fn commit_seq(handle: &CommitNotify) -> u64 {
-    *handle.0.lock().expect("commit notify lock") // maybms-lint: allow(no-panic-in-prod) -- lock poisoning means another thread already panicked; fail-stop instead of running on shared state of unknown integrity
-}
-
-/// Blocks until the handle's commit counter moves past `seen` or
-/// `timeout` elapses, returning the counter's current value. Returns
-/// immediately when `seen` is already stale, so callers can never miss
-/// a commit that landed between polling the log and blocking here.
-pub fn wait_for_commit(handle: &CommitNotify, seen: u64, timeout: Duration) -> u64 {
-    let (counter, condvar) = &**handle;
-    let deadline = Instant::now() + timeout;
-    let mut n = counter.lock().expect("commit notify lock"); // maybms-lint: allow(no-panic-in-prod) -- lock poisoning means another thread already panicked; fail-stop instead of running on shared state of unknown integrity
-    while *n == seen {
-        let remaining = deadline.saturating_duration_since(Instant::now());
-        if remaining.is_zero() {
-            break;
-        }
-        let (guard, result) =
-            condvar.wait_timeout(n, remaining).expect("commit notify lock"); // maybms-lint: allow(no-panic-in-prod) -- lock poisoning means another thread already panicked; fail-stop instead of running on shared state of unknown integrity
-        n = guard;
-        if result.timed_out() {
-            break;
-        }
-    }
-    *n
-}
-
-/// Wakes every [`wait_for_commit`] waiter on `handle` by advancing the
-/// notification counter without any commit behind it. Woken tailers
-/// poll the log, find nothing new, and re-check their own stop
-/// conditions — this is how a shutdown interrupts serve loops parked on
-/// long idle intervals instead of letting them sleep the interval out.
-/// Must not be called on a handle whose tailers are mid-shutdown only;
-/// a spurious wake is always safe (an empty poll is a no-op).
-pub fn wake_commit_waiters(handle: &CommitNotify) {
-    let (counter, condvar) = &**handle;
-    let mut n = counter.lock().expect("commit notify lock"); // maybms-lint: allow(no-panic-in-prod) -- lock poisoning means another thread already panicked; fail-stop instead of running on shared state of unknown integrity
-    *n += 1;
-    condvar.notify_all();
-}
-
-/// Records one **fallback poll**: a tailer's [`wait_for_commit`] timed
-/// out with no signal, yet the subsequent log poll *did* find new
-/// records — the notification path failed to carry the wakeup. That
-/// happens exactly when the appender lives in another process (this
-/// registry is per-process), so the counter (`wal.notify_fallback_polls`)
-/// measures how much of the tailing traffic rides the polling fallback
-/// instead of the in-process signal; an in-process primary/server pair
-/// must keep it at 0. Idle timeouts (heartbeat cadence with nothing to
-/// ship) are *not* fallback polls and are not counted.
-pub fn note_fallback_poll() {
-    metrics().notify_fallback_polls.inc();
 }
 
 /// Length of the WAL file header.
@@ -179,10 +96,6 @@ pub struct Wal {
     /// fsyncs issued by appends on this handle — lets tests assert the
     /// group-commit contract (one fsync per committed transaction).
     sync_count: u64,
-    /// Signalled after every durable append so same-process tailers
-    /// (the replication primary) wake without waiting out a poll
-    /// interval. See [`commit_notify_in`].
-    notify: CommitNotify,
 }
 
 fn encode_header(generation: u64, base_lsn: u64) -> [u8; WAL_HEADER_LEN as usize] {
@@ -242,7 +155,6 @@ impl Wal {
             Ok(f)
         })?;
         let file = vfs.open(path, OpenMode::ReadWrite).map_err(|e| io_err("reopen WAL", e))?;
-        let notify = commit_notify_in(&*vfs, path);
         Ok(Wal {
             file,
             vfs,
@@ -253,7 +165,6 @@ impl Wal {
             end: WAL_HEADER_LEN,
             sync: true,
             sync_count: 0,
-            notify,
         })
     }
 
@@ -277,7 +188,6 @@ impl Wal {
         }
         file.seek(SeekFrom::Start(end as u64))
             .map_err(|e| io_err("seek WAL end", e))?;
-        let notify = commit_notify_in(&*vfs, path);
         Ok((
             Wal {
                 file,
@@ -289,7 +199,6 @@ impl Wal {
                 end: end as u64,
                 sync: true,
                 sync_count: 0,
-                notify,
             },
             records,
         ))
@@ -357,8 +266,7 @@ impl Wal {
     /// durable (the caller poisons the store); after a crash, torn-tail
     /// truncation keeps whatever *prefix* of the batch reached disk —
     /// safe, because no record in the batch was acknowledged unless the
-    /// shared fsync returned. Same-process tailers are woken once for
-    /// the whole batch.
+    /// shared fsync returned.
     pub fn append_many<P: AsRef<[u8]>>(&mut self, records: &[P]) -> Result<u64> {
         if records.is_empty() {
             return Ok(self.base_lsn + self.count);
@@ -382,12 +290,6 @@ impl Wal {
         metrics().bytes.add(frames.len() as u64);
         self.end += frames.len() as u64;
         self.count += records.len() as u64;
-        // the records are durable (or as durable as this handle
-        // promises): one wakeup for the whole batch — tailers blocked in
-        // `wait_for_commit` drain every new record from a single poll
-        let (counter, condvar) = &*self.notify;
-        *counter.lock().expect("commit notify lock") += records.len() as u64; // maybms-lint: allow(no-panic-in-prod) -- lock poisoning means another thread already panicked; fail-stop instead of running on shared state of unknown integrity
-        condvar.notify_all();
         Ok(self.base_lsn + self.count)
     }
 
@@ -446,9 +348,10 @@ pub fn head(vfs: &dyn Vfs, path: &Path) -> Result<WalHead> {
 }
 
 /// A read-only cursor over a WAL *file*, for tailing committed records
-/// from another thread or process (the primary's shipping loop). The
-/// cursor remembers its byte offset, so polling only reads what was
-/// appended since the last call; a checkpoint swapping in a fresh log
+/// from another thread (the primary's shipping loop). The cursor
+/// remembers its byte offset, so polling only reads what was appended
+/// since the last call, and never past the bound the caller passes (the
+/// database's durable horizon); a checkpoint swapping in a fresh log
 /// (different generation / base LSN) is detected and surfaced as
 /// [`WalCursor::poll`] returning `Reset`.
 #[derive(Debug)]
@@ -523,13 +426,25 @@ impl WalCursor {
         self.generation
     }
 
-    /// Reads any records appended since the last poll. Cheap when nothing
-    /// changed (one header read). See [`Polled`] for the checkpoint-swap
+    /// Reads the records appended since the last poll, up to and
+    /// including LSN `upto` — the caller's durable horizon: a frame past
+    /// it may be on disk with its fsync still pending (or failed), so it
+    /// is neither read nor returned. Cheap when the cursor is already at
+    /// `upto` (one header read). See [`Polled`] for the checkpoint-swap
     /// case.
-    pub fn poll(&mut self) -> Result<Polled> {
+    pub fn poll(&mut self, upto: u64) -> Result<Polled> {
         let mut file =
             self.vfs.open(&self.path, OpenMode::Read).map_err(|e| io_err("open WAL", e))?;
+        let mut tail = Vec::new();
+        if self.lsn < upto {
+            file.seek(SeekFrom::Start(self.offset)).map_err(|e| io_err("seek WAL", e))?;
+            file.read_to_end(&mut tail).map_err(|e| io_err("read WAL tail", e))?;
+        }
+        // the header is read after the tail: if it still names this log,
+        // the tail came from this log too, even on a filesystem whose
+        // open handles follow the path across a rename
         let mut header = [0u8; WAL_HEADER_LEN as usize];
+        file.seek(SeekFrom::Start(0)).map_err(|e| io_err("seek WAL", e))?;
         file.read_exact(&mut header).map_err(|e| io_err("read WAL header", e))?;
         let (generation, base_lsn) = decode_header(&header)?;
         if generation != self.generation || base_lsn != self.base_lsn {
@@ -540,13 +455,10 @@ impl WalCursor {
             self.lsn = base_lsn;
             return Ok(Polled::Reset { generation, base_lsn });
         }
-        file.seek(SeekFrom::Start(self.offset)).map_err(|e| io_err("seek WAL", e))?;
-        let mut tail = Vec::new();
-        file.read_to_end(&mut tail).map_err(|e| io_err("read WAL tail", e))?;
 
         let mut out = Vec::new();
         let mut pos = 0usize;
-        loop {
+        while self.lsn < upto {
             match frame::scan(&tail[pos..]) {
                 Scan::Frame(body) => {
                     pos += FRAME_HEADER_LEN + body.len();
@@ -554,13 +466,13 @@ impl WalCursor {
                     self.lsn += 1;
                     out.push((self.lsn, body.to_vec()));
                 }
-                // nothing more, or a concurrent append still in flight
+                // nothing more
                 Scan::Incomplete => break,
-                // Appends write a frame front to back, so a frame whose
-                // whole body is on disk can only fail its checksum through
-                // corruption — never a write in flight. Silently stopping
-                // here would stall shipping forever while every follower
-                // believes it is caught up; surface it instead.
+                // Every record up to the horizon was written whole before
+                // the horizon moved, so a checksum failure here is
+                // corruption. Silently stopping would stall shipping
+                // forever while every follower believes it is caught up;
+                // surface it instead.
                 Scan::Corrupt => {
                     return Err(Error::Storage(format!(
                         "WAL record at LSN {} failed its checksum mid-log \
@@ -658,20 +570,24 @@ mod tests {
         let mut wal = Wal::create(std_vfs(), &path, 1, 0).unwrap();
         wal.append(b"one").unwrap();
         let mut cur = WalCursor::open(std_vfs(), &path, 0).unwrap();
-        let Polled::Records(r) = cur.poll().unwrap() else { panic!("expected records") };
+        let Polled::Records(r) = cur.poll(wal.last_lsn()).unwrap() else {
+            panic!("expected records")
+        };
         assert_eq!(r, vec![(1, b"one".to_vec())]);
         // nothing new: empty poll
-        let Polled::Records(r) = cur.poll().unwrap() else { panic!() };
+        let Polled::Records(r) = cur.poll(wal.last_lsn()).unwrap() else { panic!() };
         assert!(r.is_empty());
-        // appends show up incrementally
+        // appends show up incrementally, never past the bound
         wal.append(b"two").unwrap();
         wal.append(b"three").unwrap();
-        let Polled::Records(r) = cur.poll().unwrap() else { panic!() };
-        assert_eq!(r, vec![(2, b"two".to_vec()), (3, b"three".to_vec())]);
+        let Polled::Records(r) = cur.poll(2).unwrap() else { panic!() };
+        assert_eq!(r, vec![(2, b"two".to_vec())]);
+        let Polled::Records(r) = cur.poll(u64::MAX).unwrap() else { panic!() };
+        assert_eq!(r, vec![(3, b"three".to_vec())]);
         assert_eq!(cur.lsn(), 3);
         // a checkpoint swaps in a fresh log: the cursor reports the reset
         let _swapped = Wal::create(std_vfs(), &path, 2, 3).unwrap();
-        match cur.poll().unwrap() {
+        match cur.poll(3).unwrap() {
             Polled::Reset { generation, base_lsn } => {
                 assert_eq!(generation, 2);
                 assert_eq!(base_lsn, 3);
@@ -694,7 +610,7 @@ mod tests {
         raw[first_body] ^= 0xFF;
         std::fs::write(&path, &raw).unwrap();
         let mut cur = WalCursor::open(std_vfs(), &path, 0).unwrap();
-        let err = cur.poll().unwrap_err();
+        let err = cur.poll(u64::MAX).unwrap_err();
         assert!(err.to_string().contains("corruption"), "{err}");
         let _ = std::fs::remove_file(&path);
     }
@@ -707,7 +623,7 @@ mod tests {
             wal.append(payload).unwrap();
         }
         let mut cur = WalCursor::open(std_vfs(), &path, 2).unwrap();
-        let Polled::Records(r) = cur.poll().unwrap() else { panic!() };
+        let Polled::Records(r) = cur.poll(u64::MAX).unwrap() else { panic!() };
         assert_eq!(r, vec![(3, b"ccc".to_vec())]);
         // past-the-end and pre-base positions are rejected
         assert!(WalCursor::open(std_vfs(), &path, 9).is_err());
@@ -777,37 +693,6 @@ mod tests {
         assert_eq!(wal.base_lsn(), 1);
         assert!(records.is_empty());
         let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn append_wakes_commit_waiters() {
-        let path = tmp("notify");
-        let mut wal = Wal::create(std_vfs(), &path, 1, 0).unwrap();
-        let handle = commit_notify_in(&*std_vfs(), &path);
-        let seen = commit_seq(&handle);
-        let waiter = {
-            let handle = Arc::clone(&handle);
-            std::thread::spawn(move || {
-                // generous timeout: the signal, not the deadline, must end
-                // this wait
-                wait_for_commit(&handle, seen, Duration::from_secs(30))
-            })
-        };
-        wal.append(b"wake up").unwrap();
-        let woken = waiter.join().unwrap();
-        assert!(woken > seen, "append must advance the commit counter");
-        // a stale `seen` returns immediately with the current counter
-        assert_eq!(wait_for_commit(&handle, seen, Duration::from_secs(30)), woken);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn wait_for_commit_times_out_when_idle() {
-        let handle = commit_notify_in(&*std_vfs(), Path::new("maybms-wal-test-no-such-file"));
-        let seen = commit_seq(&handle);
-        let start = std::time::Instant::now();
-        assert_eq!(wait_for_commit(&handle, seen, Duration::from_millis(15)), seen);
-        assert!(start.elapsed() >= Duration::from_millis(15));
     }
 
     #[test]

@@ -5,25 +5,29 @@
 //! `cargo run --example replica -- <replica-count>`; default 2).
 //!
 //! The demo:
-//! 1. opens a durable primary database (in a temp directory) and starts a
-//!    TCP listener serving the WAL-shipping protocol;
+//! 1. opens a durable primary database (in a temp directory) and serves
+//!    it with `maybms-server`, whose one port carries SQL clients, the
+//!    WAL-shipping replica feed and Prometheus scrapes;
 //! 2. connects N followers, each applying the shipped log on its own
-//!    thread while the main thread keeps committing transactions;
+//!    thread while a SQL client keeps committing transactions;
 //! 3. waits until every follower has applied the primary's last LSN and
 //!    proves their state is **byte-identical** to the primary's (the
 //!    determinism property replication rests on);
-//! 4. checkpoints (compacting the log) and connects a *late* follower,
-//!    which must catch up via a full snapshot transfer;
-//! 5. stops the primary and reads from the replicas anyway — failover
-//!    reads keep working because each replica owns its state.
+//! 4. shuts the server down, checkpoints the returned session
+//!    (compacting the log) and connects a *late* follower, which must
+//!    catch up via a full snapshot transfer;
+//! 5. reads from the replicas with no primary serving — failover reads
+//!    keep working because each replica owns its state.
 
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::os::unix::net::UnixStream;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use maybms_core::codec::encode_wsd;
 use maybms_relational::pretty;
+use maybms_server::{Client, Server};
 use maybms_sql::replication::{follow, Primary, Replica};
 use maybms_sql::Session;
 use maybms_storage::{delta_path_for, wal_path_for};
@@ -36,14 +40,13 @@ fn main() {
     let _ = std::fs::remove_file(wal_path_for(&path));
     let _ = std::fs::remove_file(delta_path_for(&path));
 
-    // 1. The primary: a durable session plus a TCP listener shipping its
-    //    write-ahead log.
-    let mut session = Session::open(&path).expect("open primary database");
-    let primary = Primary::new(&path);
+    // 1. The primary: a durable session served on one TCP port, which
+    //    also ships its write-ahead log.
+    let session = Session::open(&path).expect("open primary database");
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-    let addr = listener.local_addr().expect("addr");
-    let accept_loop = primary.listen(listener).expect("listen");
-    println!("primary: {} serving WAL shipping on {addr}", path.display());
+    let server = Server::serve(session, listener).expect("serve");
+    let addr = server.addr();
+    println!("primary: {} serving SQL and WAL shipping on {addr}", path.display());
 
     // 2. N followers, each on its own apply thread.
     let mut followers: Vec<Arc<Mutex<Replica>>> = Vec::new();
@@ -60,23 +63,26 @@ fn main() {
         followers.push(replica);
     }
 
-    // …while the primary commits work (transactions ship as one record).
-    session
-        .execute_script(
-            "CREATE TABLE person (ssn INT, name TEXT); \
-             INSERT INTO person VALUES ({1: 0.6, 2: 0.4}, 'ann'), (2, 'bob'); \
-             REPAIR KEY person(ssn); \
-             BEGIN; \
-             UPDATE person SET name = 'anne' WHERE ssn = 1; \
-             INSERT INTO person VALUES (3, 'cal'); \
-             COMMIT",
-        )
-        .expect("primary workload");
-    let target = session.last_lsn().expect("durable session has LSNs");
+    // …while a SQL client commits work (transactions ship as one record).
+    let mut client = Client::connect(addr).expect("connect SQL client");
+    let mut target = 0;
+    for sql in [
+        "CREATE TABLE person (ssn INT, name TEXT)",
+        "INSERT INTO person VALUES ({1: 0.6, 2: 0.4}, 'ann'), (2, 'bob')",
+        "REPAIR KEY person(ssn)",
+        "BEGIN",
+        "UPDATE person SET name = 'anne' WHERE ssn = 1",
+        "INSERT INTO person VALUES (3, 'cal')",
+        "COMMIT",
+    ] {
+        target = client.query_ok(sql).expect("primary workload").lsn;
+    }
     println!("primary: committed through LSN {target}");
 
     // 3. Wait for every follower, then prove byte-identity.
-    let primary_bytes = encode_wsd(session.wsd());
+    let published = server.commit_handle().snapshot();
+    assert_eq!(published.lsn(), target);
+    let primary_bytes = encode_wsd(published.wsd());
     for (i, replica) in followers.iter().enumerate() {
         loop {
             let mut r = replica.lock().expect("lock");
@@ -94,33 +100,11 @@ fn main() {
         }
     }
 
-    // 4. Checkpoint (compacts the log), then a late follower: its LSN 0
-    //    predates the log, so the primary sends a full snapshot first.
-    let ack = session.execute("CHECKPOINT").expect("checkpoint");
-    println!("primary: {}", ack.ack());
-    let mut late = Replica::new();
-    let mut conn = late
-        .connect(TcpStream::connect(addr).expect("connect late follower"))
-        .expect("handshake");
-    late.sync_to(&mut conn, target).expect("late catch-up");
-    assert!(late.generation() >= 1, "late follower must have used a snapshot transfer");
-    assert_eq!(encode_wsd(late.session().wsd()), primary_bytes);
-    println!(
-        "late replica: caught up via snapshot transfer (generation {}, LSN {})",
-        late.generation(),
-        late.applied_lsn()
-    );
-
-    // A replica is read-only: mutations are refused with a structured
-    // error, queries are fine.
-    let err = late.query("INSERT INTO person VALUES (9, 'mal')").unwrap_err();
-    println!("late replica refuses writes: {err}");
-
-    // Observability: the primary's listener doubles as a Prometheus
-    // endpoint — a plain HTTP GET on the same port returns the global
-    // metrics registry in text exposition format. One query first, so
-    // the executor's row counters have something to show.
-    session.execute("SELECT POSSIBLE name FROM person").expect("warm the executor");
+    // Observability: the same port doubles as a Prometheus endpoint — a
+    // plain HTTP GET returns the global metrics registry in text
+    // exposition format. One query first, so the executor's row
+    // counters have something to show.
+    client.query_ok("SELECT POSSIBLE name FROM person").expect("warm the executor");
     let mut scrape = TcpStream::connect(addr).expect("connect scraper");
     scrape
         .write_all(b"GET /metrics HTTP/1.1\r\nHost: primary\r\nConnection: close\r\n\r\n")
@@ -138,6 +122,36 @@ fn main() {
         body.lines().filter(|l| !l.starts_with('#') && !l.is_empty()).count()
     );
 
+    // 4. Shut the server down (CHECKPOINT runs on the owning session, not
+    //    over the wire), compact the log, then a late follower: its LSN 0
+    //    predates the log, so the primary sends a full snapshot first.
+    drop(client);
+    let mut session = server.shutdown().expect("shutdown");
+    println!("primary: server stopped; followers are on their own");
+    let ack = session.execute("CHECKPOINT").expect("checkpoint");
+    println!("primary: {}", ack.ack());
+    let primary = Primary::new(&session).expect("durable session");
+    let (ours, theirs) = UnixStream::pair().expect("socket pair");
+    let serving = primary.spawn_serve(theirs);
+    let mut late = Replica::new();
+    let mut conn = late.connect(ours).expect("handshake");
+    late.sync_to(&mut conn, target).expect("late catch-up");
+    assert!(late.generation() >= 1, "late follower must have used a snapshot transfer");
+    assert_eq!(encode_wsd(late.session().wsd()), primary_bytes);
+    println!(
+        "late replica: caught up via snapshot transfer (generation {}, LSN {})",
+        late.generation(),
+        late.applied_lsn()
+    );
+    primary.stop();
+    drop(conn);
+    let _ = serving.join();
+
+    // A replica is read-only: mutations are refused with a structured
+    // error, queries are fine.
+    let err = late.query("INSERT INTO person VALUES (9, 'mal')").unwrap_err();
+    println!("late replica refuses writes: {err}");
+
     // …and each replica reports its staleness as data.
     {
         let mut r = followers[0].lock().expect("lock");
@@ -149,11 +163,9 @@ fn main() {
         print!("{}", pretty::render(status.table().expect("table"), 10));
     }
 
-    // 5. Failover reads: stop the primary, query the replicas.
-    primary.stop();
-    accept_loop.join().expect("accept loop");
+    // 5. Failover reads: no primary serves, query the replicas.
     drop(session);
-    println!("primary: stopped — reading from replicas anyway");
+    println!("primary: gone — reading from replicas anyway");
     for (i, replica) in followers.iter().enumerate() {
         let mut r = replica.lock().expect("lock");
         let answer = r

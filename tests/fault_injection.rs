@@ -12,14 +12,23 @@
 //! can see through), no group whose commit was acknowledged may be lost:
 //! the boundary is at or after the last acked group.
 //!
+//! The random torture also runs a replica that follows the primary on the
+//! same [`FaultVfs`]. Synced to the session's durable LSN before the
+//! crash, its state must be a committed-group boundary too, and — again
+//! short of a lying fsync — not one past the recovered primary's: the
+//! primary ships only what its durable horizon covers.
+//!
 //! A failing run writes its full schedule + fault log to
 //! `target/fault-artifacts/` before panicking, so the exact schedule can
 //! be replayed (`MAYBMS_FAULT_SEEDS=<seed>`).
 
+use std::os::unix::net::UnixStream;
 use std::path::Path;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use maybms_core::codec::encode_wsd;
+use maybms_sql::replication::{Primary, Replica};
 use maybms_sql::{Session, SessionError};
 use maybms_storage::{Database, Fault, FaultOp, FaultSpec, FaultVfs, Vfs};
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -160,19 +169,27 @@ struct RunOutcome {
     error: Option<String>,
 }
 
+fn open(vfs: &FaultVfs) -> Result<Session, RunOutcome> {
+    Session::open_with_vfs(DB, Arc::new(vfs.clone()) as Arc<dyn Vfs>).map_err(|e| RunOutcome {
+        acked: 0,
+        attempted: 0,
+        error: Some(format!("open: {e}")),
+    })
+}
+
 /// Runs `groups` against a fresh durable session on `vfs` until the
 /// first failure.
 fn run_script(vfs: &FaultVfs, groups: &[Group]) -> RunOutcome {
-    let session = Session::open_with_vfs(DB, Arc::new(vfs.clone()) as Arc<dyn Vfs>);
-    let mut session = match session {
-        Ok(s) => s,
-        Err(e) => {
-            return RunOutcome { acked: 0, attempted: 0, error: Some(format!("open: {e}")) }
-        }
-    };
+    match open(vfs) {
+        Ok(mut session) => run_groups(&mut session, groups),
+        Err(outcome) => outcome,
+    }
+}
+
+fn run_groups(session: &mut Session, groups: &[Group]) -> RunOutcome {
     let mut acked = 0;
     for g in groups {
-        match run_group(&mut session, g) {
+        match run_group(session, g) {
             Ok(()) => acked += 1,
             Err(e) => {
                 return RunOutcome { acked, attempted: acked + 1, error: Some(e.to_string()) }
@@ -191,13 +208,56 @@ fn fail_with_artifact(name: &str, details: &str) -> ! {
     panic!("{name}: torture property violated (schedule written to {}):\n{details}", file.display());
 }
 
-/// The crash-consistency oracle (see the module docs).
+/// [`run_script`] with a replica following the primary over a socket
+/// pair, on the same `vfs`. Before returning (so before any crash) the
+/// replica syncs to the session's durable LSN, then keeps applying for
+/// 20 ms more up to a heartbeat — so a record the primary should not
+/// have shipped has reached it. Returns the replica's codec bytes, or
+/// why following failed.
+fn run_followed_script(
+    vfs: &FaultVfs,
+    groups: &[Group],
+) -> (RunOutcome, Option<Result<Vec<u8>, String>>) {
+    let mut session = match open(vfs) {
+        Ok(s) => s,
+        Err(outcome) => return (outcome, None),
+    };
+    let primary = Primary::new(&session)
+        .expect("a durable session")
+        .with_heartbeat_interval(Duration::from_millis(1));
+    let (ours, theirs) = UnixStream::pair().expect("socket pair");
+    let serving = primary.spawn_serve(theirs);
+    let mut replica = Replica::new();
+    let conn = replica.connect(ours);
+    let outcome = run_groups(&mut session, groups);
+    let followed = (|| {
+        let mut conn = conn.map_err(|e| e.to_string())?;
+        let durable = session.last_lsn().expect("durable");
+        replica.sync_to(&mut conn, durable).map_err(|e| e.to_string())?;
+        let drained = Instant::now() + Duration::from_millis(20);
+        loop {
+            let msg = conn.recv().map_err(|e| e.to_string())?;
+            let heartbeat = matches!(msg, maybms_storage::Msg::Heartbeat { .. });
+            replica.apply_msg(msg).map_err(|e| e.to_string())?;
+            if heartbeat && Instant::now() >= drained {
+                return Ok(encode_wsd(replica.session().wsd()));
+            }
+        }
+    })();
+    primary.stop();
+    let _ = serving.join();
+    (outcome, Some(followed))
+}
+
+/// The crash-consistency oracle (see the module docs); `replica` is what
+/// a follower applied before the crash, if one ran.
 fn assert_crash_consistent(
     name: &str,
     vfs: &FaultVfs,
     schedule: &[FaultSpec],
     outcome: &RunOutcome,
     candidates: &[Vec<u8>],
+    replica: Option<Result<Vec<u8>, String>>,
 ) {
     let had_lie = schedule.iter().any(|s| matches!(s.fault, Fault::SyncLie));
     vfs.crash();
@@ -233,10 +293,33 @@ fn assert_crash_consistent(
             ),
         );
     }
+    let replica = match replica {
+        None => return,
+        Some(Ok(bytes)) => bytes,
+        Some(Err(e)) => fail_with_artifact(name, &format!("{}following failed: {e}", details())),
+    };
+    let Some(shipped) = candidates[..=hi].iter().position(|c| *c == replica) else {
+        fail_with_artifact(
+            name,
+            &format!("{}replica state matches NO committed-group prefix", details()),
+        )
+    };
+    let kept = candidates[..=hi].iter().rposition(|c| *c == recovered).expect("checked above");
+    if !had_lie && shipped > kept {
+        fail_with_artifact(
+            name,
+            &format!(
+                "{}replica is past the recovered primary without a lying fsync: it \
+                 holds group prefix {shipped}, recovery kept {kept}",
+                details()
+            ),
+        );
+    }
 }
 
 /// The tentpole property: random scripts × random fault schedules,
-/// recovery always lands on a committed-group boundary.
+/// recovery always lands on a committed-group boundary, and so does a
+/// follower, never past the recovered primary.
 #[test]
 fn torture_random_scripts_random_faults() {
     for seed in seeds() {
@@ -245,13 +328,14 @@ fn torture_random_scripts_random_faults() {
         let candidates = prefix_states(&groups);
         let schedule = gen_schedule(&mut rng);
         let vfs = FaultVfs::with_schedule(schedule.clone());
-        let outcome = run_script(&vfs, &groups);
+        let (outcome, replica) = run_followed_script(&vfs, &groups);
         assert_crash_consistent(
             &format!("torture-seed-{seed}"),
             &vfs,
             &schedule,
             &outcome,
             &candidates,
+            replica,
         );
     }
 }
@@ -313,6 +397,7 @@ fn fsync_failure_at_every_sync_point() {
             &schedule,
             &outcome,
             &candidates,
+            None,
         );
     }
     // the sweep reached the directory fsync of every WAL publish: the
@@ -338,6 +423,7 @@ fn lying_fsync_at_every_sync_point() {
             &schedule,
             &outcome,
             &candidates,
+            None,
         );
     }
 }

@@ -3,18 +3,22 @@
 //! state** (under `maybms_core::codec`) to the primary's committed state
 //! at *x* — at every shipped-prefix boundary, across disconnects and
 //! reconnects at every LSN, across torn streams cut at every byte
-//! offset, and across checkpoint-forced snapshot transfers.
+//! offset, and across checkpoint-forced snapshot transfers. And the
+//! primary ships nothing past the database's durable horizon.
 
 use std::io::{Read, Write};
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use maybms_core::codec::encode_wsd;
+use maybms_server::{Client, Server};
 use maybms_sql::replication::{Primary, Replica};
 use maybms_sql::{Session, SessionError};
 use maybms_storage::wal::{Polled, WalCursor};
 use maybms_storage::ship::{send_msg, Msg};
-use maybms_storage::{delta_path_for, std_vfs, wal_path_for};
+use maybms_storage::{delta_path_for, std_vfs, wal_path_for, FaultOp, FaultSpec, FaultVfs, Vfs};
 
 fn db_path(name: &str) -> PathBuf {
     let p = std::env::temp_dir()
@@ -86,7 +90,7 @@ fn replica_is_byte_identical_at_every_boundary_with_reconnects() {
     let final_bytes = encode_wsd(primary_session.wsd());
     assert!(boundaries.len() > 10, "the script must produce many boundaries");
     assert_eq!(boundaries.last().unwrap().0, final_lsn);
-    let primary = Primary::new(&path);
+    let primary = Primary::new(&primary_session).unwrap();
 
     for (lsn, expected) in &boundaries {
         // a fresh replica synced exactly to this boundary…
@@ -119,7 +123,7 @@ fn replica_is_byte_identical_at_every_boundary_with_reconnects() {
 fn replica_answers_queries_like_the_primary() {
     let path = db_path("queries");
     let (mut primary_session, _) = run_script(&path);
-    let primary = Primary::new(&path);
+    let primary = Primary::new(&primary_session).unwrap();
     let mut replica = Replica::new();
     let mut conn = replica.connect(serve_pair(&primary)).unwrap();
     replica.sync_to(&mut conn, primary_session.last_lsn().unwrap()).unwrap();
@@ -158,7 +162,7 @@ fn torn_stream_sweep_recovers_at_every_offset() {
     // Render the full catch-up stream (every WAL record as one framed
     // Record message), remembering each frame's end offset and LSN.
     let mut cursor = WalCursor::open(std_vfs(), &wal_path_for(&path), 0).unwrap();
-    let Polled::Records(records) = cursor.poll().unwrap() else { panic!("fresh log") };
+    let Polled::Records(records) = cursor.poll(final_lsn).unwrap() else { panic!("fresh log") };
     assert_eq!(records.last().unwrap().0, final_lsn);
     let mut stream = Vec::new();
     let mut frame_ends = vec![(0usize, 0u64)]; // (offset, lsn applied through)
@@ -176,7 +180,7 @@ fn torn_stream_sweep_recovers_at_every_offset() {
             .unwrap()
     };
 
-    let primary = Primary::new(&path);
+    let primary = Primary::new(&primary_session).unwrap();
     for cut in 0..stream.len() {
         let mut replica = Replica::new();
         {
@@ -227,7 +231,7 @@ fn follower_behind_checkpoint_gets_snapshot_transfer() {
     let (mut primary_session, _) = run_script(&path);
 
     // a replica synced to the pre-checkpoint state…
-    let primary = Primary::new(&path);
+    let primary = Primary::new(&primary_session).unwrap();
     let mut early = Replica::new();
     let mut early_conn = early.connect(serve_pair(&primary)).unwrap();
     early.sync_to(&mut early_conn, primary_session.last_lsn().unwrap()).unwrap();
@@ -269,7 +273,7 @@ fn follower_behind_checkpoint_gets_snapshot_transfer() {
 fn replica_refuses_mutations() {
     let path = db_path("readonly");
     let (primary_session, _) = run_script(&path);
-    let primary = Primary::new(&path);
+    let primary = Primary::new(&primary_session).unwrap();
     let mut replica = Replica::new();
     let mut conn = replica.connect(serve_pair(&primary)).unwrap();
     replica.sync_to(&mut conn, primary_session.last_lsn().unwrap()).unwrap();
@@ -298,36 +302,36 @@ fn replica_refuses_mutations() {
     rm_db(&path);
 }
 
-/// End to end over TCP: N followers stream from one primary, and keep
-/// answering queries after the primary goes away (failover reads).
+/// End to end over TCP: N followers stream from the server's one port,
+/// and keep answering queries after the server goes away (failover
+/// reads).
 #[test]
 fn tcp_replication_with_failover_reads() {
     let path = db_path("tcp");
-    let (mut primary_session, _) = run_script(&path);
-    let primary = Primary::new(&path);
+    let (primary_session, _) = run_script(&path);
     let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    let accept_loop = primary.listen(listener).unwrap();
+    let server = Server::serve(primary_session, listener).unwrap();
 
     let mut replicas = Vec::new();
     for _ in 0..3 {
-        let stream = std::net::TcpStream::connect(addr).unwrap();
+        let stream = std::net::TcpStream::connect(server.addr()).unwrap();
         let replica = Replica::new();
         let conn = replica.connect(stream).unwrap();
         replicas.push((replica, conn));
     }
-    primary_session.execute("INSERT INTO person VALUES (7, 'eve')").unwrap();
-    let final_lsn = primary_session.last_lsn().unwrap();
-    let final_bytes = encode_wsd(primary_session.wsd());
+    let mut client = Client::connect(server.addr()).unwrap();
+    let final_lsn = client.query_ok("INSERT INTO person VALUES (7, 'eve')").unwrap().lsn;
+    let published = server.commit_handle().snapshot();
+    assert_eq!(published.lsn(), final_lsn);
+    let final_bytes = encode_wsd(published.wsd());
     for (replica, conn) in &mut replicas {
         replica.sync_to(conn, final_lsn).unwrap();
         assert_eq!(encode_wsd(replica.session().wsd()), final_bytes);
     }
 
     // the primary dies; every follower still serves reads
-    primary.stop();
-    accept_loop.join().unwrap();
-    drop(primary_session);
+    drop(client);
+    drop(server.shutdown().unwrap());
     for (replica, _) in &mut replicas {
         let r = replica.query("SELECT POSSIBLE ssn, name FROM person ORDER BY ssn").unwrap();
         assert!(!r.rows().is_empty(), "failover read must answer");
@@ -335,67 +339,61 @@ fn tcp_replication_with_failover_reads() {
     rm_db(&path);
 }
 
-/// A peer that connects to the ship listener and never sends a byte
-/// holds up neither a follower arriving after it nor `Primary::stop`,
-/// and is hung up on once the sniffing grace period is over.
+/// A peer that connects to the server's port and never sends a byte
+/// holds up neither a follower arriving after it nor the server's
+/// shutdown, and is hung up on once the sniffing grace period is over.
 #[test]
 fn a_silent_peer_blocks_neither_the_ship_listener_nor_its_stop() {
     use std::net::TcpStream;
-    use std::time::{Duration, Instant};
     const SOON: Duration = Duration::from_secs(1);
 
     let path = db_path("silent");
     let (primary_session, _) = run_script(&path);
-    let primary = Primary::new(&path);
+    let (lsn, bytes) = (primary_session.last_lsn().unwrap(), encode_wsd(primary_session.wsd()));
     let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    let accept_loop = primary.listen(listener).unwrap();
-    let mut silent = TcpStream::connect(addr).unwrap();
+    let server = Server::serve(primary_session, listener).unwrap();
+    let mut silent = TcpStream::connect(server.addr()).unwrap();
     silent.set_read_timeout(Some(SOON)).unwrap();
 
     let began = Instant::now();
-    let stream = TcpStream::connect(addr).unwrap();
+    let stream = TcpStream::connect(server.addr()).unwrap();
     stream.set_read_timeout(Some(SOON)).unwrap();
     let mut replica = Replica::new();
     let mut conn = replica.connect(stream).unwrap();
-    replica
-        .sync_to(&mut conn, primary_session.last_lsn().unwrap())
-        .expect("a follower is served while a silent peer is open");
-    assert_eq!(encode_wsd(replica.session().wsd()), encode_wsd(primary_session.wsd()));
+    replica.sync_to(&mut conn, lsn).expect("a follower is served while a silent peer is open");
+    assert_eq!(encode_wsd(replica.session().wsd()), bytes);
     assert!(began.elapsed() < SOON, "served after {:?}", began.elapsed());
 
-    let closed = silent.read(&mut [0u8; 1]).expect("the listener hangs up on the silent peer");
+    let closed = silent.read(&mut [0u8; 1]).expect("the server hangs up on the silent peer");
     assert_eq!(closed, 0);
 
-    let _silent = TcpStream::connect(addr).unwrap();
-    primary.stop();
+    let _silent = TcpStream::connect(server.addr()).unwrap();
     let (done, stopped) = std::sync::mpsc::channel();
-    std::thread::spawn(move || done.send(accept_loop.join().is_ok()));
-    assert_eq!(stopped.recv_timeout(SOON), Ok(true), "stop with a silent peer open");
+    std::thread::spawn(move || done.send(server.shutdown().is_ok()));
+    assert_eq!(stopped.recv_timeout(SOON), Ok(true), "shutdown with a silent peer open");
     rm_db(&path);
 }
 
 /// A follower driven by `follow_with_retry` survives a *flapping*
-/// primary: the serving process dies mid-stream, a new one comes up
-/// later (same database files), and the follower reconnects with capped
-/// exponential backoff, resumes by LSN, and converges — then exits
-/// cleanly when told to stop.
+/// primary: server A shuts down mid-stream, its session keeps
+/// committing, server B serves the same session on a fresh port later,
+/// and the follower reconnects with capped exponential backoff, resumes
+/// by LSN, and converges — then exits cleanly when told to stop.
 #[test]
 fn follow_with_retry_survives_flapping_primary() {
     use maybms_sql::replication::{follow_with_retry, Backoff};
     use std::net::{SocketAddr, TcpListener, TcpStream};
     use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::{Arc, Mutex};
-    use std::time::Duration;
+    use std::sync::Mutex;
 
     let path = db_path("flapping");
-    let (mut primary_session, _) = run_script(&path);
+    let (primary_session, _) = run_script(&path);
+    let first_lsn = primary_session.last_lsn().unwrap();
 
-    // primary A
-    let primary_a = Primary::new(&path).with_heartbeat_interval(Duration::from_millis(5));
+    // server A
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = Arc::new(Mutex::new(listener.local_addr().unwrap()));
-    let accept_a = primary_a.listen(listener).unwrap();
+    let server_a = Server::serve(primary_session, listener).unwrap();
 
     let replica = Arc::new(Mutex::new(Replica::new()));
     let stop = Arc::new(AtomicBool::new(false));
@@ -421,27 +419,27 @@ fn follow_with_retry_survives_flapping_primary() {
         }
         panic!("follower never reached LSN {lsn}");
     };
-    wait_for_lsn(primary_session.last_lsn().unwrap());
+    wait_for_lsn(first_lsn);
 
-    // primary A dies mid-life; the session keeps committing meanwhile
-    primary_a.stop();
-    accept_a.join().unwrap();
+    // server A dies mid-life; its session keeps committing meanwhile
+    let mut primary_session = server_a.shutdown().unwrap();
     primary_session.execute("INSERT INTO person VALUES (8, 'flo')").unwrap();
     primary_session.execute("INSERT INTO person VALUES (9, 'gus')").unwrap();
     std::thread::sleep(Duration::from_millis(30)); // let reconnects fail a few times
+    let final_lsn = primary_session.last_lsn().unwrap();
+    let final_bytes = encode_wsd(primary_session.wsd());
 
-    // primary B takes over on a fresh port, same database
-    let primary_b = Primary::new(&path).with_heartbeat_interval(Duration::from_millis(5));
+    // server B takes over on a fresh port, same session
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     *addr.lock().unwrap() = listener.local_addr().unwrap();
-    let accept_b = primary_b.listen(listener).unwrap();
+    let server_b = Server::serve(primary_session, listener).unwrap();
 
-    wait_for_lsn(primary_session.last_lsn().unwrap());
+    wait_for_lsn(final_lsn);
     {
         let mut r = replica.lock().unwrap();
         assert_eq!(
             encode_wsd(r.session().wsd()),
-            encode_wsd(primary_session.wsd()),
+            final_bytes,
             "the follower must converge to the post-failover state"
         );
         // heartbeats flow again, so the replica is fresh
@@ -451,8 +449,7 @@ fn follow_with_retry_survives_flapping_primary() {
     // a raised stop flag ends the loop with Ok, not an error
     stop.store(true, Ordering::Relaxed);
     follower.join().unwrap().unwrap();
-    primary_b.stop();
-    accept_b.join().unwrap();
+    drop(server_b.shutdown().unwrap());
     rm_db(&path);
 }
 
@@ -462,7 +459,6 @@ fn follow_with_retry_survives_flapping_primary() {
 #[test]
 fn backoff_is_capped_exponential_with_jitter() {
     use maybms_sql::replication::Backoff;
-    use std::time::Duration;
 
     let base = Duration::from_millis(10);
     let cap = Duration::from_millis(160);
@@ -493,12 +489,12 @@ fn backoff_is_capped_exponential_with_jitter() {
 /// trips after the timeout.
 #[test]
 fn replica_staleness_tracks_heartbeats() {
-    use std::sync::{Arc, Mutex};
-    use std::time::Duration;
+    use std::sync::Mutex;
 
     let path = db_path("staleness");
     let (primary_session, _) = run_script(&path);
-    let primary = Primary::new(&path).with_heartbeat_interval(Duration::from_millis(5));
+    let primary =
+        Primary::new(&primary_session).unwrap().with_heartbeat_interval(Duration::from_millis(5));
     let replica = Arc::new(Mutex::new(Replica::new()));
     let stream = serve_pair(&primary);
     let follower = {
@@ -526,6 +522,72 @@ fn replica_staleness_tracks_heartbeats() {
     std::thread::sleep(Duration::from_millis(120));
     assert!(replica.lock().unwrap().is_stale(Duration::from_millis(60)));
     rm_db(&path);
+}
+
+/// A CRC-valid frame appended to the log behind the session's back —
+/// what a crash between `write_all` and `sync_data` leaves on disk — is
+/// never shipped: the primary reads only up to the durable horizon, and
+/// its heartbeat names the session's LSN, not the file's.
+#[test]
+fn a_frame_past_the_durable_horizon_is_never_shipped() {
+    let path = db_path("horizon-disk");
+    let mut session = Session::open(&path).unwrap();
+    session.execute("CREATE TABLE t (x INT)").unwrap();
+    session.execute("INSERT INTO t VALUES (1)").unwrap();
+    let durable = session.last_lsn().unwrap();
+    let mut frame = Vec::new();
+    maybms_storage::frame::put_frame(&mut frame, b"never acknowledged");
+    let mut wal = std::fs::OpenOptions::new().append(true).open(wal_path_for(&path)).unwrap();
+    wal.write_all(&frame).unwrap();
+
+    let primary =
+        Primary::new(&session).unwrap().with_heartbeat_interval(Duration::from_millis(5));
+    let mut conn = Replica::new().connect(serve_pair(&primary)).unwrap();
+    loop {
+        match conn.recv().unwrap() {
+            Msg::Record { lsn, .. } => {
+                assert!(lsn <= durable, "shipped LSN {lsn} past the durable LSN {durable}")
+            }
+            Msg::Heartbeat { last_lsn, .. } => {
+                assert_eq!(last_lsn, durable);
+                break;
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+    primary.stop();
+    rm_db(&path);
+}
+
+/// An append whose fsync fails poisons the database, and its frame —
+/// already on the log — is never shipped: a follower on the same
+/// `FaultVfs` hears of nothing past the durable prefix.
+#[test]
+fn an_append_whose_fsync_failed_is_never_shipped() {
+    let vfs = FaultVfs::new();
+    let mut session =
+        Session::open_with_vfs("/horizon/db.maybms", Arc::new(vfs.clone()) as Arc<dyn Vfs>)
+            .unwrap();
+    session.execute("CREATE TABLE t (x INT)").unwrap();
+    let durable = session.last_lsn().unwrap();
+    let primary =
+        Primary::new(&session).unwrap().with_heartbeat_interval(Duration::from_millis(1));
+    let mut replica = Replica::new();
+    let mut conn = replica.connect(serve_pair(&primary)).unwrap();
+    replica.sync_to(&mut conn, durable).unwrap();
+
+    vfs.push_fault(FaultSpec::fail_sync(vfs.op_count(FaultOp::Sync)));
+    session.execute("INSERT INTO t VALUES (1)").unwrap_err();
+    assert!(session.is_poisoned());
+    // drained for 100 ms, the stream holds messages sent after the failure
+    let failed_at = Instant::now();
+    while failed_at.elapsed() < Duration::from_millis(100) {
+        match conn.recv().unwrap() {
+            Msg::Heartbeat { last_lsn, .. } => assert_eq!(last_lsn, durable),
+            other => panic!("only heartbeats at LSN {durable} may follow, got {other:?}"),
+        }
+    }
+    primary.stop();
 }
 
 /// A one-directional in-memory stream: reads from a fixed (possibly

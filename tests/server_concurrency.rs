@@ -207,7 +207,6 @@ fn torture(seed: u64, clients: usize) {
             group_window: std::time::Duration::from_millis(1),
             ..GroupCommitConfig::default()
         },
-        ..ServerConfig::default()
     };
     let server = Server::serve_with(session, listener, cfg).expect("serve");
     let addr = server.addr();

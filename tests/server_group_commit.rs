@@ -5,17 +5,16 @@
 //! * a scripted fsync failure mid-batch poisons the database and NACKs
 //!   **every** waiter in the batch (the shared fsync vouched for
 //!   nobody), and later commits are refused at the gate;
-//! * the in-process commit-notify path: a WAL-shipping primary serving
-//!   the same database never rides the fallback poll — commits reach a
-//!   replica through `wal::commit_notify_in` wake-ups, and the
-//!   `wal.notify_fallback_polls` counter stays at zero even when the
-//!   serve loop's poll interval is far beyond the test deadline.
+//! * the durable-horizon wake-up: a WAL-shipping primary built from the
+//!   committing session is woken by each batch append, so commits reach
+//!   a replica even when the serve loop's idle wait is far beyond the
+//!   test deadline.
 
+use std::os::unix::net::UnixStream;
 use std::sync::{Arc, Barrier, Mutex};
 use std::time::{Duration, Instant};
 
 use maybms_core::codec::encode_wsd;
-use maybms_obs::MetricValue;
 use maybms_sql::replication::{follow, Primary, Replica};
 use maybms_sql::{parse, GroupCommitConfig, GroupCommitter, Session};
 use maybms_storage::{FaultSpec, FaultVfs, Vfs};
@@ -26,17 +25,6 @@ fn stmts(sql: &str) -> Vec<maybms_sql::Statement> {
         .filter(|s| !s.is_empty())
         .map(|s| parse(s).expect("parse"))
         .collect()
-}
-
-fn counter(name: &str) -> u64 {
-    maybms_obs::global()
-        .snapshot()
-        .into_iter()
-        .find_map(|(n, v)| match v {
-            MetricValue::Counter(c) if n == name => Some(c),
-            _ => None,
-        })
-        .unwrap_or(0)
 }
 
 fn temp_db(name: &str) -> std::path::PathBuf {
@@ -198,30 +186,26 @@ fn fsync_failure_mid_batch_poisons_and_nacks_every_waiter() {
     panic!("no fault schedule hit the batch append in 30 probes");
 }
 
-/// Regression for the cross-process notify gap: an in-process primary
-/// serving the same database a [`GroupCommitter`] writes must be woken
-/// by `wal::commit_notify_in` — never by its fallback poll. The serve
-/// loop's idle wait is set far beyond the test deadline, so a
-/// replica only catches up in time if the notify path works; and the
-/// `wal.notify_fallback_polls` counter must not move.
+/// A primary built from the session a [`GroupCommitter`] writes is woken
+/// by each batch append moving the durable horizon — never by its idle
+/// timeout. The serve loop's idle wait is set far beyond the per-commit
+/// deadline, so a replica only catches up in time if the wake-up works.
 #[test]
-fn in_process_commit_notify_never_rides_the_fallback_poll() {
+fn group_commits_wake_the_primary_through_the_durable_horizon() {
     let path = temp_db("gc-notify");
     let mut session = Session::open(&path).expect("open");
     session.execute("CREATE TABLE n (x INT)").expect("create");
-    let polls_before = counter("wal.notify_fallback_polls");
-
-    let committer = GroupCommitter::spawn(session);
     // the idle wait is bounded by the heartbeat interval, set far beyond
     // the per-commit deadline: if a commit reaches the replica, it got
-    // there via a notify wake-up
-    let primary = Primary::new(&path).with_heartbeat_interval(Duration::from_secs(300));
-    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
-    let addr = listener.local_addr().expect("addr");
-    let accept = primary.listen(listener).expect("listen");
+    // there via the horizon's wake-up
+    let primary = Primary::new(&session)
+        .expect("durable session")
+        .with_heartbeat_interval(Duration::from_secs(300));
+    let committer = GroupCommitter::spawn(session);
+    let (stream, theirs) = UnixStream::pair().expect("socket pair");
+    let serve = primary.spawn_serve(theirs);
 
     let replica = Arc::new(Mutex::new(Replica::new()));
-    let stream = std::net::TcpStream::connect(addr).expect("connect");
     let follower = {
         let replica = Arc::clone(&replica);
         std::thread::spawn(move || {
@@ -241,22 +225,16 @@ fn in_process_commit_notify_never_rides_the_fallback_poll() {
             }
             assert!(
                 Instant::now() < deadline,
-                "commit {i} (lsn {}) not applied in 10s with a 300s poll interval: \
-                 the in-process notify wake-up is broken",
+                "commit {i} (lsn {}) not applied in 10s with a 300s idle wait: \
+                 the durable horizon's wake-up is broken",
                 ack.lsn
             );
             std::thread::sleep(Duration::from_millis(2));
         }
     }
 
-    assert_eq!(
-        counter("wal.notify_fallback_polls") - polls_before,
-        0,
-        "an in-process primary fell back to polling despite commit_notify"
-    );
-
     primary.stop();
-    let _ = accept.join();
+    let _ = serve.join();
     let _ = follower.join();
     drop(committer.shutdown());
     cleanup(&path);

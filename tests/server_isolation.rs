@@ -27,7 +27,6 @@ fn serve_temp(name: &str) -> (Server, std::net::SocketAddr, std::path::PathBuf) 
             group_window: Duration::from_millis(1),
             ..GroupCommitConfig::default()
         },
-        ..ServerConfig::default()
     };
     let server = Server::serve_with(session, listener, cfg).expect("serve");
     let addr = server.addr();
