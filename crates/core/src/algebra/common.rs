@@ -1,4 +1,5 @@
-//! Shared machinery for the WSD operators.
+//! Shared machinery for the WSD operators, and the one per-world
+//! decision kernel ([`Reads`]).
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -18,36 +19,18 @@ pub(crate) fn snapshot(wsd: &Wsd, rel: &str) -> Result<Arc<RelTemplate>> {
     wsd.shared_relation(rel).cloned()
 }
 
-/// The open fields of a tuple restricted to the given attribute positions,
-/// with their current component locations.
-pub(crate) fn open_fields_at(
-    wsd: &Wsd,
-    t: &TupleTemplate,
-    positions: &[usize],
-) -> Result<Vec<(usize, (usize, usize))>> {
-    let mut out = Vec::new();
-    for &pos in positions {
-        if matches!(t.cells[pos], TemplateCell::Open) {
-            let loc = wsd
-                .field_loc(Field::attr(t.tid, pos as u32))
-                .ok_or_else(|| Error::InvalidExpr(format!("unmapped field {}.#{pos}", t.tid)))?;
-            out.push((pos, loc));
-        }
-    }
-    Ok(out)
+/// The component location of the open field of `t` at `pos`.
+fn open_loc(wsd: &Wsd, t: &TupleTemplate, pos: usize) -> Result<(usize, usize)> {
+    wsd.field_loc(Field::attr(t.tid, pos as u32))
+        .ok_or_else(|| Error::InvalidExpr(format!("unmapped field {}.#{pos}", t.tid)))
 }
 
-/// All open attribute fields of a tuple.
-pub(crate) fn all_open_fields(
-    wsd: &Wsd,
-    t: &TupleTemplate,
-) -> Result<Vec<(usize, (usize, usize))>> {
-    let all: Vec<usize> = (0..t.cells.len()).collect();
-    open_fields_at(wsd, t, &all)
+fn dead_component(c: usize) -> Error {
+    Error::InvalidExpr(format!("dead component {c}"))
 }
 
 /// The existence location of a tuple, if its existence is open.
-pub(crate) fn exists_loc(wsd: &Wsd, t: &TupleTemplate) -> Result<Option<(usize, usize)>> {
+fn exists_loc(wsd: &Wsd, t: &TupleTemplate) -> Result<Option<(usize, usize)>> {
     match t.exists {
         Existence::Always => Ok(None),
         Existence::Open => wsd
@@ -55,6 +38,18 @@ pub(crate) fn exists_loc(wsd: &Wsd, t: &TupleTemplate) -> Result<Option<(usize, 
             .map(Some)
             .ok_or_else(|| Error::InvalidExpr(format!("unmapped ∃ of {}", t.tid))),
     }
+}
+
+/// The existence of `new_tid`, derived from `t` and existing exactly
+/// where `t` does: `t`'s ∃ field aliased, or `Always`.
+pub(crate) fn inherit_exists(wsd: &mut Wsd, t: &TupleTemplate, new_tid: Tid) -> Result<Existence> {
+    Ok(match exists_loc(wsd, t)? {
+        None => Existence::Always,
+        Some(loc) => {
+            wsd.alias_field(Field::exists(new_tid), loc);
+            Existence::Open
+        }
+    })
 }
 
 /// Binds a predicate against a schema, returning also the positions of the
@@ -69,48 +64,39 @@ pub(crate) fn bind_pred(pred: &Expr, schema: &Schema) -> Result<(BoundExpr, Vec<
     Ok((bound, positions))
 }
 
-/// Evaluates a bound predicate against a partially-known tuple: `vals`
-/// carries concrete values at the referenced positions (everything else is
-/// NULL, which the predicate does not look at).
-pub(crate) fn eval_partial(bound: &BoundExpr, arity: usize, vals: &HashMap<usize, Value>) -> Result<bool> {
-    let mut full = vec![Value::Null; arity];
-    for (&i, v) in vals {
-        full[i] = v.clone();
-    }
-    bound.eval_predicate(&Tuple::new(full))
-}
-
-/// Fetches the certain values of a tuple at the given positions.
-pub(crate) fn certain_values_at(t: &TupleTemplate, positions: &[usize]) -> HashMap<usize, Value> {
-    let mut m = HashMap::new();
-    for &pos in positions {
-        if let TemplateCell::Certain(v) = &t.cells[pos] {
-            m.insert(pos, v.clone());
+/// Positions of `t`'s open fields whose column holds ⊥ in some row. Such
+/// a ⊥ marks the tuple deleted, so whoever decides where `t` exists must
+/// read these fields too.
+pub(crate) fn marker_positions(wsd: &Wsd, t: &TupleTemplate) -> Result<Vec<usize>> {
+    let mut out = Vec::new();
+    for (pos, cell) in t.cells.iter().enumerate() {
+        if matches!(cell, TemplateCell::Open) {
+            let (c, col) = open_loc(wsd, t, pos)?;
+            if wsd.component(c).ok_or_else(|| dead_component(c))?.column_has_bottom(col) {
+                out.push(pos);
+            }
         }
     }
-    m
+    Ok(out)
 }
 
 /// Builds the derived tuple's cells, aliasing the source tuple's open
-/// columns: position `i` of the new tuple takes its value from position
-/// `src_positions[i]` of `src`.
+/// columns: position `offset + i` of tuple `new_tid` takes its value from
+/// the `i`-th of `src_positions` of `src`.
 pub(crate) fn alias_cells(
     wsd: &mut Wsd,
     new_tid: Tid,
     src: &TupleTemplate,
-    src_positions: &[usize],
+    src_positions: impl IntoIterator<Item = usize>,
+    offset: usize,
 ) -> Result<Vec<TemplateCell>> {
-    let mut cells = Vec::with_capacity(src_positions.len());
-    for (new_pos, &src_pos) in src_positions.iter().enumerate() {
+    let mut cells = Vec::with_capacity(src.cells.len());
+    for (i, src_pos) in src_positions.into_iter().enumerate() {
         match &src.cells[src_pos] {
             TemplateCell::Certain(v) => cells.push(TemplateCell::Certain(v.clone())),
             TemplateCell::Open => {
-                let loc = wsd
-                    .field_loc(Field::attr(src.tid, src_pos as u32))
-                    .ok_or_else(|| {
-                        Error::InvalidExpr(format!("unmapped field {}.#{src_pos}", src.tid))
-                    })?;
-                wsd.alias_field(Field::attr(new_tid, new_pos as u32), loc);
+                let loc = open_loc(wsd, src, src_pos)?;
+                wsd.alias_field(Field::attr(new_tid, (offset + i) as u32), loc);
                 cells.push(TemplateCell::Open);
             }
         }
@@ -118,58 +104,22 @@ pub(crate) fn alias_cells(
     Ok(cells)
 }
 
-/// Appends a fresh column for `field` computed by `f` to component
-/// `comp_idx`, registering it in the field map. The field must not already
-/// label a column of that component (components reject duplicate fields).
-pub(crate) fn add_field_column<F>(
-    wsd: &mut Wsd,
-    comp_idx: usize,
-    field: Field,
-    f: F,
-) -> Result<()>
-where
-    F: FnMut(RowRef<'_>) -> Cell,
-{
-    let comp = wsd
-        .component_mut(comp_idx)
-        .ok_or_else(|| Error::InvalidExpr(format!("dead component {comp_idx}")))?;
-    let col = comp.num_fields();
-    comp.add_column(field, f);
-    wsd.alias_field(field, (comp_idx, col));
-    Ok(())
-}
-
-/// Appends a fresh existence column computed by `f` to component
-/// `comp_idx`, registering it as the existence field of `tid`.
-pub(crate) fn add_exists_column<F>(wsd: &mut Wsd, comp_idx: usize, tid: Tid, f: F) -> Result<()>
-where
-    F: FnMut(RowRef<'_>) -> Cell,
-{
-    add_field_column(wsd, comp_idx, Field::exists(tid), f)
-}
-
 /// Re-emits a tuple unchanged into `out`: identity cells (open fields
-/// aliased), existence inherited. Shared by selection's static keep path
-/// and dedup.
+/// aliased), existence inherited.
 pub(crate) fn emit_passthrough(wsd: &mut Wsd, t: &TupleTemplate, out: &str) -> Result<()> {
     let new_tid = wsd.fresh_tid();
-    let all: Vec<usize> = (0..t.cells.len()).collect();
-    let cells = alias_cells(wsd, new_tid, t, &all)?;
-    let exists = match exists_loc(wsd, t)? {
-        None => Existence::Always,
-        Some(loc) => {
-            wsd.alias_field(Field::exists(new_tid), loc);
-            Existence::Open
-        }
-    };
+    let cells = alias_cells(wsd, new_tid, t, 0..t.cells.len(), 0)?;
+    let exists = inherit_exists(wsd, t, new_tid)?;
     wsd.push_template(out, TupleTemplate { tid: new_tid, cells: cells.into(), exists })
 }
 
-/// Whether the tuple is dead in this row of the merged component: some of
-/// its columns there (attribute fields at `cols`, or the existence column)
-/// holds ⊥.
-pub(crate) fn dead_in_row(row: RowRef<'_>, cols: &[usize]) -> bool {
-    cols.iter().any(|&c| row.is_bottom(c))
+/// The ∃ cell of a row in which a derived tuple does or does not exist.
+pub(crate) fn exists_cell(exists: bool) -> Cell {
+    if exists {
+        Cell::Val(Value::Bool(true))
+    } else {
+        Cell::Bottom
+    }
 }
 
 /// Possible values of the field of `t` at `pos` (singleton for certain
@@ -179,13 +129,8 @@ pub(crate) fn possible_values_of(wsd: &Wsd, t: &TupleTemplate, pos: usize) -> Re
     match &t.cells[pos] {
         TemplateCell::Certain(v) => Ok(vec![v.clone()]),
         TemplateCell::Open => {
-            let (c, col) = wsd
-                .field_loc(Field::attr(t.tid, pos as u32))
-                .ok_or_else(|| Error::InvalidExpr(format!("unmapped field {}.#{pos}", t.tid)))?;
-            let comp = wsd
-                .component(c)
-                .ok_or_else(|| Error::InvalidExpr(format!("dead component {c}")))?;
-            Ok(comp.possible_values_col(col))
+            let (c, col) = open_loc(wsd, t, pos)?;
+            Ok(wsd.component(c).ok_or_else(|| dead_component(c))?.possible_values_col(col))
         }
     }
 }
@@ -215,4 +160,246 @@ where
         }
     }
     buckets
+}
+
+/// One tuple a per-world decision reads.
+pub(crate) struct Part<'a> {
+    t: &'a TupleTemplate,
+    /// The positions of `t` the decision reads.
+    positions: &'a [usize],
+    /// Where `t`'s position 0 lands in the row buffer.
+    offset: usize,
+    /// Whether `t`'s ∃ field is read.
+    exists: bool,
+    /// Whether the decision is also made where `t` is absent.
+    optional: bool,
+}
+
+impl<'a> Part<'a> {
+    pub(crate) fn new(t: &'a TupleTemplate, positions: &'a [usize], offset: usize) -> Part<'a> {
+        Part { t, positions, offset, exists: true, optional: false }
+    }
+
+    /// Reads the values only, not the ∃ field: for `UPDATE`, whose new
+    /// tuple keeps the old ∃ field and so must not merge it.
+    pub(crate) fn values_only(self) -> Part<'a> {
+        Part { exists: false, ..self }
+    }
+
+    /// A tuple whose absence the decision reads through [`Row::live`]
+    /// instead of being skipped: difference's candidates.
+    pub(crate) fn optional(self) -> Part<'a> {
+        Part { optional: true, ..self }
+    }
+
+    fn open(&self) -> impl Iterator<Item = usize> + 'a {
+        let t = self.t;
+        self.positions.iter().copied().filter(move |&p| matches!(t.cells[p], TemplateCell::Open))
+    }
+
+    /// The location of the ∃ field, if read and open.
+    fn exists_loc(&self, wsd: &Wsd) -> Result<Option<(usize, usize)>> {
+        if self.exists {
+            exists_loc(wsd, self.t)
+        } else {
+            Ok(None)
+        }
+    }
+}
+
+/// Whether a decision over `parts` can differ between worlds: some read
+/// position is open, or some read ∃ field is.
+pub(crate) fn varies(parts: &[Part<'_>]) -> bool {
+    parts
+        .iter()
+        .any(|p| p.open().next().is_some() || (p.exists && p.t.exists == Existence::Open))
+}
+
+/// The row of the parts' certain values at their read positions, or
+/// `None` when a read position is open. A decision on this row holds in
+/// every world where the tuples exist.
+pub(crate) fn certain_row(parts: &[Part<'_>]) -> Option<Tuple> {
+    parts.iter().all(|p| p.open().next().is_none()).then(|| template_row(parts))
+}
+
+/// The full-width row buffer: certain values at the read positions,
+/// NULL elsewhere.
+fn template_row(parts: &[Part<'_>]) -> Tuple {
+    let width = parts.iter().map(|p| p.offset + p.t.cells.len()).max().unwrap_or(0);
+    let mut vals = vec![Value::Null; width];
+    for p in parts {
+        for &pos in p.positions {
+            if let TemplateCell::Certain(v) = &p.t.cells[pos] {
+                vals[p.offset + pos] = v.clone();
+            }
+        }
+    }
+    Tuple::new(vals)
+}
+
+/// One row of the merged component, as a decision sees it.
+pub(crate) struct Row<'r> {
+    /// Every part's values at its read positions, at its offset.
+    pub(crate) vals: &'r Tuple,
+    /// Per part, whether the tuple exists in this row.
+    pub(crate) live: &'r [bool],
+}
+
+/// Where one part's reads live in the merged component.
+struct PartCols {
+    /// `(buffer index, column)` per open read position.
+    open: Vec<(usize, usize)>,
+    /// The ∃ column, if read and open.
+    exists: Option<usize>,
+    optional: bool,
+}
+
+/// The per-world decision kernel (module docs of [`crate::algebra`]):
+/// the merged component of the parts' reads, and a row buffer holding
+/// every part's values.
+///
+/// A part is absent in a row where one of its read columns is ⊥. Where
+/// a part that is not [`Part::optional`] is absent, nothing is decided:
+/// the row gets ⊥, or is kept by [`Reads::delete_rows`]. Elsewhere the
+/// decision runs, and the first error it raises is the statement's.
+pub(crate) struct Reads {
+    comp: usize,
+    /// Distinct components merged into `comp`.
+    merged: usize,
+    parts: Vec<PartCols>,
+    buf: Tuple,
+    live: Vec<bool>,
+}
+
+impl Reads {
+    /// Merges the components the parts read. Fails when they read
+    /// nothing that varies by world (see [`varies`]).
+    pub(crate) fn merge(wsd: &mut Wsd, parts: &[Part<'_>]) -> Result<Reads> {
+        let mut comps = Vec::new();
+        for p in parts {
+            for pos in p.open() {
+                comps.push(open_loc(wsd, p.t, pos)?.0);
+            }
+            comps.extend(p.exists_loc(wsd)?.map(|(c, _)| c));
+        }
+        comps.sort_unstable();
+        comps.dedup();
+        let comp = wsd.merge_components(&comps)?;
+        let mut cols = Vec::with_capacity(parts.len());
+        for p in parts {
+            let open = p
+                .open()
+                .map(|pos| Ok((p.offset + pos, open_loc(wsd, p.t, pos)?.1)))
+                .collect::<Result<_>>()?;
+            let exists = p.exists_loc(wsd)?.map(|(_, col)| col);
+            cols.push(PartCols { open, exists, optional: p.optional });
+        }
+        Ok(Reads {
+            comp,
+            merged: comps.len(),
+            parts: cols,
+            buf: template_row(parts),
+            live: vec![false; parts.len()],
+        })
+    }
+
+    /// The merged component.
+    pub(crate) fn component(&self) -> usize {
+        self.comp
+    }
+
+    /// Merges performed: components merged, minus the one they became.
+    pub(crate) fn merges(&self) -> usize {
+        self.merged - 1
+    }
+
+    /// Loads `row` into the buffer; false where a needed part is absent.
+    fn load(&mut self, row: RowRef<'_>) -> bool {
+        let vals = self.buf.values_mut();
+        for (p, live) in self.parts.iter().zip(&mut self.live) {
+            *live = p.exists.is_none_or(|c| !row.is_bottom(c))
+                && p.open.iter().all(|&(at, col)| match row.cell(col) {
+                    Cell::Val(v) => {
+                        vals[at].clone_from(v);
+                        true
+                    }
+                    Cell::Bottom => false,
+                });
+            if !*live && !p.optional {
+                return false;
+            }
+        }
+        true
+    }
+
+    /// `decide` on `row`, or `None` where a needed part is absent or an
+    /// earlier row already failed; a failure lands in `err`.
+    fn decide<T>(
+        &mut self,
+        row: RowRef<'_>,
+        err: &mut Option<Error>,
+        decide: &mut impl FnMut(&Row<'_>) -> Result<T>,
+    ) -> Option<T> {
+        if err.is_some() || !self.load(row) {
+            return None;
+        }
+        decide(&Row { vals: &self.buf, live: &self.live }).map_err(|e| *err = Some(e)).ok()
+    }
+
+    /// Appends `field`'s column to the merged component: `decide`'s cell
+    /// per row, ⊥ where a needed part is absent.
+    pub(crate) fn write_column(
+        &mut self,
+        wsd: &mut Wsd,
+        field: Field,
+        mut decide: impl FnMut(&Row<'_>) -> Result<Cell>,
+    ) -> Result<()> {
+        let comp = wsd.component_mut(self.comp).ok_or_else(|| dead_component(self.comp))?;
+        let col = comp.num_fields();
+        let mut err = None;
+        comp.add_column(field, |row| {
+            self.decide(row, &mut err, &mut decide).unwrap_or(Cell::Bottom)
+        });
+        wsd.alias_field(field, (self.comp, col));
+        err.map_or(Ok(()), Err)
+    }
+
+    /// Deletes the rows of the merged component where every needed part
+    /// exists and `violates` holds; returns how many and their mass.
+    pub(crate) fn delete_rows(
+        &mut self,
+        wsd: &mut Wsd,
+        mut violates: impl FnMut(&Row<'_>) -> Result<bool>,
+    ) -> Result<(usize, f64)> {
+        let comp = wsd.component_mut(self.comp).ok_or_else(|| dead_component(self.comp))?;
+        let before = comp.num_rows();
+        let mut err = None;
+        let mass = comp.retain_rows(|row| self.decide(row, &mut err, &mut violates) != Some(true));
+        err.map_or(Ok((before - comp.num_rows(), mass)), Err)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use maybms_relational::ColumnType;
+    use maybms_worldset::OrSetCell;
+
+    #[test]
+    fn possible_values_of_reads_certain_and_open_fields() {
+        let mut w = Wsd::new();
+        w.add_relation("r", Schema::new(vec![("a", ColumnType::Int), ("b", ColumnType::Str)]))
+            .unwrap();
+        w.push_orset(
+            "r",
+            vec![
+                OrSetCell::weighted(vec![(Value::Int(1), 0.4), (Value::Int(2), 0.6)]).unwrap(),
+                OrSetCell::certain("x"),
+            ],
+        )
+        .unwrap();
+        let t = w.relation("r").unwrap().tuples[0].clone();
+        assert_eq!(possible_values_of(&w, &t, 0).unwrap(), vec![Value::Int(1), Value::Int(2)]);
+        assert_eq!(possible_values_of(&w, &t, 1).unwrap(), vec![Value::str("x")]);
+    }
 }

@@ -7,17 +7,14 @@
 //! values overlap `t`'s on every column are considered, and only the
 //! components those candidates actually touch are merged.
 
-use std::sync::Arc;
-
 use maybms_relational::{Result, Value};
 
-use crate::cell::Cell;
 use crate::field::Field;
 use crate::wsd::{Existence, TemplateCell, TupleTemplate, Wsd};
 
 use super::common::{
-    add_exists_column, alias_cells, all_open_fields, dead_in_row, exists_loc, possible_values_of,
-    snapshot, values_intersect,
+    alias_cells, exists_cell, inherit_exists, possible_values_of, snapshot, values_intersect,
+    varies, Part, Reads,
 };
 
 /// input_l − input_r → out.
@@ -27,6 +24,7 @@ pub fn difference_op(wsd: &mut Wsd, left: &str, right: &str, out: &str) -> Resul
     let arity = l.schema.len();
     wsd.add_relation(out, l.schema.clone())?;
     let (lt, rt) = (&l.tuples, &r.tuples);
+    let all: Vec<usize> = (0..arity).collect();
 
     // possible values per right tuple per column (for pruning)
     let mut r_poss: Vec<Vec<Vec<Value>>> = Vec::with_capacity(rt.len());
@@ -54,21 +52,6 @@ pub fn difference_op(wsd: &mut Wsd, left: &str, right: &str, out: &str) -> Resul
             .collect();
 
         let new_tid = wsd.fresh_tid();
-        let identity: Vec<usize> = (0..arity).collect();
-
-        if candidates.is_empty() {
-            // no right tuple can ever equal t: u is just t
-            let cells = alias_cells(wsd, new_tid, t, &identity)?;
-            let exists = match exists_loc(wsd, t)? {
-                None => Existence::Always,
-                Some(loc) => {
-                    wsd.alias_field(Field::exists(new_tid), loc);
-                    Existence::Open
-                }
-            };
-            wsd.push_template(out, TupleTemplate { tid: new_tid, cells: cells.into(), exists })?;
-            continue;
-        }
 
         // Fully static case: t certain & always exists, and some candidate
         // certain & always exists with equal values ⇒ t never survives.
@@ -89,115 +72,27 @@ pub fn difference_op(wsd: &mut Wsd, left: &str, right: &str, out: &str) -> Resul
             }
         }
 
-        // Dynamic: merge everything t and the candidates depend on.
-        let mut comps: Vec<usize> = Vec::new();
-        for &(_, (c, _)) in &all_open_fields(wsd, t)? {
-            comps.push(c);
-        }
-        if let Some((c, _)) = exists_loc(wsd, t)? {
-            comps.push(c);
-        }
-        for s in &candidates {
-            for &(_, (c, _)) in &all_open_fields(wsd, s)? {
-                comps.push(c);
-            }
-            if let Some((c, _)) = exists_loc(wsd, s)? {
-                comps.push(c);
-            }
-        }
-        if comps.is_empty() {
-            // t and all candidates certain, but values differ (checked
-            // above) ⇒ t survives unconditionally.
-            let cells = alias_cells(wsd, new_tid, t, &identity)?;
-            wsd.push_template(
-                out,
-                TupleTemplate { tid: new_tid, cells: cells.into(), exists: Existence::Always },
-            )?;
+        // t, then each candidate: t is shadowed in a row where an equal
+        // candidate exists.
+        let parts: Vec<Part> = std::iter::once(Part::new(t, &all, 0))
+            .chain(candidates.iter().enumerate().map(|(i, s)| {
+                Part::new(s, &all, (i + 1) * arity).optional()
+            }))
+            .collect();
+        if candidates.is_empty() || !varies(&parts) {
+            // no right tuple can ever equal t, or none varies by world
+            // (and the values differ, checked above): u is just t
+            let cells = alias_cells(wsd, new_tid, t, 0..arity, 0)?;
+            let exists = inherit_exists(wsd, t, new_tid)?;
+            wsd.push_template(out, TupleTemplate { tid: new_tid, cells: cells.into(), exists })?;
             continue;
         }
-        let merged = wsd.merge_components(&comps)?;
-
-        // Resolve per-row value accessors after the merge.
-        let t_open = all_open_fields(wsd, t)?;
-        let mut t_watch: Vec<usize> = t_open.iter().map(|&(_, (_, col))| col).collect();
-        if let Some((c, col)) = exists_loc(wsd, t)? {
-            debug_assert_eq!(c, merged);
-            t_watch.push(col);
-        }
-        struct Cand {
-            cells: Arc<[TemplateCell]>,
-            open: Vec<(usize, usize)>, // (position, merged column)
-            watch: Vec<usize>,
-        }
-        let mut cands: Vec<Cand> = Vec::with_capacity(candidates.len());
-        for s in &candidates {
-            let open: Vec<(usize, usize)> = all_open_fields(wsd, s)?
-                .into_iter()
-                .map(|(pos, (_, col))| (pos, col))
-                .collect();
-            let mut watch: Vec<usize> = open.iter().map(|&(_, col)| col).collect();
-            if let Some((c, col)) = exists_loc(wsd, s)? {
-                debug_assert_eq!(c, merged);
-                watch.push(col);
-            }
-            cands.push(Cand { cells: s.cells.clone(), open, watch });
-        }
-        let t_cells = t.cells.clone();
-        let t_open_cols: Vec<(usize, usize)> =
-            t_open.iter().map(|&(pos, (_, col))| (pos, col)).collect();
-
-        add_exists_column(wsd, merged, new_tid, move |row| {
-            if dead_in_row(row, &t_watch) {
-                return Cell::Bottom;
-            }
-            // materialize t's values in this row
-            let mut tv: Vec<Value> = Vec::with_capacity(arity);
-            for (pos, cell) in t_cells.iter().enumerate() {
-                match cell {
-                    TemplateCell::Certain(v) => tv.push(v.clone()),
-                    TemplateCell::Open => {
-                        let col = t_open_cols
-                            .iter()
-                            .find(|&&(p, _)| p == pos)
-                            .map(|&(_, c)| c)
-                            .expect("open field resolved"); // maybms-lint: allow(no-panic-in-prod) -- the field was verified to resolve to an open position earlier in this pass; a miss is a broken rewrite invariant
-                        match row.cell(col) {
-                            Cell::Val(v) => tv.push(v.clone()),
-                            Cell::Bottom => return Cell::Bottom,
-                        }
-                    }
-                }
-            }
-            // does any candidate exist with equal values?
-            'cands: for cand in &cands {
-                if dead_in_row(row, &cand.watch) {
-                    continue;
-                }
-                for (pos, cell) in cand.cells.iter().enumerate() {
-                    let sv = match cell {
-                        TemplateCell::Certain(v) => v.clone(),
-                        TemplateCell::Open => {
-                            let col = cand
-                                .open
-                                .iter()
-                                .find(|&&(p, _)| p == pos)
-                                .map(|&(_, c)| c)
-                                .expect("open field resolved"); // maybms-lint: allow(no-panic-in-prod) -- the field was verified to resolve to an open position earlier in this pass; a miss is a broken rewrite invariant
-                            match row.cell(col) {
-                                Cell::Val(v) => v.clone(),
-                                Cell::Bottom => continue 'cands,
-                            }
-                        }
-                    };
-                    if sv != tv[pos] {
-                        continue 'cands;
-                    }
-                }
-                return Cell::Bottom; // shadowed by an existing equal tuple
-            }
-            Cell::Val(Value::Bool(true))
+        Reads::merge(wsd, &parts)?.write_column(wsd, Field::exists(new_tid), |row| {
+            let vals = |i: usize| &row.vals.values()[i * arity..(i + 1) * arity];
+            let shadowed = (1..row.live.len()).any(|i| row.live[i] && vals(i) == vals(0));
+            Ok(exists_cell(!shadowed))
         })?;
-        let cells = alias_cells(wsd, new_tid, t, &identity)?;
+        let cells = alias_cells(wsd, new_tid, t, 0..arity, 0)?;
         wsd.push_template(
             out,
             TupleTemplate { tid: new_tid, cells: cells.into(), exists: Existence::Open },

@@ -1,43 +1,28 @@
 //! DML on stored decompositions: `DELETE` and `UPDATE` with world-set
 //! semantics.
 //!
-//! Both operators evaluate their predicate *per possible tuple, per
-//! world* (paper §2 semantics) without enumerating worlds:
+//! A tuple whose predicate is **certain** (all referenced fields inline)
+//! is removed or edited in the template directly: it changes in every
+//! world at once. Otherwise the tuple is replaced by a derived one whose
+//! fields alias the original columns, with the decision written by the
+//! kernel ([`Reads`]): `DELETE` appends an existence column that is ⊥
+//! exactly where the predicate holds; `UPDATE` appends one value column
+//! per assigned field holding the new value where the predicate holds
+//! and the old value elsewhere. The new columns are computed from the old
+//! ones before any field is remapped, so predicates see pre-update values
+//! (standard SQL). Assigned values are certain scalars.
 //!
-//! * a tuple whose predicate is **certain** (all referenced fields
-//!   inline) is edited or removed in the template directly — it changes
-//!   in every world at once;
-//! * a tuple whose predicate depends on component choices is replaced by
-//!   a derived template tuple whose fields alias the original columns,
-//!   with the decision materialized in the components: `DELETE` appends a
-//!   fresh existence column that is ⊥ exactly in the rows where the
-//!   predicate holds (the tuple keeps existing in the other worlds);
-//!   `UPDATE` appends one fresh value column per assigned field holding
-//!   the new value where the predicate holds and the old value elsewhere.
-//!
-//! Crucially — and unlike [`crate::chase`], which *removes worlds* and
-//! renormalizes — DML never touches row probabilities: every world
-//! survives with its original probability, only its tuples change. The
-//! certain/possible corner cases follow from this: a tuple that
-//! *certainly* matches a `DELETE` predicate disappears from every world;
-//! one that only *possibly* matches survives exactly in the worlds where
-//! the predicate is false (its confidence drops accordingly); one that
-//! certainly fails the predicate is untouched, bit for bit.
-//!
-//! Assigned `UPDATE` values are certain scalars; predicates see the
-//! pre-update values (standard SQL), which holds by construction because
-//! new columns are computed from the old ones before any field is
-//! remapped.
-//!
-//! A predicate that fails to evaluate (arithmetic error) in **any world
-//! where the tuple exists** aborts the whole statement, exactly like the
-//! enumerate-all-worlds reference — whether the offending field happens
-//! to be certain or open. Callers wanting all-or-nothing state (the
-//! session does) run these on a scratch clone.
+//! Unlike [`crate::chase`], which *removes worlds* and renormalizes, DML
+//! never touches row probabilities: every world survives with its
+//! original probability, only its tuples change. So a tuple that
+//! *certainly* matches a `DELETE` disappears from every world; one that
+//! only *possibly* matches survives exactly where the predicate is false
+//! (its confidence drops accordingly); one that certainly fails is
+//! untouched, bit for bit. A statement that fails midway leaves `wsd`
+//! half written: callers wanting all-or-nothing state (the session does)
+//! run these on a scratch clone.
 
-use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
-use std::rc::Rc;
 use std::sync::Arc;
 
 use maybms_relational::{Error, Expr, Result, Value};
@@ -48,8 +33,8 @@ use crate::normalize;
 use crate::wsd::{Existence, TemplateCell, TupleTemplate, Wsd};
 
 use super::common::{
-    add_exists_column, add_field_column, alias_cells, bind_pred, certain_values_at, dead_in_row,
-    eval_partial, exists_loc, open_fields_at, snapshot,
+    alias_cells, bind_pred, certain_row, exists_cell, inherit_exists, snapshot, varies, Part,
+    Reads,
 };
 
 /// What a DELETE / UPDATE did to the template tuples of the relation.
@@ -90,65 +75,25 @@ pub fn delete_op(wsd: &mut Wsd, rel: &str, pred: Option<&Expr>) -> Result<DmlRep
             report.certain += 1;
             continue;
         };
-        let open = open_fields_at(wsd, t, positions)?;
-        let known = certain_values_at(t, positions);
-        if open.is_empty() {
+        let part = [Part::new(t, positions, 0)];
+        if let Some(row) = certain_row(&part) {
             // the predicate decides identically in every world
-            if eval_partial(bound, arity, &known)? {
+            if bound.eval_predicate(&row)? {
                 removed.push(t.tid);
                 report.certain += 1;
             }
             continue;
         }
 
-        // The decision varies per world: merge the components carrying
-        // the open predicate fields (and the existence field, if open),
-        // then replace the tuple by a derived one whose existence column
-        // is ⊥ exactly where the predicate holds.
-        let mut comp_set: Vec<usize> = open.iter().map(|&(_, (c, _))| c).collect();
-        if let Some((c, _)) = exists_loc(wsd, t)? {
-            comp_set.push(c);
-        }
-        let merged = wsd.merge_components(&comp_set)?;
-        let open_now = open_fields_at(wsd, t, positions)?;
-        let mut watch: Vec<usize> = open_now.iter().map(|&(_, (_, col))| col).collect();
-        if let Some((c, col)) = exists_loc(wsd, t)? {
-            debug_assert_eq!(c, merged);
-            watch.push(col);
-        }
+        // The decision varies per world: replace the tuple by a derived
+        // one whose existence column is ⊥ exactly where the predicate
+        // holds.
+        let mut reads = Reads::merge(wsd, &part)?;
         let new_tid = wsd.fresh_tid();
-        // a predicate error in a live world aborts the statement (checked
-        // after the scan — the session's scratch clone keeps it atomic)
-        let eval_err: RefCell<Option<Error>> = RefCell::new(None);
-        add_exists_column(wsd, merged, new_tid, |row| {
-            if dead_in_row(row, &watch) {
-                return Cell::Bottom; // already absent in these worlds
-            }
-            let mut vals = known.clone();
-            for &(pos, (_, col)) in &open_now {
-                match row.cell(col) {
-                    Cell::Val(v) => {
-                        vals.insert(pos, v.clone());
-                    }
-                    // watch covers every open predicate column, so the
-                    // dead_in_row check above already returned for ⊥ rows
-                    Cell::Bottom => unreachable!("⊥ predicate column in a live row"), // maybms-lint: allow(no-panic-in-prod) -- normalization guarantees live rows never carry bottom in a predicate column
-                }
-            }
-            match eval_partial(bound, arity, &vals) {
-                Ok(true) => Cell::Bottom,                // deleted in these worlds
-                Ok(false) => Cell::Val(Value::Bool(true)), // survives here
-                Err(e) => {
-                    eval_err.borrow_mut().get_or_insert(e);
-                    Cell::Bottom
-                }
-            }
+        reads.write_column(wsd, Field::exists(new_tid), |row| {
+            Ok(exists_cell(!bound.eval_predicate(row.vals)?))
         })?;
-        if let Some(e) = eval_err.into_inner() {
-            return Err(e);
-        }
-        let identity: Vec<usize> = (0..arity).collect();
-        let cells = alias_cells(wsd, new_tid, t, &identity)?;
+        let cells = alias_cells(wsd, new_tid, t, 0..arity, 0)?;
         replaced.push((
             t.tid,
             TupleTemplate { tid: new_tid, cells: cells.into(), exists: Existence::Open },
@@ -157,7 +102,7 @@ pub fn delete_op(wsd: &mut Wsd, rel: &str, pred: Option<&Expr>) -> Result<DmlRep
     }
 
     drop(input); // so the edits below copy the relation only if a clone shares it
-    apply_template_edits(wsd, rel, removed, replaced, Vec::new());
+    apply_template_edits(wsd, rel, removed, replaced, Vec::new())?;
     normalize::normalize(wsd);
     Ok(report)
 }
@@ -197,28 +142,24 @@ pub fn update_op(
     let mut replaced: Vec<(Tid, TupleTemplate)> = Vec::new();
     let mut edited: Vec<(Tid, Vec<(usize, Value)>)> = Vec::new();
 
-    for t in tuples {
-        let (open, known) = match &bound {
-            Some((_, positions)) => {
-                (open_fields_at(wsd, t, positions)?, certain_values_at(t, positions))
-            }
-            None => (Vec::new(), Default::default()),
-        };
-        let statically_decided = open.is_empty();
-        if statically_decided {
-            if let Some((bound, _)) = &bound {
-                if !eval_partial(bound, arity, &known)? {
-                    continue; // certainly unmatched: untouched in every world
-                }
-            }
-        }
-        let open_assigned: Vec<usize> = assignments
-            .iter()
-            .map(|&(pos, _)| pos)
-            .filter(|&pos| matches!(t.cells[pos], TemplateCell::Open))
-            .collect();
+    // the predicate's positions, then the assigned ones (whose old values
+    // fill the rows where the predicate fails)
+    let mut reads_at: Vec<usize> = bound.iter().flat_map(|(_, at)| at.clone()).collect();
+    reads_at.extend(assignments.iter().map(|&(pos, _)| pos));
 
-        if statically_decided && open_assigned.is_empty() {
+    for t in tuples {
+        // `Some` when the predicate is the same in every world
+        let certain = match &bound {
+            None => Some(true),
+            Some((b, positions)) => certain_row(&[Part::new(t, positions, 0)])
+                .map(|row| b.eval_predicate(&row))
+                .transpose()?,
+        };
+        if certain == Some(false) {
+            continue; // certainly unmatched: untouched in every world
+        }
+        let part = [Part::new(t, &reads_at, 0).values_only()];
+        if !varies(&part) {
             // certain predicate, certain targets: edit the template cells
             edited.push((t.tid, assignments.clone()));
             report.certain += 1;
@@ -226,126 +167,30 @@ pub fn update_op(
         }
 
         // Either the predicate or an assigned field varies per world:
-        // merge what the new columns must observe and rebuild the tuple.
-        let mut comp_set: Vec<usize> = open.iter().map(|&(_, (c, _))| c).collect();
-        for &pos in &open_assigned {
-            let (c, _) = wsd
-                .field_loc(Field::attr(t.tid, pos as u32))
-                .ok_or_else(|| Error::InvalidExpr(format!("unmapped field {}.#{pos}", t.tid)))?;
-            comp_set.push(c);
-        }
-        let merged = wsd.merge_components(&comp_set)?;
-        let open_now = match &bound {
-            Some((_, positions)) => open_fields_at(wsd, t, positions)?,
-            None => Vec::new(),
-        };
-        let mut watch: Vec<usize> = open_now.iter().map(|&(_, (_, col))| col).collect();
-        let mut target_col: Vec<Option<usize>> = Vec::with_capacity(assignments.len());
-        for &(pos, _) in &assignments {
-            if open_assigned.contains(&pos) {
-                let (c, col) = wsd
-                    .field_loc(Field::attr(t.tid, pos as u32))
-                    .ok_or_else(|| Error::InvalidExpr(format!("unmapped field {}.#{pos}", t.tid)))?;
-                debug_assert_eq!(c, merged);
-                watch.push(col);
-                target_col.push(Some(col));
-            } else {
-                target_col.push(None);
-            }
-        }
-
+        // one fresh column per assigned field, all computed from the OLD
+        // columns, then the tuple is rebuilt around them.
+        let mut reads = Reads::merge(wsd, &part)?;
         let new_tid = wsd.fresh_tid();
-        // a predicate error in a live world aborts the statement (checked
-        // after the scans — the session's scratch clone keeps it atomic)
-        let eval_err: Rc<RefCell<Option<Error>>> = Rc::new(RefCell::new(None));
-        // One fresh column per assigned field, all computed from the OLD
-        // columns (the predicate sees pre-update values).
-        for (&(pos, ref new_v), &old_col) in assignments.iter().zip(&target_col) {
-            let old_certain = match &t.cells[pos] {
-                TemplateCell::Certain(v) => Some(v.clone()),
-                TemplateCell::Open => None,
-            };
-            let known = known.clone();
-            let open_now = open_now.clone();
-            let watch = watch.clone();
-            let bound_ref = bound.as_ref().map(|(b, _)| b.clone());
-            let new_v = new_v.clone();
-            let eval_err = Rc::clone(&eval_err);
-            add_field_column(wsd, merged, Field::attr(new_tid, pos as u32), move |row| {
-                if dead_in_row(row, &watch) {
-                    // the tuple does not exist in these worlds
-                    return Cell::Bottom;
-                }
-                let matches = match &bound_ref {
+        for (pos, new_v) in &assignments {
+            reads.write_column(wsd, Field::attr(new_tid, *pos as u32), |row| {
+                let hit = match &bound {
                     None => true,
-                    Some(b) => {
-                        let mut vals = known.clone();
-                        for &(p, (_, col)) in &open_now {
-                            match row.cell(col) {
-                                Cell::Val(v) => {
-                                    vals.insert(p, v.clone());
-                                }
-                                // watch covers every open predicate column,
-                                // so dead_in_row already returned for ⊥ rows
-                                Cell::Bottom => {
-                                    unreachable!("⊥ predicate column in a live row") // maybms-lint: allow(no-panic-in-prod) -- normalization guarantees live rows never carry bottom in a predicate column
-                                }
-                            }
-                        }
-                        match eval_partial(b, arity, &vals) {
-                            Ok(m) => m,
-                            Err(e) => {
-                                eval_err.borrow_mut().get_or_insert(e);
-                                false
-                            }
-                        }
-                    }
+                    Some((b, _)) => b.eval_predicate(row.vals)?,
                 };
-                if matches {
-                    Cell::Val(new_v.clone())
-                } else {
-                    match (&old_certain, old_col) {
-                        (Some(v), _) => Cell::Val(v.clone()),
-                        (None, Some(col)) => row.cell(col).clone(),
-                        (None, None) => unreachable!("open target resolved above"), // maybms-lint: allow(no-panic-in-prod) -- the open target was resolved above; both arms None cannot happen by construction
-                    }
-                }
+                Ok(Cell::Val(if hit { new_v } else { &row.vals[*pos] }.clone()))
             })?;
         }
-
-        // Rebuild the template: assigned fields point at the fresh
-        // columns, everything else aliases its old location.
         let mut cells = Vec::with_capacity(arity);
         for pos in 0..arity {
             if assignments.iter().any(|&(p, _)| p == pos) {
-                cells.push(TemplateCell::Open); // mapped by add_field_column
+                cells.push(TemplateCell::Open); // mapped by write_column
             } else {
-                match &t.cells[pos] {
-                    TemplateCell::Certain(v) => cells.push(TemplateCell::Certain(v.clone())),
-                    TemplateCell::Open => {
-                        let loc = wsd
-                            .field_loc(Field::attr(t.tid, pos as u32))
-                            .ok_or_else(|| {
-                                Error::InvalidExpr(format!("unmapped field {}.#{pos}", t.tid))
-                            })?;
-                        wsd.alias_field(Field::attr(new_tid, pos as u32), loc);
-                        cells.push(TemplateCell::Open);
-                    }
-                }
+                cells.extend(alias_cells(wsd, new_tid, t, [pos], pos)?);
             }
         }
-        if let Some(e) = eval_err.borrow_mut().take() {
-            return Err(e);
-        }
-        let exists = match exists_loc(wsd, t)? {
-            None => Existence::Always,
-            Some(loc) => {
-                wsd.alias_field(Field::exists(new_tid), loc);
-                Existence::Open
-            }
-        };
+        let exists = inherit_exists(wsd, t, new_tid)?;
         replaced.push((t.tid, TupleTemplate { tid: new_tid, cells: cells.into(), exists }));
-        if statically_decided {
+        if certain.is_some() {
             report.certain += 1;
         } else {
             report.conditioned += 1;
@@ -353,7 +198,7 @@ pub fn update_op(
     }
 
     drop(input); // so the edits below copy the relation only if a clone shares it
-    apply_template_edits(wsd, rel, Vec::new(), replaced, edited);
+    apply_template_edits(wsd, rel, Vec::new(), replaced, edited)?;
     normalize::normalize(wsd);
     Ok(report)
 }
@@ -369,10 +214,10 @@ fn apply_template_edits(
     removed: Vec<Tid>,
     replaced: Vec<(Tid, TupleTemplate)>,
     edited: Vec<(Tid, Vec<(usize, Value)>)>,
-) {
+) -> Result<()> {
     let gone: HashSet<Tid> =
         removed.iter().copied().chain(replaced.iter().map(|&(old, _)| old)).collect();
-    let tpl = wsd.relation_mut(rel).expect("snapshotted above"); // maybms-lint: allow(no-panic-in-prod) -- the relation was snapshotted from this same map earlier in the function
+    let tpl = wsd.relation_mut(rel)?;
     if !removed.is_empty() {
         let rm: HashSet<Tid> = removed.into_iter().collect();
         tpl.tuples.retain(|t| !rm.contains(&t.tid));
@@ -397,6 +242,7 @@ fn apply_template_edits(
     if !gone.is_empty() {
         wsd.retain_fields(|f| !gone.contains(&f.tid));
     }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -25,16 +25,14 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use maybms_relational::{CmpOp, Expr, Result, Value};
+use maybms_relational::{BoundExpr, CmpOp, Expr, Result, Schema, Value};
 
-use crate::cell::Cell;
-use crate::field::Field;
+use crate::field::{Field, Tid};
 use crate::wsd::{Existence, RelTemplate, TupleTemplate, Wsd};
 
 use super::common::{
-    add_exists_column, alias_cells, bind_pred, bucket_by_possible_values, certain_values_at,
-    dead_in_row, eval_partial, exists_loc, open_fields_at, possible_values_of, snapshot,
-    values_intersect,
+    alias_cells, bind_pred, bucket_by_possible_values, certain_row, exists_cell, inherit_exists,
+    possible_values_of, snapshot, values_intersect, Part, Reads,
 };
 use crate::exec::WorkerPool;
 
@@ -71,10 +69,12 @@ fn side_poss(
 struct JoinPrep {
     l: Arc<RelTemplate>,
     r: Arc<RelTemplate>,
-    bound: maybms_relational::BoundExpr,
-    positions: Vec<usize>,
+    bound: BoundExpr,
+    /// The predicate's positions in the left tuple and (shifted down by
+    /// `larity`) in the right one.
+    l_positions: Vec<usize>,
+    r_positions: Vec<usize>,
     larity: usize,
-    arity: usize,
     eq_pairs: Vec<(usize, usize)>,
     l_poss: SidePoss,
     r_poss: SidePoss,
@@ -94,11 +94,13 @@ fn prepare_join(
     let larity = l.schema.len();
     let eq_pairs = equality_pairs(pred, &out_schema, larity);
     let (bound, positions) = bind_pred(pred, &out_schema)?;
-    let arity = out_schema.len();
+    let (l_positions, r_positions): (Vec<usize>, Vec<usize>) =
+        positions.iter().partition(|&&p| p < larity);
+    let r_positions = r_positions.into_iter().map(|p| p - larity).collect();
     wsd.add_relation(out, out_schema)?;
     let l_poss = side_poss(wsd, &l.tuples, |k| eq_pairs[k].0, eq_pairs.len())?;
     let r_poss = side_poss(wsd, &r.tuples, |k| eq_pairs[k].1 - larity, eq_pairs.len())?;
-    Ok(JoinPrep { l, r, bound, positions, larity, arity, eq_pairs, l_poss, r_poss })
+    Ok(JoinPrep { l, r, bound, l_positions, r_positions, larity, eq_pairs, l_poss, r_poss })
 }
 
 /// The nested-loop pair scan shared by both entry points.
@@ -112,7 +114,7 @@ fn nested_scan(wsd: &mut Wsd, p: &JoinPrep, out: &str) -> Result<()> {
             if prunable {
                 continue;
             }
-            emit_pair(wsd, &p.bound, &p.positions, p.larity, out, t, s, p.arity)?;
+            emit_pair(wsd, p, out, t, s)?;
         }
     }
     Ok(())
@@ -139,8 +141,8 @@ pub fn join_op_in(
     if p.eq_pairs.is_empty() {
         return nested_scan(wsd, &p, out);
     }
-    let JoinPrep { l, r, bound, positions, larity, arity, eq_pairs, l_poss, r_poss } = p;
-    let (lt, rt) = (&l.tuples, &r.tuples);
+    let (lt, rt) = (&p.l.tuples, &p.r.tuples);
+    let (eq_pairs, l_poss, r_poss) = (&p.eq_pairs, &p.l_poss, &p.r_poss);
 
     // Partition the right side on the first equality conjunct: bucket by
     // every possible non-NULL key value (index shared with the chase).
@@ -173,7 +175,7 @@ pub fn join_op_in(
     for (li, cand) in cands.iter().enumerate() {
         wsd.reserve_tuples(out, cand.len());
         for &ri in cand {
-            emit_pair(wsd, &bound, &positions, larity, out, &lt[li], &rt[ri], arity)?;
+            emit_pair(wsd, &p, out, &lt[li], &rt[ri])?;
         }
     }
     Ok(())
@@ -199,7 +201,7 @@ pub fn join_op_nested(
 /// position ≥ larity).
 fn equality_pairs(
     pred: &Expr,
-    out_schema: &maybms_relational::Schema,
+    out_schema: &Schema,
     larity: usize,
 ) -> Vec<(usize, usize)> {
     let mut pairs = Vec::new();
@@ -219,156 +221,45 @@ fn equality_pairs(
     pairs
 }
 
-#[allow(clippy::too_many_arguments)]
+/// Emits the pair `(t, s)` unless its condition certainly fails. A
+/// condition on certain values leaves existence the conjunction of the
+/// two ∃ fields, which needs a merge only when both are open.
 fn emit_pair(
     wsd: &mut Wsd,
-    bound: &maybms_relational::BoundExpr,
-    positions: &[usize],
-    larity: usize,
+    p: &JoinPrep,
     out: &str,
     t: &TupleTemplate,
     s: &TupleTemplate,
-    arity: usize,
 ) -> Result<()> {
-    // positions referencing the left tuple map to t, the rest (shifted) to s
-    let t_positions: Vec<usize> = positions.iter().copied().filter(|&p| p < larity).collect();
-    let s_positions: Vec<usize> = positions
-        .iter()
-        .copied()
-        .filter(|&p| p >= larity)
-        .map(|p| p - larity)
-        .collect();
-
-    let t_open = open_fields_at(wsd, t, &t_positions)?;
-    let s_open = open_fields_at(wsd, s, &s_positions)?;
-    let mut known = certain_values_at(t, &t_positions);
-    for (pos, v) in certain_values_at(s, &s_positions) {
-        known.insert(pos + larity, v);
-    }
-
+    let parts = [Part::new(t, &p.l_positions, 0), Part::new(s, &p.r_positions, p.larity)];
     let new_tid = wsd.fresh_tid();
-    let t_exists = exists_loc(wsd, t)?;
-    let s_exists = exists_loc(wsd, s)?;
-
-    if t_open.is_empty() && s_open.is_empty() {
-        // Condition decidable statically.
-        if !eval_partial(bound, arity, &known)? {
+    if let Some(row) = certain_row(&parts) {
+        if !p.bound.eval_predicate(&row)? {
             return Ok(());
         }
-        let exists = match (t_exists, s_exists) {
-            (None, None) => Existence::Always,
-            (Some(loc), None) | (None, Some(loc)) => {
-                wsd.alias_field(Field::exists(new_tid), loc);
-                Existence::Open
-            }
-            (Some(a), Some(b)) => {
-                // conjunction of the two existence flags
-                let merged = wsd.merge_components(&[a.0, b.0])?;
-                let (ta, tb) = (exists_loc(wsd, t)?.expect("open"), exists_loc(wsd, s)?.expect("open")); // maybms-lint: allow(no-panic-in-prod) -- both join fields were checked open before dispatching to this kernel
-                debug_assert_eq!(ta.0, merged);
-                let watch = vec![ta.1, tb.1];
-                add_exists_column(wsd, merged, new_tid, |row| {
-                    if dead_in_row(row, &watch) {
-                        Cell::Bottom
-                    } else {
-                        Cell::Val(Value::Bool(true))
-                    }
-                })?;
-                Existence::Open
-            }
-        };
-        push_pair(wsd, out, new_tid, t, s, exists)?;
-        return Ok(());
-    }
-
-    // Dynamic: merge every component the condition (or existence) touches.
-    let mut comps: Vec<usize> = t_open.iter().chain(s_open.iter()).map(|&(_, (c, _))| c).collect();
-    if let Some((c, _)) = t_exists {
-        comps.push(c);
-    }
-    if let Some((c, _)) = s_exists {
-        comps.push(c);
-    }
-    let merged = wsd.merge_components(&comps)?;
-    let t_open_now = open_fields_at(wsd, t, &t_positions)?;
-    let s_open_now = open_fields_at(wsd, s, &s_positions)?;
-    let mut watch: Vec<usize> = t_open_now
-        .iter()
-        .chain(s_open_now.iter())
-        .map(|&(_, (_, col))| col)
-        .collect();
-    if let Some((c, col)) = exists_loc(wsd, t)? {
-        debug_assert_eq!(c, merged);
-        watch.push(col);
-    }
-    if let Some((c, col)) = exists_loc(wsd, s)? {
-        debug_assert_eq!(c, merged);
-        watch.push(col);
-    }
-
-    add_exists_column(wsd, merged, new_tid, |row| {
-        if dead_in_row(row, &watch) {
-            return Cell::Bottom;
+        if t.exists == Existence::Always || s.exists == Existence::Always {
+            let from = if t.exists == Existence::Always { s } else { t };
+            let exists = inherit_exists(wsd, from, new_tid)?;
+            return push_pair(wsd, out, new_tid, t, s, exists);
         }
-        let mut vals = known.clone();
-        for &(pos, (_, col)) in &t_open_now {
-            match row.cell(col) {
-                Cell::Val(v) => {
-                    vals.insert(pos, v.clone());
-                }
-                Cell::Bottom => return Cell::Bottom,
-            }
-        }
-        for &(pos, (_, col)) in &s_open_now {
-            match row.cell(col) {
-                Cell::Val(v) => {
-                    vals.insert(pos + larity, v.clone());
-                }
-                Cell::Bottom => return Cell::Bottom,
-            }
-        }
-        match eval_partial(bound, arity, &vals) {
-            Ok(true) => Cell::Val(Value::Bool(true)),
-            _ => Cell::Bottom,
-        }
+    }
+    Reads::merge(wsd, &parts)?.write_column(wsd, Field::exists(new_tid), |row| {
+        Ok(exists_cell(p.bound.eval_predicate(row.vals)?))
     })?;
-    push_pair(wsd, out, new_tid, t, s, Existence::Open)?;
-    Ok(())
+    push_pair(wsd, out, new_tid, t, s, Existence::Open)
 }
 
 fn push_pair(
     wsd: &mut Wsd,
     out: &str,
-    new_tid: crate::field::Tid,
+    new_tid: Tid,
     t: &TupleTemplate,
     s: &TupleTemplate,
     exists: Existence,
 ) -> Result<()> {
-    let t_id: Vec<usize> = (0..t.cells.len()).collect();
-    let mut cells = alias_cells(wsd, new_tid, t, &t_id)?;
-    // right cells continue at position offset
-    for (j, cell) in s.cells.iter().enumerate() {
-        let new_pos = t.cells.len() + j;
-        match cell {
-            crate::wsd::TemplateCell::Certain(v) => {
-                cells.push(crate::wsd::TemplateCell::Certain(v.clone()))
-            }
-            crate::wsd::TemplateCell::Open => {
-                let loc = wsd
-                    .field_loc(Field::attr(s.tid, j as u32))
-                    .ok_or_else(|| {
-                        maybms_relational::Error::InvalidExpr(format!(
-                            "unmapped field {}.#{j}",
-                            s.tid
-                        ))
-                    })?;
-                wsd.alias_field(Field::attr(new_tid, new_pos as u32), loc);
-                cells.push(crate::wsd::TemplateCell::Open);
-            }
-        }
-    }
-    wsd.push_template(out, TupleTemplate { tid: new_tid, cells: cells.into(), exists })?;
-    Ok(())
+    let mut cells = alias_cells(wsd, new_tid, t, 0..t.cells.len(), 0)?;
+    cells.extend(alias_cells(wsd, new_tid, s, 0..s.cells.len(), t.cells.len())?);
+    wsd.push_template(out, TupleTemplate { tid: new_tid, cells: cells.into(), exists })
 }
 
 #[cfg(test)]

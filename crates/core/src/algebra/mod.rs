@@ -6,13 +6,25 @@
 //! Every operator takes template tuples of the input relation(s) and adds
 //! *derived* template tuples for the output relation. Derived tuples do not
 //! copy data: their fields **alias** the component columns of their inputs,
-//! which preserves all correlations. Where an operator must decide
-//! per-world (a selection predicate over uncertain fields, a join
-//! condition, tuple equality in a difference), it merges the touched
-//! components and appends a fresh existence column in which failing rows
-//! are marked ⊥ — selections "must not delete component tuples, but should
-//! mark \[fields\] using the special value ⊥" (paper §2). Evaluation ends by
-//! extracting the result relation and normalizing.
+//! which preserves all correlations. Evaluation ends by extracting the
+//! result relation and normalizing.
+//!
+//! # Per-world decisions
+//!
+//! A decision that reads only certain fields is made once, in the
+//! template. One that reads open fields — a selection or join condition,
+//! a projection's deletion markers, tuple equality in a difference, a
+//! `DELETE`/`UPDATE` predicate, a constraint of [`crate::chase`] — goes
+//! through one kernel, `common::Reads`: it merges the components holding
+//! the fields read and each reading tuple's ∃ field, resolves their
+//! columns once, and then decides row by row on one reused buffer. Failing
+//! rows are marked ⊥ in a fresh column — selections "must not delete
+//! component tuples, but should mark \[fields\] using the special value ⊥"
+//! (paper §2) — or, in the chase, deleted.
+//!
+//! **Errors.** A predicate that fails in a world where its tuple exists
+//! aborts the statement, exactly like the enumerate-all-worlds
+//! reference; one that fails only where its tuple is absent does not.
 
 pub(crate) mod common;
 mod difference;

@@ -9,12 +9,11 @@
 
 use maybms_relational::Result;
 
-use crate::cell::Cell;
 use crate::field::Field;
 use crate::wsd::{Existence, TupleTemplate, Wsd};
 
 use super::common::{
-    add_exists_column, alias_cells, dead_in_row, exists_loc, open_fields_at, snapshot,
+    alias_cells, exists_cell, inherit_exists, marker_positions, snapshot, Part, Reads,
 };
 
 /// π_cols(input) → out.
@@ -34,8 +33,8 @@ pub fn project_op(wsd: &mut Wsd, input: &str, cols: &[&str], out: &str) -> Resul
 }
 
 /// Projects a single template tuple onto `keep_positions`, emitting it into
-/// `out`. Handles the ⊥-capable dropped-field case by merging the marker
-/// components into a fresh existence column.
+/// `out`. Dropped open fields whose columns can be ⊥ carry deletion
+/// markers: the new existence column reads them (and the old ∃ field).
 fn project_tuple(
     wsd: &mut Wsd,
     t: &TupleTemplate,
@@ -43,64 +42,17 @@ fn project_tuple(
     out: &str,
 ) -> Result<()> {
     let new_tid = wsd.fresh_tid();
-
-    // Dropped open fields whose columns can be ⊥ carry deletion
-    // markers; their components must feed the new existence field.
-    let dropped: Vec<usize> = (0..t.cells.len())
-        .filter(|p| !keep_positions.contains(p))
-        .collect();
-    let dropped_open = open_fields_at(wsd, t, &dropped)?;
-    let mut marker_comps: Vec<usize> = Vec::new();
-    for &(_, (c, col)) in &dropped_open {
-        let comp = wsd.component(c).expect("mapped component"); // maybms-lint: allow(no-panic-in-prod) -- component indices are maintained by the WSD itself; a dangling index means the decomposition is corrupt, so fail-stop
-        if comp.column_has_bottom(col) {
-            marker_comps.push(c);
-        }
-    }
-
-    if marker_comps.is_empty() {
-        // Fast path: existence is simply inherited.
-        let exists = match exists_loc(wsd, t)? {
-            None => Existence::Always,
-            Some(loc) => {
-                wsd.alias_field(Field::exists(new_tid), loc);
-                Existence::Open
-            }
-        };
-        let cells = alias_cells(wsd, new_tid, t, keep_positions)?;
-        wsd.push_template(out, TupleTemplate { tid: new_tid, cells: cells.into(), exists })?;
-        return Ok(());
-    }
-
-    // Slow path: conjoin the ⊥-capable dropped components (and the old
-    // existence field) into a fresh existence column.
-    if let Some((c, _)) = exists_loc(wsd, t)? {
-        marker_comps.push(c);
-    }
-    let merged = wsd.merge_components(&marker_comps)?;
-    let dropped_now = open_fields_at(wsd, t, &dropped)?;
-    let mut watch: Vec<usize> = dropped_now
-        .iter()
-        .filter(|&&(_, (c, _))| c == merged)
-        .map(|&(_, (_, col))| col)
-        .collect();
-    if let Some((c, col)) = exists_loc(wsd, t)? {
-        debug_assert_eq!(c, merged);
-        watch.push(col);
-    }
-    add_exists_column(wsd, merged, new_tid, |row| {
-        if dead_in_row(row, &watch) {
-            Cell::Bottom
-        } else {
-            Cell::Val(maybms_relational::Value::Bool(true))
-        }
-    })?;
-    let cells = alias_cells(wsd, new_tid, t, keep_positions)?;
-    wsd.push_template(
-        out,
-        TupleTemplate { tid: new_tid, cells: cells.into(), exists: Existence::Open },
-    )?;
-    Ok(())
+    let mut markers = marker_positions(wsd, t)?;
+    markers.retain(|p| !keep_positions.contains(p));
+    let exists = if markers.is_empty() {
+        inherit_exists(wsd, t, new_tid)?
+    } else {
+        Reads::merge(wsd, &[Part::new(t, &markers, 0)])?
+            .write_column(wsd, Field::exists(new_tid), |_| Ok(exists_cell(true)))?;
+        Existence::Open
+    };
+    let cells = alias_cells(wsd, new_tid, t, keep_positions.iter().copied(), 0)?;
+    wsd.push_template(out, TupleTemplate { tid: new_tid, cells: cells.into(), exists })
 }
 
 #[cfg(test)]

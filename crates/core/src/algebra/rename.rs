@@ -3,41 +3,23 @@
 
 use maybms_relational::Result;
 
-use crate::field::Field;
-use crate::wsd::{Existence, TupleTemplate, Wsd};
+use crate::wsd::Wsd;
 
-use super::common::{alias_cells, exists_loc, snapshot};
-
-fn copy_tuples(wsd: &mut Wsd, tuples: &[TupleTemplate], out: &str) -> Result<()> {
-    for t in tuples {
-        let new_tid = wsd.fresh_tid();
-        let identity: Vec<usize> = (0..t.cells.len()).collect();
-        let cells = alias_cells(wsd, new_tid, t, &identity)?;
-        let exists = match exists_loc(wsd, t)? {
-            None => Existence::Always,
-            Some(loc) => {
-                wsd.alias_field(Field::exists(new_tid), loc);
-                Existence::Open
-            }
-        };
-        wsd.push_template(out, TupleTemplate { tid: new_tid, cells: cells.into(), exists })?;
-    }
-    Ok(())
-}
+use super::common::{emit_passthrough, snapshot};
 
 /// ρ_{from→to}(input) → out.
 pub fn rename_op(wsd: &mut Wsd, input: &str, from: &str, to: &str, out: &str) -> Result<()> {
     let input = snapshot(wsd, input)?;
     let renamed = input.schema.rename(from, to)?;
     wsd.add_relation(out, renamed)?;
-    copy_tuples(wsd, &input.tuples, out)
+    input.tuples.iter().try_for_each(|t| emit_passthrough(wsd, t, out))
 }
 
 /// Prefixes every column name with `prefix.` — used before self-joins.
 pub fn qualify_op(wsd: &mut Wsd, input: &str, prefix: &str, out: &str) -> Result<()> {
     let input = snapshot(wsd, input)?;
     wsd.add_relation(out, input.schema.qualify(prefix))?;
-    copy_tuples(wsd, &input.tuples, out)
+    input.tuples.iter().try_for_each(|t| emit_passthrough(wsd, t, out))
 }
 
 #[cfg(test)]

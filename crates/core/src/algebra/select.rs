@@ -2,19 +2,19 @@
 //!
 //! For each template tuple, the predicate is either decidable statically
 //! (all referenced fields certain) or depends on component choices. In the
-//! latter case the components carrying the referenced fields are merged and
-//! the result tuple's existence column marks failing rows with ⊥ — the
-//! paper's "replace the values different from 'pregnancy' by ⊥", expressed
-//! on the hidden existence field so that later projections cannot lose it.
+//! latter case the decision kernel ([`Reads`]) merges the components
+//! carrying the referenced fields, and the result tuple's existence column
+//! marks failing rows with ⊥ — the paper's "replace the values different
+//! from 'pregnancy' by ⊥", expressed on the hidden existence field so that
+//! later projections cannot lose it.
 
-use maybms_relational::{BoundExpr, Expr, Result, Value};
+use maybms_relational::{Expr, Result};
 
-use crate::cell::Cell;
+use crate::field::Field;
 use crate::wsd::{Existence, TupleTemplate, Wsd};
 
 use super::common::{
-    add_exists_column, alias_cells, bind_pred, certain_values_at, dead_in_row, emit_passthrough,
-    eval_partial, exists_loc, open_fields_at, snapshot,
+    alias_cells, bind_pred, certain_row, emit_passthrough, exists_cell, snapshot, Part, Reads,
 };
 
 /// σ_pred(input) → out.
@@ -22,86 +22,30 @@ pub fn select_op(wsd: &mut Wsd, input: &str, pred: &Expr, out: &str) -> Result<(
     let input = snapshot(wsd, input)?;
     let (bound, positions) = bind_pred(pred, &input.schema)?;
     wsd.add_relation(out, input.schema.clone())?;
-    let arity = input.schema.len();
 
     for t in &input.tuples {
-        let open = open_fields_at(wsd, t, &positions)?;
-        if open.is_empty() {
-            // Static decision.
-            let known = certain_values_at(t, &positions);
-            if !eval_partial(&bound, arity, &known)? {
-                continue;
+        let part = [Part::new(t, &positions, 0)];
+        if let Some(row) = certain_row(&part) {
+            if bound.eval_predicate(&row)? {
+                emit_passthrough(wsd, t, out)?;
             }
-            emit_passthrough(wsd, t, out)?;
-        } else {
-            select_tuple_dynamic(wsd, t, &bound, &positions, arity, out)?;
+            continue;
         }
+        let new_tid = wsd.fresh_tid();
+        Reads::merge(wsd, &part)?.write_column(wsd, Field::exists(new_tid), |row| {
+            Ok(exists_cell(bound.eval_predicate(row.vals)?))
+        })?;
+        let cells = alias_cells(wsd, new_tid, t, 0..t.cells.len(), 0)?;
+        wsd.push_template(
+            out,
+            TupleTemplate { tid: new_tid, cells: cells.into(), exists: Existence::Open },
+        )?;
     }
-    Ok(())
-}
-
-/// The per-tuple dynamic path of selection: the predicate references open
-/// fields, so the components carrying them (and the tuple's existence
-/// field, if open) are merged and a fresh existence column marks failing
-/// rows ⊥.
-fn select_tuple_dynamic(
-    wsd: &mut Wsd,
-    t: &TupleTemplate,
-    bound: &BoundExpr,
-    positions: &[usize],
-    arity: usize,
-    out: &str,
-) -> Result<()> {
-    let open = open_fields_at(wsd, t, positions)?;
-    let known = certain_values_at(t, positions);
-    let new_tid = wsd.fresh_tid();
-    let identity: Vec<usize> = (0..arity).collect();
-
-    // Merge the components carrying the open predicate fields (and the
-    // tuple's existence field, if open).
-    let mut comp_set: Vec<usize> = open.iter().map(|&(_, (c, _))| c).collect();
-    if let Some((c, _)) = exists_loc(wsd, t)? {
-        comp_set.push(c);
-    }
-    let merged = wsd.merge_components(&comp_set)?;
-    // Re-resolve columns after the merge.
-    let open_now = open_fields_at(wsd, t, positions)?;
-    let mut watch_cols: Vec<usize> = open_now.iter().map(|&(_, (_, col))| col).collect();
-    if let Some((c, col)) = exists_loc(wsd, t)? {
-        debug_assert_eq!(c, merged);
-        watch_cols.push(col);
-    }
-
-    add_exists_column(wsd, merged, new_tid, |row| {
-        if dead_in_row(row, &watch_cols) {
-            return Cell::Bottom;
-        }
-        let mut vals = known.clone();
-        for &(pos, (_, col)) in &open_now {
-            match row.cell(col) {
-                Cell::Val(v) => {
-                    vals.insert(pos, v.clone());
-                }
-                Cell::Bottom => return Cell::Bottom,
-            }
-        }
-        match eval_partial(bound, arity, &vals) {
-            Ok(true) => Cell::Val(Value::Bool(true)),
-            _ => Cell::Bottom,
-        }
-    })?;
-
-    let cells = alias_cells(wsd, new_tid, t, &identity)?;
-    wsd.push_template(
-        out,
-        TupleTemplate { tid: new_tid, cells: cells.into(), exists: Existence::Open },
-    )?;
     Ok(())
 }
 
 #[cfg(test)]
 mod tests {
-    
     use crate::algebra::Query;
     use crate::examples::medical_wsd;
     use maybms_relational::Expr;

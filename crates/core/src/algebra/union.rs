@@ -5,31 +5,16 @@
 
 use maybms_relational::Result;
 
-use crate::field::Field;
-use crate::wsd::{Existence, TupleTemplate, Wsd};
+use crate::wsd::Wsd;
 
-use super::common::{alias_cells, exists_loc, snapshot};
+use super::common::{emit_passthrough, snapshot};
 
 /// input_l ∪ input_r → out (set semantics at the world level).
 pub fn union_op(wsd: &mut Wsd, left: &str, right: &str, out: &str) -> Result<()> {
     let (l, r) = (snapshot(wsd, left)?, snapshot(wsd, right)?);
     l.schema.union_compatible(&r.schema)?;
     wsd.add_relation(out, l.schema.clone())?;
-
-    for t in l.tuples.iter().chain(&r.tuples) {
-        let new_tid = wsd.fresh_tid();
-        let identity: Vec<usize> = (0..t.cells.len()).collect();
-        let cells = alias_cells(wsd, new_tid, t, &identity)?;
-        let exists = match exists_loc(wsd, t)? {
-            None => Existence::Always,
-            Some(loc) => {
-                wsd.alias_field(Field::exists(new_tid), loc);
-                Existence::Open
-            }
-        };
-        wsd.push_template(out, TupleTemplate { tid: new_tid, cells: cells.into(), exists })?;
-    }
-    Ok(())
+    l.tuples.iter().chain(&r.tuples).try_for_each(|t| emit_passthrough(wsd, t, out))
 }
 
 #[cfg(test)]

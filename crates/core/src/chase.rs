@@ -10,16 +10,14 @@
 //! component are deleted; per-component renormalization is exact because
 //! components are independent.
 
-use maybms_relational::{Error, Expr, Result, Value};
+use maybms_relational::{Error, Expr, Result, Tuple, Value};
 
-use crate::cell::Cell;
 use crate::normalize;
-use crate::wsd::{Existence, TemplateCell, TupleTemplate, Wsd};
+use crate::wsd::{Existence, TupleTemplate, Wsd};
 
 use crate::algebra::common::{
-    bind_pred, bucket_by_possible_values, certain_values_at, eval_partial,
-    exists_loc as exists_loc_support, open_fields_at as open_fields_support,
-    possible_values_of, snapshot, values_intersect,
+    bind_pred, bucket_by_possible_values, certain_row, marker_positions, possible_values_of,
+    snapshot, values_intersect, varies, Part, Reads, Row,
 };
 
 /// An integrity constraint.
@@ -158,57 +156,37 @@ pub fn clean(wsd: &mut Wsd, constraints: &[Constraint]) -> Result<CleaningReport
     Ok(report)
 }
 
-/// Components a tuple's consistency check must observe: the open fields at
-/// `positions`, the existence field, and every other open field whose
-/// column can be ⊥ (a deletion marker elsewhere decides existence too).
-fn relevant_comps(wsd: &Wsd, t: &TupleTemplate, positions: &[usize]) -> Result<Vec<usize>> {
-    let mut comps: Vec<usize> = Vec::new();
-    for &(_, (c, _)) in &open_fields_support(wsd, t, positions)? {
-        comps.push(c);
-    }
-    if let Some((c, _)) = exists_loc_support(wsd, t)? {
-        comps.push(c);
-    }
-    let all: Vec<usize> = (0..t.cells.len()).collect();
-    for &(pos, (c, col)) in &open_fields_support(wsd, t, &all)? {
-        if positions.contains(&pos) {
-            continue;
-        }
-        let comp = wsd.component(c).expect("mapped"); // maybms-lint: allow(no-panic-in-prod) -- component indices are maintained by the WSD itself; a dangling index means the decomposition is corrupt, so fail-stop
-        if comp.column_has_bottom(col) {
-            comps.push(c);
-        }
-    }
-    comps.sort_unstable();
-    comps.dedup();
-    Ok(comps)
+/// The positions a check on `t` reads: `positions`, plus the deletion
+/// markers that decide, together with the ∃ field, where `t` exists.
+fn check_positions(wsd: &Wsd, t: &TupleTemplate, positions: &[usize]) -> Result<Vec<usize>> {
+    let mut out = positions.to_vec();
+    out.extend(marker_positions(wsd, t)?.into_iter().filter(|p| !positions.contains(p)));
+    Ok(out)
 }
 
-/// Deletes rows of `comp_idx` flagged by `kill`, renormalizing. Fails if
-/// everything is deleted.
-fn delete_rows<F>(
+/// Deletes the rows of the merged component in which the reading tuples
+/// exist and `violates` holds, renormalizing. Fails if everything is
+/// deleted.
+fn delete_rows(
     wsd: &mut Wsd,
-    comp_idx: usize,
-    mut kill: F,
+    mut reads: Reads,
+    violates: impl FnMut(&Row<'_>) -> Result<bool>,
     report: &mut CleaningReport,
     kept_fraction: &mut f64,
-) -> Result<()>
-where
-    F: FnMut(crate::component::RowRef<'_>) -> bool,
-{
+) -> Result<()> {
+    report.merges += reads.merges();
+    let (deleted, removed_mass) = reads.delete_rows(wsd, violates)?;
+    let c = reads.component();
     let comp = wsd
-        .component_mut(comp_idx)
-        .ok_or_else(|| Error::InvalidExpr(format!("dead component {comp_idx}")))?;
-    let before = comp.num_rows();
-    let removed_mass = comp.retain_rows(|r| !kill(r));
-    let after = comp.num_rows();
-    if after == 0 {
+        .component_mut(c)
+        .ok_or_else(|| Error::InvalidExpr(format!("dead component {c}")))?;
+    if comp.num_rows() == 0 {
         return Err(Error::InvalidExpr(
             "cleaning removed all worlds: constraints unsatisfiable".into(),
         ));
     }
-    if after < before {
-        report.deleted_rows += before - after;
+    if deleted > 0 {
+        report.deleted_rows += deleted;
         *kept_fraction *= 1.0 - removed_mass;
         comp.renormalize();
     }
@@ -223,95 +201,28 @@ fn enforce_tuple_check(
     kept_fraction: &mut f64,
 ) -> Result<()> {
     let input = snapshot(wsd, rel)?;
-    let (schema, tuples) = (&input.schema, &input.tuples);
-    let (bound, positions) = bind_pred(pred, schema)?;
-    let arity = schema.len();
+    let (bound, positions) = bind_pred(pred, &input.schema)?;
 
-    for t in tuples {
+    for t in &input.tuples {
         report.checks += 1;
-        let open = open_fields_support(wsd, t, &positions)?;
-        let known = certain_values_at(t, &positions);
-
-        if open.is_empty() {
-            if eval_partial(&bound, arity, &known)? {
+        if let Some(row) = certain_row(&[Part::new(t, &positions, 0)]) {
+            if bound.eval_predicate(&row)? {
                 continue; // always satisfied
             }
-            // statically violating: remove the worlds where t exists
-            match exists_loc_support(wsd, t)? {
-                None => {
-                    return Err(Error::InvalidExpr(format!(
-                        "tuple {} of {rel} violates a check in every world",
-                        t.tid
-                    )))
-                }
-                Some(_) => {
-                    let comps = relevant_comps(wsd, t, &[])?;
-                    let merged = wsd.merge_components(&comps)?;
-                    report.merges += comps.len().saturating_sub(1);
-                    let alive_cols = alive_columns(wsd, t)?;
-                    delete_rows(
-                        wsd,
-                        merged,
-                        |row| alive_cols.iter().all(|&c| !row.is_bottom(c)),
-                        report,
-                        kept_fraction,
-                    )?;
-                }
+            if t.exists == Existence::Always {
+                return Err(Error::InvalidExpr(format!(
+                    "tuple {} of {rel} violates a check in every world",
+                    t.tid
+                )));
             }
-            continue;
+            // else violated in exactly the worlds where t exists
         }
-
-        let comps = relevant_comps(wsd, t, &positions)?;
-        let merged = wsd.merge_components(&comps)?;
-        report.merges += comps.len().saturating_sub(1);
-        let open_now = open_fields_support(wsd, t, &positions)?;
-        let alive_cols = alive_columns(wsd, t)?;
-        let known = known.clone();
-        delete_rows(
-            wsd,
-            merged,
-            |row| {
-                if alive_cols.iter().any(|&c| row.is_bottom(c)) {
-                    return false; // tuple absent: no violation here
-                }
-                let mut vals = known.clone();
-                for &(pos, (_, col)) in &open_now {
-                    match row.cell(col) {
-                        Cell::Val(v) => {
-                            vals.insert(pos, v.clone());
-                        }
-                        Cell::Bottom => return false,
-                    }
-                }
-                !eval_partial(&bound, arity, &vals).unwrap_or(false)
-            },
-            report,
-            kept_fraction,
-        )?;
+        let reads_at = check_positions(wsd, t, &positions)?;
+        let reads = Reads::merge(wsd, &[Part::new(t, &reads_at, 0)])?;
+        let violates = |row: &Row<'_>| Ok(!bound.eval_predicate(row.vals)?);
+        delete_rows(wsd, reads, violates, report, kept_fraction)?;
     }
     Ok(())
-}
-
-/// Columns (in the tuple's merged component) that must all be non-⊥ for the
-/// tuple to exist. Only valid right after `relevant_comps` + merge, when
-/// all ⊥-capable fields live in one component.
-fn alive_columns(wsd: &Wsd, t: &TupleTemplate) -> Result<Vec<usize>> {
-    let mut cols = Vec::new();
-    let all: Vec<usize> = (0..t.cells.len()).collect();
-    let mut comp_idx: Option<usize> = None;
-    for &(_, (c, col)) in &open_fields_support(wsd, t, &all)? {
-        let comp = wsd.component(c).expect("mapped"); // maybms-lint: allow(no-panic-in-prod) -- component indices are maintained by the WSD itself; a dangling index means the decomposition is corrupt, so fail-stop
-        if comp.column_has_bottom(col) {
-            debug_assert!(comp_idx.is_none() || comp_idx == Some(c));
-            comp_idx = Some(c);
-            cols.push(col);
-        }
-    }
-    if let Some((c, col)) = exists_loc_support(wsd, t)? {
-        debug_assert!(comp_idx.is_none() || comp_idx == Some(c));
-        cols.push(col);
-    }
-    Ok(cols)
 }
 
 fn enforce_fd(
@@ -333,6 +244,12 @@ fn enforce_fd(
         .map(|c| schema.index_of(c))
         .collect::<Result<_>>()?;
     let all_pos: Vec<usize> = li.iter().chain(ri.iter()).copied().collect();
+    let arity = schema.len();
+    // on a row holding t at 0 and u at `arity`: agree on lhs, differ on rhs
+    let violated = |vals: &Tuple| {
+        let same = |&p: &usize| vals[p] == vals[arity + p];
+        li.iter().all(same) && !ri.iter().all(same)
+    };
 
     // Pair pruning at scale, sharing the equi-join's bucket index: every
     // tuple's possible values at the constrained positions are derived
@@ -343,7 +260,7 @@ fn enforce_fd(
     // per-pair prunes below reuse the precomputed value sets instead of
     // re-deriving them. The precomputed sets can only be supersets of
     // the live ones after earlier deletions, so pruning stays sound (the
-    // kill closure re-reads live rows).
+    // kernel re-reads live rows).
     let mut poss: Vec<Vec<Vec<Value>>> = Vec::with_capacity(tuples.len());
     for t in tuples {
         let per: Vec<Vec<Value>> = all_pos
@@ -382,111 +299,37 @@ fn enforce_fd(
 
     for (i, j) in pairs {
         let (t, u) = (&tuples[i], &tuples[j]);
-        {
-            report.checks += 1;
-            // prune: lhs must be able to agree
-            let can_agree = (0..nl).all(|k| values_intersect(&poss[i][k], &poss[j][k]));
-            if !can_agree {
-                continue;
-            }
-            // prune: rhs must be able to differ
-            let can_differ = (nl..all_pos.len()).any(|k| {
-                let (tv, uv) = (&poss[i][k], &poss[j][k]);
-                tv.len() > 1 || uv.len() > 1 || tv.first() != uv.first()
-            });
-            if !can_differ {
-                continue;
-            }
-
-            // fully static violation?
-            let t_static = open_fields_support(wsd, t, &all_pos)?.is_empty();
-            let u_static = open_fields_support(wsd, u, &all_pos)?.is_empty();
-            if t_static
-                && u_static
-                && t.exists == Existence::Always
-                && u.exists == Existence::Always
-            {
-                let lhs_eq = li.iter().all(|&p| cert(t, p) == cert(u, p));
-                let rhs_eq = ri.iter().all(|&p| cert(t, p) == cert(u, p));
-                if lhs_eq && !rhs_eq {
-                    return Err(Error::InvalidExpr(format!(
-                        "tuples {} and {} of {rel} violate the FD in every world",
-                        t.tid, u.tid
-                    )));
-                }
-                continue;
-            }
-
-            let mut comps = relevant_comps(wsd, t, &all_pos)?;
-            comps.extend(relevant_comps(wsd, u, &all_pos)?);
-            comps.sort_unstable();
-            comps.dedup();
-            if comps.is_empty() {
-                continue;
-            }
-            let merged = wsd.merge_components(&comps)?;
-            report.merges += comps.len().saturating_sub(1);
-
-            let t_open = open_fields_support(wsd, t, &all_pos)?;
-            let u_open = open_fields_support(wsd, u, &all_pos)?;
-            let t_alive = alive_columns(wsd, t)?;
-            let u_alive = alive_columns(wsd, u)?;
-            let (tc, uc) = (t.cells.clone(), u.cells.clone());
-            let (li2, ri2) = (li.clone(), ri.clone());
-
-            let value_at = move |cells: &[TemplateCell],
-                                 open: &[(usize, (usize, usize))],
-                                 row: crate::component::RowRef<'_>,
-                                 pos: usize|
-                  -> Option<Value> {
-                match &cells[pos] {
-                    TemplateCell::Certain(v) => Some(v.clone()),
-                    TemplateCell::Open => {
-                        let col = open.iter().find(|&&(p, _)| p == pos).map(|&(_, (_, c))| c)?;
-                        match row.cell(col) {
-                            Cell::Val(v) => Some(v.clone()),
-                            Cell::Bottom => None,
-                        }
-                    }
-                }
-            };
-
-            delete_rows(
-                wsd,
-                merged,
-                |row| {
-                    if t_alive.iter().any(|&c| row.is_bottom(c))
-                        || u_alive.iter().any(|&c| row.is_bottom(c))
-                    {
-                        return false;
-                    }
-                    for &p in &li2 {
-                        match (value_at(&tc, &t_open, row, p), value_at(&uc, &u_open, row, p)) {
-                            (Some(a), Some(b)) if a == b => {}
-                            _ => return false,
-                        }
-                    }
-                    for &p in &ri2 {
-                        match (value_at(&tc, &t_open, row, p), value_at(&uc, &u_open, row, p)) {
-                            (Some(a), Some(b)) if a != b => return true,
-                            _ => {}
-                        }
-                    }
-                    false
-                },
-                report,
-                kept_fraction,
-            )?;
+        report.checks += 1;
+        // prune: lhs must be able to agree
+        let can_agree = (0..nl).all(|k| values_intersect(&poss[i][k], &poss[j][k]));
+        if !can_agree {
+            continue;
         }
+        // prune: rhs must be able to differ
+        let can_differ = (nl..all_pos.len()).any(|k| {
+            let (tv, uv) = (&poss[i][k], &poss[j][k]);
+            tv.len() > 1 || uv.len() > 1 || tv.first() != uv.first()
+        });
+        if !can_differ {
+            continue;
+        }
+
+        let pair = [Part::new(t, &all_pos, 0), Part::new(u, &all_pos, arity)];
+        if !varies(&pair) {
+            // both certain and always present: a violation is in every world
+            if certain_row(&pair).is_some_and(|row| violated(&row)) {
+                return Err(Error::InvalidExpr(format!(
+                    "tuples {} and {} of {rel} violate the FD in every world",
+                    t.tid, u.tid
+                )));
+            }
+            continue;
+        }
+        let (t_at, u_at) = (check_positions(wsd, t, &all_pos)?, check_positions(wsd, u, &all_pos)?);
+        let reads = Reads::merge(wsd, &[Part::new(t, &t_at, 0), Part::new(u, &u_at, arity)])?;
+        delete_rows(wsd, reads, |row| Ok(violated(row.vals)), report, kept_fraction)?;
     }
     Ok(())
-}
-
-fn cert(t: &TupleTemplate, pos: usize) -> Option<&Value> {
-    match &t.cells[pos] {
-        TemplateCell::Certain(v) => Some(v),
-        TemplateCell::Open => None,
-    }
 }
 
 #[cfg(test)]

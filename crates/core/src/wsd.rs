@@ -657,29 +657,6 @@ impl Wsd {
         Ok(new_idx)
     }
 
-    /// Possible values of a tuple field: the certain value, or the distinct
-    /// non-⊥ values of its component column.
-    pub fn possible_values(&self, rel: &str, tid: Tid, pos: usize) -> Result<Vec<Value>> {
-        let tpl = self.relation(rel)?;
-        let t = tpl
-            .tuples
-            .iter()
-            .find(|t| t.tid == tid)
-            .ok_or_else(|| Error::InvalidExpr(format!("tuple {tid} not in {rel}")))?;
-        Ok(match &t.cells[pos] {
-            TemplateCell::Certain(v) => vec![v.clone()],
-            TemplateCell::Open => {
-                let (c, col) = self
-                    .field_loc(Field::attr(tid, pos as u32))
-                    .ok_or_else(|| Error::InvalidExpr(format!("unmapped open field {tid}.#{pos}")))?;
-                let comp = self
-                    .component(c)
-                    .ok_or_else(|| Error::InvalidExpr(format!("dead component {c}")))?;
-                comp.possible_values_col(col)
-            }
-        })
-    }
-
     // ------------------------------------------------------------------
     // Semantics: world counting, enumeration, instantiation
     // ------------------------------------------------------------------
@@ -1216,16 +1193,6 @@ mod tests {
         // mutable access re-marks
         let _ = w.component_mut(live[1]);
         assert_eq!(w.dirty_components(), vec![live[1]]);
-    }
-
-    #[test]
-    fn possible_values() {
-        let w = orset_wsd();
-        let tid = w.relation("r").unwrap().tuples[0].tid;
-        let vals = w.possible_values("r", tid, 0).unwrap();
-        assert_eq!(vals, vec![Value::Int(1), Value::Int(2)]);
-        let vals_b = w.possible_values("r", tid, 1).unwrap();
-        assert_eq!(vals_b, vec![Value::str("x")]);
     }
 
     #[test]

@@ -25,6 +25,11 @@ impl Tuple {
         &self.values
     }
 
+    /// In-place access, for a row buffer reused across evaluations.
+    pub fn values_mut(&mut self) -> &mut [Value] {
+        &mut self.values
+    }
+
     pub fn into_values(self) -> Vec<Value> {
         self.values
     }

@@ -457,6 +457,31 @@ fn repair_check_via_sql() {
     assert_eq!(t.table().unwrap().rows()[0][0], Value::Int(10));
 }
 
+/// A check that fails to evaluate in a world where its tuple exists
+/// aborts the repair, like the all-worlds reference, instead of deleting
+/// that world as a violation; `r` is left as it was.
+#[test]
+fn repair_check_error_aborts_and_leaves_table_unchanged() {
+    let mut s = Session::new();
+    s.execute("CREATE TABLE r (v INT)").unwrap();
+    s.execute("INSERT INTO r VALUES ({0: 0.5, 5: 0.5})").unwrap();
+    let before = maybms_core::codec::encode_wsd(s.wsd());
+    err_contains(s.execute("REPAIR CHECK r: 10 / v = 2"), "division by zero");
+    assert_eq!(before, maybms_core::codec::encode_wsd(s.wsd()));
+}
+
+/// The same policy for a selection over an uncertain field: the `v = 0`
+/// world raises, so the query does, as `DELETE` with that predicate and
+/// the selection over a certain `0` already did.
+#[test]
+fn select_error_in_an_uncertain_world_aborts() {
+    let mut s = Session::new();
+    s.execute("CREATE TABLE t (k INT, v INT)").unwrap();
+    s.execute("INSERT INTO t VALUES (1, {0: 0.5, 5: 0.5})").unwrap();
+    err_contains(s.execute("SELECT k, PROB() FROM t WHERE 10 / v = 2"), "division by zero");
+    err_contains(s.execute("DELETE FROM t WHERE 10 / v = 2"), "division by zero");
+}
+
 #[test]
 fn join_via_sql_with_aliases() {
     let mut s = medical_session();

@@ -12,7 +12,7 @@ use maybms_core::exec::{compile, Executor, WorkerPool};
 use maybms_core::normalize::{normalize, normalize_from_scratch, normalize_full};
 use maybms_core::prob;
 use maybms_core::wsd::Wsd;
-use maybms_relational::{ColumnType, Expr, Schema, Value};
+use maybms_relational::{BinOp, ColumnType, Expr, Schema, Value};
 use maybms_worldset::eval::eval_in_all_worlds;
 use maybms_worldset::OrSetCell;
 
@@ -104,6 +104,12 @@ fn arb_query() -> impl Strategy<Value = Query> {
             (inner.clone(), 0i64..4).prop_map(|(q, v)| q.select(Expr::col("b").gt(Expr::lit(v)))),
             (inner.clone(), 0i64..4).prop_map(|(q, v)| q.select(
                 Expr::col("a").eq(Expr::lit(v)).and(Expr::col("b").ne(Expr::lit(v)))
+            )),
+            // 12 / b raises where b = 0: the engine must reject exactly
+            // when a world where the tuple exists does
+            (inner.clone(), 0i64..4).prop_map(|(q, v)| q.select(
+                Expr::Bin(BinOp::Div, Box::new(Expr::lit(12i64)), Box::new(Expr::col("b")))
+                    .gt(Expr::lit(v))
             )),
             inner.clone().prop_map(|q| q.project(["a"])),
             inner.clone().prop_map(|q| q.project(["b", "a"])),
