@@ -215,11 +215,75 @@ pub(crate) fn varies(parts: &[Part<'_>]) -> bool {
         .any(|p| p.open().next().is_some() || (p.exists && p.t.exists == Existence::Open))
 }
 
-/// The row of the parts' certain values at their read positions, or
-/// `None` when a read position is open. A decision on this row holds in
-/// every world where the tuples exist.
-pub(crate) fn certain_row(parts: &[Part<'_>]) -> Option<Tuple> {
-    parts.iter().all(|p| p.open().next().is_none()).then(|| template_row(parts))
+/// The value `decide` has in every world where the parts exist, settled
+/// on possible values without merging; `None` when it varies, or when it
+/// fails on a read of an open field (the kernel then applies the error
+/// policy). With no open read it decides once, on the certain values,
+/// and returns the decision's error.
+///
+/// Per component holding an open read, the distinct non-⊥ projections of
+/// its rows onto the read columns; `decide` runs on their cartesian
+/// product, whose every combination occurs in some world, until two
+/// combinations disagree. That is never more rows than merging them.
+pub(crate) fn settled(
+    wsd: &Wsd,
+    parts: &[Part<'_>],
+    mut decide: impl FnMut(&Tuple) -> Result<bool>,
+) -> Result<Option<bool>> {
+    if parts.iter().all(|p| p.open().next().is_none()) {
+        return decide(&template_row(parts)).map(Some);
+    }
+    settle_open(wsd, parts, &mut decide)
+}
+
+/// [`settled`] with an open read. Out of line: the certain path above
+/// runs for every tuple of a selection, and stays small.
+#[inline(never)]
+fn settle_open(
+    wsd: &Wsd,
+    parts: &[Part<'_>],
+    decide: &mut dyn FnMut(&Tuple) -> Result<bool>,
+) -> Result<Option<bool>> {
+    let mut reads = Vec::new(); // (component, buffer index, column) per open read
+    for p in parts {
+        for pos in p.open() {
+            let (c, col) = open_loc(wsd, p.t, pos)?;
+            reads.push((c, p.offset + pos, col));
+        }
+    }
+    reads.sort_unstable();
+    let mut choices = Vec::new(); // per component: its reads, its distinct rows
+    for group in reads.chunk_by(|x, y| x.0 == y.0) {
+        let comp = wsd.component(group[0].0).ok_or_else(|| dead_component(group[0].0))?;
+        let mut rows: Vec<Vec<&Value>> = (0..comp.num_rows())
+            .filter_map(|r| group.iter().map(|g| comp.cell(r, g.2).value()).collect())
+            .collect();
+        rows.sort_unstable();
+        rows.dedup();
+        if rows.is_empty() {
+            return Ok(None);
+        }
+        choices.push((group, rows));
+    }
+    let (mut buf, mut at, mut seen) = (template_row(parts), vec![0; choices.len()], None);
+    loop {
+        for ((group, rows), &i) in choices.iter().zip(&at) {
+            for (&(_, pos, _), v) in group.iter().zip(&rows[i]) {
+                buf.values_mut()[pos].clone_from(v);
+            }
+        }
+        match decide(&buf) {
+            Ok(v) if seen.is_none_or(|s| s == v) => seen = Some(v),
+            _ => return Ok(None),
+        }
+        // the next combination, odometer-style; none after the last
+        let Some(k) = at.iter().zip(&choices).position(|(&i, (_, rows))| i + 1 < rows.len())
+        else {
+            return Ok(seen);
+        };
+        at[..k].fill(0);
+        at[k] += 1;
+    }
 }
 
 /// The full-width row buffer: certain values at the read positions,

@@ -1,16 +1,18 @@
 //! DML on stored decompositions: `DELETE` and `UPDATE` with world-set
 //! semantics.
 //!
-//! A tuple whose predicate is **certain** (all referenced fields inline)
-//! is removed or edited in the template directly: it changes in every
-//! world at once. Otherwise the tuple is replaced by a derived one whose
-//! fields alias the original columns, with the decision written by the
-//! kernel ([`Reads`]): `DELETE` appends an existence column that is ⊥
-//! exactly where the predicate holds; `UPDATE` appends one value column
-//! per assigned field holding the new value where the predicate holds
-//! and the old value elsewhere. The new columns are computed from the old
-//! ones before any field is remapped, so predicates see pre-update values
-//! (standard SQL). Assigned values are certain scalars.
+//! A tuple whose predicate is **settled** — the same in every world,
+//! decided on the possible values of the fields it reads
+//! ([`settled`]) — is removed, edited in the template directly or left
+//! untouched: it changes in every world at once, or in none. Otherwise
+//! the tuple is replaced by a derived one whose fields alias the
+//! original columns, with the decision written by the kernel
+//! ([`Reads`]): `DELETE` appends an existence column that is ⊥ exactly
+//! where the predicate holds; `UPDATE` appends one value column per
+//! assigned field holding the new value where the predicate holds and
+//! the old value elsewhere. The new columns are computed from the old
+//! ones before any field is remapped, so predicates see pre-update
+//! values (standard SQL). Assigned values are certain scalars.
 //!
 //! Unlike [`crate::chase`], which *removes worlds* and renormalizes, DML
 //! never touches row probabilities: every world survives with its
@@ -33,18 +35,17 @@ use crate::normalize;
 use crate::wsd::{Existence, TemplateCell, TupleTemplate, Wsd};
 
 use super::common::{
-    alias_cells, bind_pred, certain_row, exists_cell, inherit_exists, snapshot, varies, Part,
-    Reads,
+    alias_cells, bind_pred, exists_cell, inherit_exists, settled, snapshot, varies, Part, Reads,
 };
 
 /// What a DELETE / UPDATE did to the template tuples of the relation.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DmlReport {
-    /// Tuples affected in **every** world (predicate certain): removed
-    /// outright by DELETE, edited in place by UPDATE.
+    /// Tuples affected in **every** world (predicate settled true):
+    /// removed outright by DELETE, edited in place by UPDATE.
     pub certain: usize,
-    /// Tuples affected **conditionally** (predicate depends on component
-    /// choices): existence or values now vary per world.
+    /// Tuples affected **conditionally** (predicate true in some worlds,
+    /// false in others): existence or values now vary per world.
     pub conditioned: usize,
 }
 
@@ -59,30 +60,22 @@ impl DmlReport {
 pub fn delete_op(wsd: &mut Wsd, rel: &str, pred: Option<&Expr>) -> Result<DmlReport> {
     let input = snapshot(wsd, rel)?;
     let (schema, tuples) = (&input.schema, &input.tuples);
-    let bound = match pred {
-        Some(p) => Some(bind_pred(p, schema)?),
-        None => None,
-    };
+    let (bound, positions) = bind_pred(pred.unwrap_or(&Expr::lit(true)), schema)?;
     let arity = schema.len();
     let mut report = DmlReport::default();
     let mut removed: Vec<Tid> = Vec::new();
     let mut replaced: Vec<(Tid, TupleTemplate)> = Vec::new();
 
     for t in tuples {
-        let Some((bound, positions)) = &bound else {
-            // unconditional DELETE: the tuple is gone from every world
-            removed.push(t.tid);
-            report.certain += 1;
-            continue;
-        };
-        let part = [Part::new(t, positions, 0)];
-        if let Some(row) = certain_row(&part) {
-            // the predicate decides identically in every world
-            if bound.eval_predicate(&row)? {
+        let part = [Part::new(t, &positions, 0)];
+        match settled(wsd, &part, |row| bound.eval_predicate(row))? {
+            Some(true) => {
                 removed.push(t.tid);
                 report.certain += 1;
+                continue;
             }
-            continue;
+            Some(false) => continue,
+            None => {}
         }
 
         // The decision varies per world: replace the tuple by a derived
@@ -133,34 +126,29 @@ pub fn update_op(
         }
         assignments.push((pos, v.clone()));
     }
-    let bound = match pred {
-        Some(p) => Some(bind_pred(p, schema)?),
-        None => None,
-    };
+    let (bound, positions) = bind_pred(pred.unwrap_or(&Expr::lit(true)), schema)?;
     let arity = schema.len();
     let mut report = DmlReport::default();
     let mut replaced: Vec<(Tid, TupleTemplate)> = Vec::new();
     let mut edited: Vec<(Tid, Vec<(usize, Value)>)> = Vec::new();
 
-    // the predicate's positions, then the assigned ones (whose old values
-    // fill the rows where the predicate fails)
-    let mut reads_at: Vec<usize> = bound.iter().flat_map(|(_, at)| at.clone()).collect();
-    reads_at.extend(assignments.iter().map(|&(pos, _)| pos));
+    // the positions read: the predicate's where it varies, and the
+    // assigned ones, whose old values fill the rows where it fails
+    let assigned_at: Vec<usize> = assignments.iter().map(|&(pos, _)| pos).collect();
+    let reads_at: Vec<usize> = positions.iter().chain(&assigned_at).copied().collect();
 
     for t in tuples {
-        // `Some` when the predicate is the same in every world
-        let certain = match &bound {
-            None => Some(true),
-            Some((b, positions)) => certain_row(&[Part::new(t, positions, 0)])
-                .map(|row| b.eval_predicate(&row))
-                .transpose()?,
+        // the predicate, unless it is the same in every world
+        let part = [Part::new(t, &positions, 0)];
+        let per_world = match settled(wsd, &part, |row| bound.eval_predicate(row))? {
+            Some(false) => continue, // untouched in every world
+            Some(true) => None,
+            None => Some(&bound),
         };
-        if certain == Some(false) {
-            continue; // certainly unmatched: untouched in every world
-        }
-        let part = [Part::new(t, &reads_at, 0).values_only()];
+        let reads_at = if per_world.is_some() { &reads_at } else { &assigned_at };
+        let part = [Part::new(t, reads_at, 0).values_only()];
         if !varies(&part) {
-            // certain predicate, certain targets: edit the template cells
+            // matched everywhere, certain targets: edit the template cells
             edited.push((t.tid, assignments.clone()));
             report.certain += 1;
             continue;
@@ -173,10 +161,7 @@ pub fn update_op(
         let new_tid = wsd.fresh_tid();
         for (pos, new_v) in &assignments {
             reads.write_column(wsd, Field::attr(new_tid, *pos as u32), |row| {
-                let hit = match &bound {
-                    None => true,
-                    Some((b, _)) => b.eval_predicate(row.vals)?,
-                };
+                let hit = per_world.map_or(Ok(true), |b| b.eval_predicate(row.vals))?;
                 Ok(Cell::Val(if hit { new_v } else { &row.vals[*pos] }.clone()))
             })?;
         }
@@ -190,11 +175,7 @@ pub fn update_op(
         }
         let exists = inherit_exists(wsd, t, new_tid)?;
         replaced.push((t.tid, TupleTemplate { tid: new_tid, cells: cells.into(), exists }));
-        if certain.is_some() {
-            report.certain += 1;
-        } else {
-            report.conditioned += 1;
-        }
+        *if per_world.is_some() { &mut report.conditioned } else { &mut report.certain } += 1;
     }
 
     drop(input); // so the edits below copy the relation only if a clone shares it
@@ -372,9 +353,9 @@ mod tests {
         check_delete(&wsd, "p", Some(&pred));
         let mut got = wsd.clone();
         let report = delete_op(&mut got, "p", Some(&pred)).unwrap();
-        // bob certainly matches; cal's open name routes through the
-        // conditioned path (normalize collapses the constant decision)
-        assert_eq!(report, DmlReport { certain: 1, conditioned: 1 });
+        // bob certainly matches; cal's open name is never bob, so cal is
+        // left untouched
+        assert_eq!(report, DmlReport { certain: 1, conditioned: 0 });
         assert_eq!(got.relation("p").unwrap().tuples.len(), 2);
     }
 
@@ -393,6 +374,27 @@ mod tests {
         let ann = conf.iter().find(|(t, _)| t[1] == Value::str("ann")).unwrap();
         assert_eq!(ann.0[0], Value::Int(2));
         assert!((ann.1 - 0.6).abs() < 1e-9);
+    }
+
+    /// `k` and `v` in separate components: only the tuple that can have
+    /// both `k = 1` and `v = 3` is conditioned, and only its components
+    /// merge.
+    #[test]
+    fn delete_conditions_only_tuples_that_can_match() {
+        let mut w = Wsd::new();
+        w.add_relation("obs", Schema::new(vec![("k", ColumnType::Int), ("v", ColumnType::Int)]))
+            .unwrap();
+        for (k, v) in [(1, 3), (2, 3), (1, 5)] {
+            let pair = |x: i64| OrSetCell::uniform(vec![Value::Int(x), Value::Int(x + 1)]).unwrap();
+            w.push_orset("obs", vec![pair(k), pair(v)]).unwrap();
+        }
+        assert_eq!(w.num_components(), 6);
+        let pred = Expr::col("k").eq(Expr::lit(1i64)).and(Expr::col("v").eq(Expr::lit(3i64)));
+        check_delete(&w, "obs", Some(&pred));
+        let report = delete_op(&mut w, "obs", Some(&pred)).unwrap();
+        assert_eq!(report, DmlReport { certain: 0, conditioned: 1 });
+        // the two tuples that cannot match keep their four components
+        assert_eq!(w.num_components(), 5);
     }
 
     #[test]
@@ -433,9 +435,9 @@ mod tests {
         check_update(&wsd, "p", &set, Some(&pred));
         let mut got = wsd.clone();
         let report = update_op(&mut got, "p", &set, Some(&pred)).unwrap();
-        // bob is certainly matched and edited in place; ann and cal carry
-        // open predicate fields, so they route through the conditioned path
-        assert_eq!(report, DmlReport { certain: 1, conditioned: 2 });
+        // bob is certainly matched and edited in place; ann's and cal's
+        // open fields never satisfy the predicate, so they are untouched
+        assert_eq!(report, DmlReport { certain: 1, conditioned: 0 });
     }
 
     #[test]

@@ -31,8 +31,8 @@ use crate::field::{Field, Tid};
 use crate::wsd::{Existence, RelTemplate, TupleTemplate, Wsd};
 
 use super::common::{
-    alias_cells, bind_pred, bucket_by_possible_values, certain_row, exists_cell, inherit_exists,
-    possible_values_of, snapshot, values_intersect, Part, Reads,
+    alias_cells, bind_pred, bucket_by_possible_values, exists_cell, inherit_exists,
+    possible_values_of, settled, snapshot, values_intersect, Part, Reads,
 };
 use crate::exec::WorkerPool;
 
@@ -221,8 +221,8 @@ fn equality_pairs(
     pairs
 }
 
-/// Emits the pair `(t, s)` unless its condition certainly fails. A
-/// condition on certain values leaves existence the conjunction of the
+/// Emits the pair `(t, s)` unless its condition fails in every world. A
+/// condition true in every world leaves existence the conjunction of the
 /// two ∃ fields, which needs a merge only when both are open.
 fn emit_pair(
     wsd: &mut Wsd,
@@ -233,20 +233,24 @@ fn emit_pair(
 ) -> Result<()> {
     let parts = [Part::new(t, &p.l_positions, 0), Part::new(s, &p.r_positions, p.larity)];
     let new_tid = wsd.fresh_tid();
-    if let Some(row) = certain_row(&parts) {
-        if !p.bound.eval_predicate(&row)? {
-            return Ok(());
+    let exists = match settled(wsd, &parts, |row| p.bound.eval_predicate(row))? {
+        Some(false) => return Ok(()),
+        Some(true) if t.exists == Existence::Always => inherit_exists(wsd, s, new_tid)?,
+        Some(true) if s.exists == Existence::Always => inherit_exists(wsd, t, new_tid)?,
+        Some(true) => {
+            let both = [Part::new(t, &[], 0), Part::new(s, &[], p.larity)];
+            let mut reads = Reads::merge(wsd, &both)?;
+            reads.write_column(wsd, Field::exists(new_tid), |_| Ok(exists_cell(true)))?;
+            Existence::Open
         }
-        if t.exists == Existence::Always || s.exists == Existence::Always {
-            let from = if t.exists == Existence::Always { s } else { t };
-            let exists = inherit_exists(wsd, from, new_tid)?;
-            return push_pair(wsd, out, new_tid, t, s, exists);
+        None => {
+            Reads::merge(wsd, &parts)?.write_column(wsd, Field::exists(new_tid), |row| {
+                Ok(exists_cell(p.bound.eval_predicate(row.vals)?))
+            })?;
+            Existence::Open
         }
-    }
-    Reads::merge(wsd, &parts)?.write_column(wsd, Field::exists(new_tid), |row| {
-        Ok(exists_cell(p.bound.eval_predicate(row.vals)?))
-    })?;
-    push_pair(wsd, out, new_tid, t, s, Existence::Open)
+    };
+    push_pair(wsd, out, new_tid, t, s, exists)
 }
 
 fn push_pair(
@@ -259,6 +263,15 @@ fn push_pair(
 ) -> Result<()> {
     let mut cells = alias_cells(wsd, new_tid, t, 0..t.cells.len(), 0)?;
     cells.extend(alias_cells(wsd, new_tid, s, 0..s.cells.len(), t.cells.len())?);
+    // The pair is absent where either side is, so a component both sides
+    // read may normalize further once they are gone. Aliasing marks no
+    // component (`Wsd`'s "The dirty set"), so mark those the pair reads.
+    let fields = (0..cells.len() as u32).map(|pos| Field::attr(new_tid, pos));
+    for f in fields.chain([Field::exists(new_tid)]) {
+        if let Some((c, _)) = wsd.field_loc(f) {
+            wsd.mark_dirty(c);
+        }
+    }
     wsd.push_template(out, TupleTemplate { tid: new_tid, cells: cells.into(), exists })
 }
 
@@ -331,6 +344,33 @@ mod tests {
             .to_worldset(100_000)
             .unwrap()
             .equivalent(&b.to_worldset(100_000).unwrap(), 1e-9));
+    }
+
+    /// A pair is absent where either side is. Where both sides read one
+    /// component, the answer must still come out normalized.
+    #[test]
+    fn pair_over_a_shared_component_is_normalized() {
+        use crate::algebra::delete_op;
+        use crate::chase::{clean, Constraint};
+        use crate::codec::encode_wsd;
+        use crate::normalize::normalize_from_scratch;
+        let mut w = Wsd::new();
+        w.add_relation("r", Schema::new(vec![("a", ColumnType::Int), ("b", ColumnType::Int)]))
+            .unwrap();
+        for b in [5i64, 6] {
+            let a = OrSetCell::uniform(vec![Value::Int(1), Value::Int(2)]).unwrap();
+            w.push_orset("r", vec![a, OrSetCell::certain(b)]).unwrap();
+        }
+        // one component holds both tuples' `a`, and the second's ∃ field
+        clean(&mut w, &[Constraint::fd("r", &["a"], &["b"])]).unwrap();
+        let del = Expr::col("b").eq(Expr::lit(6i64)).and(Expr::col("a").eq(Expr::lit(1i64)));
+        delete_op(&mut w, "r", Some(&del)).unwrap();
+        let on_b = Expr::col("x.b").eq(Expr::lit(5i64)).and(Expr::col("y.b").eq(Expr::lit(6i64)));
+        let q = Query::table("r").qualify("x").join(Query::table("r").qualify("y"), on_b);
+        let got = q.eval(&w).unwrap();
+        let mut full = got.clone();
+        normalize_from_scratch(&mut full);
+        assert_eq!(encode_wsd(&got), encode_wsd(&full));
     }
 
     #[test]

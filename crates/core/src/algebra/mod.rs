@@ -11,20 +11,32 @@
 //!
 //! # Per-world decisions
 //!
-//! A decision that reads only certain fields is made once, in the
-//! template. One that reads open fields — a selection or join condition,
-//! a projection's deletion markers, tuple equality in a difference, a
-//! `DELETE`/`UPDATE` predicate, a constraint of [`crate::chase`] — goes
-//! through one kernel, `common::Reads`: it merges the components holding
-//! the fields read and each reading tuple's ∃ field, resolves their
-//! columns once, and then decides row by row on one reused buffer. Failing
-//! rows are marked ⊥ in a fresh column — selections "must not delete
-//! component tuples, but should mark \[fields\] using the special value ⊥"
-//! (paper §2) — or, in the chase, deleted.
+//! A decision is first **settled** (`common::settled`) where it can be:
+//! per component holding a field it reads, the distinct possible values
+//! of those fields, and the decision on every combination of them — each
+//! combination occurs in some world, and there are never more than the
+//! rows a merge would produce. If every combination agrees, the decision
+//! is made once, in the template: a selection or join keeps or drops the
+//! tuple, `DELETE` removes it or leaves it, `UPDATE` edits it or leaves
+//! it. A decision that reads only certain fields settles on one row.
+//!
+//! Otherwise — a selection or join condition, a projection's deletion
+//! markers, tuple equality in a difference, a `DELETE`/`UPDATE`
+//! predicate, a constraint of [`crate::chase`] — it goes through one
+//! kernel, `common::Reads`: it merges the components holding the fields
+//! read and each reading tuple's ∃ field, resolves their columns once,
+//! and then decides row by row on one reused buffer. Failing rows are
+//! marked ⊥ in a fresh column — selections "must not delete component
+//! tuples, but should mark \[fields\] using the special value ⊥" (paper
+//! §2) — or, in the chase, deleted.
 //!
 //! **Errors.** A predicate that fails in a world where its tuple exists
 //! aborts the statement, exactly like the enumerate-all-worlds
 //! reference; one that fails only where its tuple is absent does not.
+//! Settling cannot tell the two apart — a combination may occur only in
+//! worlds where the tuple is absent — so an error while settling on open
+//! fields falls back to the kernel, which applies this rule. On certain
+//! fields the error is the statement's.
 
 pub(crate) mod common;
 mod difference;

@@ -1,10 +1,11 @@
 //! Selection on decompositions.
 //!
-//! For each template tuple, the predicate is either decidable statically
-//! (all referenced fields certain) or depends on component choices. In the
-//! latter case the decision kernel ([`Reads`]) merges the components
-//! carrying the referenced fields, and the result tuple's existence column
-//! marks failing rows with ⊥ — the paper's "replace the values different
+//! For each template tuple, the predicate is either settled — the same in
+//! every world, decided on the fields' possible values ([`settled`]) —
+//! or depends on component choices. In the latter case the decision
+//! kernel ([`Reads`]) merges the components carrying the referenced
+//! fields, and the result tuple's existence column marks failing rows
+//! with ⊥ — the paper's "replace the values different
 //! from 'pregnancy' by ⊥", expressed on the hidden existence field so that
 //! later projections cannot lose it.
 
@@ -14,7 +15,7 @@ use crate::field::Field;
 use crate::wsd::{Existence, TupleTemplate, Wsd};
 
 use super::common::{
-    alias_cells, bind_pred, certain_row, emit_passthrough, exists_cell, snapshot, Part, Reads,
+    alias_cells, bind_pred, emit_passthrough, exists_cell, settled, snapshot, Part, Reads,
 };
 
 /// σ_pred(input) → out.
@@ -25,21 +26,19 @@ pub fn select_op(wsd: &mut Wsd, input: &str, pred: &Expr, out: &str) -> Result<(
 
     for t in &input.tuples {
         let part = [Part::new(t, &positions, 0)];
-        if let Some(row) = certain_row(&part) {
-            if bound.eval_predicate(&row)? {
-                emit_passthrough(wsd, t, out)?;
+        match settled(wsd, &part, |row| bound.eval_predicate(row))? {
+            Some(true) => emit_passthrough(wsd, t, out)?,
+            Some(false) => {}
+            None => {
+                let new_tid = wsd.fresh_tid();
+                Reads::merge(wsd, &part)?.write_column(wsd, Field::exists(new_tid), |row| {
+                    Ok(exists_cell(bound.eval_predicate(row.vals)?))
+                })?;
+                let cells = alias_cells(wsd, new_tid, t, 0..t.cells.len(), 0)?.into();
+                let exists = Existence::Open;
+                wsd.push_template(out, TupleTemplate { tid: new_tid, cells, exists })?;
             }
-            continue;
         }
-        let new_tid = wsd.fresh_tid();
-        Reads::merge(wsd, &part)?.write_column(wsd, Field::exists(new_tid), |row| {
-            Ok(exists_cell(bound.eval_predicate(row.vals)?))
-        })?;
-        let cells = alias_cells(wsd, new_tid, t, 0..t.cells.len(), 0)?;
-        wsd.push_template(
-            out,
-            TupleTemplate { tid: new_tid, cells: cells.into(), exists: Existence::Open },
-        )?;
     }
     Ok(())
 }
@@ -48,8 +47,10 @@ pub fn select_op(wsd: &mut Wsd, input: &str, pred: &Expr, out: &str) -> Result<(
 mod tests {
     use crate::algebra::Query;
     use crate::examples::medical_wsd;
-    use maybms_relational::Expr;
+    use crate::wsd::Wsd;
+    use maybms_relational::{BinOp, ColumnType, Expr, Schema, Value};
     use maybms_worldset::eval::eval_in_all_worlds;
+    use maybms_worldset::OrSetCell;
 
     /// The paper's query: `select Test from R where Diagnosis='pregnancy'`.
     /// Running it on the WSD and enumerating must equal enumerating and
@@ -105,6 +106,27 @@ mod tests {
         out.validate().unwrap();
         let lhs = out.to_worldset(1000).unwrap();
         let rhs = eval_in_all_worlds(&wsd.to_worldset(1000).unwrap(), &q.to_world_query()).unwrap();
+        assert!(lhs.equivalent(&rhs, 1e-9));
+    }
+
+    /// Settling enumerates combinations of possible values, some of which
+    /// occur only where the tuple is absent (here `a = b`, filtered out by
+    /// the first selection): an error there falls back to the kernel,
+    /// which does not abort.
+    #[test]
+    fn error_only_where_the_tuple_is_absent_does_not_abort() {
+        let mut w = Wsd::new();
+        w.add_relation("t", Schema::new(vec![("a", ColumnType::Int), ("b", ColumnType::Int)]))
+            .unwrap();
+        let bit = || OrSetCell::uniform(vec![Value::Int(0), Value::Int(1)]).unwrap();
+        w.push_orset("t", vec![bit(), bit()]).unwrap();
+        let diff = Expr::Bin(BinOp::Sub, Box::new(Expr::col("a")), Box::new(Expr::col("b")));
+        let quot = Expr::Bin(BinOp::Div, Box::new(Expr::lit(12i64)), Box::new(diff));
+        let q = Query::table("t")
+            .select(Expr::col("a").ne(Expr::col("b")))
+            .select(quot.gt(Expr::lit(0i64)));
+        let lhs = q.eval(&w).unwrap().to_worldset(1000).unwrap();
+        let rhs = eval_in_all_worlds(&w.to_worldset(1000).unwrap(), &q.to_world_query()).unwrap();
         assert!(lhs.equivalent(&rhs, 1e-9));
     }
 

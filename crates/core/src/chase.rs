@@ -13,11 +13,11 @@
 use maybms_relational::{Error, Expr, Result, Tuple, Value};
 
 use crate::normalize;
-use crate::wsd::{Existence, TupleTemplate, Wsd};
+use crate::wsd::{TupleTemplate, Wsd};
 
 use crate::algebra::common::{
-    bind_pred, bucket_by_possible_values, certain_row, marker_positions, possible_values_of,
-    snapshot, values_intersect, varies, Part, Reads, Row,
+    bind_pred, bucket_by_possible_values, marker_positions, possible_values_of, settled, snapshot,
+    values_intersect, varies, Part, Reads, Row,
 };
 
 /// An integrity constraint.
@@ -205,20 +205,20 @@ fn enforce_tuple_check(
 
     for t in &input.tuples {
         report.checks += 1;
-        if let Some(row) = certain_row(&[Part::new(t, &positions, 0)]) {
-            if bound.eval_predicate(&row)? {
-                continue; // always satisfied
-            }
-            if t.exists == Existence::Always {
-                return Err(Error::InvalidExpr(format!(
-                    "tuple {} of {rel} violates a check in every world",
-                    t.tid
-                )));
-            }
-            // else violated in exactly the worlds where t exists
+        let holds = settled(wsd, &[Part::new(t, &positions, 0)], |row| bound.eval_predicate(row))?;
+        if holds == Some(true) {
+            continue; // satisfied wherever t exists
         }
         let reads_at = check_positions(wsd, t, &positions)?;
-        let reads = Reads::merge(wsd, &[Part::new(t, &reads_at, 0)])?;
+        let part = [Part::new(t, &reads_at, 0)];
+        if holds == Some(false) && !varies(&part) {
+            return Err(Error::InvalidExpr(format!(
+                "tuple {} of {rel} violates a check in every world",
+                t.tid
+            )));
+        }
+        // the kernel alone knows where a ⊥-marked tuple exists
+        let reads = Reads::merge(wsd, &part)?;
         let violates = |row: &Row<'_>| Ok(!bound.eval_predicate(row.vals)?);
         delete_rows(wsd, reads, violates, report, kept_fraction)?;
     }
@@ -317,7 +317,7 @@ fn enforce_fd(
         let pair = [Part::new(t, &all_pos, 0), Part::new(u, &all_pos, arity)];
         if !varies(&pair) {
             // both certain and always present: a violation is in every world
-            if certain_row(&pair).is_some_and(|row| violated(&row)) {
+            if settled(wsd, &pair, |row| Ok(violated(row)))? == Some(true) {
                 return Err(Error::InvalidExpr(format!(
                     "tuples {} and {} of {rel} violate the FD in every world",
                     t.tid, u.tid

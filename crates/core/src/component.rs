@@ -508,7 +508,7 @@ impl Component {
     /// whose dictionaries already carried garbage leave *orphaned* interned
     /// cells behind — without this, dictionaries only grow. Surviving
     /// entries are re-numbered in first-occurrence order of the live codes
-    /// (the order [`Component::possible_values`] observes is unchanged,
+    /// (the order [`Component::possible_values_col`] observes is unchanged,
     /// since it walks codes, not the dictionary). Returns true iff any
     /// dictionary shrank.
     pub fn compact(&mut self) -> bool {
@@ -594,17 +594,9 @@ impl Component {
         (!cell.is_bottom()).then_some(cell)
     }
 
-    /// Distinct non-⊥ values appearing in the column of `field` — the
-    /// possible values of that field, used for pruning in joins, difference
-    /// and the chase. First-occurrence order, computed from live codes.
-    pub fn possible_values(&self, field: Field) -> Vec<Value> {
-        let Some(col) = self.col_of(field) else {
-            return Vec::new();
-        };
-        self.possible_values_col(col)
-    }
-
-    /// As [`Component::possible_values`], by column index.
+    /// Distinct non-⊥ values appearing in column `col` — the possible
+    /// values of its fields, used for pruning in joins, difference and
+    /// the chase. First-occurrence order, computed from live codes.
     pub fn possible_values_col(&self, col: usize) -> Vec<Value> {
         let c = &self.cols[col];
         let mut seen = vec![false; c.dict.len()];
@@ -831,8 +823,9 @@ mod tests {
             f(1, 0),
             vec![(val("a"), 0.5), (Cell::Bottom, 0.5)],
         );
-        assert_eq!(c.possible_values(f(1, 0)), vec![Value::str("a")]);
-        assert!(c.possible_values(f(2, 0)).is_empty());
+        assert_eq!(c.possible_values_col(0), vec![Value::str("a")]);
+        let none = Component::singleton(f(2, 0), vec![(Cell::Bottom, 1.0)]);
+        assert!(none.possible_values_col(0).is_empty());
     }
 
     #[test]
@@ -867,7 +860,7 @@ mod tests {
         assert_eq!(c.dict(0).len(), 2, "only Int(0) and ⊥ are live");
         assert_eq!(c.cell(0, 0), &Cell::Val(Value::Int(0)));
         assert!(c.cell(3, 0).is_bottom());
-        assert_eq!(c.possible_values(f(1, 0)), vec![Value::Int(0)]);
+        assert_eq!(c.possible_values_col(0), vec![Value::Int(0)]);
         // second call is a no-op
         assert!(!c.compact());
     }

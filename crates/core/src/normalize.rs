@@ -21,9 +21,11 @@
 //! persistent reverse field index instead of per-pass template scans.
 //!
 //! The contract for mutators: any operation that touches a component's
-//! rows, adds/merges components, or maps/unmaps a field marks the affected
-//! components dirty (the `Wsd` mutation API does this automatically), so a
-//! following `normalize` sees exactly the damage. [`normalize_from_scratch`]
+//! rows, adds/merges components, or takes a field away from a component
+//! marks the affected components dirty (the `Wsd` mutation API does this
+//! automatically; the crate::wsd "dirty set" docs say why aliasing a
+//! field to a column does not), so a following `normalize` sees exactly
+//! the damage. [`normalize_from_scratch`]
 //! marks everything dirty first — the full-fixpoint escape hatch used by
 //! oracle tests; [`normalize_full`] additionally re-factorizes components
 //! into independent parts (see [`crate::factorize`]).

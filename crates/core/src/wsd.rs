@@ -29,7 +29,16 @@
 //!
 //! # The dirty set
 //!
-//! Every mutation records the touched component indices in a **dirty set**;
+//! Every mutation that can take a component out of normal form records
+//! its index in a **dirty set**: adding one, changing its rows, cells or
+//! columns, merging it, and a field leaving it (unmapped, or aliased to
+//! another column). Aliasing a field *to* a column adds a reader and
+//! changes no content, so it marks nothing. A derived tuple that reads
+//! columns of one source tuple is absent only where that source is,
+//! so it leaves a normalized component normalized, and
+//! `Wsd::into_relation` marks a clean slot only where a column lost its
+//! last field. A join pair reads two tuples and is absent where either
+//! is; it marks the components it reads itself.
 //! [`crate::normalize::normalize`] visits only dirty components and their
 //! templates, re-marking a component only when a pass actually changes it,
 //! so an already-normalized region of the decomposition costs nothing.
@@ -401,19 +410,17 @@ impl Wsd {
 
     /// Makes `field` an alias for an existing component column. Used by
     /// query operators so result tuples share the columns of their inputs.
-    /// Keeps the reverse index in sync and marks both the old and new
-    /// component dirty.
+    /// Keeps the reverse index in sync and marks the component the field
+    /// leaves dirty, not the one it joins (see "The dirty set").
     pub fn alias_field(&mut self, field: Field, loc: (usize, usize)) {
         if let Some(old) = self.field_map.insert(field, loc) {
-            if old != loc {
-                self.rev_remove(field, old);
-                self.dirty.insert(old.0);
-            } else {
+            if old == loc {
                 return;
             }
+            self.rev_remove(field, old);
+            self.dirty.insert(old.0);
         }
         self.rev_insert(field, loc);
-        self.dirty.insert(loc.0);
     }
 
     /// Removes a field's mapping (if any), marking its component dirty.
@@ -943,9 +950,9 @@ impl Wsd {
     /// template and the component slots its tuples' fields reach,
     /// renumbered in increasing old index. The field map and each reached
     /// slot's reverse-index row keep only the fields of `rel`'s tuples (in
-    /// their old order); a slot that lost a field, or was dirty here, is
-    /// dirty in the result (what [`crate::normalize::normalize`] then
-    /// cleans up). Costs one sequential pass over the field map and the
+    /// their old order); a slot that was dirty here, or one of whose
+    /// columns lost its last field, is dirty in the result (what
+    /// [`crate::normalize::normalize`] then cleans up). Costs one sequential pass over the field map and the
     /// slot list — the size of the flat copies `clone` already made — plus
     /// O(reached slots); nothing outside the result is written.
     pub(crate) fn into_relation(mut self, rel: &str, as_name: &str) -> Result<Wsd> {
@@ -964,13 +971,15 @@ impl Wsd {
         for (old_idx, mut slot) in std::mem::take(&mut self.slots).into_iter().enumerate() {
             let Some(new_idx) = renumber[old_idx].as_mut() else { continue };
             *new_idx = out.slots.len();
-            let loses_fields = slot.rev.iter().flatten().any(|f| !keep(f));
-            if loses_fields {
+            let mut emptied = false;
+            if slot.rev.iter().flatten().any(|f| !keep(f)) {
                 for fields in Arc::make_mut(&mut slot.rev).iter_mut() {
+                    let had = !fields.is_empty();
                     fields.retain(keep);
+                    emptied |= had && fields.is_empty();
                 }
             }
-            if loses_fields || self.dirty.contains(&old_idx) {
+            if emptied || self.dirty.contains(&old_idx) {
                 dirty.push(*new_idx);
             }
             out.slots.push(slot);

@@ -356,7 +356,10 @@ pub enum BoundExpr {
 
 impl BoundExpr {
     /// Evaluates to a value. Boolean connectives use SQL three-valued logic,
-    /// with unknown represented as NULL.
+    /// with unknown represented as NULL, and skip their right operand
+    /// where the left one decides: `q AND p` raises no error of `p` where
+    /// `q` is false, so merging `σ_p(σ_q(R))` into `σ_{q ∧ p}(R)` keeps
+    /// the inner selection's guard.
     pub fn eval(&self, t: &Tuple) -> Result<Value> {
         Ok(match self {
             BoundExpr::Col(i) => t
@@ -375,17 +378,21 @@ impl BoundExpr {
                 let (va, vb) = (a.eval(t)?, b.eval(t)?);
                 eval_arith(*op, &va, &vb)?
             }
-            BoundExpr::And(a, b) => {
-                match (a.eval(t)?.as_bool(), b.eval(t)?.as_bool()) {
-                    (Some(false), _) | (_, Some(false)) => Value::Bool(false),
+            BoundExpr::And(a, b) => match a.eval(t)?.as_bool() {
+                Some(false) => Value::Bool(false),
+                l => match (l, b.eval(t)?.as_bool()) {
+                    (_, Some(false)) => Value::Bool(false),
                     (Some(true), Some(true)) => Value::Bool(true),
                     _ => Value::Null,
-                }
-            }
-            BoundExpr::Or(a, b) => match (a.eval(t)?.as_bool(), b.eval(t)?.as_bool()) {
-                (Some(true), _) | (_, Some(true)) => Value::Bool(true),
-                (Some(false), Some(false)) => Value::Bool(false),
-                _ => Value::Null,
+                },
+            },
+            BoundExpr::Or(a, b) => match a.eval(t)?.as_bool() {
+                Some(true) => Value::Bool(true),
+                l => match (l, b.eval(t)?.as_bool()) {
+                    (_, Some(true)) => Value::Bool(true),
+                    (Some(false), Some(false)) => Value::Bool(false),
+                    _ => Value::Null,
+                },
             },
             BoundExpr::Not(a) => match a.eval(t)?.as_bool() {
                 Some(b) => Value::Bool(!b),
@@ -504,6 +511,21 @@ mod tests {
         // IS NULL sees through
         let e5 = Expr::col("a").is_null().bind(&s).unwrap();
         assert!(e5.eval_predicate(&t).unwrap());
+    }
+
+    #[test]
+    fn connectives_skip_a_decided_right_operand() {
+        let s = schema();
+        let div0 = || Expr::Bin(BinOp::Div, Box::new(Expr::col("a")), Box::new(Expr::lit(0i64)));
+        let guard = || Expr::col("a").eq(Expr::lit(2i64));
+        let t = row(1, "x", 0.0);
+        let and = guard().and(div0().eq(Expr::lit(1i64))).bind(&s).unwrap();
+        assert_eq!(and.eval(&t).unwrap(), Value::Bool(false));
+        let or = guard().not().or(div0().eq(Expr::lit(1i64))).bind(&s).unwrap();
+        assert_eq!(or.eval(&t).unwrap(), Value::Bool(true));
+        // the left operand is always evaluated
+        let rev = div0().eq(Expr::lit(1i64)).and(guard()).bind(&s).unwrap();
+        assert!(rev.eval(&t).is_err());
     }
 
     #[test]

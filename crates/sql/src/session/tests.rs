@@ -482,6 +482,23 @@ fn select_error_in_an_uncertain_world_aborts() {
     err_contains(s.execute("DELETE FROM t WHERE 10 / v = 2"), "division by zero");
 }
 
+/// An error only in a combination of possible values that no world has
+/// does not abort: `a` and `b` are correlated, so `a - b` is never 0,
+/// though `a = 0` and `b = 0` are each possible.
+#[test]
+fn error_in_no_world_does_not_abort() {
+    let mut s = Session::new();
+    s.execute("CREATE TABLE t (a INT, b INT)").unwrap();
+    s.execute("INSERT INTO t VALUES ({0: 0.5, 1: 0.5}, 0)").unwrap();
+    s.execute("UPDATE t SET b = 1 WHERE a = 0").unwrap();
+    let rows = |r: QueryResult| r.table().unwrap().rows().to_vec();
+    let hit = s.execute("SELECT POSSIBLE a, b, PROB() FROM t WHERE 12 / (a - b) > 0").unwrap();
+    assert_eq!(rows(hit), vec![Tuple::new(vec![Value::Int(1), Value::Int(0), Value::Float(0.5)])]);
+    s.execute("DELETE FROM t WHERE 12 / (a - b) > 0").unwrap();
+    let left = s.execute("SELECT POSSIBLE a, b, PROB() FROM t").unwrap();
+    assert_eq!(rows(left), vec![Tuple::new(vec![Value::Int(0), Value::Int(1), Value::Float(0.5)])]);
+}
+
 #[test]
 fn join_via_sql_with_aliases() {
     let mut s = medical_session();

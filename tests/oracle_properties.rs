@@ -111,6 +111,23 @@ fn arb_query() -> impl Strategy<Value = Query> {
                 Expr::Bin(BinOp::Div, Box::new(Expr::lit(12i64)), Box::new(Expr::col("b")))
                     .gt(Expr::lit(v))
             )),
+            // settled without a merge: true in every world (values are
+            // 0..4), false in every world, and an error that only some
+            // combinations of independent a and b raise
+            inner.clone().prop_map(|q| q.select(Expr::col("a").lt(Expr::lit(4i64)))),
+            inner.clone().prop_map(|q| q.select(Expr::col("a").eq(Expr::lit(9i64)))),
+            (inner.clone(), 0i64..4).prop_map(|(q, v)| q.select(
+                Expr::Bin(
+                    BinOp::Div,
+                    Box::new(Expr::lit(12i64)),
+                    Box::new(Expr::Bin(
+                        BinOp::Sub,
+                        Box::new(Expr::col("a")),
+                        Box::new(Expr::col("b")),
+                    )),
+                )
+                .gt(Expr::lit(v))
+            )),
             inner.clone().prop_map(|q| q.project(["a"])),
             inner.clone().prop_map(|q| q.project(["b", "a"])),
             (inner.clone(), inner.clone()).prop_map(|(a, b)| a.union(b)),
