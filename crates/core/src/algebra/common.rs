@@ -7,7 +7,7 @@ use std::sync::Arc;
 use maybms_relational::{BoundExpr, Error, Expr, Result, Schema, Tuple, Value};
 
 use crate::cell::Cell;
-use crate::component::RowRef;
+use crate::component::{Component, RowRef};
 use crate::field::{Field, Tid};
 use crate::wsd::{Existence, RelTemplate, TemplateCell, TupleTemplate, Wsd};
 
@@ -221,10 +221,9 @@ pub(crate) fn varies(parts: &[Part<'_>]) -> bool {
 /// policy). With no open read it decides once, on the certain values,
 /// and returns the decision's error.
 ///
-/// Per component holding an open read, the distinct non-⊥ projections of
-/// its rows onto the read columns; `decide` runs on their cartesian
-/// product, whose every combination occurs in some world, until two
-/// combinations disagree. That is never more rows than merging them.
+/// `decide` runs on the combinations of the open reads' [`choices`], ∃
+/// fields not read, until two combinations disagree. That is never more
+/// rows than merging them.
 pub(crate) fn settled(
     wsd: &Wsd,
     parts: &[Part<'_>],
@@ -244,42 +243,118 @@ fn settle_open(
     parts: &[Part<'_>],
     decide: &mut dyn FnMut(&Tuple) -> Result<bool>,
 ) -> Result<Option<bool>> {
-    let mut reads = Vec::new(); // (component, buffer index, column) per open read
+    let choices = choices(wsd, parts, false)?;
+    let mut seen = None;
+    let done = walk(&choices, &mut template_row(parts), |row, _| match decide(row) {
+        Ok(v) if seen.is_none_or(|s| s == v) => {
+            seen = Some(v);
+            true
+        }
+        _ => false,
+    });
+    Ok(seen.filter(|_| done))
+}
+
+/// One component that a read of template tuples touches.
+pub(crate) struct Choices<'w> {
+    pub(crate) id: usize,
+    pub(crate) comp: &'w Component,
+    /// `(buffer index, column)` per open read.
+    pub(crate) reads: Vec<(usize, usize)>,
+    /// Every column read, ∃ fields included: rows holding ⊥ in one of
+    /// them are left out of `rows`.
+    pub(crate) live: Vec<usize>,
+    /// One row per distinct projection onto `reads`, with the summed
+    /// probability of the rows it stands for.
+    pub(crate) rows: Vec<(usize, f64)>,
+}
+
+/// The one enumerator of what template tuples can be: per component
+/// holding an open read of `parts` (or, with `exists`, a read ∃ field),
+/// in component order, the distinct projections of its rows onto the
+/// open reads. Rows where a read cell or ∃ field is ⊥ are left out.
+/// Components are independent, so every combination of one projection
+/// per component occurs in some world, with the product of their
+/// probabilities.
+pub(crate) fn choices<'w>(
+    wsd: &'w Wsd,
+    parts: &[Part<'_>],
+    exists: bool,
+) -> Result<Vec<Choices<'w>>> {
+    let mut reads = Vec::new(); // (component, column, buffer index; none for an ∃ field)
     for p in parts {
         for pos in p.open() {
             let (c, col) = open_loc(wsd, p.t, pos)?;
-            reads.push((c, p.offset + pos, col));
+            reads.push((c, col, Some(p.offset + pos)));
+        }
+        if exists {
+            reads.extend(p.exists_loc(wsd)?.map(|(c, col)| (c, col, None)));
         }
     }
     reads.sort_unstable();
-    let mut choices = Vec::new(); // per component: its reads, its distinct rows
-    for group in reads.chunk_by(|x, y| x.0 == y.0) {
-        let comp = wsd.component(group[0].0).ok_or_else(|| dead_component(group[0].0))?;
-        let mut rows: Vec<Vec<&Value>> = (0..comp.num_rows())
-            .filter_map(|r| group.iter().map(|g| comp.cell(r, g.2).value()).collect())
-            .collect();
-        rows.sort_unstable();
-        rows.dedup();
-        if rows.is_empty() {
-            return Ok(None);
+    reads
+        .chunk_by(|x, y| x.0 == y.0)
+        .map(|group| {
+            let id = group[0].0;
+            let comp = wsd.component(id).ok_or_else(|| dead_component(id))?;
+            let reads: Vec<_> = group.iter().filter_map(|&(_, col, at)| Some((at?, col))).collect();
+            let cols: Vec<usize> = reads.iter().map(|r| r.1).collect();
+            let live: Vec<usize> = group.iter().map(|g| g.1).collect();
+            let rows = distinct_rows(comp, &cols, &live);
+            Ok(Choices { id, comp, reads, live, rows })
+        })
+        .collect()
+}
+
+/// The distinct projections of `comp`'s rows onto `cols`, leaving out
+/// rows that hold ⊥ in one of `live`: one representative row each, with
+/// the summed probability of the rows it stands for, in the order of
+/// their interned codes.
+pub(crate) fn distinct_rows(comp: &Component, cols: &[usize], live: &[usize]) -> Vec<(usize, f64)> {
+    let key = |r: usize| cols.iter().map(move |&c| comp.code(r, c));
+    let mut rows: Vec<usize> = (0..comp.num_rows())
+        .filter(|&r| live.iter().all(|&c| !comp.cell(r, c).is_bottom()))
+        .collect();
+    rows.sort_by(|&a, &b| key(a).cmp(key(b)));
+    let mut out: Vec<(usize, f64)> = Vec::with_capacity(rows.len());
+    for r in rows {
+        match out.last_mut() {
+            Some((rep, p)) if key(*rep).eq(key(r)) => *p += comp.prob(r),
+            _ => out.push((r, comp.prob(r))),
         }
-        choices.push((group, rows));
     }
-    let (mut buf, mut at, mut seen) = (template_row(parts), vec![0; choices.len()], None);
+    out
+}
+
+/// Walks every combination of `choices`, odometer-style: writes its
+/// values into `buf` and calls `visit` with the row and its probability,
+/// until `visit` returns false. Returns whether the walk ran to the end.
+pub(crate) fn walk(
+    choices: &[Choices<'_>],
+    buf: &mut Tuple,
+    mut visit: impl FnMut(&Tuple, f64) -> bool,
+) -> bool {
+    if choices.iter().any(|ch| ch.rows.is_empty()) {
+        return true;
+    }
+    let mut at = vec![0; choices.len()];
     loop {
-        for ((group, rows), &i) in choices.iter().zip(&at) {
-            for (&(_, pos, _), v) in group.iter().zip(&rows[i]) {
-                buf.values_mut()[pos].clone_from(v);
+        let mut p = 1.0;
+        for (ch, &i) in choices.iter().zip(&at) {
+            let (row, q) = ch.rows[i];
+            p *= q;
+            for &(pos, col) in &ch.reads {
+                if let Cell::Val(v) = ch.comp.cell(row, col) {
+                    buf.values_mut()[pos].clone_from(v);
+                }
             }
         }
-        match decide(&buf) {
-            Ok(v) if seen.is_none_or(|s| s == v) => seen = Some(v),
-            _ => return Ok(None),
+        if !visit(buf, p) {
+            return false;
         }
-        // the next combination, odometer-style; none after the last
-        let Some(k) = at.iter().zip(&choices).position(|(&i, (_, rows))| i + 1 < rows.len())
-        else {
-            return Ok(seen);
+        // the next combination; none after the last
+        let Some(k) = at.iter().zip(choices).position(|(&i, ch)| i + 1 < ch.rows.len()) else {
+            return true;
         };
         at[..k].fill(0);
         at[k] += 1;

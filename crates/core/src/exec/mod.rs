@@ -17,8 +17,8 @@
 //! * [`run`] — [`Executor`], the one plan walker: each node calls its
 //!   tuple-at-a-time operator in [`crate::algebra`] (the only operator
 //!   implementations). Two passes go through the pool: per-tuple probe
-//!   work in [`crate::algebra::join_op_in`] and per-cluster
-//!   distributions in [`crate::prob::tuple_confidence_opts_in`].
+//!   work in [`crate::algebra::join_op_in`] and the walks of clusters of
+//!   several templates in [`crate::prob::tuple_confidence_opts_in`].
 //!
 //! [`crate::algebra::Query::eval`] is `compile` + a sequential
 //! `Executor` run, so the library, the SQL session and the tests share

@@ -14,7 +14,7 @@
 //!
 //! Cost: one `map` call pays a thread spawn + join per helper (tens of
 //! µs), so callers fan out only where the items dwarf that — see
-//! `prob::cluster_distributions`.
+//! `prob::walk_clusters`.
 //!
 //! Sizing: [`default_workers`] honours the `MAYBMS_WORKERS` environment
 //! variable and falls back to `std::thread::available_parallelism`.

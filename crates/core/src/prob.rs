@@ -6,36 +6,47 @@
 //! would be computed by summing up the probabilities of this event over all
 //! such worlds." (paper §2)
 //!
-//! Components are independent random variables, so the probability of an
-//! event that touches only some components can be computed by enumerating
-//! the joint choices of exactly those components. Template tuples are first
-//! clustered by shared components; an answer's confidence multiplies across
-//! clusters as `1 − ∏(1 − P_cluster)`. Clusters whose joint choice space
-//! exceeds a cap are estimated by Monte-Carlo sampling (deterministic
-//! xorshift seed), with the estimate flagged in [`Confidence::exact`].
+//! Components are independent random variables. Each template tuple is
+//! resolved once into its [`Choices`]: per component holding one of its
+//! open cells or its open ∃ field, the distinct projections of that
+//! component's rows onto what the tuple reads there, rows where the tuple
+//! is absent left out. Every combination of one projection per component
+//! is one value of the tuple, with the product of their probabilities.
 //!
-//! # Hot-path layout
+//! # What each world mode computes
 //!
-//! Cluster evaluation resolves every tuple's field locations **once** into
-//! a `ResolvedTuple` (certain values prefilled, open fields as direct
-//! `(position, component, column)` triples), then walks the joint choice
-//! space with a single **dense choice vector** indexed by component id —
-//! no per-world `HashMap`, no per-cell field-map lookups. The sampler
-//! draws rows through precomputed cumulative-probability tables.
+//! * `POSSIBLE` is duplicate elimination: every template's combinations,
+//!   written into one row buffer, a `Tuple` built only for a value not
+//!   seen before. No probability, no clustering.
+//! * `EXPECTED COUNT`/`SUM` is linearity of expectation: the sum over
+//!   templates of `E[f(t) · 1(t exists)]`, a product of per-component
+//!   factors. This is exact under set semantics only for a template that
+//!   can share no whole value with another, so templates are first
+//!   bucketed by possible values column by column; those still sharing a
+//!   bucket go through the accumulator below.
+//! * `PROB()` and `CERTAIN` fold into one accumulator, per value
+//!   `∏(1 − P_cluster)` over the clusters of templates connected by shared
+//!   components, in cluster order. A one-template cluster needs no walk:
+//!   each combination is a distinct value. A cluster of several templates
+//!   walks the joint choices of the distinct projections of its
+//!   components onto what it reads, fanned out over the worker pool when
+//!   large, and past a cap is estimated by Monte-Carlo sampling
+//!   (deterministic xorshift seed), flagged in [`Confidence::exact`].
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use maybms_obs::registry::DURATION_US_BOUNDS;
 use maybms_obs::{Counter, Histogram};
-use maybms_relational::{Error, Result, Tuple, Value};
+use maybms_relational::{ColumnType, Error, Result, Tuple, Value};
 
+use crate::algebra::common::{choices, distinct_rows, walk, Choices, Part};
 use crate::cell::Cell;
+use crate::component::Component;
 use crate::exec::WorkerPool;
 use crate::factorize::Uf;
-use crate::field::{Field, Tid};
-use crate::wsd::{Existence, TemplateCell, Wsd};
+use crate::wsd::{TemplateCell, TupleTemplate, Wsd};
 
 /// Confidence-computation counters, resolved once.
 struct ProbMetrics {
@@ -49,6 +60,19 @@ fn metrics() -> &'static ProbMetrics {
         calls: maybms_obs::counter("prob.confidence_calls"),
         duration_us: maybms_obs::histogram("prob.confidence_us", DURATION_US_BOUNDS),
     })
+}
+
+/// Runs one public entry point: counted once in `prob.confidence_calls`
+/// and timed in `prob.confidence_us`.
+fn timed<T>(f: impl FnOnce() -> T) -> T {
+    let m = metrics();
+    m.calls.inc();
+    #[allow(clippy::disallowed_methods)]
+    // maybms-lint: allow(determinism) -- duration histogram observation only; `f` gives the answer
+    let began = Instant::now();
+    let out = f();
+    m.duration_us.observe_duration(began.elapsed());
+    out
 }
 
 /// Options for confidence computation.
@@ -84,67 +108,83 @@ pub fn tuple_confidence_in(
     rel: &str,
     pool: &WorkerPool,
 ) -> Result<Vec<(Tuple, f64)>> {
-    Ok(tuple_confidence_opts_in(wsd, rel, ProbOptions::default(), pool)?
-        .into_iter()
-        .map(|c| (c.tuple, c.p))
-        .collect())
+    timed(|| {
+        let conf = confidences(wsd, rel, ProbOptions::default(), pool)?;
+        Ok(conf.into_iter().map(|c| (c.tuple, c.p)).collect())
+    })
 }
 
 /// Tuples certain to be in `rel` (confidence 1 within `1e-9`).
 pub fn certain_tuples_in(wsd: &Wsd, rel: &str, pool: &WorkerPool) -> Result<Vec<Tuple>> {
-    Ok(tuple_confidence_in(wsd, rel, pool)?
-        .into_iter()
-        .filter(|(_, p)| (*p - 1.0).abs() < 1e-9)
-        .map(|(t, _)| t)
-        .collect())
+    timed(|| {
+        let conf = confidences(wsd, rel, ProbOptions::default(), pool)?;
+        Ok(conf.into_iter().filter(|c| (c.p - 1.0).abs() < 1e-9).map(|c| c.tuple).collect())
+    })
 }
 
-/// Tuples possible in `rel` (confidence > 0).
-pub fn possible_tuples_in(wsd: &Wsd, rel: &str, pool: &WorkerPool) -> Result<Vec<Tuple>> {
-    Ok(tuple_confidence_in(wsd, rel, pool)?.into_iter().map(|(t, _)| t).collect())
+/// Tuples possible in `rel`, sorted: duplicate elimination over every
+/// template's values, no probability computed.
+pub fn possible_tuples_in(wsd: &Wsd, rel: &str, _pool: &WorkerPool) -> Result<Vec<Tuple>> {
+    timed(|| {
+        let resolved = resolve_relation(wsd, rel)?;
+        let (mut out, mut shared) = (Vec::new(), HashSet::new());
+        for (t, collides) in resolved.iter().zip(may_collide(&resolved)) {
+            if t.choices.is_empty() && !collides {
+                out.push(t.row());
+                continue;
+            }
+            walk(&t.choices, &mut t.row(), |v, _| {
+                if !collides {
+                    out.push(v.clone());
+                } else if !shared.contains(v) {
+                    shared.insert(v.clone());
+                }
+                true
+            });
+        }
+        out.extend(shared); // hash order is erased by the sort
+        out.sort_unstable();
+        Ok(out)
+    })
 }
 
 /// Expected cardinality of `rel` under set semantics:
 /// `E[|rel|] = Σ_v P(v ∈ rel)` by linearity of expectation.
 pub fn expected_count_in(wsd: &Wsd, rel: &str, pool: &WorkerPool) -> Result<f64> {
-    Ok(tuple_confidence_in(wsd, rel, pool)?.iter().map(|(_, p)| p).sum())
+    timed(|| expected(wsd, rel, None, pool))
 }
 
 /// Expected sum of column `col` over `rel` (set semantics):
-/// `E[Σ_{t∈rel} t.col] = Σ_v v.col · P(v ∈ rel)`. NULLs contribute 0.
+/// `E[Σ_{t∈rel} t.col] = Σ_v v.col · P(v ∈ rel)`. NULLs contribute 0; a
+/// column that is not numeric is a type error.
 pub fn expected_sum_in(wsd: &Wsd, rel: &str, col: &str, pool: &WorkerPool) -> Result<f64> {
-    let idx = wsd.relation(rel)?.schema.index_of(col)?;
-    Ok(tuple_confidence_in(wsd, rel, pool)?
-        .iter()
-        .map(|(t, p)| t[idx].as_f64().unwrap_or(0.0) * p)
-        .sum())
+    timed(|| {
+        let schema = &wsd.relation(rel)?.schema;
+        let idx = schema.index_of(col)?;
+        match schema.column(idx).ty {
+            ColumnType::Int | ColumnType::Float => expected(wsd, rel, Some(idx), pool),
+            ty => Err(Error::TypeError(format!("EXPECTED SUM({col}) over the {ty} column {col}"))),
+        }
+    })
 }
 
 /// `P(rel is non-empty)` — the confidence of a boolean query, with the
 /// per-cluster walks fanned out over `pool`.
 pub fn nonempty_confidence_in(wsd: &Wsd, rel: &str, pool: &WorkerPool) -> Result<f64> {
-    let m = metrics();
-    m.calls.inc();
-    #[allow(clippy::disallowed_methods)]
-    // maybms-lint: allow(determinism) -- duration histogram observation only; the answer comes from the inner call
-    let began = Instant::now();
-    let out = nonempty_confidence_inner(wsd, rel, pool);
-    m.duration_us.observe_duration(began.elapsed());
-    out
-}
-
-fn nonempty_confidence_inner(wsd: &Wsd, rel: &str, pool: &WorkerPool) -> Result<f64> {
-    let clusters = cluster_tuples(wsd, rel)?;
-    if clusters.iter().any(|cl| cl.has_always_certain) {
-        return Ok(1.0);
-    }
-    let resolved = resolve_relation(wsd, rel)?;
-    let dists = cluster_distributions(wsd, &clusters, &resolved, ProbOptions::default(), pool)?;
-    let mut p_empty_all = 1.0;
-    for dist in &dists {
-        p_empty_all *= 1.0 - dist.p_any_exists;
-    }
-    Ok(1.0 - p_empty_all)
+    timed(|| {
+        let resolved = resolve_relation(wsd, rel)?;
+        if resolved.iter().any(|t| t.choices.is_empty()) {
+            return Ok(1.0);
+        }
+        let all: Vec<usize> = (0..resolved.len()).collect();
+        let clusters = cluster_tuples(&resolved, &all);
+        let walks = walk_clusters(&resolved, &clusters, ProbOptions::default(), pool);
+        let mut p_empty = 1.0;
+        for (cl, dist) in clusters.iter().zip(walks) {
+            p_empty *= 1.0 - dist.map_or_else(|| expectation(&resolved[cl[0]], None), |d| d.p_any);
+        }
+        Ok(1.0 - p_empty)
+    })
 }
 
 impl Wsd {
@@ -154,389 +194,395 @@ impl Wsd {
     }
 }
 
-/// Full-control variant returning exactness flags, with the per-cluster
-/// distribution walks fanned out over `pool` when they are large enough
-/// to pay for it. Clusters are independent random variables, so
-/// their joint-choice enumerations parallelize embarrassingly; the
-/// per-value merge runs serially in cluster order, making the result
-/// bit-identical to the sequential path at every worker count.
+/// Full-control variant returning exactness flags, with the walks of
+/// clusters of several templates fanned out over `pool` when they are
+/// large enough to pay for it. Clusters are independent random variables,
+/// so their walks parallelize embarrassingly; the fold runs serially in
+/// cluster order, making the result bit-identical to the sequential path
+/// at every worker count.
 pub fn tuple_confidence_opts_in(
     wsd: &Wsd,
     rel: &str,
     opts: ProbOptions,
     pool: &WorkerPool,
 ) -> Result<Vec<Confidence>> {
-    let m = metrics();
-    m.calls.inc();
-    #[allow(clippy::disallowed_methods)]
-    // maybms-lint: allow(determinism) -- duration histogram observation only; the answer comes from the inner call
-    let began = Instant::now();
-    let out = tuple_confidence_opts_inner(wsd, rel, opts, pool);
-    m.duration_us.observe_duration(began.elapsed());
-    out
+    timed(|| confidences(wsd, rel, opts, pool))
 }
 
-fn tuple_confidence_opts_inner(
+fn confidences(
     wsd: &Wsd,
     rel: &str,
     opts: ProbOptions,
     pool: &WorkerPool,
 ) -> Result<Vec<Confidence>> {
-    let clusters = cluster_tuples(wsd, rel)?;
     let resolved = resolve_relation(wsd, rel)?;
-    let dists = cluster_distributions(wsd, &clusters, &resolved, opts, pool)?;
-    // per value: per-cluster probability of "some tuple of the cluster
-    // takes this value and exists"
-    let mut per_value: HashMap<Tuple, Vec<(f64, bool)>> = HashMap::new();
-    for dist in dists {
-        // maybms-lint: allow(determinism) -- accumulates into a value-keyed map; visit order cannot affect the per-value products
-        for (val, e) in dist.per_value {
-            per_value.entry(val).or_default().push((e.p_any, e.exact));
+    let all: Vec<usize> = (0..resolved.len()).collect();
+    Ok(confidences_of(&resolved, &all, opts, pool))
+}
+
+// ---------------------------------------------------------------------
+// Templates
+// ---------------------------------------------------------------------
+
+/// One template tuple, resolved once into its [`Choices`].
+struct Resolved<'w> {
+    t: &'w TupleTemplate,
+    choices: Vec<Choices<'w>>,
+}
+
+impl Resolved<'_> {
+    /// The template's certain value at `pos`; NULL where it is open.
+    fn cell(&self, pos: usize) -> &Value {
+        match &self.t.cells[pos] {
+            TemplateCell::Certain(v) => v,
+            TemplateCell::Open => &Value::Null,
         }
     }
-    // maybms-lint: allow(determinism) -- hash order is erased by the sort_by tuple comparison before returning
-    let mut out: Vec<Confidence> = per_value
-        .into_iter()
-        .map(|(tuple, probs)| {
-            let mut p_not = 1.0;
-            let mut exact = true;
-            for (p, ex) in probs {
-                p_not *= 1.0 - p;
-                exact &= ex;
-            }
-            Confidence { tuple, p: (1.0 - p_not).min(1.0), exact }
-        })
-        .collect();
-    out.sort_by(|a, b| a.tuple.cmp(&b.tuple));
-    Ok(out)
+
+    /// A row buffer holding the template's certain values.
+    fn row(&self) -> Tuple {
+        Tuple::new((0..self.t.cells.len()).map(|pos| self.cell(pos).clone()).collect())
+    }
 }
 
-// ---------------------------------------------------------------------
-// Clustering
-// ---------------------------------------------------------------------
-
-struct Cluster {
-    tids: Vec<Tid>,
-    comps: Vec<usize>,
-    /// true iff the cluster contains a fully-certain always-existing tuple
-    /// (then every world has it).
-    has_always_certain: bool,
-}
-
-/// Groups the template tuples of `rel` into clusters connected by shared
-/// components; tuples touching no component form singleton "certain"
-/// clusters. Connectivity runs on [`Uf`] (shared with
-/// [`crate::factorize`]) over dense component ids: one union per
-/// (tuple, component) edge, then one grouping pass — no ad-hoc cluster
-/// merging, and near-linear on wide answer relations.
-fn cluster_tuples(wsd: &Wsd, rel: &str) -> Result<Vec<Cluster>> {
+/// Resolves every template of `rel`, in template order.
+fn resolve_relation<'w>(wsd: &'w Wsd, rel: &str) -> Result<Vec<Resolved<'w>>> {
     let tpl = wsd.relation(rel)?;
-    // tuple -> component set, with components densely renumbered
-    let mut dense: HashMap<usize, usize> = HashMap::new();
-    let mut dense_to_comp: Vec<usize> = Vec::new();
-    let mut t_comps: Vec<(Tid, Vec<usize>)> = Vec::with_capacity(tpl.tuples.len());
-    for t in &tpl.tuples {
-        let mut comps: Vec<usize> = Vec::new();
-        for (i, c) in t.cells.iter().enumerate() {
-            if matches!(c, TemplateCell::Open) {
-                let (ci, _) = wsd
-                    .field_loc(Field::attr(t.tid, i as u32))
-                    .ok_or_else(|| Error::InvalidExpr(format!("unmapped field {}.#{i}", t.tid)))?;
-                comps.push(ci);
+    let all: Vec<usize> = (0..tpl.schema.len()).collect();
+    tpl.tuples
+        .iter()
+        .map(|t| {
+            let part = [Part::new(t, &all, 0)];
+            Ok(Resolved { t, choices: choices(wsd, &part, true)? })
+        })
+        .collect()
+}
+
+/// The possible values of a template at `pos`.
+fn possible_at<'a>(t: &'a Resolved<'_>, pos: usize) -> Vec<&'a Value> {
+    for ch in &t.choices {
+        if let Some(&(_, col)) = ch.reads.iter().find(|r| r.0 == pos) {
+            return ch.rows.iter().filter_map(|&(r, _)| ch.comp.cell(r, col).value()).collect();
+        }
+    }
+    vec![t.cell(pos)]
+}
+
+/// Per template, whether it may share a whole value with another. The
+/// templates are bucketed by their possible values one column at a time,
+/// within the groups that shared a bucket on every column before; NULL is
+/// a bucket like any value, as it equals NULL in a tuple. A template left
+/// in no group of two cannot collide. Refining stops, leaving every group
+/// member colliding, once the groups hold more than four entries per
+/// template.
+fn may_collide(resolved: &[Resolved<'_>]) -> Vec<bool> {
+    let n = resolved.len();
+    let width = resolved.first().map_or(0, |t| t.t.cells.len());
+    let mut groups: Vec<Vec<usize>> = vec![(0..n).collect()];
+    for pos in 0..width {
+        if groups.is_empty() || groups.iter().map(Vec::len).sum::<usize>() > 4 * n {
+            break;
+        }
+        let mut next = Vec::new();
+        for group in &groups {
+            let mut buckets: HashMap<&Value, Vec<usize>> = HashMap::new();
+            for &i in group {
+                for v in possible_at(&resolved[i], pos) {
+                    let b = buckets.entry(v).or_default();
+                    if b.last() != Some(&i) {
+                        b.push(i);
+                    }
+                }
             }
+            // maybms-lint: allow(determinism) -- hash order is erased by the sort and dedup below
+            next.extend(buckets.into_values().filter(|b| b.len() > 1));
         }
-        if t.exists == Existence::Open {
-            let (ci, _) = wsd
-                .field_loc(Field::exists(t.tid))
-                .ok_or_else(|| Error::InvalidExpr(format!("unmapped ∃ of {}", t.tid)))?;
-            comps.push(ci);
-        }
-        comps.sort_unstable();
-        comps.dedup();
-        for &c in &comps {
-            dense.entry(c).or_insert_with(|| {
-                dense_to_comp.push(c);
-                dense_to_comp.len() - 1
-            });
-        }
-        t_comps.push((t.tid, comps));
+        next.sort_unstable();
+        next.dedup();
+        groups = next;
     }
+    let mut out = vec![false; n];
+    for i in groups.into_iter().filter(|g| g.len() > 1).flatten() {
+        out[i] = true;
+    }
+    out
+}
 
-    let mut uf = Uf::new(dense_to_comp.len());
-    for (_, comps) in &t_comps {
-        for w in comps.windows(2) {
-            uf.union(dense[&w[0]], dense[&w[1]]);
+/// The numeric view of a value in an aggregate: NULL counts 0.
+fn number(v: &Value) -> f64 {
+    v.as_f64().unwrap_or(0.0)
+}
+
+/// `E[f(t) · 1(t exists)]` for one template, with `f` its value at `col`,
+/// or 1 for `None` (then the probability that it exists). Its components
+/// are independent, so this is a product of per-component factors.
+fn expectation(t: &Resolved<'_>, col: Option<usize>) -> f64 {
+    let (mut e, mut certain) = (1.0, col);
+    for ch in &t.choices {
+        let at = col.and_then(|pos| ch.reads.iter().find(|r| r.0 == pos));
+        if at.is_some() {
+            certain = None;
+        }
+        let f = |r: usize| at.map_or(1.0, |&(_, c)| ch.comp.cell(r, c).value().map_or(0.0, number));
+        e *= ch.rows.iter().map(|&(r, p)| p * f(r)).sum::<f64>();
+    }
+    e * certain.map_or(1.0, |pos| number(t.cell(pos)))
+}
+
+/// `EXPECTED COUNT()` (`col` none) or `EXPECTED SUM(col)` over `rel`: per
+/// template that can collide with none, its [`expectation`], in template
+/// order; then the rest through the accumulator.
+fn expected(wsd: &Wsd, rel: &str, col: Option<usize>, pool: &WorkerPool) -> Result<f64> {
+    let resolved = resolve_relation(wsd, rel)?;
+    let collide = may_collide(&resolved);
+    let (shared, free): (Vec<usize>, Vec<usize>) = (0..resolved.len()).partition(|&i| collide[i]);
+    let mut sum: f64 = free.iter().map(|&i| expectation(&resolved[i], col)).sum();
+    for c in confidences_of(&resolved, &shared, ProbOptions::default(), pool) {
+        sum += col.map_or(1.0, |pos| number(&c.tuple[pos])) * c.p;
+    }
+    Ok(sum)
+}
+
+// ---------------------------------------------------------------------
+// The accumulator
+// ---------------------------------------------------------------------
+
+/// Every possible value of the templates `members` of `resolved`, sorted,
+/// with the probability that one of them takes it.
+fn confidences_of(
+    resolved: &[Resolved<'_>],
+    members: &[usize],
+    opts: ProbOptions,
+    pool: &WorkerPool,
+) -> Vec<Confidence> {
+    let clusters = cluster_tuples(resolved, members);
+    let walks = walk_clusters(resolved, &clusters, opts, pool);
+    // per value: ∏(1 − P_cluster) and whether every factor is exact
+    let mut acc: HashMap<Tuple, (f64, bool)> = HashMap::new();
+    let mut fold = |v: &Tuple, p: f64, exact: bool| match acc.get_mut(v) {
+        Some(e) => *e = (e.0 * (1.0 - p), e.1 && exact),
+        None => drop(acc.insert(v.clone(), (1.0 - p, exact))),
+    };
+    for (cl, dist) in clusters.iter().zip(walks) {
+        match dist {
+            None => {
+                let t = &resolved[cl[0]];
+                walk(&t.choices, &mut t.row(), |v, p| {
+                    fold(v, p, true);
+                    true
+                });
+            }
+            Some(d) => d.values.iter().for_each(|(v, p)| fold(v, *p, d.exact)),
         }
     }
+    // maybms-lint: allow(determinism) -- hash order is erased by the sort before returning
+    let mut out: Vec<Confidence> = acc
+        .into_iter()
+        .map(|(tuple, (p_not, exact))| Confidence { tuple, p: (1.0 - p_not).min(1.0), exact })
+        .collect();
+    out.sort_unstable_by(|a, b| a.tuple.cmp(&b.tuple));
+    out
+}
 
-    // one cluster per union-find root, in first-seen tuple order
+/// Groups the templates `members` into clusters connected by shared
+/// components, as template indices in first-seen order; a template
+/// reading no component is a cluster of its own. Connectivity runs on
+/// [`Uf`] (shared with [`crate::factorize`]) over dense component ids.
+fn cluster_tuples(resolved: &[Resolved<'_>], members: &[usize]) -> Vec<Vec<usize>> {
+    let mut dense: HashMap<usize, usize> = HashMap::new();
+    for ch in members.iter().flat_map(|&i| &resolved[i].choices) {
+        let next = dense.len();
+        dense.entry(ch.id).or_insert(next);
+    }
+    let mut uf = Uf::new(dense.len());
+    for &i in members {
+        for w in resolved[i].choices.windows(2) {
+            uf.union(dense[&w[0].id], dense[&w[1].id]);
+        }
+    }
     let mut cluster_of_root: HashMap<usize, usize> = HashMap::new();
-    let mut clusters: Vec<Cluster> = Vec::new();
-    for (tid, comps) in &t_comps {
-        if comps.is_empty() {
-            clusters.push(Cluster {
-                tids: vec![*tid],
-                comps: Vec::new(),
-                has_always_certain: true,
-            });
+    let mut clusters: Vec<Vec<usize>> = Vec::new();
+    for &i in members {
+        let Some(ch) = resolved[i].choices.first() else {
+            clusters.push(vec![i]);
             continue;
-        }
-        let root = uf.find(dense[&comps[0]]);
-        let cid = *cluster_of_root.entry(root).or_insert_with(|| {
-            clusters.push(Cluster {
-                tids: Vec::new(),
-                comps: Vec::new(),
-                has_always_certain: false,
-            });
+        };
+        let cid = *cluster_of_root.entry(uf.find(dense[&ch.id])).or_insert_with(|| {
+            clusters.push(Vec::new());
             clusters.len() - 1
         });
-        clusters[cid].tids.push(*tid);
+        clusters[cid].push(i);
     }
-    // attach each component to its root's cluster, in dense (first-seen)
-    // order so the enumeration order stays deterministic
-    for (d, &comp) in dense_to_comp.iter().enumerate() {
-        let root = uf.find(d);
-        if let Some(&cid) = cluster_of_root.get(&root) {
-            clusters[cid].comps.push(comp);
-        }
-    }
-    Ok(clusters)
+    clusters
 }
 
 // ---------------------------------------------------------------------
-// Per-cluster distribution
+// Clusters of several templates
 // ---------------------------------------------------------------------
 
-struct ValueEntry {
-    /// P(some tuple of the cluster exists with this value)
+/// The distribution of one cluster of several templates.
+struct ClusterDist {
+    /// Per value, P(some template of the cluster exists with it).
+    values: Vec<(Tuple, f64)>,
+    /// P(some template of the cluster exists at all).
     p_any: f64,
     exact: bool,
 }
 
-/// The joint distribution of one cluster's answers.
-struct ClusterDist {
-    per_value: HashMap<Tuple, ValueEntry>,
-    /// P(some tuple of the cluster exists at all).
-    p_any_exists: f64,
-}
-
-/// One template tuple with every field location resolved ahead of the
-/// choice-space walk: certain values prefilled in `base`, open fields as
-/// direct `(position, component, column)` triples.
-struct ResolvedTuple {
-    base: Vec<Value>,
-    open: Vec<(usize, usize, usize)>,
-    exists: Option<(usize, usize)>,
-}
-
-impl ResolvedTuple {
-    fn resolve(wsd: &Wsd, tid: Tid, cells: &[TemplateCell], exists: Existence) -> Result<ResolvedTuple> {
-        let mut base = Vec::with_capacity(cells.len());
-        let mut open = Vec::new();
-        for (i, cell) in cells.iter().enumerate() {
-            match cell {
-                TemplateCell::Certain(v) => base.push(v.clone()),
-                TemplateCell::Open => {
-                    let (c, col) = wsd
-                        .field_loc(Field::attr(tid, i as u32))
-                        .ok_or_else(|| Error::InvalidExpr(format!("unmapped field {tid}.#{i}")))?;
-                    open.push((i, c, col));
-                    base.push(Value::Null);
-                }
-            }
+/// A cluster's components, in first-seen order, each with every column
+/// its templates read there.
+fn cluster_components<'w>(
+    resolved: &[Resolved<'w>],
+    cl: &[usize],
+) -> Vec<(usize, &'w Component, Vec<usize>)> {
+    let mut comps: Vec<(usize, &Component, Vec<usize>)> = Vec::new();
+    for ch in cl.iter().flat_map(|&i| &resolved[i].choices) {
+        match comps.iter_mut().find(|c| c.0 == ch.id) {
+            Some(c) => c.2.extend(&ch.live),
+            None => comps.push((ch.id, ch.comp, ch.live.clone())),
         }
-        let exists = match exists {
-            Existence::Always => None,
-            Existence::Open => Some(
-                wsd.field_loc(Field::exists(tid))
-                    .ok_or_else(|| Error::InvalidExpr(format!("unmapped ∃ of {tid}")))?,
-            ),
-        };
-        Ok(ResolvedTuple { base, open, exists })
     }
-
-    /// The tuple's value under a dense `choice` (row index per component),
-    /// or `None` if it does not exist there.
-    fn value_under(&self, wsd: &Wsd, choice: &[usize]) -> Option<Tuple> {
-        if let Some((c, col)) = self.exists {
-            let comp = wsd.component(c).expect("mapped"); // maybms-lint: allow(no-panic-in-prod) -- component indices are maintained by the WSD itself; a dangling index means the decomposition is corrupt, so fail-stop
-            if comp.cell(choice[c], col).is_bottom() {
-                return None;
-            }
-        }
-        let mut vals = self.base.clone();
-        for &(pos, c, col) in &self.open {
-            let comp = wsd.component(c).expect("mapped"); // maybms-lint: allow(no-panic-in-prod) -- component indices are maintained by the WSD itself; a dangling index means the decomposition is corrupt, so fail-stop
-            match comp.cell(choice[c], col) {
-                Cell::Val(v) => vals[pos] = v.clone(),
-                Cell::Bottom => return None,
-            }
-        }
-        Some(Tuple::new(vals))
-    }
+    comps
 }
 
-/// Resolves every tuple of `rel` once — one pass over the template,
-/// shared by all clusters.
-fn resolve_relation(wsd: &Wsd, rel: &str) -> Result<HashMap<Tid, ResolvedTuple>> {
-    let tpl = wsd.relation(rel)?;
-    let mut out = HashMap::with_capacity(tpl.tuples.len());
-    for t in &tpl.tuples {
-        out.insert(t.tid, ResolvedTuple::resolve(wsd, t.tid, &t.cells, t.exists)?);
-    }
-    Ok(out)
+/// The joint choice count of a cluster's raw component rows (saturating),
+/// which bounds the count of its distinct projections.
+fn joint_rows(resolved: &[Resolved<'_>], cl: &[usize]) -> u64 {
+    let comps = cluster_components(resolved, cl);
+    comps.iter().fold(1u64, |j, c| j.saturating_mul(c.1.num_rows() as u64))
 }
 
-/// The joint choice count of a cluster's components (saturating).
-fn joint_choices(wsd: &Wsd, cl: &Cluster) -> Result<u64> {
-    cl.comps.iter().try_fold(1u64, |joint, &c| {
-        let comp =
-            wsd.component(c).ok_or_else(|| Error::InvalidExpr(format!("dead component {c}")))?;
-        Ok(joint.saturating_mul(comp.num_rows() as u64))
-    })
-}
-
-/// Tuple evaluations (choices walked × tuples in the cluster, summed over
-/// clusters) below which [`cluster_distributions`] stays on the caller's
-/// thread. One evaluation measured 0.15 µs (two-tuple clusters) to 1.2 µs
-/// (E6's wide census clusters) and a `WorkerPool::map` call pays 20–90 µs
-/// per helper thread, so this asks for at least ~2.5 ms of walking: the
-/// scoreboard's largest statement has 5 688 evaluations, E6 has 10⁵–10⁶.
+/// Tuple evaluations (raw joint choices × templates, summed over the
+/// clusters of several templates) below which [`walk_clusters`] stays on
+/// the caller's thread. One evaluation measured 0.15 µs (two-tuple
+/// clusters) to 1.2 µs (E6's wide census clusters) and a
+/// `WorkerPool::map` call pays 20–90 µs per helper thread, so this asks
+/// for at least ~2.5 ms of walking. E6 has 10⁵–10⁶; the census and `obs`
+/// statements of `benchmark/` walk none, as no cluster there holds two
+/// templates.
 const FAN_OUT_MIN_EVALS: u64 = 1 << 14;
 
-/// Evaluates every cluster's distribution, in cluster order. The
-/// independent cluster walks fan out over `pool` when there is more than
-/// one and together they are worth a thread spawn; otherwise one
-/// sequential loop reuses a single dense scratch vector across clusters
-/// (the zero-allocation hot path).
-fn cluster_distributions(
-    wsd: &Wsd,
-    clusters: &[Cluster],
-    resolved: &HashMap<Tid, ResolvedTuple>,
+/// Walks every cluster of several templates, in cluster order; `None`
+/// for a one-template cluster. The independent walks fan out over `pool`
+/// when there is more than one and together they are worth a thread
+/// spawn.
+fn walk_clusters(
+    resolved: &[Resolved<'_>],
+    clusters: &[Vec<usize>],
     opts: ProbOptions,
     pool: &WorkerPool,
-) -> Result<Vec<ClusterDist>> {
+) -> Vec<Option<ClusterDist>> {
     let mut evals = 0u64;
-    if pool.workers() > 1 && clusters.len() > 1 {
-        for cl in clusters {
-            let joint = joint_choices(wsd, cl)?;
+    if pool.workers() > 1 && clusters.iter().filter(|cl| cl.len() > 1).nth(1).is_some() {
+        for cl in clusters.iter().filter(|cl| cl.len() > 1) {
+            let joint = joint_rows(resolved, cl);
             let walked = if joint <= opts.exact_cap { joint } else { opts.mc_samples as u64 };
-            evals = evals.saturating_add(walked.saturating_mul(cl.tids.len() as u64));
+            evals = evals.saturating_add(walked.saturating_mul(cl.len() as u64));
         }
     }
+    let dist = |cl: &Vec<usize>, choice: &mut Vec<usize>| {
+        (cl.len() > 1).then(|| cluster_dist(resolved, cl, choice, opts))
+    };
     if evals < FAN_OUT_MIN_EVALS {
-        let mut choice = vec![0usize; wsd.num_component_slots()];
-        return clusters
-            .iter()
-            .map(|cl| cluster_distribution(wsd, cl, resolved, &mut choice, opts))
-            .collect();
+        let mut choice = Vec::new();
+        return clusters.iter().map(|cl| dist(cl, &mut choice)).collect();
     }
-    pool.map(clusters, |_, cl| {
-        let mut choice = vec![0usize; wsd.num_component_slots()];
-        cluster_distribution(wsd, cl, resolved, &mut choice, opts)
-    })
-    .into_iter()
-    .collect()
+    pool.map(clusters, |_, cl| dist(cl, &mut Vec::new()))
 }
 
-/// Enumerates (or samples) the joint choices of the cluster's components and
-/// returns, per answer value, P(some cluster tuple exists with that value).
-/// `choice` is a caller-owned dense scratch vector (one slot per component
-/// slot) reused across clusters.
-fn cluster_distribution(
-    wsd: &Wsd,
-    cl: &Cluster,
-    resolved: &HashMap<Tid, ResolvedTuple>,
-    choice: &mut [usize],
+/// Enumerates (or samples) the joint choices of the cluster's components,
+/// over the distinct projections of each onto the columns the cluster
+/// reads there, ⊥ kept. `choice` is a scratch vector indexed by component
+/// id, holding the row each component takes.
+fn cluster_dist(
+    resolved: &[Resolved<'_>],
+    cl: &[usize],
+    choice: &mut Vec<usize>,
     opts: ProbOptions,
-) -> Result<ClusterDist> {
-    let mut dist = ClusterDist { per_value: HashMap::new(), p_any_exists: 0.0 };
-    let tuples: Vec<&ResolvedTuple> = cl
-        .tids
-        .iter()
-        .map(|tid| {
-            resolved
-                .get(tid)
-                .ok_or_else(|| Error::InvalidExpr(format!("cluster tuple {tid} not found")))
-        })
-        .collect::<Result<_>>()?;
-
-    if cl.comps.is_empty() {
-        // fully certain tuples
-        for t in &tuples {
-            debug_assert!(t.open.is_empty(), "certain cluster");
-            dist.per_value
-                .insert(Tuple::new(t.base.clone()), ValueEntry { p_any: 1.0, exact: true });
-        }
-        dist.p_any_exists = 1.0;
-        return Ok(dist);
-    }
-
-    for &c in &cl.comps {
-        choice[c] = 0;
-    }
-    if joint_choices(wsd, cl)? <= opts.exact_cap {
-        enumerate_cluster(wsd, cl, &tuples, choice, &mut dist)?;
-    } else {
-        sample_cluster(wsd, cl, &tuples, choice, &mut dist, opts)?;
-    }
-    Ok(dist)
-}
-
-fn enumerate_cluster(
-    wsd: &Wsd,
-    cl: &Cluster,
-    tuples: &[&ResolvedTuple],
-    choice: &mut [usize],
-    dist: &mut ClusterDist,
-) -> Result<()> {
-    let widths: Vec<usize> = cl
-        .comps
-        .iter()
-        .map(|&c| wsd.component(c).expect("live").num_rows()) // maybms-lint: allow(no-panic-in-prod) -- component indices are maintained by the WSD itself; a dangling index means the decomposition is corrupt, so fail-stop
+) -> ClusterDist {
+    let reps: Vec<(usize, Vec<(usize, f64)>)> = cluster_components(resolved, cl)
+        .into_iter()
+        .map(|(id, comp, cols)| (id, distinct_rows(comp, &cols, &[])))
         .collect();
-    // the dense choice vector is driven in place by the odometer — no
-    // per-choice map
+    if let Some(max) = reps.iter().map(|r| r.0).max() {
+        choice.resize(choice.len().max(max + 1), 0);
+    }
+    let joint = reps.iter().fold(1u64, |j, r| j.saturating_mul(r.1.len() as u64));
+    let exact = joint <= opts.exact_cap;
+    let (mut values, mut p_any) = (HashMap::new(), 0.0);
     let mut present: Vec<Tuple> = Vec::new();
-    loop {
-        let mut p = 1.0;
-        for &c in &cl.comps {
-            p *= wsd.component(c).expect("live").prob(choice[c]); // maybms-lint: allow(no-panic-in-prod) -- component indices are maintained by the WSD itself; a dangling index means the decomposition is corrupt, so fail-stop
-        }
-        // distinct values present under this choice
-        present.clear();
-        for t in tuples {
-            if let Some(v) = t.value_under(wsd, choice) {
-                if !present.contains(&v) {
-                    present.push(v);
-                }
-            }
-        }
+    let mut visit = |choice: &[usize], p: f64| {
+        present.extend(cl.iter().filter_map(|&i| value_under(&resolved[i], choice)));
+        present.sort_unstable();
+        present.dedup();
         if !present.is_empty() {
-            dist.p_any_exists += p;
+            p_any += p;
         }
         for v in present.drain(..) {
-            let e = dist
-                .per_value
-                .entry(v)
-                .or_insert(ValueEntry { p_any: 0.0, exact: true });
-            e.p_any += p;
+            *values.entry(v).or_insert(0.0) += p;
         }
-
-        let mut k = cl.comps.len();
+    };
+    if exact {
+        let mut at = vec![0; reps.len()];
         loop {
-            if k == 0 {
-                return Ok(());
+            let mut p = 1.0;
+            for ((id, rows), &i) in reps.iter().zip(&at) {
+                choice[*id] = rows[i].0;
+                p *= rows[i].1;
             }
-            k -= 1;
-            let c = cl.comps[k];
-            choice[c] += 1;
-            if choice[c] < widths[k] {
+            visit(choice, p);
+            let Some(k) = at.iter().zip(&reps).position(|(&i, r)| i + 1 < r.1.len()) else {
                 break;
+            };
+            at[..k].fill(0);
+            at[k] += 1;
+        }
+    } else {
+        let mut rng = XorShift(opts.seed | 1);
+        let n = opts.mc_samples.max(1);
+        // cumulative probability table per component, computed once
+        let cum: Vec<Vec<f64>> = reps
+            .iter()
+            .map(|(_, rows)| {
+                let mut acc = 0.0;
+                rows.iter()
+                    .map(|r| {
+                        acc += r.1;
+                        acc
+                    })
+                    .collect()
+            })
+            .collect();
+        for _ in 0..n {
+            for ((id, rows), table) in reps.iter().zip(&cum) {
+                // the first row whose cumulative mass exceeds u
+                let u = rng.next_f64();
+                choice[*id] = rows[table.partition_point(|&acc| acc <= u).min(table.len() - 1)].0;
             }
-            choice[c] = 0;
+            visit(choice, 1.0 / n as f64);
         }
     }
+    // in hash order: each value is folded once per cluster, so no order reaches a product
+    ClusterDist { values: values.into_iter().collect(), p_any, exact }
+}
+
+/// A template's value where each component takes the row `choice` names,
+/// or `None` if it is absent there.
+fn value_under(t: &Resolved<'_>, choice: &[usize]) -> Option<Tuple> {
+    let live =
+        |ch: &Choices<'_>| ch.live.iter().all(|&c| !ch.comp.cell(choice[ch.id], c).is_bottom());
+    if !t.choices.iter().all(live) {
+        return None;
+    }
+    let mut v = t.row();
+    for ch in &t.choices {
+        for &(pos, col) in &ch.reads {
+            if let Cell::Val(x) = ch.comp.cell(choice[ch.id], col) {
+                v.values_mut()[pos].clone_from(x);
+            }
+        }
+    }
+    Some(v)
 }
 
 /// xorshift64* — deterministic, dependency-free sampler.
@@ -551,66 +597,6 @@ impl XorShift {
         let bits = x.wrapping_mul(0x2545F4914F6CDD1D) >> 11;
         bits as f64 / (1u64 << 53) as f64
     }
-}
-
-fn sample_cluster(
-    wsd: &Wsd,
-    cl: &Cluster,
-    tuples: &[&ResolvedTuple],
-    choice: &mut [usize],
-    dist: &mut ClusterDist,
-    opts: ProbOptions,
-) -> Result<()> {
-    let mut rng = XorShift(opts.seed | 1);
-    let n = opts.mc_samples.max(1);
-    let inv = 1.0 / n as f64;
-    // cumulative probability table per cluster component, computed once
-    let cum: Vec<Vec<f64>> = cl
-        .comps
-        .iter()
-        .map(|&c| {
-            let comp = wsd.component(c).expect("live"); // maybms-lint: allow(no-panic-in-prod) -- component indices are maintained by the WSD itself; a dangling index means the decomposition is corrupt, so fail-stop
-            let mut acc = 0.0;
-            comp.probs()
-                .iter()
-                .map(|&p| {
-                    acc += p;
-                    acc
-                })
-                .collect()
-        })
-        .collect();
-    let mut present: Vec<Tuple> = Vec::new();
-    for _ in 0..n {
-        for (k, &c) in cl.comps.iter().enumerate() {
-            let u = rng.next_f64();
-            let table = &cum[k];
-            // binary search the cumulative table; partition_point returns
-            // the first row whose cumulative mass exceeds u
-            let pick = table.partition_point(|&acc| acc <= u).min(table.len() - 1);
-            choice[c] = pick;
-        }
-        present.clear();
-        for t in tuples {
-            if let Some(v) = t.value_under(wsd, choice) {
-                if !present.contains(&v) {
-                    present.push(v);
-                }
-            }
-        }
-        if !present.is_empty() {
-            dist.p_any_exists += inv;
-        }
-        for v in present.drain(..) {
-            let e = dist
-                .per_value
-                .entry(v)
-                .or_insert(ValueEntry { p_any: 0.0, exact: false });
-            e.p_any += inv;
-            e.exact = false;
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -673,6 +659,27 @@ mod tests {
         let one = conf.iter().find(|(t, _)| t[0] == Value::Int(1)).unwrap();
         assert!((one.1 - 0.75).abs() < 1e-12);
         assert_matches_oracle(&w, "r");
+    }
+
+    #[test]
+    fn templates_sharing_a_value_go_through_the_accumulator() {
+        // two independent {1, 2} tuples can both be 1 or both be 2, so
+        // E[|r|] = P(1 ∈ r) + P(2 ∈ r) = 0.75 + 0.75, not 2; a certain 3
+        // shares a value with neither
+        let mut w = Wsd::new();
+        w.add_relation("r", Schema::new(vec![("a", ColumnType::Int)])).unwrap();
+        for _ in 0..2 {
+            let alts = vec![(Value::Int(1), 0.5), (Value::Int(2), 0.5)];
+            w.push_orset("r", vec![OrSetCell::weighted(alts).unwrap()]).unwrap();
+        }
+        w.push_orset("r", vec![OrSetCell::certain(3i64)]).unwrap();
+        let resolved = resolve_relation(&w, "r").unwrap();
+        assert_eq!(may_collide(&resolved), vec![true, true, false]);
+        let seq = WorkerPool::sequential();
+        assert!((expected_count_in(&w, "r", seq).unwrap() - 2.5).abs() < 1e-12);
+        assert!((expected_sum_in(&w, "r", "a", seq).unwrap() - 5.25).abs() < 1e-12);
+        let possible = possible_tuples_in(&w, "r", seq).unwrap();
+        assert_eq!(possible, [1, 2, 3].map(|v| Tuple::new(vec![Value::Int(v)])));
     }
 
     #[test]
@@ -740,11 +747,11 @@ mod tests {
         for group in w.live_components().chunks(3) {
             w.merge_components(group).unwrap();
         }
-        let clusters = cluster_tuples(&w, "r").unwrap();
-        let evals: u64 = clusters
-            .iter()
-            .map(|cl| joint_choices(&w, cl).unwrap() * cl.tids.len() as u64)
-            .sum();
+        let resolved = resolve_relation(&w, "r").unwrap();
+        let all: Vec<usize> = (0..resolved.len()).collect();
+        let clusters = cluster_tuples(&resolved, &all);
+        let evals: u64 =
+            clusters.iter().map(|cl| joint_rows(&resolved, cl) * cl.len() as u64).sum();
         assert!(clusters.len() == 8 && evals >= FAN_OUT_MIN_EVALS, "{evals} evaluations");
         let opts = ProbOptions::default();
         let seq = tuple_confidence_opts_in(&w, "r", opts, WorkerPool::sequential()).unwrap();

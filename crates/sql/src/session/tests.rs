@@ -707,6 +707,8 @@ fn expected_aggregates() {
     let r = s.execute("SELECT EXPECTED SUM(usd) FROM costs").unwrap();
     let v = r.table().unwrap().rows()[0][0].as_f64().unwrap();
     assert!((v - 190.0).abs() < 1e-9, "E[sum] = 0.5*100+0.5*200+40 = {v}");
+    // a TEXT column has no sum: a type error naming it, not a silent 0
+    err_contains(s.execute("SELECT EXPECTED SUM(tname) FROM costs"), "column tname");
 
     // oracle agreement on the count
     let q = maybms_core::algebra::Query::table("R")

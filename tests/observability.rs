@@ -163,6 +163,20 @@ fn show_statements_report_live_observability_data() {
         s.execute(q).expect("query");
     }
 
+    // every world mode counts one confidence call per statement
+    let calls = || {
+        let snapshot = maybms_obs::global().snapshot();
+        match snapshot.into_iter().find(|(n, _)| n == "prob.confidence_calls") {
+            Some((_, MetricValue::Counter(n))) => n,
+            other => panic!("prob.confidence_calls: {other:?}"),
+        }
+    };
+    for q in ["SELECT POSSIBLE name FROM patients", "SELECT EXPECTED COUNT() FROM patients"] {
+        let before = calls();
+        s.execute(q).expect("world-mode query");
+        assert_eq!(calls() - before, 1, "{q}");
+    }
+
     // SHOW METRICS: live counters as ordinary rows, LIKE narrows them.
     let all = s.execute("SHOW METRICS").expect("show metrics");
     let all = all.table().expect("table");

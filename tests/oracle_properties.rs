@@ -409,6 +409,42 @@ proptest! {
         prop_assert!((es - ws.expected_sum("r", 0)).abs() < 1e-9);
     }
 
+    /// Every world-mode answer on a random query's answer decomposition
+    /// agrees with world enumeration: `POSSIBLE`, `CERTAIN`, `PROB()`,
+    /// non-emptiness and both expected aggregates on every column.
+    /// Projections and unions (`r ∪ r` included) give templates that
+    /// share a whole value, the case the expected aggregates must send
+    /// through the accumulator.
+    #[test]
+    fn world_modes_match_enumeration(wsd in arb_wsd(), q in arb_query()) {
+        let Ok(ans) = q.eval(&wsd) else { return Ok(()) };
+        let ws = ans.to_worldset(1 << 16).expect("enumerate answer");
+        let pool = WorkerPool::sequential();
+        let close = |a: f64, b: f64| (a - b).abs() < 1e-9;
+        let possible = prob::possible_tuples_in(&ans, "result", pool).expect("possible");
+        prop_assert_eq!(possible, ws.possible_tuples("result"));
+        let certain = prob::certain_tuples_in(&ans, "result", pool).expect("certain");
+        prop_assert_eq!(certain, ws.certain_tuples("result"));
+        let fast = prob::tuple_confidence_in(&ans, "result", pool).expect("confidence");
+        let slow = ws.tuple_confidence("result");
+        prop_assert_eq!(fast.len(), slow.len());
+        for ((t1, p1), (t2, p2)) in fast.iter().zip(&slow) {
+            prop_assert_eq!(t1, t2);
+            prop_assert!(close(*p1, *p2), "P({:?}) = {} vs {}", t1, p1, p2);
+        }
+        let p = prob::nonempty_confidence_in(&ans, "result", pool).expect("nonempty");
+        prop_assert!(close(p, ws.nonempty_confidence("result")));
+        let ec = prob::expected_count_in(&ans, "result", pool).expect("ecount");
+        let slow_ec = ws.expected_count("result");
+        prop_assert!(close(ec, slow_ec), "{} vs {}", ec, slow_ec);
+        let schema = ans.relation("result").expect("answer").schema.clone();
+        for (i, col) in schema.names().into_iter().enumerate() {
+            let es = prob::expected_sum_in(&ans, "result", col, pool).expect("esum");
+            let slow_es = ws.expected_sum("result", i);
+            prop_assert!(close(es, slow_es), "{}: {} vs {}", col, es, slow_es);
+        }
+    }
+
     /// World counts: the decomposition's combinatorial count matches the
     /// number of enumerated worlds.
     #[test]
