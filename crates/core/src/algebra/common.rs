@@ -221,18 +221,22 @@ pub(crate) fn varies(parts: &[Part<'_>]) -> bool {
 /// policy). With no open read it decides once, on the certain values,
 /// and returns the decision's error.
 ///
-/// `decide` runs on the combinations of the open reads' [`choices`], ∃
-/// fields not read, until two combinations disagree. That is never more
-/// rows than merging them.
+/// `decide` reads the parts' values in `buf`, a row buffer the caller
+/// keeps across tuples: only the read positions hold this tuple's values
+/// ([`load_certain`]). It runs on the combinations of the open reads'
+/// [`choices`], ∃ fields not read, until two combinations disagree. That
+/// is never more rows than merging them.
 pub(crate) fn settled(
     wsd: &Wsd,
     parts: &[Part<'_>],
+    buf: &mut Tuple,
     mut decide: impl FnMut(&Tuple) -> Result<bool>,
 ) -> Result<Option<bool>> {
+    load_certain(parts, buf);
     if parts.iter().all(|p| p.open().next().is_none()) {
-        return decide(&template_row(parts)).map(Some);
+        return decide(buf).map(Some);
     }
-    settle_open(wsd, parts, &mut decide)
+    settle_open(wsd, parts, buf, &mut decide)
 }
 
 /// [`settled`] with an open read. Out of line: the certain path above
@@ -241,11 +245,12 @@ pub(crate) fn settled(
 fn settle_open(
     wsd: &Wsd,
     parts: &[Part<'_>],
+    buf: &mut Tuple,
     decide: &mut dyn FnMut(&Tuple) -> Result<bool>,
 ) -> Result<Option<bool>> {
     let choices = choices(wsd, parts, false)?;
     let mut seen = None;
-    let done = walk(&choices, &mut template_row(parts), |row, _| match decide(row) {
+    let done = walk(&choices, buf, |row, _| match decide(row) {
         Ok(v) if seen.is_none_or(|s| s == v) => {
             seen = Some(v);
             true
@@ -361,20 +366,24 @@ pub(crate) fn walk(
     }
 }
 
-/// The full-width row buffer: certain values at the read positions,
-/// NULL elsewhere.
-fn template_row(parts: &[Part<'_>]) -> Tuple {
+/// Writes the parts' certain values at their read positions into `buf`,
+/// first widened with NULLs to the parts' full width if narrower. Other
+/// positions keep what they held.
+fn load_certain(parts: &[Part<'_>], buf: &mut Tuple) {
     let width = parts.iter().map(|p| p.offset + p.t.cells.len()).max().unwrap_or(0);
-    let mut vals = vec![Value::Null; width];
+    if buf.arity() < width {
+        *buf = Tuple::new(vec![Value::Null; width]);
+    }
+    let vals = buf.values_mut();
     for p in parts {
         for &pos in p.positions {
             if let TemplateCell::Certain(v) = &p.t.cells[pos] {
-                vals[p.offset + pos] = v.clone();
+                vals[p.offset + pos].clone_from(v);
             }
         }
     }
-    Tuple::new(vals)
 }
+
 
 /// One row of the merged component, as a decision sees it.
 pub(crate) struct Row<'r> {
@@ -433,13 +442,9 @@ impl Reads {
             let exists = p.exists_loc(wsd)?.map(|(_, col)| col);
             cols.push(PartCols { open, exists, optional: p.optional });
         }
-        Ok(Reads {
-            comp,
-            merged: comps.len(),
-            parts: cols,
-            buf: template_row(parts),
-            live: vec![false; parts.len()],
-        })
+        let mut buf = Tuple::new(Vec::new());
+        load_certain(parts, &mut buf);
+        Ok(Reads { comp, merged: comps.len(), parts: cols, buf, live: vec![false; parts.len()] })
     }
 
     /// The merged component.

@@ -27,7 +27,7 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-use maybms_relational::{Error, Expr, Result, Value};
+use maybms_relational::{Error, Expr, Result, Tuple, Value};
 
 use crate::cell::Cell;
 use crate::field::{Field, Tid};
@@ -66,9 +66,10 @@ pub fn delete_op(wsd: &mut Wsd, rel: &str, pred: Option<&Expr>) -> Result<DmlRep
     let mut removed: Vec<Tid> = Vec::new();
     let mut replaced: Vec<(Tid, TupleTemplate)> = Vec::new();
 
+    let mut buf = Tuple::new(Vec::new());
     for t in tuples {
         let part = [Part::new(t, &positions, 0)];
-        match settled(wsd, &part, |row| bound.eval_predicate(row))? {
+        match settled(wsd, &part, &mut buf, |row| bound.eval_predicate(row))? {
             Some(true) => {
                 removed.push(t.tid);
                 report.certain += 1;
@@ -137,10 +138,11 @@ pub fn update_op(
     let assigned_at: Vec<usize> = assignments.iter().map(|&(pos, _)| pos).collect();
     let reads_at: Vec<usize> = positions.iter().chain(&assigned_at).copied().collect();
 
+    let mut buf = Tuple::new(Vec::new());
     for t in tuples {
         // the predicate, unless it is the same in every world
         let part = [Part::new(t, &positions, 0)];
-        let per_world = match settled(wsd, &part, |row| bound.eval_predicate(row))? {
+        let per_world = match settled(wsd, &part, &mut buf, |row| bound.eval_predicate(row))? {
             Some(false) => continue, // untouched in every world
             Some(true) => None,
             None => Some(&bound),
@@ -196,11 +198,12 @@ fn apply_template_edits(
     replaced: Vec<(Tid, TupleTemplate)>,
     edited: Vec<(Tid, Vec<(usize, Value)>)>,
 ) -> Result<()> {
-    let gone: HashSet<Tid> =
-        removed.iter().copied().chain(replaced.iter().map(|&(old, _)| old)).collect();
     let tpl = wsd.relation_mut(rel)?;
+    let mut gone = Vec::new();
     if !removed.is_empty() {
         let rm: HashSet<Tid> = removed.into_iter().collect();
+        let doomed = tpl.tuples.iter().filter(|t| rm.contains(&t.tid));
+        gone.extend(doomed.flat_map(TupleTemplate::open_fields));
         tpl.tuples.retain(|t| !rm.contains(&t.tid));
     }
     // one index pass, then O(1) per edit — an unqualified UPDATE touches
@@ -209,6 +212,7 @@ fn apply_template_edits(
         tpl.tuples.iter().enumerate().map(|(i, t)| (t.tid, i)).collect();
     for (old, new) in replaced {
         if let Some(&i) = slot_of.get(&old) {
+            gone.extend(tpl.tuples[i].open_fields());
             tpl.tuples[i] = new;
         }
     }
@@ -220,9 +224,7 @@ fn apply_template_edits(
             }
         }
     }
-    if !gone.is_empty() {
-        wsd.retain_fields(|f| !gone.contains(&f.tid));
-    }
+    wsd.unmap_fields(gone);
     Ok(())
 }
 

@@ -25,7 +25,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use maybms_relational::{BoundExpr, CmpOp, Expr, Result, Schema, Value};
+use maybms_relational::{BoundExpr, CmpOp, Expr, Result, Schema, Tuple, Value};
 
 use crate::field::{Field, Tid};
 use crate::wsd::{Existence, RelTemplate, TupleTemplate, Wsd};
@@ -105,6 +105,7 @@ fn prepare_join(
 
 /// The nested-loop pair scan shared by both entry points.
 fn nested_scan(wsd: &mut Wsd, p: &JoinPrep, out: &str) -> Result<()> {
+    let mut buf = Tuple::new(Vec::new());
     for (li, t) in p.l.tuples.iter().enumerate() {
         for (ri, s) in p.r.tuples.iter().enumerate() {
             // prune on equality conjuncts
@@ -114,7 +115,7 @@ fn nested_scan(wsd: &mut Wsd, p: &JoinPrep, out: &str) -> Result<()> {
             if prunable {
                 continue;
             }
-            emit_pair(wsd, p, out, t, s)?;
+            emit_pair(wsd, p, out, t, s, &mut buf)?;
         }
     }
     Ok(())
@@ -172,10 +173,11 @@ pub fn join_op_in(
     });
 
     // Serial emit, in the exact order of the sequential/nested paths.
+    let mut buf = Tuple::new(Vec::new());
     for (li, cand) in cands.iter().enumerate() {
         wsd.reserve_tuples(out, cand.len());
         for &ri in cand {
-            emit_pair(wsd, &p, out, &lt[li], &rt[ri])?;
+            emit_pair(wsd, &p, out, &lt[li], &rt[ri], &mut buf)?;
         }
     }
     Ok(())
@@ -230,10 +232,11 @@ fn emit_pair(
     out: &str,
     t: &TupleTemplate,
     s: &TupleTemplate,
+    buf: &mut Tuple,
 ) -> Result<()> {
     let parts = [Part::new(t, &p.l_positions, 0), Part::new(s, &p.r_positions, p.larity)];
     let new_tid = wsd.fresh_tid();
-    let exists = match settled(wsd, &parts, |row| p.bound.eval_predicate(row))? {
+    let exists = match settled(wsd, &parts, buf, |row| p.bound.eval_predicate(row))? {
         Some(false) => return Ok(()),
         Some(true) if t.exists == Existence::Always => inherit_exists(wsd, s, new_tid)?,
         Some(true) if s.exists == Existence::Always => inherit_exists(wsd, t, new_tid)?,

@@ -9,7 +9,7 @@
 //! from 'pregnancy' by ⊥", expressed on the hidden existence field so that
 //! later projections cannot lose it.
 
-use maybms_relational::{Expr, Result};
+use maybms_relational::{Expr, Result, Tuple};
 
 use crate::field::Field;
 use crate::wsd::{Existence, TupleTemplate, Wsd};
@@ -24,9 +24,10 @@ pub fn select_op(wsd: &mut Wsd, input: &str, pred: &Expr, out: &str) -> Result<(
     let (bound, positions) = bind_pred(pred, &input.schema)?;
     wsd.add_relation(out, input.schema.clone())?;
 
+    let mut buf = Tuple::new(Vec::new());
     for t in &input.tuples {
         let part = [Part::new(t, &positions, 0)];
-        match settled(wsd, &part, |row| bound.eval_predicate(row))? {
+        match settled(wsd, &part, &mut buf, |row| bound.eval_predicate(row))? {
             Some(true) => emit_passthrough(wsd, t, out)?,
             Some(false) => {}
             None => {

@@ -203,9 +203,11 @@ fn enforce_tuple_check(
     let input = snapshot(wsd, rel)?;
     let (bound, positions) = bind_pred(pred, &input.schema)?;
 
+    let mut buf = Tuple::new(Vec::new());
     for t in &input.tuples {
         report.checks += 1;
-        let holds = settled(wsd, &[Part::new(t, &positions, 0)], |row| bound.eval_predicate(row))?;
+        let part = [Part::new(t, &positions, 0)];
+        let holds = settled(wsd, &part, &mut buf, |row| bound.eval_predicate(row))?;
         if holds == Some(true) {
             continue; // satisfied wherever t exists
         }
@@ -297,6 +299,7 @@ fn enforce_fd(
         }
     }
 
+    let mut buf = Tuple::new(Vec::new());
     for (i, j) in pairs {
         let (t, u) = (&tuples[i], &tuples[j]);
         report.checks += 1;
@@ -317,7 +320,7 @@ fn enforce_fd(
         let pair = [Part::new(t, &all_pos, 0), Part::new(u, &all_pos, arity)];
         if !varies(&pair) {
             // both certain and always present: a violation is in every world
-            if settled(wsd, &pair, |row| Ok(violated(row)))? == Some(true) {
+            if settled(wsd, &pair, &mut buf, |row| Ok(violated(row)))? == Some(true) {
                 return Err(Error::InvalidExpr(format!(
                     "tuples {} and {} of {rel} violate the FD in every world",
                     t.tid, u.tid

@@ -16,6 +16,8 @@
 //! Every count and code is bounds-checked on decode and the result must
 //! pass [`Wsd::validate`], so a corrupt payload surfaces as an
 //! [`Error::Storage`] instead of a panic or a silently wrong database.
+//! The one repair made on load is to release the fields a dropped
+//! relation left mapped in older images ([`decode_wsd`]).
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
@@ -118,7 +120,7 @@ pub fn encode_wsd(wsd: &Wsd) -> Vec<u8> {
 
     // component slots, tombstones included
     w.put_u32(wsd.slots.len() as u32);
-    for slot in &wsd.slots {
+    for slot in wsd.slots.iter() {
         match &slot.comp {
             None => w.put_u8(0),
             Some(c) => {
@@ -142,7 +144,7 @@ pub fn encode_wsd(wsd: &Wsd) -> Vec<u8> {
 
     // reverse index, exact order preserved
     w.put_u32(wsd.slots.len() as u32);
-    for slot in &wsd.slots {
+    for slot in wsd.slots.iter() {
         w.put_u32(slot.rev.len() as u32);
         for fields in slot.rev.iter() {
             w.put_u32(fields.len() as u32);
@@ -228,7 +230,11 @@ fn get_component(r: &mut Reader) -> Result<Component> {
 }
 
 /// Decodes a snapshot payload back into a decomposition, verifying all
-/// structural invariants ([`Wsd::validate`]) before returning it.
+/// structural invariants ([`Wsd::validate`]) before returning it. An
+/// image whose dropped relations left their fields mapped (written before
+/// [`Wsd::remove_relation`] unmapped them) is repaired first: those fields
+/// are unmapped and the components only they read dropped, as a
+/// `DROP TABLE` does now.
 pub fn decode_wsd(bytes: &[u8]) -> Result<Wsd> {
     let mut r = Reader::new(bytes);
     let version = r.get_u32()?;
@@ -362,9 +368,14 @@ pub fn decode_wsd(bytes: &[u8]) -> Result<Wsd> {
     let dirty: BTreeSet<usize> = dirty.into_iter().collect();
     r.expect_end()?;
 
-    let wsd = Wsd::from_parts(relations, slots, field_map, dirty, next_tid);
+    let mut wsd = Wsd::from_parts(relations, slots, field_map, dirty, next_tid);
+    let orphans = wsd.unmap_orphan_fields();
     wsd.validate()
         .map_err(|e| Error::Storage(format!("snapshot failed validation on load: {e}")))?;
+    if orphans {
+        // as `DROP TABLE` does now, drop the components only they read
+        crate::normalize::normalize(&mut wsd);
+    }
     Ok(wsd)
 }
 
@@ -490,5 +501,32 @@ mod tests {
         let bytes = encode_wsd(&w);
         let err = decode_wsd(&bytes).unwrap_err();
         assert!(err.to_string().contains("validation"), "{err}");
+    }
+
+    /// An image whose dropped relation left its fields mapped opens, and
+    /// holds what dropping the relation gives now.
+    #[test]
+    fn orphan_fields_of_a_dropped_relation_are_released_on_load() {
+        let mut w = Wsd::new();
+        let two = || OrSetCell::uniform(vec![Value::Int(1), Value::Int(2)]).unwrap();
+        for (name, rows) in [("t", 2), ("u", 1)] {
+            w.add_relation(name, Schema::new(vec![("a", ColumnType::Int)])).unwrap();
+            for _ in 0..rows {
+                w.push_orset(name, vec![two()]).unwrap();
+            }
+        }
+        let mut dropped = w.clone();
+        dropped.remove_relation("t").unwrap();
+        crate::normalize::normalize(&mut dropped);
+        // the relation gone, its fields still mapped
+        w.relations.remove("t");
+        assert!(w.validate().is_err());
+
+        let back = decode_wsd(&encode_wsd(&w)).unwrap();
+        back.validate().unwrap();
+        assert_eq!((back.num_mapped_fields(), back.live_components().len()), (1, 1));
+        assert_eq!(encode_wsd(&back), encode_wsd(&dropped));
+        // an image without orphans reopens to the same bytes
+        assert_eq!(encode_wsd(&decode_wsd(&encode_wsd(&back)).unwrap()), encode_wsd(&back));
     }
 }

@@ -5,10 +5,13 @@
 //! to the one parallel pass a plan has (hash-join probing).
 //!
 //! The working copy is a shared clone ([`Wsd`]'s "Sharing"): taking it
-//! copies pointers, operators copy only the components and
-//! reverse-index rows they write, and [`algebra::extract`] builds the
-//! answer from the root relation and the components it reaches — so a
-//! statement costs what it touches, not the size of the database.
+//! copies one pointer per relation and per chunk of component slots,
+//! operators copy only the chunks, components and reverse-index rows
+//! they write, and [`algebra::extract`] builds the answer from the root
+//! relation's own open fields and the components they reach — so a
+//! statement costs what it touches, not the size of the database. A
+//! selection decides a tuple with no open read on one row buffer it
+//! keeps across tuples.
 
 use std::collections::HashSet;
 use std::sync::{Arc, OnceLock};
@@ -342,7 +345,8 @@ mod tests {
     /// A point selection over a large base copies nothing of it: the base
     /// re-encodes to the same bytes, and the answer holds exactly the one
     /// component its tuple reaches — no tombstones, no other slots — and
-    /// shares it with the base instead of copying it.
+    /// shares it with the base instead of copying it. A read of a certain
+    /// relation shares every chunk of slots and holds no component.
     #[test]
     fn point_selection_answer_holds_only_what_it_reaches() {
         use maybms_worldset::OrSetCell;
@@ -372,6 +376,29 @@ mod tests {
             matches!((a, b), (Some(a), Some(b)) if std::sync::Arc::ptr_eq(a, b))
         });
         assert!(shared, "the answer's component is the base's, not a copy");
+
+        // a read of a certain relation copies no chunk of slots while it
+        // runs and leaves no reference to a component once dropped
+        base.add_relation("c", Schema::new(vec![("id", ColumnType::Int)])).unwrap();
+        for id in 0..1_200i64 {
+            base.push_certain("c", vec![Value::Int(id)]).unwrap();
+        }
+        let counts = |w: &Wsd| -> Vec<Option<usize>> {
+            w.slots.iter().map(|s| s.comp.as_ref().map(std::sync::Arc::strong_count)).collect()
+        };
+        let before = counts(&base);
+        let q = Query::table("c").select(Expr::col("id").eq(Expr::lit(600i64)));
+        let plan = compile(&q, &base).unwrap();
+        let mut wsd = base.clone();
+        let out = Executor::sequential().exec(&plan.root, &mut wsd, &mut 0, &mut None).unwrap();
+        assert_eq!(wsd.slots.chunks.len(), base.slots.chunks.len());
+        let chunks = wsd.slots.chunks.iter().zip(&base.slots.chunks);
+        assert!(chunks.into_iter().all(|(a, b)| std::sync::Arc::ptr_eq(a, b)), "no chunk copied");
+        let answer = algebra::extract(wsd, &out, "result").unwrap();
+        assert_eq!(answer.relation("result").unwrap().tuples.len(), 1);
+        assert_eq!(answer.num_component_slots(), 0);
+        drop(answer);
+        assert_eq!(counts(&base), before, "no component reference outlives the read");
     }
 
     #[test]

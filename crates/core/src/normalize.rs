@@ -42,7 +42,7 @@ use maybms_obs::Counter;
 use crate::cell::Cell;
 use crate::exec::WorkerPool;
 use crate::field::{FieldKind, Tid};
-use crate::wsd::{Existence, TemplateCell, Wsd};
+use crate::wsd::{Existence, TemplateCell, TupleTemplate, Wsd};
 
 /// Step 1: ⊥-propagation. In each component row, a tuple is dead if any of
 /// its columns there is ⊥; the *other* columns of that row referenced only
@@ -134,12 +134,16 @@ fn drop_dead_tuples(wsd: &mut Wsd, comps: &[usize]) {
         return;
     }
     // copy-on-write only the relations that hold a dead tuple
+    let mut doomed = Vec::new();
     for tpl in wsd.relations.values_mut() {
         if tpl.tuples.iter().any(|t| dead.contains(&t.tid)) {
-            Arc::make_mut(tpl).tuples.retain(|t| !dead.contains(&t.tid));
+            let tuples = &mut Arc::make_mut(tpl).tuples;
+            let gone = tuples.iter().filter(|t| dead.contains(&t.tid));
+            doomed.extend(gone.flat_map(TupleTemplate::open_fields));
+            tuples.retain(|t| !dead.contains(&t.tid));
         }
     }
-    wsd.retain_fields(|f| !dead.contains(&f.tid));
+    wsd.unmap_fields(doomed);
 }
 
 /// Step 3: inline constant columns. A column whose cells are the same

@@ -27,7 +27,9 @@
 //! * `PROB()` and `CERTAIN` fold into one accumulator, per value
 //!   `∏(1 − P_cluster)` over the clusters of templates connected by shared
 //!   components, in cluster order. A one-template cluster needs no walk:
-//!   each combination is a distinct value. A cluster of several templates
+//!   each combination is a distinct value. A value is certain iff some
+//!   cluster yields it in every one of its joint choices, decided on
+//!   booleans, not on the float product. A cluster of several templates
 //!   walks the joint choices of the distinct projections of its
 //!   components onto what it reads, fanned out over the worker pool when
 //!   large, and past a cap is estimated by Monte-Carlo sampling
@@ -92,13 +94,15 @@ impl Default for ProbOptions {
     }
 }
 
-/// A confidence result: the answer tuple, its probability and whether the
-/// number is exact or a Monte-Carlo estimate.
+/// A confidence result: the answer tuple, its probability, whether the
+/// number is exact or a Monte-Carlo estimate, and whether the tuple is in
+/// every world (`None` where only a sampled cluster could tell).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Confidence {
     pub tuple: Tuple,
     pub p: f64,
     pub exact: bool,
+    pub certain: Option<bool>,
 }
 
 /// Exact-by-default tuple confidence: every possible answer tuple of `rel`
@@ -114,11 +118,17 @@ pub fn tuple_confidence_in(
     })
 }
 
-/// Tuples certain to be in `rel` (confidence 1 within `1e-9`).
+/// Tuples in every world of `rel`: those some cluster yields in every
+/// one of its joint choices. Fails with [`Error::Undecided`] where only a
+/// Monte-Carlo-sampled cluster could make a tuple certain.
 pub fn certain_tuples_in(wsd: &Wsd, rel: &str, pool: &WorkerPool) -> Result<Vec<Tuple>> {
     timed(|| {
         let conf = confidences(wsd, rel, ProbOptions::default(), pool)?;
-        Ok(conf.into_iter().filter(|c| (c.p - 1.0).abs() < 1e-9).map(|c| c.tuple).collect())
+        if let Some(c) = conf.iter().find(|c| c.certain.is_none()) {
+            let why = format!("whether {} is certain rests on sampling", c.tuple);
+            return Err(Error::Undecided(why));
+        }
+        Ok(conf.into_iter().filter(|c| c.certain == Some(true)).map(|c| c.tuple).collect())
     })
 }
 
@@ -357,31 +367,45 @@ fn confidences_of(
 ) -> Vec<Confidence> {
     let clusters = cluster_tuples(resolved, members);
     let walks = walk_clusters(resolved, &clusters, opts, pool);
-    // per value: ∏(1 − P_cluster) and whether every factor is exact
-    let mut acc: HashMap<Tuple, (f64, bool)> = HashMap::new();
-    let mut fold = |v: &Tuple, p: f64, exact: bool| match acc.get_mut(v) {
-        Some(e) => *e = (e.0 * (1.0 - p), e.1 && exact),
-        None => drop(acc.insert(v.clone(), (1.0 - p, exact))),
+    // per value: ∏(1 − P_cluster), whether every factor is exact, and
+    // whether some cluster yields it always (`None`: only a sampled one)
+    let mut acc: HashMap<Tuple, (f64, bool, Option<bool>)> = HashMap::new();
+    let mut fold = |v: &Tuple, p: f64, exact: bool, always: Option<bool>| match acc.get_mut(v) {
+        Some(e) => *e = (e.0 * (1.0 - p), e.1 && exact, either(e.2, always)),
+        None => drop(acc.insert(v.clone(), (1.0 - p, exact, always))),
     };
     for (cl, dist) in clusters.iter().zip(walks) {
         match dist {
             None => {
                 let t = &resolved[cl[0]];
+                let always = t.choices.iter().all(|ch| {
+                    ch.rows.len() == 1 && ch.live.iter().all(|&c| !ch.comp.column_has_bottom(c))
+                });
                 walk(&t.choices, &mut t.row(), |v, p| {
-                    fold(v, p, true);
+                    fold(v, p, true, Some(always));
                     true
                 });
             }
-            Some(d) => d.values.iter().for_each(|(v, p)| fold(v, *p, d.exact)),
+            Some(d) => d.values.iter().for_each(|(v, p, all)| {
+                fold(v, *p, d.exact, if d.exact || !all { Some(*all) } else { None })
+            }),
         }
     }
     // maybms-lint: allow(determinism) -- hash order is erased by the sort before returning
     let mut out: Vec<Confidence> = acc
         .into_iter()
-        .map(|(tuple, (p_not, exact))| Confidence { tuple, p: (1.0 - p_not).min(1.0), exact })
+        .map(|(tuple, (p_not, exact, certain))| {
+            Confidence { tuple, p: (1.0 - p_not).min(1.0), exact, certain }
+        })
         .collect();
     out.sort_unstable_by(|a, b| a.tuple.cmp(&b.tuple));
     out
+}
+
+/// Whether one of two clusters yields a value in every choice: `None`
+/// where no exact walk shows it and a sampled one cannot rule it out.
+fn either(a: Option<bool>, b: Option<bool>) -> Option<bool> {
+    if a == Some(true) || b == Some(true) { Some(true) } else { a.and(b) }
 }
 
 /// Groups the templates `members` into clusters connected by shared
@@ -422,8 +446,9 @@ fn cluster_tuples(resolved: &[Resolved<'_>], members: &[usize]) -> Vec<Vec<usize
 
 /// The distribution of one cluster of several templates.
 struct ClusterDist {
-    /// Per value, P(some template of the cluster exists with it).
-    values: Vec<(Tuple, f64)>,
+    /// Per value, P(some template of the cluster exists with it), and
+    /// whether one does in every choice walked (or sampled).
+    values: Vec<(Tuple, f64, bool)>,
     /// P(some template of the cluster exists at all).
     p_any: f64,
     exact: bool,
@@ -509,7 +534,7 @@ fn cluster_dist(
     }
     let joint = reps.iter().fold(1u64, |j, r| j.saturating_mul(r.1.len() as u64));
     let exact = joint <= opts.exact_cap;
-    let (mut values, mut p_any) = (HashMap::new(), 0.0);
+    let (mut values, mut p_any, mut visits) = (HashMap::new(), 0.0, 0u64);
     let mut present: Vec<Tuple> = Vec::new();
     let mut visit = |choice: &[usize], p: f64| {
         present.extend(cl.iter().filter_map(|&i| value_under(&resolved[i], choice)));
@@ -518,8 +543,10 @@ fn cluster_dist(
         if !present.is_empty() {
             p_any += p;
         }
+        visits += 1;
         for v in present.drain(..) {
-            *values.entry(v).or_insert(0.0) += p;
+            let e = values.entry(v).or_insert((0.0, 0u64));
+            *e = (e.0 + p, e.1 + 1);
         }
     };
     if exact {
@@ -563,7 +590,8 @@ fn cluster_dist(
         }
     }
     // in hash order: each value is folded once per cluster, so no order reaches a product
-    ClusterDist { values: values.into_iter().collect(), p_any, exact }
+    let values = values.into_iter().map(|(v, (p, n))| (v, p, n == visits)).collect();
+    ClusterDist { values, p_any, exact }
 }
 
 /// A template's value where each component takes the row `choice` names,
@@ -690,6 +718,44 @@ mod tests {
         assert_eq!(certain[0][0], Value::str("obesity"));
         let possible = possible_tuples_in(&wsd, "R", WorkerPool::sequential()).unwrap();
         assert_eq!(possible.len(), 5); // 4 r1-variants + obesity
+    }
+
+    /// Certainty is decided on booleans: values 1 and 2 are each in
+    /// every world through a cluster of two templates that swap them, 3
+    /// and 4 in half. Sampling that cluster can only leave 1 and 2
+    /// undecided.
+    #[test]
+    fn certainty_is_decided_on_booleans() {
+        use crate::component::CompRow;
+        use crate::field::Field;
+        use crate::wsd::Existence;
+        let mut w = Wsd::new();
+        w.add_relation("r", Schema::new(vec![("a", ColumnType::Int)])).unwrap();
+        let (t1, t2) = (w.fresh_tid(), w.fresh_tid());
+        let int = |x| Cell::Val(Value::Int(x));
+        let row = |x, y| CompRow::new(vec![int(x), int(y)], 0.5);
+        let fields = vec![Field::attr(t1, 0), Field::attr(t2, 0)];
+        w.add_component(Component::new(fields, vec![row(1, 2), row(2, 1)]));
+        for tid in [t1, t2] {
+            let (cells, exists) = (vec![TemplateCell::Open].into(), Existence::Always);
+            w.push_template("r", TupleTemplate { tid, cells, exists }).unwrap();
+        }
+        let alternatives = vec![(Value::Int(3), 0.5), (Value::Int(4), 0.5)];
+        w.push_orset("r", vec![OrSetCell::weighted(alternatives).unwrap()]).unwrap();
+        w.validate().unwrap();
+
+        let seq = WorkerPool::sequential();
+        let certain = certain_tuples_in(&w, "r", seq).unwrap();
+        let ints = |v: &[Tuple]| v.iter().map(|t| t[0].as_i64().unwrap()).collect::<Vec<_>>();
+        assert_eq!(ints(&certain), [1, 2]);
+        assert_eq!(certain, w.to_worldset(100).unwrap().certain_tuples("r"));
+
+        let sampled = ProbOptions { exact_cap: 1, mc_samples: 1_000, seed: 7 };
+        let conf = tuple_confidence_opts_in(&w, "r", sampled, seq).unwrap();
+        let undecided: Vec<Tuple> =
+            conf.iter().filter(|c| c.certain.is_none()).map(|c| c.tuple.clone()).collect();
+        assert_eq!(ints(&undecided), [1, 2]);
+        assert!(conf.iter().all(|c| c.certain != Some(true)), "a sample proves no certainty");
     }
 
     #[test]

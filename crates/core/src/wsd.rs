@@ -25,7 +25,9 @@
 //! straight from this index instead of re-deriving it by scanning all
 //! templates on every pass. Invariants (checked by [`Wsd::validate`]):
 //! every forward entry appears in the reverse index at exactly its mapped
-//! location, and every mapped field belongs to a live template tuple.
+//! location, and the mapped fields are exactly the open cells and open ∃
+//! fields of the live template tuples — so a tuple's fields are found
+//! from the tuple, and none outlives it.
 //!
 //! # The dirty set
 //!
@@ -52,26 +54,32 @@
 //! does not touch. Each relation template sits behind its own `Arc`; so
 //! does each component, and so does each component's reverse-index row
 //! (whose column headers live in that `Arc`'s own allocation), and so do
-//! each tuple's cells. Cloning therefore costs a few reference-count
-//! increments per relation and per component slot, a flat copy of the
-//! field map (`Copy` entries) and a copy of the dirty set; no tuple, row
-//! or dictionary value is copied. Every mutator reaches what it changes
+//! each tuple's cells. The component slots sit in fixed-size chunks
+//! (`Slots`), each behind its own `Arc`, and the field map behind one.
+//! Cloning therefore costs a reference-count increment per relation and
+//! per chunk of slots and a copy of the dirty set — independent of how
+//! many components or fields there are; no slot, tuple, row or
+//! dictionary value is copied. Every mutator reaches what it changes
 //! through `Arc::make_mut`, which copies that one part the first time it
 //! is written while another clone still shares it, and writes in place
 //! otherwise:
 //!
 //! * pushing or removing tuples copies that relation's tuple headers;
 //!   editing a tuple also copies its cells;
-//! * aliasing or unmapping a field copies one reverse-index row, never
-//!   the component it indexes;
+//! * a write to a slot — aliasing or unmapping a field (its
+//!   reverse-index row), a merge's tombstone, a push — copies the slot
+//!   pointers of the one chunk it lands in, never a component;
+//! * mapping, moving or unmapping a field copies the field map once;
 //! * ⊥-marking, adding a column to or deleting rows from a component
 //!   copies that component;
 //! * merging reads its parts shared and writes a new slot; dropping a
-//!   relation or a component copies nothing.
+//!   component copies nothing.
 //!
 //! So the executor's per-statement clone and a writer's copy-on-write of
 //! a published snapshot cost what the statement touches, not the size of
-//! the database, and the clones never observe each other's writes.
+//! the database, and the clones never observe each other's writes. A read
+//! that maps no field (a selection over certain tuples) copies no chunk
+//! and no field map at all.
 //!
 //! `Arc::make_mut` also moves a part to a new allocation while only a
 //! `Weak` still points at it, so an allocation that anything observes
@@ -115,6 +123,16 @@ pub struct TupleTemplate {
     pub exists: Existence,
 }
 
+impl TupleTemplate {
+    /// The fields a component defines: the open cells, then the open ∃.
+    pub(crate) fn open_fields(&self) -> impl Iterator<Item = Field> + '_ {
+        let tid = self.tid;
+        let open = self.cells.iter().enumerate().filter(|(_, c)| matches!(c, TemplateCell::Open));
+        open.map(move |(i, _)| Field::attr(tid, i as u32))
+            .chain((self.exists == Existence::Open).then(|| Field::exists(tid)))
+    }
+}
+
 /// The template of one relation: its schema and template tuples.
 #[derive(Debug, Clone)]
 pub struct RelTemplate {
@@ -154,6 +172,79 @@ impl Slot {
     }
 }
 
+/// Slots per chunk of [`Slots`]. A clone copies `len / CHUNK` pointers
+/// and a write to a shared chunk clones `CHUNK` slots (two reference
+/// counts each). Against 1 024 on the 1 999-component benchmark image,
+/// 256 read 0.3–1.7 % more `point_read` throughput in 5 of 5 pairs and
+/// was level on `census_queries` and `mixed_rw`; at the paper's scale a
+/// larger chunk would make the clone cheaper.
+const CHUNK: usize = 256;
+
+/// The component slots: a persistent vector of `CHUNK`-slot chunks, each
+/// behind its own `Arc`, every chunk but the last full. A clone copies
+/// one pointer per chunk; a write copies the one chunk it touches (one
+/// pointer pair per slot) the first time a clone still shares it.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Slots {
+    pub(crate) chunks: Vec<Arc<Vec<Slot>>>,
+}
+
+impl Slots {
+    pub(crate) fn len(&self) -> usize {
+        self.chunks.last().map_or(0, |last| (self.chunks.len() - 1) * CHUNK + last.len())
+    }
+
+    pub(crate) fn get(&self, i: usize) -> Option<&Slot> {
+        self.chunks.get(i / CHUNK)?.get(i % CHUNK)
+    }
+
+    pub(crate) fn push(&mut self, slot: Slot) {
+        match self.chunks.last_mut() {
+            Some(last) if last.len() < CHUNK => Arc::make_mut(last).push(slot),
+            _ => {
+                let mut chunk = Vec::with_capacity(CHUNK);
+                chunk.push(slot);
+                self.chunks.push(Arc::new(chunk));
+            }
+        }
+    }
+
+    /// Slot `i` by value: moved out of a chunk only this holds (leaving a
+    /// tombstone), cloned from a shared one.
+    fn take(&mut self, i: usize) -> Slot {
+        let Some(chunk) = self.chunks.get_mut(i / CHUNK) else { return Slot::default() };
+        if let Some(owned) = Arc::get_mut(chunk) {
+            return std::mem::take(&mut owned[i % CHUNK]);
+        }
+        chunk[i % CHUNK].clone()
+    }
+
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &Slot> {
+        self.chunks.iter().flat_map(|c| c.iter())
+    }
+}
+
+impl std::ops::Index<usize> for Slots {
+    type Output = Slot;
+    fn index(&self, i: usize) -> &Slot {
+        &self.chunks[i / CHUNK][i % CHUNK]
+    }
+}
+
+impl std::ops::IndexMut<usize> for Slots {
+    fn index_mut(&mut self, i: usize) -> &mut Slot {
+        &mut Arc::make_mut(&mut self.chunks[i / CHUNK])[i % CHUNK]
+    }
+}
+
+impl FromIterator<Slot> for Slots {
+    fn from_iter<I: IntoIterator<Item = Slot>>(iter: I) -> Slots {
+        let mut slots = Slots::default();
+        iter.into_iter().for_each(|slot| slots.push(slot));
+        slots
+    }
+}
+
 /// A probabilistic world-set decomposition over a multi-relation database.
 /// Cloning shares every relation template and component slot (see the
 /// module's "Sharing" section).
@@ -163,12 +254,13 @@ pub struct Wsd {
     /// Component slots, tombstones included: merging replaces its parts
     /// by tombstones while keeping indices stable; [`Wsd::compact`] drops
     /// them.
-    pub(crate) slots: Vec<Slot>,
+    pub(crate) slots: Slots,
     /// field → (component index, column index). Many-to-one: derived tuples
     /// *alias* the columns of the tuples they were computed from, which is
     /// how correlations between query results and their inputs are kept.
+    /// Shared: the first write to a clone's map copies it whole.
     /// `pub(crate)` for the lossless snapshot codec ([`crate::codec`]).
-    pub(crate) field_map: HashMap<Field, (usize, usize)>,
+    pub(crate) field_map: Arc<HashMap<Field, (usize, usize)>>,
     /// Components touched since the last incremental normalize.
     pub(crate) dirty: BTreeSet<usize>,
     pub(crate) next_tid: u64,
@@ -184,8 +276,8 @@ impl Wsd {
     pub fn new() -> Wsd {
         Wsd {
             relations: BTreeMap::new(),
-            slots: Vec::new(),
-            field_map: HashMap::new(),
+            slots: Slots::default(),
+            field_map: Arc::default(),
             dirty: BTreeSet::new(),
             next_tid: 0,
         }
@@ -202,6 +294,7 @@ impl Wsd {
         dirty: BTreeSet<usize>,
         next_tid: u64,
     ) -> Wsd {
+        let (slots, field_map) = (slots.into_iter().collect(), Arc::new(field_map));
         Wsd { relations, slots, field_map, dirty, next_tid }
     }
 
@@ -245,8 +338,12 @@ impl Wsd {
         self.relations.keys().map(String::as_str)
     }
 
+    /// Drops a relation and unmaps its tuples' fields, so that
+    /// [`crate::normalize::normalize`] drops what only they read.
     pub fn remove_relation(&mut self, name: &str) -> Result<()> {
-        self.take_relation(name).map(drop)
+        let tpl = self.take_relation(name)?;
+        self.unmap_fields(tpl.tuples.iter().flat_map(TupleTemplate::open_fields).collect());
+        Ok(())
     }
 
     fn take_relation(&mut self, name: &str) -> Result<Arc<RelTemplate>> {
@@ -401,11 +498,9 @@ impl Wsd {
     }
 
     fn rev_remove(&mut self, f: Field, (c, col): (usize, usize)) {
-        let Some(slot) = self.slots.get_mut(c) else { return };
-        let Some(pos) = slot.rev.get(col).and_then(|v| v.iter().position(|&g| g == f)) else {
-            return;
-        };
-        Arc::make_mut(&mut slot.rev)[col].swap_remove(pos);
+        let row = self.slots.get(c).and_then(|s| s.rev.get(col));
+        let Some(pos) = row.and_then(|v| v.iter().position(|&g| g == f)) else { return };
+        Arc::make_mut(&mut self.slots[c].rev)[col].swap_remove(pos);
     }
 
     /// Makes `field` an alias for an existing component column. Used by
@@ -413,7 +508,7 @@ impl Wsd {
     /// Keeps the reverse index in sync and marks the component the field
     /// leaves dirty, not the one it joins (see "The dirty set").
     pub fn alias_field(&mut self, field: Field, loc: (usize, usize)) {
-        if let Some(old) = self.field_map.insert(field, loc) {
+        if let Some(old) = self.fields_mut().insert(field, loc) {
             if old == loc {
                 return;
             }
@@ -423,41 +518,52 @@ impl Wsd {
         self.rev_insert(field, loc);
     }
 
-    /// Removes a field's mapping (if any), marking its component dirty.
-    pub(crate) fn unmap_field(&mut self, field: Field) {
-        if let Some(loc) = self.field_map.remove(&field) {
-            self.rev_remove(field, loc);
-            self.dirty.insert(loc.0);
-        }
+    /// Write access to the field map, copying it first if shared.
+    fn fields_mut(&mut self) -> &mut HashMap<Field, (usize, usize)> {
+        Arc::make_mut(&mut self.field_map)
     }
 
-    /// Drops every mapping whose field fails `pred`, marking the affected
-    /// components dirty.
-    pub(crate) fn retain_fields(&mut self, mut pred: impl FnMut(&Field) -> bool) {
-        let mut doomed: Vec<(Field, (usize, usize))> = self
-            .field_map
-            .iter()
-            .filter(|(f, _)| !pred(f))
-            .map(|(&f, &loc)| (f, loc))
+    /// Removes a field's mapping (if any), marking its component dirty.
+    pub(crate) fn unmap_field(&mut self, field: Field) {
+        let Some(loc) = self.field_loc(field) else { return };
+        self.fields_mut().remove(&field);
+        self.rev_remove(field, loc);
+        self.dirty.insert(loc.0);
+    }
+
+    /// Unmaps `fields` in field order: removal order decides
+    /// reverse-index order (`swap_remove`), so it must not come from a
+    /// hash seed for two copies of one decomposition to stay
+    /// byte-identical.
+    pub(crate) fn unmap_fields(&mut self, mut fields: Vec<Field>) {
+        fields.sort_unstable();
+        fields.into_iter().for_each(|f| self.unmap_field(f));
+    }
+
+    /// Unmaps every field of a live component that no live tuple has
+    /// open, and reports whether there was one: images written while
+    /// `DROP TABLE` still left a relation's fields mapped hold such
+    /// fields. A field mapped anywhere else is left for
+    /// [`Wsd::validate`] to reject.
+    pub(crate) fn unmap_orphan_fields(&mut self) -> bool {
+        let tuples = || self.relations.values().flat_map(|tpl| tpl.tuples.iter());
+        if tuples().flat_map(TupleTemplate::open_fields).count() == self.field_map.len() {
+            return false;
+        }
+        let open: HashSet<Field> = tuples().flat_map(TupleTemplate::open_fields).collect();
+        let orphans: Vec<Field> = (self.field_map.iter())
+            .filter(|&(f, &(c, _))| !open.contains(f) && self.is_live(c))
+            .map(|(&f, _)| f)
             .collect();
-        if doomed.is_empty() {
-            return;
-        }
-        // removal order decides reverse-index order (`swap_remove`), so
-        // take it from the fields, not from this map's hash seed: two
-        // copies of one decomposition must stay byte-identical
-        doomed.sort_unstable();
-        for (f, loc) in doomed {
-            self.field_map.remove(&f);
-            self.rev_remove(f, loc);
-            self.dirty.insert(loc.0);
-        }
+        let found = !orphans.is_empty();
+        self.unmap_fields(orphans);
+        found
     }
 
     /// Test/tooling hook: forgets all field mappings.
     #[cfg(test)]
     pub(crate) fn clear_field_map(&mut self) {
-        self.retain_fields(|_| false);
+        self.unmap_fields(self.field_map.keys().copied().collect());
     }
 
     /// Location of a field, if open.
@@ -550,7 +656,10 @@ impl Wsd {
     /// Mutable access *without* dirty marking — normalization passes use
     /// this and mark explicitly only when they change something.
     pub(crate) fn component_mut_silent(&mut self, idx: usize) -> Option<&mut Component> {
-        self.slots.get_mut(idx)?.comp.as_mut().map(Arc::make_mut)
+        if !self.is_live(idx) {
+            return None;
+        }
+        self.slots[idx].comp.as_mut().map(Arc::make_mut)
     }
 
     /// Drops a component (normalization/factorization internals), leaving
@@ -584,7 +693,7 @@ impl Wsd {
             .collect();
         for (new_col, fields) in rev.iter().enumerate() {
             for &f in fields {
-                self.field_map.insert(f, (idx, new_col));
+                self.fields_mut().insert(f, (idx, new_col));
             }
         }
         self.slots[idx] = Slot::new(projected, rev);
@@ -650,7 +759,7 @@ impl Wsd {
             for col in 0..width {
                 let fields = old.rev.get(col).cloned().unwrap_or_default();
                 for &f in &fields {
-                    self.field_map.insert(f, (new_idx, rev.len()));
+                    Arc::make_mut(&mut self.field_map).insert(f, (new_idx, rev.len()));
                 }
                 rev.push(fields);
             }
@@ -796,7 +905,7 @@ impl Wsd {
         for c in self.live() {
             c.validate()?;
         }
-        for (f, &(c, col)) in &self.field_map {
+        for (f, &(c, col)) in self.field_map.iter() {
             let comp = self
                 .component(c)
                 .ok_or_else(|| Error::InvalidExpr(format!("field {f} maps to dead component {c}")))?;
@@ -819,8 +928,10 @@ impl Wsd {
                 self.field_map.len()
             )));
         }
+        let mut open = 0;
         for (name, tpl) in &self.relations {
             for t in &tpl.tuples {
+                open += t.open_fields().count();
                 if t.cells.len() != tpl.schema.len() {
                     return Err(Error::TypeError(format!(
                         "tuple {} in {name} has arity {} vs schema {}",
@@ -858,6 +969,14 @@ impl Wsd {
                     )));
                 }
             }
+        }
+        // every open field is mapped (above) and tids are unique, so equal
+        // counts mean no field outlives its tuple
+        if open != self.field_map.len() {
+            return Err(Error::InvalidExpr(format!(
+                "{} mapped fields for {open} open fields of live tuples",
+                self.field_map.len()
+            )));
         }
         Ok(())
     }
@@ -918,9 +1037,9 @@ impl Wsd {
     /// everything else was compacted by an earlier normalize.
     pub(crate) fn compact_touched(&mut self, touched: &[usize]) {
         for &i in touched {
-            if let Some(c) = self.slots.get_mut(i).and_then(|s| s.comp.as_mut()) {
-                if c.has_garbage() {
-                    Arc::make_mut(c).compact();
+            if self.component(i).is_some_and(Component::has_garbage) {
+                if let Some(c) = self.component_mut_silent(i) {
+                    c.compact();
                 }
             }
         }
@@ -935,9 +1054,10 @@ impl Wsd {
                 kept += 1;
             }
         }
-        self.slots.retain(|s| s.comp.is_some());
-        self.field_map.retain(|_, loc| remap[loc.0].is_some());
-        for loc in self.field_map.values_mut() {
+        let mut old = std::mem::take(&mut self.slots);
+        self.slots = (0..remap.len()).map(|i| old.take(i)).filter(|s| s.comp.is_some()).collect();
+        self.fields_mut().retain(|_, loc| remap[loc.0].is_some());
+        for loc in self.fields_mut().values_mut() {
             loc.0 = remap[loc.0].expect("retained"); // maybms-lint: allow(no-panic-in-prod) -- retained components were assigned Some when the remap table was built above
         }
         self.dirty = std::mem::take(&mut self.dirty)
@@ -947,30 +1067,37 @@ impl Wsd {
     }
 
     /// The decomposition of relation `rel` alone, renamed `as_name`: its
-    /// template and the component slots its tuples' fields reach,
-    /// renumbered in increasing old index. The field map and each reached
-    /// slot's reverse-index row keep only the fields of `rel`'s tuples (in
-    /// their old order); a slot that was dirty here, or one of whose
+    /// template and the component slots its tuples' open fields reach,
+    /// renumbered in increasing old index. The field map holds those
+    /// fields, and each reached slot's reverse-index row keeps only them
+    /// (in their old order); a slot that was dirty here, or one of whose
     /// columns lost its last field, is dirty in the result (what
-    /// [`crate::normalize::normalize`] then cleans up). Costs one sequential pass over the field map and the
-    /// slot list — the size of the flat copies `clone` already made — plus
-    /// O(reached slots); nothing outside the result is written.
+    /// [`crate::normalize::normalize`] then cleans up). Costs a field-map
+    /// lookup per open field of `rel` plus the reached slots' rows, so it
+    /// grows with the answer, not with the database; a reached slot moves
+    /// out of a chunk only this copy holds. Nothing outside the result is
+    /// written.
     pub(crate) fn into_relation(mut self, rel: &str, as_name: &str) -> Result<Wsd> {
         let tpl = self.take_relation(rel)?;
+        let mut fields = Vec::new();
+        for f in tpl.tuples.iter().flat_map(TupleTemplate::open_fields) {
+            let loc = self.field_loc(f).ok_or_else(|| Error::InvalidExpr(format!("unmapped {f}")))?;
+            fields.push((f, loc));
+        }
+        // in location order, each field's slot renumbered as reached
+        fields.sort_unstable_by_key(|&(_, loc)| loc);
+        let mut reached = Vec::new();
+        for (_, loc) in &mut fields {
+            if reached.last() != Some(&loc.0) {
+                reached.push(loc.0);
+            }
+            loc.0 = reached.len() - 1;
+        }
         let kept: HashSet<Tid> = tpl.tuples.iter().map(|t| t.tid).collect();
         let keep = |f: &Field| kept.contains(&f.tid);
-        let mut field_map = std::mem::take(&mut self.field_map);
-        field_map.retain(|f, _| keep(f));
-        // old slot index → new one, for the slots the kept fields reach
-        let mut renumber = vec![None; self.slots.len()];
-        for &(c, _) in field_map.values() {
-            renumber[c] = Some(0);
-        }
-        let mut out = Wsd { next_tid: self.next_tid, ..Wsd::new() };
-        let mut dirty = Vec::new();
-        for (old_idx, mut slot) in std::mem::take(&mut self.slots).into_iter().enumerate() {
-            let Some(new_idx) = renumber[old_idx].as_mut() else { continue };
-            *new_idx = out.slots.len();
+        let (mut slots, mut dirty) = (Slots::default(), BTreeSet::new());
+        for (new_idx, &old_idx) in reached.iter().enumerate() {
+            let mut slot = self.slots.take(old_idx);
             let mut emptied = false;
             if slot.rev.iter().flatten().any(|f| !keep(f)) {
                 for fields in Arc::make_mut(&mut slot.rev).iter_mut() {
@@ -980,17 +1107,13 @@ impl Wsd {
                 }
             }
             if emptied || self.dirty.contains(&old_idx) {
-                dirty.push(*new_idx);
+                dirty.insert(new_idx);
             }
-            out.slots.push(slot);
+            slots.push(slot);
         }
-        for loc in field_map.values_mut() {
-            loc.0 = renumber[loc.0].expect("reached above"); // maybms-lint: allow(no-panic-in-prod) -- every kept location was marked reached when the renumbering table was built above
-        }
-        out.field_map = field_map;
-        out.dirty = dirty.into_iter().collect();
-        out.relations.insert(as_name.to_string(), tpl);
-        Ok(out)
+        let relations = BTreeMap::from([(as_name.to_string(), tpl)]);
+        let field_map = Arc::new(fields.into_iter().collect());
+        Ok(Wsd { relations, slots, field_map, dirty, next_tid: self.next_tid })
     }
 }
 
@@ -1015,7 +1138,7 @@ mod tests {
         let slots = a
             .slots
             .iter()
-            .zip(&b.slots)
+            .zip(b.slots.iter())
             .enumerate()
             .filter(|(_, (s, t))| {
                 let comp = match (&s.comp, &t.comp) {
@@ -1071,6 +1194,46 @@ mod tests {
         let (sa, sb) = (&a.slots[loc.0], &b.slots[loc.0]);
         assert!(Arc::ptr_eq(sa.comp.as_ref().unwrap(), sb.comp.as_ref().unwrap()));
         assert_eq!((a.fields_at(loc.0, 0).len(), b.fields_at(loc.0, 0).len()), (1, 2));
+    }
+
+    /// Across chunk boundaries, a write to a clone copies only the chunks
+    /// it touches: an alias into a slot's reverse row copies that slot's
+    /// chunk, a merge also the last chunk it pushes onto. Every other
+    /// chunk stays the same allocation and the original its bytes.
+    #[test]
+    fn a_write_copies_only_the_chunks_it_touches() {
+        use crate::codec::encode_wsd;
+        let mut a = Wsd::new();
+        a.add_relation("r", schema()).unwrap();
+        for i in 0..(3 * CHUNK + 10) as i64 {
+            let v = OrSetCell::uniform(vec![Value::Int(i), Value::Int(-i)]).unwrap();
+            a.push_orset("r", vec![v, OrSetCell::certain("x")]).unwrap();
+        }
+        let chunks = a.slots.chunks.len();
+        assert_eq!(chunks, 4);
+        let before = encode_wsd(&a);
+        let copied = |b: &Wsd| -> Vec<usize> {
+            let same = |k: usize| Arc::ptr_eq(&a.slots.chunks[k], &b.slots.chunks[k]);
+            (0..chunks).filter(|&k| !same(k)).collect()
+        };
+        for k in 0..chunks {
+            let mut b = a.clone();
+            assert!(copied(&b).is_empty(), "a clone shares every chunk");
+            let t = b.relation("r").unwrap().tuples[k * CHUNK].clone();
+            let loc = b.field_loc(Field::attr(t.tid, 0)).unwrap();
+            assert_eq!(loc.0 / CHUNK, k);
+            let tid = b.fresh_tid();
+            b.alias_field(Field::attr(tid, 0), loc);
+            let cells = vec![TemplateCell::Open, TemplateCell::Certain(Value::str("y"))].into();
+            b.push_template("r", TupleTemplate { tid, cells, exists: Existence::Always }).unwrap();
+            assert_eq!(copied(&b), [k]);
+            b.merge_components(&[k * CHUNK + 1, k * CHUNK + 2]).unwrap();
+            let mut touched = vec![k, chunks - 1];
+            touched.dedup();
+            assert_eq!(copied(&b), touched);
+            b.validate().unwrap();
+            assert_eq!(encode_wsd(&a), before, "the original is unchanged");
+        }
     }
 
     fn orset_wsd() -> Wsd {

@@ -26,6 +26,9 @@ pub enum Error {
     /// Durable-storage failure: I/O error, corrupt page or WAL record,
     /// or an unreadable snapshot/log format.
     Storage(String),
+    /// A question only an estimate could answer, such as whether a value
+    /// is certain where a Monte-Carlo-sampled cluster alone decides it.
+    Undecided(String),
 }
 
 impl fmt::Display for Error {
@@ -40,6 +43,7 @@ impl fmt::Display for Error {
             Error::InvalidExpr(m) => write!(f, "invalid expression: {m}"),
             Error::Arithmetic(m) => write!(f, "arithmetic error: {m}"),
             Error::Storage(m) => write!(f, "storage error: {m}"),
+            Error::Undecided(m) => write!(f, "undecided: {m}"),
         }
     }
 }

@@ -5,6 +5,7 @@
 //! expressions evaluate against tuples with SQL three-valued logic
 //! (NULL-aware comparisons).
 
+use std::borrow::Cow;
 use std::fmt;
 
 use crate::error::{Error, Result};
@@ -355,65 +356,89 @@ pub enum BoundExpr {
 }
 
 impl BoundExpr {
-    /// Evaluates to a value. Boolean connectives use SQL three-valued logic,
-    /// with unknown represented as NULL, and skip their right operand
-    /// where the left one decides: `q AND p` raises no error of `p` where
-    /// `q` is false, so merging `σ_p(σ_q(R))` into `σ_{q ∧ p}(R)` keeps
-    /// the inner selection's guard.
+    /// Evaluates to a value: a boolean node is its [`BoundExpr::truth`],
+    /// unknown as NULL.
     pub fn eval(&self, t: &Tuple) -> Result<Value> {
         Ok(match self {
-            BoundExpr::Col(i) => t
-                .get(*i)
-                .cloned()
-                .ok_or_else(|| Error::InvalidExpr(format!("column position {i} out of range")))?,
-            BoundExpr::Lit(v) => v.clone(),
-            BoundExpr::Cmp(op, a, b) => {
-                let (va, vb) = (a.eval(t)?, b.eval(t)?);
-                match op.apply(&va, &vb) {
-                    Some(r) => Value::Bool(r),
-                    None => Value::Null,
-                }
-            }
-            BoundExpr::Bin(op, a, b) => {
-                let (va, vb) = (a.eval(t)?, b.eval(t)?);
-                eval_arith(*op, &va, &vb)?
-            }
-            BoundExpr::And(a, b) => match a.eval(t)?.as_bool() {
-                Some(false) => Value::Bool(false),
-                l => match (l, b.eval(t)?.as_bool()) {
-                    (_, Some(false)) => Value::Bool(false),
-                    (Some(true), Some(true)) => Value::Bool(true),
-                    _ => Value::Null,
-                },
-            },
-            BoundExpr::Or(a, b) => match a.eval(t)?.as_bool() {
-                Some(true) => Value::Bool(true),
-                l => match (l, b.eval(t)?.as_bool()) {
-                    (_, Some(true)) => Value::Bool(true),
-                    (Some(false), Some(false)) => Value::Bool(false),
-                    _ => Value::Null,
-                },
-            },
-            BoundExpr::Not(a) => match a.eval(t)?.as_bool() {
-                Some(b) => Value::Bool(!b),
-                None => Value::Null,
-            },
-            BoundExpr::IsNull(a) => Value::Bool(a.eval(t)?.is_null()),
-            BoundExpr::InList(a, vs) => {
-                let v = a.eval(t)?;
-                if v.is_null() {
-                    Value::Null
-                } else {
-                    Value::Bool(vs.iter().any(|x| x.sql_eq(&v) == Some(true)))
-                }
-            }
+            BoundExpr::Col(_) | BoundExpr::Lit(_) => self.operand(t)?.into_owned(),
+            BoundExpr::Bin(op, a, b) => eval_arith(*op, &*a.operand(t)?, &*b.operand(t)?)?,
+            BoundExpr::Cmp(..)
+            | BoundExpr::And(..)
+            | BoundExpr::Or(..)
+            | BoundExpr::Not(_)
+            | BoundExpr::IsNull(_)
+            | BoundExpr::InList(..) => self.truth(t)?.map_or(Value::Null, Value::Bool),
         })
     }
 
     /// Evaluates as a predicate: unknown (NULL) counts as false, as in a
     /// SQL WHERE clause.
     pub fn eval_predicate(&self, t: &Tuple) -> Result<bool> {
-        Ok(self.eval(t)?.as_bool().unwrap_or(false))
+        Ok(self.truth(t)?.unwrap_or(false))
+    }
+
+    /// A column or literal, borrowed; `None` for anything else (or a
+    /// column out of range). Comparing two leaves this way skips
+    /// [`BoundExpr::operand`]'s `Result` and `Cow`, which cost half the
+    /// time of a `k = 1500` test.
+    fn leaf<'a>(&'a self, t: &'a Tuple) -> Option<&'a Value> {
+        match self {
+            BoundExpr::Col(i) => t.get(*i),
+            BoundExpr::Lit(v) => Some(v),
+            _ => None,
+        }
+    }
+
+    /// The value of an operand: a column or literal borrowed, anything
+    /// else evaluated.
+    fn operand<'a>(&'a self, t: &'a Tuple) -> Result<Cow<'a, Value>> {
+        match self {
+            BoundExpr::Col(i) => t
+                .get(*i)
+                .map(Cow::Borrowed)
+                .ok_or_else(|| Error::InvalidExpr(format!("column position {i} out of range"))),
+            BoundExpr::Lit(v) => Ok(Cow::Borrowed(v)),
+            e => e.eval(t).map(Cow::Owned),
+        }
+    }
+
+    /// SQL three-valued truth (`None` = unknown; a value that is not a
+    /// boolean is unknown too). Connectives skip their right operand where
+    /// the left one decides: `q AND p` raises no error of `p` where `q` is
+    /// false, so merging `σ_p(σ_q(R))` into `σ_{q ∧ p}(R)` keeps the inner
+    /// selection's guard.
+    fn truth(&self, t: &Tuple) -> Result<Option<bool>> {
+        Ok(match self {
+            BoundExpr::Cmp(op, a, b) => match (a.leaf(t), b.leaf(t)) {
+                (Some(x), Some(y)) => op.apply(x, y),
+                _ => op.apply(&*a.operand(t)?, &*b.operand(t)?),
+            },
+            BoundExpr::And(a, b) => match a.truth(t)? {
+                Some(false) => Some(false),
+                l => match (l, b.truth(t)?) {
+                    (_, Some(false)) => Some(false),
+                    (Some(true), Some(true)) => Some(true),
+                    _ => None,
+                },
+            },
+            BoundExpr::Or(a, b) => match a.truth(t)? {
+                Some(true) => Some(true),
+                l => match (l, b.truth(t)?) {
+                    (_, Some(true)) => Some(true),
+                    (Some(false), Some(false)) => Some(false),
+                    _ => None,
+                },
+            },
+            BoundExpr::Not(a) => a.truth(t)?.map(|b| !b),
+            BoundExpr::IsNull(a) => Some(a.operand(t)?.is_null()),
+            BoundExpr::InList(a, vs) => {
+                let v = a.operand(t)?;
+                (!v.is_null()).then(|| vs.iter().any(|x| x.sql_eq(&v) == Some(true)))
+            }
+            BoundExpr::Col(_) | BoundExpr::Lit(_) | BoundExpr::Bin(..) => {
+                self.operand(t)?.as_bool()
+            }
+        })
     }
 }
 

@@ -1,9 +1,10 @@
 //! Property tests for the expression evaluator: three-valued logic laws,
-//! binding totality, and comparison coherence with the value order.
+//! binding totality, comparison coherence with the value order, and one
+//! predicate semantics for `eval` and `eval_predicate`.
 
 use proptest::prelude::*;
 
-use maybms_relational::{BoundExpr, CmpOp, ColumnType, Expr, Schema, Tuple, Value};
+use maybms_relational::{BinOp, BoundExpr, CmpOp, ColumnType, Expr, Schema, Tuple, Value};
 
 #[allow(dead_code)]
 fn arb_value() -> impl Strategy<Value = Value> {
@@ -55,6 +56,33 @@ fn arb_pred() -> impl Strategy<Value = Expr> {
     })
 }
 
+/// `12 / i = v`: fails where `i` is 0.
+fn div_atom() -> impl Strategy<Value = Expr> {
+    (-3i64..3).prop_map(|v| {
+        let div = Expr::Bin(BinOp::Div, Box::new(Expr::lit(12i64)), Box::new(Expr::col("i")));
+        div.eq(Expr::lit(v))
+    })
+}
+
+/// [`arb_pred`] with division atoms, bare (they may fail) and guarded
+/// (`i <> 0 AND 12 / i = v`).
+fn arb_pred_div() -> impl Strategy<Value = Expr> {
+    let guarded = div_atom().prop_map(|d| Expr::col("i").ne(Expr::lit(0i64)).and(d));
+    let leaf = prop_oneof![arb_pred(), div_atom(), guarded];
+    leaf.prop_recursive(2, 8, 2, |inner| {
+        prop_oneof![
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| a.and(b)),
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| a.or(b)),
+            inner.clone().prop_map(|a| a.not()),
+        ]
+    })
+}
+
+/// [`arb_row`], or a row of NULLs.
+fn arb_row_or_nulls() -> impl Strategy<Value = Tuple> {
+    prop_oneof![arb_row(), Just(Tuple::new(vec![Value::Null; 4]))]
+}
+
 fn eval(e: &Expr, t: &Tuple) -> Option<bool> {
     let b: BoundExpr = e.bind(&schema()).expect("bind against fixed schema");
     b.eval(t).expect("no arithmetic in predicates").as_bool()
@@ -95,6 +123,30 @@ proptest! {
         let full = b.eval(&t).expect("eval").as_bool();
         let pred = b.eval_predicate(&t).expect("eval");
         prop_assert_eq!(pred, full.unwrap_or(false));
+    }
+
+    /// `eval_predicate` is `eval` with unknown read as false, errors
+    /// included: one three-valued semantics.
+    #[test]
+    fn one_predicate_semantics(e in arb_pred_div(), t in arb_row_or_nulls()) {
+        let b = e.bind(&schema()).expect("bind");
+        let via_eval = b.eval(&t).map(|v| v.as_bool().unwrap_or(false));
+        prop_assert_eq!(b.eval_predicate(&t), via_eval);
+    }
+
+    /// A decided left operand skips the right one: `false AND err` is
+    /// false and `true OR err` is true, in both evaluators.
+    #[test]
+    fn connectives_skip_decided_right(e in arb_pred_div(), t in arb_row_or_nulls()) {
+        let fails = Expr::Bin(BinOp::Div, Box::new(Expr::lit(1i64)), Box::new(Expr::lit(0i64)))
+            .eq(Expr::lit(1i64));
+        let Ok(Some(left)) = e.bind(&schema()).expect("bind").eval(&t).map(|v| v.as_bool()) else {
+            return Ok(());
+        };
+        let skipped = if left { e.or(fails) } else { e.and(fails) };
+        let b = skipped.bind(&schema()).expect("bind");
+        prop_assert_eq!(b.eval(&t), Ok(Value::Bool(left)));
+        prop_assert_eq!(b.eval_predicate(&t), Ok(left));
     }
 
     /// Comparisons agree with the total value order on non-NULL values.

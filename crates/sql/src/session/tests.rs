@@ -43,6 +43,21 @@ fn possible_and_certain() {
     assert_eq!(cert.table().unwrap().rows()[0][0], Value::str("obesity"));
 }
 
+/// Certainty is decided on booleans, not on `|P − 1| < 1e-9`: a value
+/// absent from one world is not certain, however likely.
+#[test]
+fn certain_is_not_a_float_tolerance() {
+    let mut s = Session::new();
+    s.execute("CREATE TABLE t (a TEXT)").unwrap();
+    s.execute("INSERT INTO t VALUES ({'x': 0.9999999999, 'y': 0.0000000001})").unwrap();
+    let cert = s.execute("SELECT CERTAIN a FROM t").unwrap();
+    assert_eq!(cert.table().unwrap().len(), 0, "a world holds only y");
+    s.execute("INSERT INTO t VALUES ('x')").unwrap();
+    let cert = s.execute("SELECT CERTAIN a FROM t").unwrap();
+    let x = maybms_relational::Tuple::new(vec![Value::str("x")]);
+    assert_eq!(cert.table().unwrap().rows(), [x]);
+}
+
 #[test]
 fn prob_of_nonempty() {
     let mut s = medical_session();
@@ -572,6 +587,24 @@ fn explain_shows_physical_plan_with_join_strategy() {
         .unwrap();
     let QueryResult::Text(txt2) = r2 else { panic!() };
     assert!(txt2.contains("NestedLoopJoin"), "{txt2}");
+}
+
+/// `DROP TABLE` releases the dropped tuples' components: afterwards the
+/// decomposition holds only what the remaining tables read.
+#[test]
+fn drop_table_releases_its_components() {
+    let mut s = Session::new();
+    s.execute("CREATE TABLE t (x INT)").unwrap();
+    s.execute("INSERT INTO t VALUES ({1: 0.5, 2: 0.5}), ({3: 0.5, 4: 0.5})").unwrap();
+    s.execute("CREATE TABLE u (y INT)").unwrap();
+    s.execute("INSERT INTO u VALUES ({5: 0.5, 6: 0.5})").unwrap();
+    s.execute("DROP TABLE t").unwrap();
+    let w = s.wsd();
+    w.validate().unwrap();
+    assert_eq!((w.num_components(), w.num_mapped_fields()), (1, 1));
+    assert_eq!(w.world_count().to_u64(), Some(2));
+    let r = s.execute("SELECT POSSIBLE y FROM u").unwrap();
+    assert_eq!(r.table().unwrap().len(), 2);
 }
 
 #[test]

@@ -206,13 +206,13 @@ impl WorldSet {
         acc
     }
 
-    /// Tuples present in *every* world (certain answers).
+    /// Tuples present in *every* world (certain answers), decided on
+    /// membership, not on a probability near 1.
     pub fn certain_tuples(&self, rel: &str) -> Vec<Tuple> {
-        self.tuple_confidence(rel)
-            .into_iter()
-            .filter(|(_, p)| (*p - 1.0).abs() < 1e-9)
-            .map(|(t, _)| t)
-            .collect()
+        let in_world = |w: &World, t: &Tuple| w.get(rel).is_some_and(|r| r.rows().contains(t));
+        let mut out = self.possible_tuples(rel);
+        out.retain(|t| self.worlds.iter().all(|(w, _)| in_world(w, t)));
+        out
     }
 
     /// Tuples present in at least one world (possible answers).
@@ -345,6 +345,12 @@ mod tests {
         assert!((conf[1].1 - 1.0).abs() < 1e-12);
         assert_eq!(ws.certain_tuples("r").len(), 1);
         assert_eq!(ws.possible_tuples("r").len(), 2);
+        // a tuple missing from one world is not certain, however likely
+        let ws = WorldSet::new(vec![
+            (World::single("r", rel(&[1, 2])), 1.0 - 1e-10),
+            (World::single("r", rel(&[2])), 1e-10),
+        ]);
+        assert_eq!(ws.certain_tuples("r"), [Tuple::new(vec![Value::Int(2)])]);
     }
 
     #[test]

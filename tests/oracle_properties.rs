@@ -11,7 +11,7 @@ use maybms_core::convert::from_worldset;
 use maybms_core::exec::{compile, Executor, WorkerPool};
 use maybms_core::normalize::{normalize, normalize_from_scratch, normalize_full};
 use maybms_core::prob;
-use maybms_core::wsd::Wsd;
+use maybms_core::wsd::{Existence, TemplateCell, TupleTemplate, Wsd};
 use maybms_relational::{BinOp, ColumnType, Expr, Schema, Value};
 use maybms_worldset::eval::eval_in_all_worlds;
 use maybms_worldset::OrSetCell;
@@ -151,8 +151,9 @@ enum WsdOp {
     RepairKey(&'static str),
     /// Merge the live components at these positions (modulo their count).
     Merge(usize, usize),
-    /// Alias a fresh field to the location of the open field at this
-    /// position among `r`'s open fields (modulo their count).
+    /// Push onto `r` a tuple whose `a` reads the location of the open
+    /// field at this position among `r`'s open fields (modulo their
+    /// count): a fresh field aliased to that location.
     Alias(usize),
     Normalize,
     Compact,
@@ -215,8 +216,11 @@ fn apply_wsd_op(w: &mut Wsd, op: &WsdOp) -> maybms_relational::Result<()> {
                 .collect();
             if let Some(&f) = open.get(i % open.len().max(1)) {
                 let loc = w.field_loc(f).expect("filtered to mapped fields");
-                let alias = Field::attr(w.fresh_tid(), 0);
-                w.alias_field(alias, loc);
+                let tid = w.fresh_tid();
+                w.alias_field(Field::attr(tid, 0), loc);
+                let cells = vec![TemplateCell::Open, TemplateCell::Certain(Value::Int(0))];
+                let exists = Existence::Always;
+                w.push_template("r", TupleTemplate { tid, cells: cells.into(), exists })?;
             }
             Ok(())
         }
