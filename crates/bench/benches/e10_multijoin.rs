@@ -9,9 +9,10 @@
 //! the cost model (fed by `WsdStats`) starts from the selected tiny
 //! dimension and keeps every intermediate a fraction of that.
 //!
-//! Both orders run on the one evaluator (compile + sequential
-//! `Executor`, so the gain is join order, not parallelism):
-//! `BENCH_e10.json` records `ast` and `cost`.
+//! Both orders run on the one evaluator (`compile`, which checks the
+//! `Query` and returns the tree the sequential `Executor` walks — each
+//! join hash-partitions on its equality conjunct — so the gain is join
+//! order, not parallelism): `BENCH_e10.json` records `ast` and `cost`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use maybms_core::algebra::Query;

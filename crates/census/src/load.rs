@@ -10,13 +10,15 @@ use crate::constraints::CENSUS_REL;
 use crate::schema::census_schema;
 
 /// Builds the WSD of an or-set census relation: each uncertain field
-/// becomes its own single-field component (the maximal decomposition).
+/// becomes its own single-field component (the maximal decomposition),
+/// normalized as an SQL `INSERT` of the same rows leaves it.
 pub fn to_wsd(os: &OrSetRelation) -> Result<Wsd> {
     let mut wsd = Wsd::new();
     wsd.add_relation(CENSUS_REL, census_schema())?;
     for row in os.rows() {
         wsd.push_orset(CENSUS_REL, row.to_vec())?;
     }
+    maybms_core::normalize::normalize(&mut wsd);
     Ok(wsd)
 }
 

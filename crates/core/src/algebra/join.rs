@@ -200,8 +200,10 @@ pub fn join_op_nested(
 
 /// Extracts `l = r` conjuncts referencing one column from each side,
 /// returning positions in the concatenated schema (left position, right
-/// position ≥ larity).
-fn equality_pairs(
+/// position ≥ larity). The first pair is the hash key — the one join-key
+/// rule, which `EXPLAIN` and the estimator read through
+/// [`crate::exec::plan`]'s `join_key`.
+pub(crate) fn equality_pairs(
     pred: &Expr,
     out_schema: &Schema,
     larity: usize,

@@ -49,6 +49,7 @@ mod union;
 
 pub use difference::difference_op;
 pub use dml::{delete_op, update_op, DmlReport};
+pub(crate) use join::equality_pairs;
 pub use join::{join_op_in, join_op_nested, product_op};
 pub use project::project_op;
 pub use rename::{qualify_op, rename_op};
@@ -75,8 +76,9 @@ pub enum Query {
     Union(Box<Query>, Box<Query>),
     Difference(Box<Query>, Box<Query>),
     /// Duplicate elimination. Under the paper's set semantics of worlds
-    /// this changes no world; it compiles to a `Dedup` of redundant
-    /// certain templates, or to nothing over a set-shaped input.
+    /// this changes no world; it runs a dedup of redundant certain
+    /// templates, and [`compile`](crate::exec::compile) drops it over a
+    /// set-shaped input.
     Distinct(Box<Query>),
     Rename(Box<Query>, String, String),
     Qualify(Box<Query>, String),
@@ -116,6 +118,39 @@ impl Query {
     }
     pub fn qualify(self, prefix: impl Into<String>) -> Query {
         Query::Qualify(Box::new(self), prefix.into())
+    }
+
+    /// The node's inputs, left before right.
+    pub fn inputs(&self) -> Vec<&Query> {
+        match self {
+            Query::Table(_) => Vec::new(),
+            Query::Select(i, _)
+            | Query::Project(i, _)
+            | Query::Distinct(i)
+            | Query::Rename(i, _, _)
+            | Query::Qualify(i, _) => vec![i],
+            Query::Product(a, b)
+            | Query::Join(a, b, _)
+            | Query::Union(a, b)
+            | Query::Difference(a, b) => vec![a, b],
+        }
+    }
+
+    /// The same node over its inputs mapped through `f`, left before right.
+    pub fn map_inputs(&self, mut f: impl FnMut(&Query) -> Query) -> Query {
+        let mut g = |q: &Query| Box::new(f(q));
+        match self {
+            Query::Table(_) => self.clone(),
+            Query::Select(i, p) => Query::Select(g(i), p.clone()),
+            Query::Project(i, cols) => Query::Project(g(i), cols.clone()),
+            Query::Product(a, b) => Query::Product(g(a), g(b)),
+            Query::Join(a, b, p) => Query::Join(g(a), g(b), p.clone()),
+            Query::Union(a, b) => Query::Union(g(a), g(b)),
+            Query::Difference(a, b) => Query::Difference(g(a), g(b)),
+            Query::Distinct(i) => Query::Distinct(g(i)),
+            Query::Rename(i, from, to) => Query::Rename(g(i), from.clone(), to.clone()),
+            Query::Qualify(i, p) => Query::Qualify(g(i), p.clone()),
+        }
     }
 
     /// Evaluates the query on a decomposition, producing a decomposition of

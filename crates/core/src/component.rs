@@ -281,11 +281,6 @@ impl Component {
         RowRef { comp: self, row }
     }
 
-    /// Iterates borrowed row views.
-    pub fn iter_rows(&self) -> impl Iterator<Item = RowRef<'_>> {
-        (0..self.num_rows()).map(move |row| RowRef { comp: self, row })
-    }
-
     /// Materializes one row (cold paths only).
     pub fn row(&self, row: usize) -> CompRow {
         CompRow {

@@ -1,15 +1,14 @@
-//! # The physical execution layer
+//! # The execution layer
 //!
 //! The pipeline above this module stops at a rule-rewritten logical
-//! [`crate::algebra::Query`] tree. This module adds the explicit
-//! physical layer underneath it:
+//! [`crate::algebra::Query`] tree. That tree is also the plan the
+//! executor runs — there is no second, physical tree:
 //!
-//! * [`plan`] — [`PhysicalPlan`], a DAG of [`PhysOp`] operator nodes
-//!   (scan, filter, project, hash-join, nested-loop fallback, product,
-//!   union, difference, dedup), compiled from the logical tree by
-//!   simple rules: equi-join detection picks the hash strategy,
-//!   pushed-down predicates stay where the optimizer placed them, and
-//!   `DISTINCT` is elided when the input is already set-shaped.
+//! * [`plan`] — [`compile`] checks the optimized tree against the
+//!   catalog ([`schema_of`]) and drops each `DISTINCT` over an
+//!   already set-shaped input; [`explain`] renders a tree for `EXPLAIN`
+//!   with a per-node annotation, naming each join's strategy by the
+//!   join operator's own key rule.
 //! * [`pool`] — [`WorkerPool`], a worker count plus `map`, an
 //!   order-preserving parallel map on `std::thread::scope` that is
 //!   deterministic at every worker count. Worker count comes from
@@ -32,8 +31,6 @@ pub mod plan;
 pub mod pool;
 pub mod run;
 
-pub use plan::{
-    compile, explain_physical, explain_physical_annotated, schema_of, PhysOp, PhysicalPlan,
-};
+pub use plan::{compile, explain, schema_of};
 pub use pool::{default_workers, global_pool, WorkerPool};
 pub use run::{dedup_op, Executor, NodeTrace};

@@ -1,4 +1,4 @@
-//! The executor: the one plan walker. It evaluates a [`PhysicalPlan`]
+//! The executor: the one plan walker. It evaluates a compiled [`Query`]
 //! node by node against a working copy of the decomposition, each node
 //! calling its [`crate::algebra`] operator and materializing its answer
 //! as an intermediate relation, with the worker pool threaded through
@@ -22,12 +22,11 @@ use maybms_relational::{Result, Value};
 
 use crate::algebra::common::{emit_passthrough, snapshot};
 use crate::algebra::{
-    self, difference_op, join_op_in, join_op_nested, product_op, project_op, qualify_op,
-    rename_op, select_op, union_op,
+    self, difference_op, join_op_in, product_op, project_op, qualify_op, rename_op, select_op,
+    union_op, Query,
 };
 use crate::wsd::{Existence, TemplateCell, Wsd};
 
-use super::plan::{PhysOp, PhysicalPlan};
 use super::pool::WorkerPool;
 
 /// One plan node's execution sample from [`Executor::run_traced`]: how
@@ -43,12 +42,11 @@ pub struct NodeTrace {
 }
 
 /// Operator-kind labels, in the order [`op_kind_index`] assigns.
-const OP_KINDS: [&str; 11] = [
+const OP_KINDS: [&str; 10] = [
     "seq_scan",
     "filter",
     "project",
-    "hash_join",
-    "nested_loop_join",
+    "join",
     "cross_product",
     "union",
     "difference",
@@ -57,27 +55,26 @@ const OP_KINDS: [&str; 11] = [
     "qualify",
 ];
 
-fn op_kind_index(op: &PhysOp) -> usize {
-    match op {
-        PhysOp::SeqScan { .. } => 0,
-        PhysOp::Filter { .. } => 1,
-        PhysOp::Project { .. } => 2,
-        PhysOp::HashJoin { .. } => 3,
-        PhysOp::NestedLoopJoin { .. } => 4,
-        PhysOp::CrossProduct { .. } => 5,
-        PhysOp::Union { .. } => 6,
-        PhysOp::Difference { .. } => 7,
-        PhysOp::Dedup { .. } => 8,
-        PhysOp::Rename { .. } => 9,
-        PhysOp::Qualify { .. } => 10,
+fn op_kind_index(q: &Query) -> usize {
+    match q {
+        Query::Table(_) => 0,
+        Query::Select(..) => 1,
+        Query::Project(..) => 2,
+        Query::Join(..) => 3,
+        Query::Product(..) => 4,
+        Query::Union(..) => 5,
+        Query::Difference(..) => 6,
+        Query::Distinct(_) => 7,
+        Query::Rename(..) => 8,
+        Query::Qualify(..) => 9,
     }
 }
 
 /// Per-operator-kind output-row counters (`exec.rows.<kind>`), resolved
 /// once. Driven by the deterministic serial tail of every operator, so
 /// their totals are identical at every worker count.
-fn row_counters() -> &'static [Arc<Counter>; 11] {
-    static C: OnceLock<[Arc<Counter>; 11]> = OnceLock::new();
+fn row_counters() -> &'static [Arc<Counter>; 10] {
+    static C: OnceLock<[Arc<Counter>; 10]> = OnceLock::new();
     C.get_or_init(|| OP_KINDS.map(|k| maybms_obs::counter(&format!("exec.rows.{k}"))))
 }
 
@@ -93,7 +90,7 @@ fn fresh(wsd: &Wsd, counter: &mut usize) -> String {
     }
 }
 
-/// Executes physical plans; hash joins probe on `pool`.
+/// Executes compiled plans; hash joins probe on `pool`.
 pub struct Executor<'p> {
     pool: &'p WorkerPool,
 }
@@ -108,23 +105,19 @@ impl<'p> Executor<'p> {
         Executor { pool: WorkerPool::sequential() }
     }
 
-    pub fn pool(&self) -> &WorkerPool {
-        self.pool
-    }
-
-    /// Runs the plan on a decomposition, producing a decomposition of the
-    /// answer world-set whose single relation is named `"result"`.
-    pub fn run(&self, plan: &PhysicalPlan, base: &Wsd) -> Result<Wsd> {
+    /// Runs a plan [`super::compile`] returned on a decomposition,
+    /// producing a decomposition of the answer world-set whose single
+    /// relation is named `"result"`.
+    pub fn run(&self, plan: &Query, base: &Wsd) -> Result<Wsd> {
         self.run_with(plan, base, &mut None)
     }
 
     /// [`Executor::run`] recording, per plan node, the number of output
     /// template tuples it produced and its wall-clock evaluation time.
     /// Samples are indexed in pre-order (node before children, left
-    /// before right) — the order
-    /// [`super::plan::explain_physical_annotated`] visits nodes, so
+    /// before right) — the order [`super::explain`] visits nodes, so
     /// `EXPLAIN ANALYZE` can zip them onto the rendered tree.
-    pub fn run_traced(&self, plan: &PhysicalPlan, base: &Wsd) -> Result<(Wsd, Vec<NodeTrace>)> {
+    pub fn run_traced(&self, plan: &Query, base: &Wsd) -> Result<(Wsd, Vec<NodeTrace>)> {
         let mut trace = Some(Vec::new());
         let result = self.run_with(plan, base, &mut trace)?;
         Ok((result, trace.unwrap_or_default()))
@@ -134,13 +127,13 @@ impl<'p> Executor<'p> {
     /// their intermediate relations to it), then extracts the root's.
     fn run_with(
         &self,
-        plan: &PhysicalPlan,
+        plan: &Query,
         base: &Wsd,
         trace: &mut Option<Vec<NodeTrace>>,
     ) -> Result<Wsd> {
         let mut wsd = base.clone();
         let mut counter = 0usize;
-        let out = self.exec(&plan.root, &mut wsd, &mut counter, trace)?;
+        let out = self.exec(plan, &mut wsd, &mut counter, trace)?;
         algebra::extract(wsd, &out, "result")
     }
 
@@ -150,7 +143,7 @@ impl<'p> Executor<'p> {
     /// feed the `exec.rows.<kind>` counters (while recording is enabled).
     fn exec(
         &self,
-        op: &PhysOp,
+        q: &Query,
         wsd: &mut Wsd,
         counter: &mut usize,
         trace: &mut Option<Vec<NodeTrace>>,
@@ -163,10 +156,10 @@ impl<'p> Executor<'p> {
             t.push(NodeTrace::default());
             t.len() - 1
         });
-        let out = self.exec_node(op, wsd, counter, trace)?;
+        let out = self.exec_node(q, wsd, counter, trace)?;
         if trace.is_some() || maybms_obs::enabled() {
             let rows = wsd.relation(&out)?.tuples.len();
-            row_counters()[op_kind_index(op)].add(rows as u64);
+            row_counters()[op_kind_index(q)].add(rows as u64);
             if let (Some(t), Some(i), Some(b)) = (trace.as_mut(), slot, began) {
                 t[i] = NodeTrace { rows, elapsed: b.elapsed() };
             }
@@ -174,85 +167,41 @@ impl<'p> Executor<'p> {
         Ok(out)
     }
 
+    /// Evaluates the node's inputs, left before right, then its operator
+    /// into a fresh relation; a scan is its base relation.
     fn exec_node(
         &self,
-        op: &PhysOp,
+        q: &Query,
         wsd: &mut Wsd,
         counter: &mut usize,
         trace: &mut Option<Vec<NodeTrace>>,
     ) -> Result<String> {
-        Ok(match op {
-            PhysOp::SeqScan { rel } => {
-                wsd.relation(rel)?;
-                rel.clone()
-            }
-            PhysOp::Filter { input, pred } => {
-                let i = self.exec(input, wsd, counter, trace)?;
-                let out = fresh(wsd, counter);
-                select_op(wsd, &i, pred, &out)?;
-                out
-            }
-            PhysOp::Project { input, cols } => {
-                let i = self.exec(input, wsd, counter, trace)?;
-                let out = fresh(wsd, counter);
+        if let Query::Table(rel) = q {
+            wsd.relation(rel)?;
+            return Ok(rel.clone());
+        }
+        let mut ins = Vec::with_capacity(2);
+        for input in q.inputs() {
+            ins.push(self.exec(input, wsd, counter, trace)?);
+        }
+        let [l, r] = [ins.first(), ins.get(1)].map(|s| s.map_or("", String::as_str));
+        let out = fresh(wsd, counter);
+        match q {
+            Query::Table(_) => {} // returned above
+            Query::Select(_, pred) => select_op(wsd, l, pred, &out)?,
+            Query::Project(_, cols) => {
                 let names: Vec<&str> = cols.iter().map(String::as_str).collect();
-                project_op(wsd, &i, &names, &out)?;
-                out
+                project_op(wsd, l, &names, &out)?;
             }
-            PhysOp::HashJoin { left, right, pred, .. } => {
-                let l = self.exec(left, wsd, counter, trace)?;
-                let r = self.exec(right, wsd, counter, trace)?;
-                let out = fresh(wsd, counter);
-                join_op_in(wsd, &l, &r, pred, &out, self.pool)?;
-                out
-            }
-            PhysOp::NestedLoopJoin { left, right, pred } => {
-                let l = self.exec(left, wsd, counter, trace)?;
-                let r = self.exec(right, wsd, counter, trace)?;
-                let out = fresh(wsd, counter);
-                join_op_nested(wsd, &l, &r, pred, &out)?;
-                out
-            }
-            PhysOp::CrossProduct { left, right } => {
-                let l = self.exec(left, wsd, counter, trace)?;
-                let r = self.exec(right, wsd, counter, trace)?;
-                let out = fresh(wsd, counter);
-                product_op(wsd, &l, &r, &out)?;
-                out
-            }
-            PhysOp::Union { left, right } => {
-                let l = self.exec(left, wsd, counter, trace)?;
-                let r = self.exec(right, wsd, counter, trace)?;
-                let out = fresh(wsd, counter);
-                union_op(wsd, &l, &r, &out)?;
-                out
-            }
-            PhysOp::Difference { left, right } => {
-                let l = self.exec(left, wsd, counter, trace)?;
-                let r = self.exec(right, wsd, counter, trace)?;
-                let out = fresh(wsd, counter);
-                difference_op(wsd, &l, &r, &out)?;
-                out
-            }
-            PhysOp::Dedup { input } => {
-                let i = self.exec(input, wsd, counter, trace)?;
-                let out = fresh(wsd, counter);
-                dedup_op(wsd, &i, &out)?;
-                out
-            }
-            PhysOp::Rename { input, from, to } => {
-                let i = self.exec(input, wsd, counter, trace)?;
-                let out = fresh(wsd, counter);
-                rename_op(wsd, &i, from, to, &out)?;
-                out
-            }
-            PhysOp::Qualify { input, prefix } => {
-                let i = self.exec(input, wsd, counter, trace)?;
-                let out = fresh(wsd, counter);
-                qualify_op(wsd, &i, prefix, &out)?;
-                out
-            }
-        })
+            Query::Join(_, _, pred) => join_op_in(wsd, l, r, pred, &out, self.pool)?,
+            Query::Product(..) => product_op(wsd, l, r, &out)?,
+            Query::Union(..) => union_op(wsd, l, r, &out)?,
+            Query::Difference(..) => difference_op(wsd, l, r, &out)?,
+            Query::Distinct(_) => dedup_op(wsd, l, &out)?,
+            Query::Rename(_, from, to) => rename_op(wsd, l, from, to, &out)?,
+            Query::Qualify(_, prefix) => qualify_op(wsd, l, prefix, &out)?,
+        }
+        Ok(out)
     }
 }
 
@@ -289,7 +238,6 @@ pub fn dedup_op(wsd: &mut Wsd, input: &str, out: &str) -> Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algebra::Query;
     use crate::codec::encode_wsd;
     use crate::examples::medical_wsd;
     use crate::exec::plan::compile;
@@ -390,7 +338,7 @@ mod tests {
         let q = Query::table("c").select(Expr::col("id").eq(Expr::lit(600i64)));
         let plan = compile(&q, &base).unwrap();
         let mut wsd = base.clone();
-        let out = Executor::sequential().exec(&plan.root, &mut wsd, &mut 0, &mut None).unwrap();
+        let out = Executor::sequential().exec(&plan, &mut wsd, &mut 0, &mut None).unwrap();
         assert_eq!(wsd.slots.chunks.len(), base.slots.chunks.len());
         let chunks = wsd.slots.chunks.iter().zip(&base.slots.chunks);
         assert!(chunks.into_iter().all(|(a, b)| std::sync::Arc::ptr_eq(a, b)), "no chunk copied");

@@ -78,14 +78,13 @@
 //! indexed by component id and field locations resolved once per
 //! cluster — no per-world hash maps.
 //!
-//! **One evaluator and the worker pool.** [`exec`] compiles the
-//! optimized logical tree into a [`exec::PhysicalPlan`] of explicit
-//! operator nodes (hash vs nested-loop join chosen at plan time,
-//! `DISTINCT` elided when the input is set-shaped), and
+//! **One evaluator and the worker pool.** There is one plan tree:
+//! [`exec::compile`] checks the optimized [`algebra::Query`] against the
+//! catalog and drops `DISTINCT` over set-shaped inputs, and
 //! [`exec::Executor`] — the only plan walker; [`algebra::Query::eval`]
 //! is `compile` + a sequential run of it — evaluates each node with its
 //! tuple-at-a-time [`algebra`] operator, the only operator
-//! implementations. Its reference is per-world evaluation in
+//! implementations (a join picks hash or nested scan itself). Its reference is per-world evaluation in
 //! `maybms-worldset`. [`exec::WorkerPool`] (a worker count,
 //! `MAYBMS_WORKERS` env override, and a `std::thread::scope` map)
 //! carries the two embarrassingly parallel passes — per-cluster

@@ -7,7 +7,7 @@
 //! such worlds." (paper §2)
 //!
 //! Components are independent random variables. Each template tuple is
-//! resolved once into its [`Choices`]: per component holding one of its
+//! resolved once into its `Choices`: per component holding one of its
 //! open cells or its open ∃ field, the distinct projections of that
 //! component's rows onto what the tuple reads there, rows where the tuple
 //! is absent left out. Every combination of one projection per component

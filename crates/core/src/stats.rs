@@ -11,13 +11,12 @@
 //! part it read is still the same allocation. Statistics survive writes
 //! to other relations and to components their relation does not reach.
 //!
-//! On top of the raw statistics sit the estimators used by the SQL
-//! optimizer's join-order search and by `EXPLAIN`:
-//! [`estimate_query`] walks a logical [`Query`] tree and
-//! [`estimate_phys`] a physical operator tree, both producing row-count
-//! estimates from textbook selectivity rules (`1/distinct` for
-//! equalities, `1/3` for range predicates) and, for the physical tree, a
-//! cumulative cost in abstract "rows touched" units.
+//! On top of the raw statistics sits the one estimator,
+//! [`estimate_query`], which walks a [`Query`] tree and produces
+//! row-count estimates from textbook selectivity rules (`1/distinct` for
+//! equalities, `1/3` for range predicates) and a cumulative cost in
+//! abstract "rows touched" units. The SQL optimizer's join-order search
+//! reads the rows; `EXPLAIN` prints both per node.
 
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
@@ -27,7 +26,7 @@ use maybms_relational::{CmpOp, Expr, Result, Value};
 
 use crate::algebra::Query;
 use crate::component::Component;
-use crate::exec::PhysOp;
+use crate::exec::plan::join_key;
 use crate::field::Field;
 use crate::wsd::{Existence, RelTemplate, TemplateCell, Wsd};
 
@@ -208,12 +207,17 @@ fn compute_rel_stats(wsd: &Wsd, tpl: &Arc<RelTemplate>) -> CachedRel {
 // Cardinality estimation
 // ---------------------------------------------------------------------
 
-/// A cardinality estimate of a plan node: expected rows plus per-column
-/// distinct-count estimates (keyed by output column name).
-#[derive(Debug, Clone)]
+/// A cardinality estimate of a plan node: expected rows, the cumulative
+/// cost of computing them, and per-column distinct-count estimates
+/// (keyed by output column name).
+#[derive(Debug, Clone, Default)]
 pub struct Estimate {
     /// Estimated output rows.
     pub rows: f64,
+    /// Estimated cumulative cost of the subtree rooted here, in rows
+    /// touched: inputs scanned, hash tables built, pairs emitted — a
+    /// nested loop pays the full pair product.
+    pub cost: f64,
     /// Estimated distinct values per output column.
     pub distinct: HashMap<String, f64>,
 }
@@ -283,7 +287,7 @@ fn base_estimate(wsd: &Wsd, stats: &mut WsdStats, rel: &str) -> Result<Estimate>
         .iter()
         .map(|c| (c.name.clone(), c.distinct as f64))
         .collect();
-    Ok(Estimate { rows: rs.rows as f64, distinct })
+    Ok(Estimate { rows: rs.rows as f64, cost: rs.rows as f64, distinct })
 }
 
 fn apply_filter(mut est: Estimate, pred: &Expr) -> Estimate {
@@ -305,55 +309,68 @@ fn apply_filter(mut est: Estimate, pred: &Expr) -> Estimate {
     est.cap_distinct()
 }
 
-fn combine_join(l: Estimate, r: Estimate, pred: Option<&Expr>) -> Estimate {
+/// A join or product of `l` and `r`; `hashed` when the join
+/// hash-partitions ([`join_key`]), which touches both inputs and the
+/// output instead of every pair.
+fn combine_join(l: Estimate, r: Estimate, pred: Option<&Expr>, hashed: bool) -> Estimate {
+    let pairs = l.rows * r.rows;
+    let (inputs, cost) = (l.rows + r.rows, l.cost + r.cost);
     let mut distinct = l.distinct;
     for (k, v) in r.distinct {
         distinct.entry(k).or_insert(v);
     }
-    let mut est = Estimate { rows: l.rows * r.rows, distinct };
+    let mut est = Estimate { rows: pairs, cost, distinct };
     if let Some(p) = pred {
         let sel = selectivity(p, &est);
         est.rows *= sel;
     }
+    est.cost += if hashed { inputs + est.rows } else { pairs };
     est.cap_distinct()
 }
 
-/// Estimates the cardinality of a logical [`Query`] tree.
+/// Estimates the rows and cumulative cost of a [`Query`] tree.
 pub fn estimate_query(q: &Query, wsd: &Wsd, stats: &mut WsdStats) -> Result<Estimate> {
     Ok(match q {
         Query::Table(n) => base_estimate(wsd, stats, n)?,
-        Query::Select(i, p) => apply_filter(estimate_query(i, wsd, stats)?, p),
+        Query::Select(i, p) => {
+            let child = estimate_query(i, wsd, stats)?;
+            let cost = child.cost + child.rows;
+            Estimate { cost, ..apply_filter(child, p) }
+        }
         Query::Project(i, cols) => {
             let child = estimate_query(i, wsd, stats)?;
             let distinct = cols
                 .iter()
                 .filter_map(|c| child.distinct.get(c).map(|&d| (c.clone(), d)))
                 .collect();
-            Estimate { rows: child.rows, distinct }
+            Estimate { rows: child.rows, cost: child.cost + child.rows, distinct }
         }
         Query::Product(a, b) => combine_join(
             estimate_query(a, wsd, stats)?,
             estimate_query(b, wsd, stats)?,
             None,
+            false,
         ),
         Query::Join(a, b, p) => combine_join(
             estimate_query(a, wsd, stats)?,
             estimate_query(b, wsd, stats)?,
             Some(p),
+            join_key(a, b, p, wsd).is_some(),
         ),
         Query::Union(a, b) => {
             let (l, r) = (estimate_query(a, wsd, stats)?, estimate_query(b, wsd, stats)?);
+            let rows = l.rows + r.rows;
             let mut distinct = l.distinct;
             for (k, v) in r.distinct {
                 let e = distinct.entry(k).or_insert(0.0);
                 *e += v;
             }
-            Estimate { rows: l.rows + r.rows, distinct }.cap_distinct()
+            Estimate { rows, cost: l.cost + r.cost + rows, distinct }.cap_distinct()
         }
         Query::Difference(a, b) => {
-            let l = estimate_query(a, wsd, stats)?;
-            let _ = estimate_query(b, wsd, stats)?;
-            l
+            let (l, r) = (estimate_query(a, wsd, stats)?, estimate_query(b, wsd, stats)?);
+            let cost = l.cost + r.cost + l.rows + r.rows;
+            Estimate { cost, ..l }
         }
         Query::Distinct(i) => {
             let child = estimate_query(i, wsd, stats)?;
@@ -362,7 +379,8 @@ pub fn estimate_query(q: &Query, wsd: &Wsd, stats: &mut WsdStats) -> Result<Esti
                 .distinct
                 .values()
                 .fold(1.0f64, |acc, &d| (acc * d.max(1.0)).min(1e18));
-            Estimate { rows: child.rows.min(bound), distinct: child.distinct }.cap_distinct()
+            let (rows, cost) = (child.rows.min(bound), child.cost + child.rows);
+            Estimate { rows, cost, distinct: child.distinct }.cap_distinct()
         }
         Query::Rename(i, _, _) => estimate_query(i, wsd, stats)?,
         Query::Qualify(i, p) => {
@@ -372,124 +390,9 @@ pub fn estimate_query(q: &Query, wsd: &Wsd, stats: &mut WsdStats) -> Result<Esti
                 .into_iter()
                 .map(|(k, v)| (format!("{p}.{k}"), v))
                 .collect();
-            Estimate { rows: child.rows, distinct }
+            Estimate { distinct, ..child }
         }
     })
-}
-
-/// A physical node's estimate: output rows plus cumulative cost in
-/// abstract "rows touched" units (inputs scanned, hash tables built,
-/// pairs emitted — nested loops pay the full cross product).
-#[derive(Debug, Clone, Copy)]
-pub struct PhysEstimate {
-    /// Estimated output rows of the node.
-    pub rows: f64,
-    /// Estimated cumulative cost of the subtree rooted here.
-    pub cost: f64,
-}
-
-fn phys(est: Estimate, cost: f64) -> (Estimate, f64) {
-    (est, cost)
-}
-
-fn estimate_phys_inner(
-    op: &PhysOp,
-    wsd: &Wsd,
-    stats: &mut WsdStats,
-) -> Result<(Estimate, f64)> {
-    Ok(match op {
-        PhysOp::SeqScan { rel } => {
-            let e = base_estimate(wsd, stats, rel)?;
-            let c = e.rows;
-            phys(e, c)
-        }
-        PhysOp::Filter { input, pred } => {
-            let (child, cost) = estimate_phys_inner(input, wsd, stats)?;
-            let scanned = child.rows;
-            phys(apply_filter(child, pred), cost + scanned)
-        }
-        PhysOp::Project { input, cols } => {
-            let (child, cost) = estimate_phys_inner(input, wsd, stats)?;
-            let scanned = child.rows;
-            let distinct = cols
-                .iter()
-                .filter_map(|c| child.distinct.get(c).map(|&d| (c.clone(), d)))
-                .collect();
-            phys(Estimate { rows: child.rows, distinct }, cost + scanned)
-        }
-        PhysOp::HashJoin { left, right, pred, .. } => {
-            let (l, cl) = estimate_phys_inner(left, wsd, stats)?;
-            let (r, cr) = estimate_phys_inner(right, wsd, stats)?;
-            let (lr, rr) = (l.rows, r.rows);
-            let out = combine_join(l, r, Some(pred));
-            let c = cl + cr + lr + rr + out.rows;
-            phys(out, c)
-        }
-        PhysOp::NestedLoopJoin { left, right, pred } => {
-            let (l, cl) = estimate_phys_inner(left, wsd, stats)?;
-            let (r, cr) = estimate_phys_inner(right, wsd, stats)?;
-            let pairs = l.rows * r.rows;
-            let out = combine_join(l, r, Some(pred));
-            phys(out, cl + cr + pairs)
-        }
-        PhysOp::CrossProduct { left, right } => {
-            let (l, cl) = estimate_phys_inner(left, wsd, stats)?;
-            let (r, cr) = estimate_phys_inner(right, wsd, stats)?;
-            let pairs = l.rows * r.rows;
-            let out = combine_join(l, r, None);
-            phys(out, cl + cr + pairs)
-        }
-        PhysOp::Union { left, right } => {
-            let (l, cl) = estimate_phys_inner(left, wsd, stats)?;
-            let (r, cr) = estimate_phys_inner(right, wsd, stats)?;
-            let rows = l.rows + r.rows;
-            let mut distinct = l.distinct;
-            for (k, v) in r.distinct {
-                let e = distinct.entry(k).or_insert(0.0);
-                *e += v;
-            }
-            phys(
-                Estimate { rows, distinct }.cap_distinct(),
-                cl + cr + rows,
-            )
-        }
-        PhysOp::Difference { left, right } => {
-            let (l, cl) = estimate_phys_inner(left, wsd, stats)?;
-            let (r, cr) = estimate_phys_inner(right, wsd, stats)?;
-            let scanned = l.rows + r.rows;
-            phys(l, cl + cr + scanned)
-        }
-        PhysOp::Dedup { input } => {
-            let (child, cost) = estimate_phys_inner(input, wsd, stats)?;
-            let scanned = child.rows;
-            let bound: f64 = child
-                .distinct
-                .values()
-                .fold(1.0f64, |acc, &d| (acc * d.max(1.0)).min(1e18));
-            phys(
-                Estimate { rows: child.rows.min(bound), distinct: child.distinct }
-                    .cap_distinct(),
-                cost + scanned,
-            )
-        }
-        PhysOp::Rename { input, .. } => estimate_phys_inner(input, wsd, stats)?,
-        PhysOp::Qualify { input, prefix } => {
-            let (child, cost) = estimate_phys_inner(input, wsd, stats)?;
-            let distinct = child
-                .distinct
-                .into_iter()
-                .map(|(k, v)| (format!("{prefix}.{k}"), v))
-                .collect();
-            phys(Estimate { rows: child.rows, distinct }, cost)
-        }
-    })
-}
-
-/// Estimates rows and cumulative cost of a physical operator subtree —
-/// the numbers `EXPLAIN` prints per node.
-pub fn estimate_phys(op: &PhysOp, wsd: &Wsd, stats: &mut WsdStats) -> Result<PhysEstimate> {
-    let (est, cost) = estimate_phys_inner(op, wsd, stats)?;
-    Ok(PhysEstimate { rows: est.rows, cost })
 }
 
 #[cfg(test)]

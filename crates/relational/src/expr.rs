@@ -356,7 +356,7 @@ pub enum BoundExpr {
 }
 
 impl BoundExpr {
-    /// Evaluates to a value: a boolean node is its [`BoundExpr::truth`],
+    /// Evaluates to a value: a boolean node is its `BoundExpr::truth`,
     /// unknown as NULL.
     pub fn eval(&self, t: &Tuple) -> Result<Value> {
         Ok(match self {

@@ -37,9 +37,9 @@ use maybms_relational::{CmpOp, Expr, Result, Schema};
 const MAX_REORDER_INPUTS: usize = 12;
 
 /// The inferred output schema of a plan node. Delegates to the single
-/// implementation in the physical layer ([`maybms_core::exec::schema_of`]),
-/// which both the optimizer's pushdown rules and physical-plan
-/// compilation share.
+/// implementation in the execution layer ([`maybms_core::exec::schema_of`]),
+/// which both the optimizer's pushdown rules and
+/// [`maybms_core::exec::compile`] share.
 pub fn schema_of(q: &Query, wsd: &Wsd) -> Result<Schema> {
     maybms_core::exec::schema_of(q, wsd)
 }
@@ -341,7 +341,7 @@ fn reorder_cluster(q: &Query, wsd: &Wsd, stats: &mut WsdStats) -> Result<Query> 
         Ok(e) => e,
         Err(_) => return keep_order(q, wsd, stats),
     };
-    let mut global = Estimate { rows: 1.0, distinct: HashMap::new() };
+    let mut global = Estimate { rows: 1.0, ..Estimate::default() };
     for e in &ests {
         global.rows *= e.rows.max(1.0);
         global.distinct.extend(e.distinct.clone());
@@ -451,66 +451,17 @@ fn reorder_cluster(q: &Query, wsd: &Wsd, stats: &mut WsdStats) -> Result<Query> 
     Ok(result)
 }
 
-/// Renders a plan tree for EXPLAIN.
-pub fn explain(q: &Query) -> String {
-    let mut out = String::new();
-    render(q, 0, &mut out);
-    out
-}
-
-fn render(q: &Query, depth: usize, out: &mut String) {
-    let pad = "  ".repeat(depth);
-    match q {
-        Query::Table(n) => out.push_str(&format!("{pad}Scan {n}\n")),
-        Query::Select(i, p) => {
-            out.push_str(&format!("{pad}Select {p}\n"));
-            render(i, depth + 1, out);
-        }
-        Query::Project(i, cols) => {
-            out.push_str(&format!("{pad}Project [{}]\n", cols.join(", ")));
-            render(i, depth + 1, out);
-        }
-        Query::Product(a, b) => {
-            out.push_str(&format!("{pad}Product\n"));
-            render(a, depth + 1, out);
-            render(b, depth + 1, out);
-        }
-        Query::Join(a, b, p) => {
-            out.push_str(&format!("{pad}Join on {p}\n"));
-            render(a, depth + 1, out);
-            render(b, depth + 1, out);
-        }
-        Query::Union(a, b) => {
-            out.push_str(&format!("{pad}Union\n"));
-            render(a, depth + 1, out);
-            render(b, depth + 1, out);
-        }
-        Query::Difference(a, b) => {
-            out.push_str(&format!("{pad}Difference\n"));
-            render(a, depth + 1, out);
-            render(b, depth + 1, out);
-        }
-        Query::Distinct(i) => {
-            out.push_str(&format!("{pad}Distinct\n"));
-            render(i, depth + 1, out);
-        }
-        Query::Rename(i, f, t) => {
-            out.push_str(&format!("{pad}Rename {f} -> {t}\n"));
-            render(i, depth + 1, out);
-        }
-        Query::Qualify(i, p) => {
-            out.push_str(&format!("{pad}Qualify {p}\n"));
-            render(i, depth + 1, out);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use maybms_core::examples::medical_wsd;
+    use maybms_core::exec::explain as render;
     use maybms_relational::{ColumnType, Schema};
     use maybms_worldset::eval::eval_in_all_worlds;
+
+    fn explain(q: &Query, w: &Wsd) -> String {
+        render(q, w, |_| String::new())
+    }
 
     fn two_table_wsd() -> Wsd {
         let mut w = medical_wsd();
@@ -544,14 +495,14 @@ mod tests {
                     .and(Expr::col("diagnosis").eq(Expr::lit("pregnancy"))),
             );
         let opt = optimize(&q, &w).unwrap();
-        let txt = explain(&opt);
-        assert!(txt.contains("Join on"), "expected a join, got:\n{txt}");
+        let txt = explain(&opt, &w);
+        assert!(txt.contains("HashJoin [test = tname] on"), "expected a join, got:\n{txt}");
         assert!(
-            txt.contains("Select (diagnosis = 'pregnancy')"),
+            txt.contains("Filter (diagnosis = 'pregnancy')"),
             "left selection must be pushed down:\n{txt}"
         );
         assert!(
-            txt.contains("Select (cost > 50)"),
+            txt.contains("Filter (cost > 50)"),
             "right selection must be pushed down:\n{txt}"
         );
     }
@@ -581,7 +532,7 @@ mod tests {
             .select(Expr::col("diagnosis").eq(Expr::lit("obesity")))
             .select(Expr::col("test").eq(Expr::lit("BMI")));
         let opt = optimize(&q, &w).unwrap();
-        let txt = explain(&opt);
+        let txt = explain(&opt, &w);
         assert!(txt.starts_with("Union"), "selection should distribute:\n{txt}");
         let lhs = q.eval(&w).unwrap().to_worldset(100_000).unwrap();
         let rhs = opt.eval(&w).unwrap().to_worldset(100_000).unwrap();
@@ -595,7 +546,7 @@ mod tests {
             .project(["diagnosis", "test"])
             .project(["test"]);
         let opt = optimize(&q, &w).unwrap();
-        let txt = explain(&opt);
+        let txt = explain(&opt, &w);
         assert_eq!(txt.matches("Project").count(), 1, "{txt}");
         let lhs = q.eval(&w).unwrap().to_worldset(1000).unwrap();
         let rhs = opt.eval(&w).unwrap().to_worldset(1000).unwrap();
@@ -630,14 +581,14 @@ mod tests {
             .join(Query::table("big2"), Expr::col("x").eq(Expr::col("y")))
             .join(Query::table("tiny"), Expr::col("y").eq(Expr::col("z")));
         let opt = optimize(&q, &w).unwrap();
-        let txt = explain(&opt);
+        let txt = explain(&opt, &w);
         // the first join executed (deepest in the tree) must involve tiny
         let deepest = txt
             .lines()
-            .filter(|l| l.trim_start().starts_with("Scan"))
+            .filter(|l| l.trim_start().starts_with("SeqScan"))
             .collect::<Vec<_>>();
         assert!(
-            txt.contains("Scan tiny"),
+            txt.contains("SeqScan tiny"),
             "tiny must appear in the reordered plan:\n{txt}"
         );
         assert_eq!(deepest.len(), 3, "{txt}");
@@ -674,8 +625,8 @@ mod tests {
             Expr::col("test").eq(Expr::col("tname")),
         );
         let opt = optimize(&q, &w).unwrap();
-        let txt = explain(&opt);
-        assert!(txt.starts_with("Join on"), "{txt}");
+        let txt = explain(&opt, &w);
+        assert!(txt.starts_with("HashJoin [test = tname] on"), "{txt}");
         assert!(!txt.contains("Project"), "no restoration projection:\n{txt}");
     }
 

@@ -2,8 +2,8 @@
 //! SQL statements against it.
 //!
 //! Statements run through the full stack: parse → lower → logical
-//! optimize → compile to a [`maybms_core::exec::PhysicalPlan`] → execute
-//! with the session's [`WorkerPool`]. The pool defaults to the shared
+//! optimize → [`maybms_core::exec::compile`] → execute with the
+//! session's [`WorkerPool`]. The pool defaults to the shared
 //! process-wide pool (sized by `MAYBMS_WORKERS` or the machine's
 //! parallelism); [`Session::with_worker_pool`] overrides it.
 //!
@@ -217,7 +217,7 @@ pub struct Session {
     pub optimize_plans: bool,
     /// Reports from REPAIR statements, latest last.
     pub cleaning_log: Vec<CleaningReport>,
-    /// The worker pool physical plans and confidence computation run on.
+    /// The worker pool compiled plans and confidence computation run on.
     pool: Arc<WorkerPool>,
     /// The durable backing store, when this session was opened on (or
     /// attached to) a database file.
@@ -315,12 +315,6 @@ impl Session {
         self.txn.is_some()
     }
 
-    /// Whether this session refuses mutations (a replication follower —
-    /// see [`crate::replication::Replica`]).
-    pub fn is_read_only(&self) -> bool {
-        self.read_only
-    }
-
     /// Marks this session as a read-only replica: every mutation,
     /// transaction-control statement and `CHECKPOINT` through
     /// [`Session::run`] fails with [`SessionError::ReadOnlyReplica`].
@@ -341,11 +335,6 @@ impl Session {
     pub fn with_worker_pool(mut self, pool: Arc<WorkerPool>) -> Session {
         self.pool = pool;
         self
-    }
-
-    /// The pool this session executes on.
-    pub fn worker_pool(&self) -> &Arc<WorkerPool> {
-        &self.pool
     }
 
     /// The live decomposition this session queries and mutates. Queries
@@ -724,8 +713,15 @@ impl Session {
         }
         let n = staged.len();
         let wsd = Arc::make_mut(&mut self.wsd);
+        let slots = wsd.num_component_slots();
         for cells in staged {
             wsd.push_orset(table, cells)?;
+        }
+        // Each uncertain cell added a component, marked dirty; its
+        // alternatives may repeat (`{1: 0.5, 1: 0.5}`), so it is not
+        // normal yet. Certain rows add none and skip the pass.
+        if wsd.num_component_slots() > slots {
+            maybms_core::normalize::normalize(wsd);
         }
         Ok(QueryResult::Text(format!("inserted {n} tuple(s) into {table}")))
     }

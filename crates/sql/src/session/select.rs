@@ -84,16 +84,16 @@ impl Session {
         if let Some(t) = self.trace.as_mut() {
             t.push("optimize", begin);
         }
-        // compile the logical tree to a physical plan and execute it on
-        // the session's worker pool
+        // check the tree against the catalog and execute it on the
+        // session's worker pool
         let begin = Instant::now();
-        let phys = compile(&plan, &self.wsd).map_err(SessionError::plan)?;
+        let plan = compile(&plan, &self.wsd).map_err(SessionError::plan)?;
         if let Some(t) = self.trace.as_mut() {
             t.push("compile", begin);
         }
         let begin = Instant::now();
         let answer =
-            Executor::new(&self.pool).run(&phys, &self.wsd).map_err(SessionError::exec)?;
+            Executor::new(&self.pool).run(&plan, &self.wsd).map_err(SessionError::exec)?;
         if let Some(t) = self.trace.as_mut() {
             t.push("execute", begin);
         }

@@ -3,15 +3,15 @@
 
 use std::time::Instant;
 
-use maybms_core::exec::{compile, explain_physical_annotated, Executor};
-use maybms_core::stats::estimate_phys;
+use maybms_core::exec::{compile, explain, Executor};
+use maybms_core::stats::estimate_query;
 use maybms_obs::trace::fmt_duration;
 use maybms_obs::MetricValue;
 use maybms_relational::{ColumnType, Relation, Schema, Tuple, Value};
 
 use super::{QueryResult, Session, SessionError, SessionResult};
 use crate::ast::SelectStmt;
-use crate::optimizer::{explain, optimize_with_stats};
+use crate::optimizer::optimize_with_stats;
 use crate::plan::lower_select;
 use crate::replication::STALE_AFTER;
 
@@ -46,9 +46,9 @@ impl Session {
         let wsd = &self.wsd;
         let stats = &mut self.stats;
         let mut idx = 0usize;
-        let physical = explain_physical_annotated(&phys, |op| {
+        let physical = explain(&phys, wsd, |node| {
             let mut note = String::new();
-            if let Ok(e) = estimate_phys(op, wsd, stats) {
+            if let Ok(e) = estimate_query(node, wsd, stats) {
                 note = format!("  (est rows={:.0} cost={:.0}", e.rows, e.cost);
                 if let Some(n) = actuals.as_ref().and_then(|(s, _)| s.get(idx)) {
                     note.push_str(&format!(
@@ -64,8 +64,8 @@ impl Session {
         });
         let mut out = format!(
             "-- logical plan\n{}-- optimized plan\n{}-- physical plan (workers={})\n{}",
-            explain(&raw),
-            explain(&opt),
+            explain(&raw, wsd, |_| String::new()),
+            explain(&opt, wsd, |_| String::new()),
             self.pool.workers(),
             physical
         );

@@ -607,6 +607,25 @@ fn drop_table_releases_its_components() {
     assert_eq!(r.table().unwrap().len(), 2);
 }
 
+/// An `INSERT` of or-set rows leaves its components normalized: none
+/// stays dirty, a repeated alternative collapses into a certain value,
+/// and the answers are those of the inserted distributions.
+#[test]
+fn insert_normalizes_the_components_it_adds() {
+    let mut s = Session::new();
+    s.execute("CREATE TABLE t (x INT)").unwrap();
+    s.execute("INSERT INTO t VALUES ({1: 0.5, 2: 0.5}), ({3: 0.5, 3: 0.5})").unwrap();
+    let w = s.wsd();
+    w.validate().unwrap();
+    assert!(w.dirty_components().is_empty(), "dirty after INSERT: {:?}", w.dirty_components());
+    assert_eq!(w.num_components(), 1, "the repeated alternative is certain");
+    let r = s.execute("SELECT POSSIBLE x, PROB() FROM t ORDER BY x").unwrap();
+    let rows: Vec<(Value, Value)> =
+        r.table().unwrap().rows().iter().map(|row| (row[0].clone(), row[1].clone())).collect();
+    let want = [(1, 0.5), (2, 0.5), (3, 1.0)].map(|(x, p)| (Value::Int(x), Value::Float(p)));
+    assert_eq!(rows, want);
+}
+
 #[test]
 fn rename_table_via_sql() {
     let mut s = Session::new();

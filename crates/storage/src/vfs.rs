@@ -401,11 +401,6 @@ impl FaultVfs {
             .insert(path.to_path_buf(), FileImage { durable: Some(bytes.clone()), volatile: bytes });
     }
 
-    /// The durable image of `path`, if any.
-    pub fn durable_contents(&self, path: &Path) -> Option<Vec<u8>> {
-        self.lock().files.get(path).and_then(|img| img.durable.clone())
-    }
-
     /// All files with a durable image, with their durable contents.
     pub fn durable_files(&self) -> Vec<(PathBuf, Vec<u8>)> {
         self.lock()

@@ -724,6 +724,71 @@ fn bit_flip_on_every_recovery_read() {
     }
 }
 
+/// An I/O error on every read of recovery: opening either fails with a
+/// typed error or recovers exactly the committed state, never panics,
+/// and leaves the files so that a fault-free reopen afterwards recovers
+/// the committed state byte for byte — a read that failed must not be
+/// mistaken for a torn tail and truncated away.
+#[test]
+fn read_error_on_every_recovery_read() {
+    let groups = sweep_script();
+    let vfs = FaultVfs::new();
+    let outcome = run_script(&vfs, &groups);
+    assert_eq!(outcome.error, None);
+    vfs.crash(); // keep only the durable images
+    let files = vfs.durable_files();
+    let expected = prefix_states(&groups).last().unwrap().clone();
+    let fresh = || {
+        let vfs = FaultVfs::new();
+        for (p, bytes) in &files {
+            vfs.install(p, bytes.clone());
+        }
+        vfs
+    };
+
+    // count the reads a clean reopen performs
+    let clean = fresh();
+    let reopened = Session::open_with_vfs(DB, Arc::new(clean.clone()) as Arc<dyn Vfs>).unwrap();
+    assert_eq!(encode_wsd(reopened.wsd()), expected, "clean reopen must recover the final state");
+    drop(reopened);
+    let reads = clean.op_count(FaultOp::Read);
+    assert!(reads >= 2, "recovery must read");
+
+    for n in 0..reads {
+        let vfs = fresh();
+        vfs.push_fault(FaultSpec::fail_read(n));
+        let arc = Arc::new(vfs.clone()) as Arc<dyn Vfs>;
+        let open = || Session::open_with_vfs(DB, Arc::clone(&arc));
+        let opened = std::panic::catch_unwind(std::panic::AssertUnwindSafe(open));
+        let log = || vfs.fault_log().join("\n  ");
+        match opened {
+            Err(_) => fail_with_artifact(
+                &format!("read-error-{n}"),
+                &format!("a failed read {n} panicked the open\nfault log:\n  {}", log()),
+            ),
+            Ok(Err(_)) => {} // a typed error: exactly right
+            Ok(Ok(s)) if encode_wsd(s.wsd()) == expected => {}
+            Ok(Ok(_)) => fail_with_artifact(
+                &format!("read-error-{n}"),
+                &format!("a failed read {n} opened a WRONG database\nfault log:\n  {}", log()),
+            ),
+        }
+        vfs.clear_schedule();
+        match Session::open_with_vfs(DB, arc) {
+            Ok(s) if encode_wsd(s.wsd()) == expected => {}
+            other => fail_with_artifact(
+                &format!("read-error-reopen-{n}"),
+                &format!(
+                    "after a failed read {n}, a fault-free reopen did not recover the \
+                     committed state ({})\nfault log:\n  {}",
+                    other.err().map_or("wrong state".to_string(), |e| e.to_string()),
+                    log()
+                ),
+            ),
+        }
+    }
+}
+
 /// A failed publish rename during checkpoint degrades (nothing was
 /// published — the old snapshot pair is intact), and the retry path
 /// works once renames succeed again.

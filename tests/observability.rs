@@ -16,9 +16,11 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
 
 use maybms_core::codec::encode_wsd;
-use maybms_core::exec::WorkerPool;
+use maybms_core::exec::{compile, Executor, WorkerPool};
 use maybms_obs::MetricValue;
-use maybms_sql::Session;
+use maybms_sql::optimizer::optimize;
+use maybms_sql::plan::lower_select;
+use maybms_sql::{parse, Session, Statement};
 use maybms_storage::{delta_path_for, wal_path_for};
 
 fn obs_lock() -> MutexGuard<'static, ()> {
@@ -220,4 +222,61 @@ fn explain_analyze_reports_per_node_timings() {
     let text = r.ack();
     assert!(!text.is_empty(), "EXPLAIN must produce a plan");
     assert!(!text.contains("actual rows="), "plain EXPLAIN must not execute:\n{text}");
+}
+
+/// `EXPLAIN ANALYZE` annotates every node the executor ran, and only
+/// those: over plans holding an elided and a kept `DISTINCT`, an
+/// equi-join, a θ-join, `UNION` and `EXCEPT`, every line of the physical
+/// section carries actuals, and there are exactly as many lines as the
+/// executor's traced run takes samples.
+#[test]
+fn explain_analyze_annotates_every_node_it_ran() {
+    let _guard = obs_lock();
+    let mut s = Session::new();
+    s.execute_script(WORKLOAD).expect("workload");
+    let cases: &[(&str, &[&str], &[&str])] = &[
+        (
+            "SELECT DISTINCT * FROM treats WHERE cost > 1 UNION SELECT * FROM treats \
+             WHERE cost < 40 EXCEPT SELECT * FROM treats WHERE drug = 'rest'",
+            &["Union", "Difference", "Filter"],
+            &["Dedup"],
+        ),
+        ("SELECT DISTINCT diagnosis FROM patients", &["Dedup", "Project [diagnosis]"], &[]),
+        (
+            "SELECT p.name, t.drug FROM patients p, treats t WHERE p.diagnosis = t.diagnosis",
+            &["HashJoin [p.diagnosis = t.diagnosis]"],
+            &["NestedLoopJoin"],
+        ),
+        (
+            "SELECT p.name, t.drug FROM patients p, treats t WHERE t.cost > p.pid",
+            &["NestedLoopJoin on (t.cost > p.pid)"],
+            &["HashJoin"],
+        ),
+    ];
+    for &(sql, present, absent) in cases {
+        let text = s.execute(&format!("EXPLAIN ANALYZE {sql}")).expect("explain analyze");
+        let text = text.ack();
+        let physical: Vec<&str> = text
+            .lines()
+            .skip_while(|l| !l.starts_with("-- physical plan"))
+            .skip(1)
+            .take_while(|l| !l.starts_with("-- timing"))
+            .collect();
+        for line in &physical {
+            assert!(line.contains("actual rows="), "node without actuals: {line}\n{text}");
+        }
+        let section = physical.join("\n");
+        for label in present {
+            assert!(section.contains(label), "{label} missing:\n{text}");
+        }
+        for label in absent {
+            assert!(!section.contains(label), "unexpected {label}:\n{text}");
+        }
+
+        let Statement::Select(sel) = parse(sql).expect("parse") else { panic!("{sql}") };
+        let raw = lower_select(&sel).expect("lower");
+        let plan = compile(&optimize(&raw, s.wsd()).expect("optimize"), s.wsd()).expect("compile");
+        let (_, samples) = Executor::sequential().run_traced(&plan, s.wsd()).expect("run");
+        assert_eq!(physical.len(), samples.len(), "one line per executed node:\n{text}");
+    }
 }

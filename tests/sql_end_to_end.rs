@@ -162,7 +162,7 @@ fn explain_and_optimizer_equivalence_over_sql() {
     let QueryResult::Text(plan) = s.execute(&format!("EXPLAIN {sql}")).unwrap() else {
         panic!()
     };
-    assert!(plan.contains("Join on"), "{plan}");
+    assert!(plan.contains("HashJoin [l.k = m.k] on"), "{plan}");
     s.optimize_plans = false;
     let unoptimized = s.execute(sql).unwrap();
     assert_eq!(
