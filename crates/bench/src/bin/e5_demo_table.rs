@@ -25,24 +25,7 @@ fn main() {
         "SELECT CERTAIN diagnosis FROM R",
     ] {
         println!("\nmaybms> {sql}");
-        match session.execute(sql).expect("demo query") {
-            maybms_sql::QueryResult::Table(t) => {
-                print!("{}", maybms_relational::pretty::render(&t, 20))
-            }
-            maybms_sql::QueryResult::WorldSet(w) => {
-                let stats = w.stats();
-                println!(
-                    "answer world-set: {} template tuple(s), {} component(s), {} worlds",
-                    stats.template_tuples,
-                    stats.components,
-                    w.world_count()
-                );
-                for (t, p) in w.tuple_confidence("result").expect("confidence") {
-                    println!("  {t}  with probability {p:.2}");
-                }
-            }
-            maybms_sql::QueryResult::Text(t) => println!("{t}"),
-        }
+        println!("{}", session.execute(sql).expect("demo query").render(20).trim_end());
     }
 
     let p = maybms_bench::e5_demo().expect("e5");

@@ -61,7 +61,7 @@ pub fn e1_storage(n: usize, rates: &[f64], max_width: usize, seed: u64) -> Resul
             rate,
             uncertain_fields: os.uncertain_fields(),
             worlds_log10: count.log10(),
-            worlds: count.summary(),
+            worlds: count.to_string(),
             original_bytes,
             wsd_bytes,
             overhead_pct: 100.0 * (wsd_bytes as f64 - original_bytes as f64)

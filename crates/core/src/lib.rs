@@ -20,8 +20,8 @@
 //! * [`prob`]: exact confidence computation (`prob()`), possible and
 //!   certain answers;
 //! * [`chase`]: data cleaning by enforcing integrity constraints;
-//! * [`bigint`]: arbitrary-precision world counting (the paper's
-//!   world-sets exceed 2^624449 worlds);
+//! * [`wsd::WorldCount`]: world counting in log space, exact up to
+//!   `u128` (the paper's world-sets exceed 2^624449 worlds);
 //! * [`examples`]: the paper's §2 medical WSD, verbatim.
 //!
 //! # Performance architecture
@@ -104,7 +104,6 @@
 #![forbid(unsafe_code)]
 
 pub mod algebra;
-pub mod bigint;
 pub mod cell;
 pub mod chase;
 pub mod codec;
@@ -120,8 +119,7 @@ pub mod prob;
 pub mod stats;
 pub mod wsd;
 
-pub use bigint::BigUint;
 pub use cell::Cell;
 pub use component::{CompRow, Component};
 pub use field::{Field, FieldKind, Tid};
-pub use wsd::{Existence, RelTemplate, TemplateCell, TupleTemplate, Wsd, WsdShape};
+pub use wsd::{Existence, RelTemplate, TemplateCell, TupleTemplate, WorldCount, Wsd, WsdShape};

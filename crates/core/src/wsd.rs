@@ -88,12 +88,12 @@
 //! allocations it read.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::fmt;
 use std::sync::Arc;
 
 use maybms_relational::{Error, Relation, Result, Schema, Tuple, Value};
 use maybms_worldset::{OrSetCell, World, WorldSet};
 
-use crate::bigint::BigUint;
 use crate::cell::Cell;
 use crate::component::Component;
 use crate::field::{Field, Tid};
@@ -778,14 +778,15 @@ impl Wsd {
     // ------------------------------------------------------------------
 
     /// The number of worlds represented: the product of the live
-    /// components' row counts (exact, arbitrary precision). Distinct-world
-    /// counts (merging equal databases) require enumeration.
-    pub fn world_count(&self) -> BigUint {
-        let mut n = BigUint::one();
-        for c in self.live() {
-            n = n.mul_u64(c.num_rows() as u64);
-        }
-        n
+    /// components' row counts, kept in log space (exact while it fits in a
+    /// `u128`). Distinct-world counts (merging equal databases) require
+    /// enumeration.
+    pub fn world_count(&self) -> WorldCount {
+        let one = WorldCount { log10: 0.0, exact: Some(1) };
+        self.live().fold(one, |n, c| WorldCount {
+            log10: n.log10 + (c.num_rows() as f64).log10(),
+            exact: n.exact.and_then(|e| e.checked_mul(c.num_rows() as u128)),
+        })
     }
 
     /// Instantiates the world picked by `choice`: a **dense** row-index
@@ -857,25 +858,25 @@ impl Wsd {
     /// Uses a single dense choice vector updated in place by the odometer:
     /// no per-world map allocation or rehashing.
     pub fn to_worldset(&self, max_worlds: usize) -> Result<WorldSet> {
-        let live = self.live_components();
-        let count = self.world_count();
-        if count > BigUint::from_u64(max_worlds as u64) {
-            return Err(Error::InvalidExpr(format!(
-                "world-set too large to enumerate ({} worlds > cap {max_worlds})",
-                count.summary()
-            )));
+        let mut live = Vec::new();
+        let mut count = 1usize;
+        for (i, slot) in self.slots.iter().enumerate() {
+            let Some(c) = slot.comp.as_deref() else { continue };
+            count = count
+                .checked_mul(c.num_rows())
+                .filter(|&n| n <= max_worlds)
+                .ok_or_else(|| {
+                    Error::InvalidExpr(format!(
+                        "world-set too large to enumerate ({} worlds > cap {max_worlds})",
+                        self.world_count()
+                    ))
+                })?;
+            live.push((i, c));
         }
         let mut ws = WorldSet::default();
-        let widths: Vec<usize> = live
-            .iter()
-            .map(|&i| self.component(i).expect("live").num_rows()) // maybms-lint: allow(no-panic-in-prod) -- component indices are maintained by the WSD itself; a dangling index means the decomposition is corrupt, so fail-stop
-            .collect();
         let mut choice = vec![0usize; self.slots.len()];
         loop {
-            let mut p = 1.0;
-            for &c in &live {
-                p *= self.component(c).expect("live").prob(choice[c]); // maybms-lint: allow(no-panic-in-prod) -- component indices are maintained by the WSD itself; a dangling index means the decomposition is corrupt, so fail-stop
-            }
+            let p = live.iter().map(|&(i, c)| c.prob(choice[i])).product();
             ws.push(self.instantiate(&choice)?, p);
 
             let mut k = live.len();
@@ -884,12 +885,12 @@ impl Wsd {
                     return Ok(ws);
                 }
                 k -= 1;
-                let c = live[k];
-                choice[c] += 1;
-                if choice[c] < widths[k] {
+                let (i, c) = live[k];
+                choice[i] += 1;
+                if choice[i] < c.num_rows() {
                     break;
                 }
-                choice[c] = 0;
+                choice[i] = 0;
             }
         }
     }
@@ -1114,6 +1115,41 @@ impl Wsd {
         let relations = BTreeMap::from([(as_name.to_string(), tpl)]);
         let field_map = Arc::new(fields.into_iter().collect());
         Ok(Wsd { relations, slots, field_map, dirty, next_tid: self.next_tid })
+    }
+}
+
+/// The number of worlds a decomposition represents ([`Wsd::world_count`]).
+/// The paper's world-sets exceed 2^624449 worlds, so the count is kept as
+/// the sum of `log10` of the components' row counts, next to the exact
+/// product while that fits in a `u128`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct WorldCount {
+    log10: f64,
+    exact: Option<u128>,
+}
+
+impl WorldCount {
+    pub fn log10(&self) -> f64 {
+        self.log10
+    }
+
+    pub fn log2(&self) -> f64 {
+        self.log10 * std::f64::consts::LOG2_10
+    }
+
+    /// The exact count, when it fits in a `u64`.
+    pub fn to_u64(&self) -> Option<u64> {
+        self.exact.and_then(|n| u64::try_from(n).ok())
+    }
+}
+
+/// The exact decimal while the count fits in a `u128`, `~10^N` beyond.
+impl fmt::Display for WorldCount {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.exact {
+            Some(n) => write!(f, "{n}"),
+            None => write!(f, "~10^{}", self.log10.floor()),
+        }
     }
 }
 
@@ -1395,22 +1431,41 @@ mod tests {
         assert!(w.relation("s").is_ok());
     }
 
-    #[test]
-    fn enumeration_cap() {
+    /// `n` or-set tuples whose first field has `width` alternatives: `n`
+    /// components of `width` rows each.
+    fn orset_rows(n: usize, width: i64) -> Wsd {
         let mut w = Wsd::new();
         w.add_relation("r", schema()).unwrap();
-        for _ in 0..30 {
-            w.push_orset(
-                "r",
-                vec![
-                    OrSetCell::uniform(vec![Value::Int(0), Value::Int(1)]).unwrap(),
-                    OrSetCell::certain("x"),
-                ],
-            )
-            .unwrap();
+        for _ in 0..n {
+            let alts = (0..width).map(Value::Int).collect();
+            w.push_orset("r", vec![OrSetCell::uniform(alts).unwrap(), OrSetCell::certain("x")])
+                .unwrap();
         }
-        assert_eq!(w.world_count().to_decimal(), (1u64 << 30).to_string());
-        assert!(w.to_worldset(1000).is_err());
+        w
+    }
+
+    #[test]
+    fn enumeration_cap() {
+        let w = orset_rows(30, 2);
+        assert_eq!(w.world_count().to_string(), (1u64 << 30).to_string());
+        let err = w.to_worldset(1000).unwrap_err().to_string();
+        assert!(err.contains("(1073741824 worlds > cap 1000)"), "{err}");
+        assert_eq!(orset_rows(10, 2).to_worldset(1024).unwrap().len(), 1024);
+    }
+
+    #[test]
+    fn world_count_is_exact_up_to_u128_and_logarithmic_beyond() {
+        assert_eq!(orset_rows(63, 2).world_count().to_u64(), Some(1 << 63));
+        let c = orset_rows(64, 2).world_count();
+        assert_eq!(c.to_u64(), None);
+        assert_eq!(c.to_string(), (1u128 << 64).to_string());
+        assert!((c.log2() - 64.0).abs() < 1e-9);
+        let c = orset_rows(127, 2).world_count();
+        assert_eq!(c.to_string(), (1u128 << 127).to_string());
+        assert_eq!(orset_rows(129, 2).world_count().to_string(), "~10^38");
+        let c = orset_rows(1000, 10).world_count();
+        assert!((c.log10() - 1000.0).abs() < 1e-9);
+        assert_eq!(c.to_string(), "~10^1000");
     }
 
     #[test]

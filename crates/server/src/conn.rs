@@ -30,7 +30,6 @@ use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use maybms_obs::{counter, gauge, Counter, Gauge};
-use maybms_relational::pretty;
 use maybms_sql::{
     parse, CommitAck, CommitHandle, QueryResult, Session, SessionError, SessionResult, Statement,
     WsdSnapshot,
@@ -161,7 +160,7 @@ fn dispatch(sql: &str, handle: &CommitHandle, sess: &mut Session, lsn: &mut u64)
         if maybms_sql::wire::is_mutation(&stmt) {
             // auto-commit: a one-statement commit group
             return submit(handle, vec![stmt], sess, lsn, |ack| {
-                ack.results.first().map(render).unwrap_or_default()
+                ack.results.first().map(|r| r.render(RENDER_ROW_LIMIT)).unwrap_or_default()
             });
         }
         // reads (and BEGIN) run on the freshest published snapshot
@@ -202,7 +201,7 @@ fn install(sess: &mut Session, lsn: &mut u64, snap: &WsdSnapshot) {
 
 fn reply(result: SessionResult<QueryResult>, lsn: u64) -> Response {
     match result {
-        Ok(r) => Response::Ok { lsn, text: render(&r) },
+        Ok(r) => Response::Ok { lsn, text: r.render(RENDER_ROW_LIMIT) },
         Err(e) => err_response(&e),
     }
 }
@@ -220,32 +219,5 @@ fn err_kind(e: &SessionError) -> ErrKind {
         SessionError::Degraded { .. } => ErrKind::Degraded,
         SessionError::Transaction { .. } => ErrKind::Transaction,
         SessionError::ReadOnlyReplica { .. } => ErrKind::Unsupported,
-    }
-}
-
-/// Renders a result the way `examples/sql_shell.rs` prints it, so the
-/// wire text matches what users see locally.
-fn render(r: &QueryResult) -> String {
-    match r {
-        QueryResult::Table(t) => pretty::render(t, RENDER_ROW_LIMIT),
-        QueryResult::WorldSet(w) => {
-            let stats = w.stats();
-            let mut out = format!(
-                "answer world-set: {} tuple template(s), {} component(s), {} worlds\n",
-                stats.template_tuples,
-                stats.components,
-                w.world_count()
-            );
-            match w.tuple_confidence("result") {
-                Ok(conf) => {
-                    for (t, p) in conf {
-                        out.push_str(&format!("  {t}  p={p:.4}\n"));
-                    }
-                }
-                Err(e) => out.push_str(&format!("  (confidence unavailable: {e})\n")),
-            }
-            out
-        }
-        QueryResult::Text(t) => t.clone(),
     }
 }

@@ -96,7 +96,7 @@ use maybms_core::exec::{global_pool, WorkerPool};
 use maybms_core::stats::WsdStats;
 use maybms_core::wsd::Wsd;
 use maybms_obs::{QueryTrace, SlowLog, SlowQuery};
-use maybms_relational::{Column, Error, Relation, Result, Schema, Tuple};
+use maybms_relational::{pretty, Column, Error, Relation, Result, Schema, Tuple};
 use maybms_storage::Database;
 use maybms_worldset::OrSetCell;
 
@@ -166,6 +166,34 @@ impl QueryResult {
         match self {
             QueryResult::Text(t) => t,
             _ => "",
+        }
+    }
+
+    /// The text a client sees: a table as `pretty` renders it (at most
+    /// `row_limit` rows), a world-set as its shape, world count and the
+    /// confidence of each answer tuple, an acknowledgement as itself.
+    pub fn render(&self, row_limit: usize) -> String {
+        match self {
+            QueryResult::Table(t) => pretty::render(t, row_limit),
+            QueryResult::WorldSet(w) => {
+                let stats = w.stats();
+                let mut out = format!(
+                    "answer world-set: {} tuple template(s), {} component(s), {} worlds\n",
+                    stats.template_tuples,
+                    stats.components,
+                    w.world_count()
+                );
+                match w.tuple_confidence("result") {
+                    Ok(conf) => {
+                        for (t, p) in conf {
+                            out.push_str(&format!("  {t}  p={p:.4}\n"));
+                        }
+                    }
+                    Err(e) => out.push_str(&format!("  (confidence unavailable: {e})\n")),
+                }
+                out
+            }
+            QueryResult::Text(t) => t.clone(),
         }
     }
 }

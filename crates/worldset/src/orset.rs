@@ -180,7 +180,8 @@ impl OrSetRelation {
 
     /// log2 of the number of possible worlds (sum of log2 of field widths).
     /// The paper's census scenario yields numbers like 2^624449, far beyond
-    /// machine integers; exact counting lives in `maybms-core::bigint`.
+    /// machine integers; `maybms-core`'s `WorldCount` also counts in log
+    /// space and is exact only up to `u128`.
     pub fn world_count_log2(&self) -> f64 {
         self.rows
             .iter()

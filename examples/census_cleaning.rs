@@ -31,7 +31,7 @@ fn main() {
     let dec = wsd.size_bytes();
     println!(
         "world-set: {} worlds (≈10^{:.0}); representation {} vs original {} ({:+.2}% overhead)",
-        count.summary(),
+        count,
         count.log10(),
         dec,
         orig,

@@ -41,7 +41,6 @@
 
 use std::io::{BufRead, Write};
 
-use maybms_relational::pretty;
 use maybms_sql::{QueryResult, Session, SessionError};
 
 /// One structured error line. Parse ("parse error in …"), plan
@@ -72,7 +71,7 @@ fn main() {
         session.last_lsn().unwrap_or(0),
         stats.relations,
         stats.template_tuples,
-        session.wsd().world_count().summary()
+        session.wsd().world_count()
     );
     println!(
         "'\\q' checkpoints and quits, '\\w' dumps the decomposition, \
@@ -128,25 +127,7 @@ fn main() {
             continue;
         }
         match session.execute(&stmt) {
-            Ok(QueryResult::Table(t)) => print!("{}", pretty::render(&t, 50)),
-            Ok(QueryResult::WorldSet(w)) => {
-                let stats = w.stats();
-                println!(
-                    "answer world-set: {} tuple template(s), {} component(s), {} worlds",
-                    stats.template_tuples,
-                    stats.components,
-                    w.world_count()
-                );
-                match w.tuple_confidence("result") {
-                    Ok(conf) => {
-                        for (t, p) in conf {
-                            println!("  {t}  p={p:.4}");
-                        }
-                    }
-                    Err(e) => println!("  (confidence unavailable: {e})"),
-                }
-            }
-            Ok(QueryResult::Text(t)) => println!("{t}"),
+            Ok(r) => println!("{}", r.render(50).trim_end()),
             Err(e) => println!("{}", report(&e)),
         }
     }

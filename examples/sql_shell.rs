@@ -20,8 +20,7 @@
 
 use std::io::{BufRead, Write};
 
-use maybms_relational::pretty;
-use maybms_sql::{QueryResult, Session};
+use maybms_sql::Session;
 
 fn main() {
     let mut session = Session::with_wsd(maybms_core::examples::medical_wsd());
@@ -66,25 +65,7 @@ fn main() {
         let stmt = buffer.trim().trim_end_matches(';').to_string();
         buffer.clear();
         match session.execute(&stmt) {
-            Ok(QueryResult::Table(t)) => print!("{}", pretty::render(&t, 50)),
-            Ok(QueryResult::WorldSet(w)) => {
-                let stats = w.stats();
-                println!(
-                    "answer world-set: {} tuple template(s), {} component(s), {} worlds",
-                    stats.template_tuples,
-                    stats.components,
-                    w.world_count()
-                );
-                match w.tuple_confidence("result") {
-                    Ok(conf) => {
-                        for (t, p) in conf {
-                            println!("  {t}  p={p:.4}");
-                        }
-                    }
-                    Err(e) => println!("  (confidence unavailable: {e})"),
-                }
-            }
-            Ok(QueryResult::Text(t)) => println!("{t}"),
+            Ok(r) => println!("{}", r.render(50).trim_end()),
             Err(e) => println!("error: {e}"),
         }
     }

@@ -449,13 +449,15 @@ proptest! {
         }
     }
 
-    /// World counts: the decomposition's combinatorial count matches the
-    /// number of enumerated worlds.
+    /// World counts: the decomposition's combinatorial count and its
+    /// logarithm match the number of enumerated worlds.
     #[test]
     fn world_count_matches_enumeration(wsd in arb_wsd()) {
-        let count = wsd.world_count().to_u64().expect("small");
+        let count = wsd.world_count();
         let ws = wsd.to_worldset(1 << 16).expect("enumerate");
-        prop_assert_eq!(count as usize, ws.len());
+        prop_assert_eq!(count.to_u64().expect("small") as usize, ws.len());
+        let log10 = (ws.len() as f64).log10();
+        prop_assert!((count.log10() - log10).abs() < 1e-9, "{} vs {}", count.log10(), log10);
     }
 
     /// The hash-partitioned equi-join is world-equivalent to the
