@@ -3,6 +3,8 @@
 //! is that the two are close.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use maybms_core::exec::eval;
+use maybms_worldset::eval::eval_in_world;
 
 fn bench_e3(c: &mut Criterion) {
     let n = 3_000;
@@ -16,12 +18,13 @@ fn bench_e3(c: &mut Criterion) {
             BenchmarkId::new("single_world", q.name),
             &q.query,
             |b, query| {
-                let wq = query.to_world_query();
-                b.iter(|| std::hint::black_box(wq.eval(&setup.single_world).expect("baseline")));
+                b.iter(|| {
+                    std::hint::black_box(eval_in_world(query, &setup.single_world).expect("baseline"))
+                });
             },
         );
         g.bench_with_input(BenchmarkId::new("wsd", q.name), &q.query, |b, query| {
-            b.iter(|| std::hint::black_box(query.eval(&setup.wsd).expect("wsd eval")));
+            b.iter(|| std::hint::black_box(eval(query, &setup.wsd).expect("wsd eval")));
         });
     }
     g.finish();

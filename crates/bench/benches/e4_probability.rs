@@ -2,6 +2,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use maybms_core::algebra::Query;
+use maybms_core::exec::eval;
 use maybms_relational::Expr;
 
 fn bench_e4(c: &mut Criterion) {
@@ -19,7 +20,7 @@ fn bench_e4(c: &mut Criterion) {
         let q = Query::table(maybms_census::CENSUS_REL)
             .select(Expr::col("age").eq(Expr::lit(30i64)))
             .project(["sex", "marst"]);
-        let answer = q.eval(&wsd).expect("query");
+        let answer = eval(&q, &wsd).expect("query");
         g.bench_with_input(
             BenchmarkId::new("tuple_confidence", format!("{rate}")),
             &answer,

@@ -11,6 +11,7 @@ use std::time::Instant;
 use maybms_bench::table::{fmt_duration, print_table};
 use maybms_core::algebra::Query;
 use maybms_core::convert::from_worldset;
+use maybms_core::exec::eval;
 use maybms_relational::Expr;
 
 fn main() {
@@ -64,7 +65,7 @@ fn ablate_normalization(n: usize, rate: f64, seed: u64) {
         .project(["sex", "educ"]);
     // normalized path (the default eval pipeline)
     let start = Instant::now();
-    let normalized = q.eval(&wsd).expect("eval");
+    let normalized = eval(&q, &wsd).expect("eval");
     let t_norm = start.elapsed();
     let s_norm = normalized.stats();
 

@@ -24,7 +24,7 @@ fn main() {
                 format!("{:.3}%", r.rate * 100.0),
                 r.uncertain_fields.to_string(),
                 r.worlds.clone(),
-                format!("{:.0}", r.worlds_log10),
+                format!("{:.2}", r.worlds_log10),
                 fmt_bytes(r.original_bytes),
                 fmt_bytes(r.wsd_bytes),
                 format!("{:+.2}%", r.overhead_pct),

@@ -11,6 +11,8 @@ use std::time::Instant;
 use maybms_bench::queries::query_suite;
 use maybms_bench::table::{fmt_bytes, fmt_duration, print_table};
 use maybms_census::{generate, inject, to_wsd, NoiseSpec};
+use maybms_core::exec::eval;
+use maybms_worldset::eval::eval_in_world;
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -33,12 +35,11 @@ fn main() {
         // Q1 ratio at this size
         let setup = maybms_bench::e3_setup(n, rate, seed).expect("setup");
         let q1 = &query_suite()[0];
-        let wq = q1.query.to_world_query();
         let t0 = Instant::now();
-        wq.eval(&setup.single_world).expect("baseline");
+        eval_in_world(&q1.query, &setup.single_world).expect("baseline");
         let single = t0.elapsed();
         let t1 = Instant::now();
-        q1.query.eval(&setup.wsd).expect("wsd");
+        eval(&q1.query, &setup.wsd).expect("wsd");
         let on_wsd = t1.elapsed();
 
         rows.push(vec![

@@ -7,11 +7,11 @@ use maybms_census::{
     CENSUS_REL,
 };
 use maybms_core::chase::clean;
-use maybms_core::exec::WorkerPool;
+use maybms_core::exec::{eval, WorkerPool};
 use maybms_core::prob;
 use maybms_core::wsd::Wsd;
 use maybms_relational::{Relation, Result};
-use maybms_worldset::eval::WorldQuery;
+use maybms_worldset::eval::eval_in_world;
 use maybms_worldset::World;
 
 use crate::queries::{query_suite, states_relation, STATES_REL};
@@ -160,10 +160,9 @@ fn add_states(wsd: &mut Wsd) -> Result<()> {
 pub fn e3_queries(setup: &E3Setup) -> Result<Vec<E3Row>> {
     let mut out = Vec::new();
     for q in query_suite() {
-        let wq: WorldQuery = q.query.to_world_query();
-        let (conventional, t_single) = timed(|| wq.eval(&setup.single_world));
+        let (conventional, t_single) = timed(|| eval_in_world(&q.query, &setup.single_world));
         let conventional: Relation = conventional?;
-        let (on_wsd, t_wsd) = timed(|| q.query.eval(&setup.wsd));
+        let (on_wsd, t_wsd) = timed(|| eval(&q.query, &setup.wsd));
         let on_wsd = on_wsd?;
         out.push(E3Row {
             query: q.name,
@@ -207,7 +206,7 @@ pub fn e4_probability(n: usize, rates: &[f64], seed: u64) -> Result<Vec<E4Row>> 
         let q = Query::table(CENSUS_REL)
             .select(Expr::col("age").eq(Expr::lit(30i64)))
             .project(["sex", "marst"]);
-        let answer = q.eval(&wsd)?;
+        let answer = eval(&q, &wsd)?;
         let (conf, time) = timed(|| prob::tuple_confidence_opts_in(
             &answer,
             "result",
@@ -271,7 +270,7 @@ pub fn e5_demo() -> Result<f64> {
     let q = Query::table("R")
         .select(Expr::col("diagnosis").eq(Expr::lit("pregnancy")))
         .project(["test"]);
-    let ans = q.eval(&wsd)?;
+    let ans = eval(&q, &wsd)?;
     let conf = ans.tuple_confidence("result")?;
     Ok(conf.first().map(|(_, p)| *p).unwrap_or(0.0))
 }

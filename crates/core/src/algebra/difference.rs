@@ -104,6 +104,7 @@ pub fn difference_op(wsd: &mut Wsd, left: &str, right: &str, out: &str) -> Resul
 #[cfg(test)]
 mod tests {
     use crate::algebra::Query;
+    use crate::exec::eval;
     use crate::wsd::Wsd;
     use maybms_relational::{ColumnType, Expr, Schema, Value};
     use maybms_worldset::eval::eval_in_all_worlds;
@@ -128,8 +129,8 @@ mod tests {
     }
 
     fn check(q: &Query, w: &Wsd) {
-        let lhs = q.eval(w).unwrap().to_worldset(100_000).unwrap();
-        let rhs = eval_in_all_worlds(&w.to_worldset(100_000).unwrap(), &q.to_world_query()).unwrap();
+        let lhs = eval(q, w).unwrap().to_worldset(100_000).unwrap();
+        let rhs = eval_in_all_worlds(&w.to_worldset(100_000).unwrap(), q).unwrap();
         assert!(lhs.equivalent(&rhs, 1e-9));
     }
 
@@ -143,7 +144,7 @@ mod tests {
     fn difference_with_self_is_empty() {
         let w = wsd();
         let q = Query::table("r").difference(Query::table("r"));
-        let out = q.eval(&w).unwrap();
+        let out = eval(&q, &w).unwrap();
         let ws = out.to_worldset(1000).unwrap();
         for (world, _) in ws.worlds() {
             assert!(world.get("result").unwrap().is_empty());
@@ -167,7 +168,7 @@ mod tests {
         w.push_certain("r", vec![Value::Int(2)]).unwrap();
         w.push_certain("s", vec![Value::Int(1)]).unwrap();
         let q = Query::table("r").difference(Query::table("s"));
-        let out = q.eval(&w).unwrap();
+        let out = eval(&q, &w).unwrap();
         let ws = out.to_worldset(10).unwrap();
         assert_eq!(ws.worlds()[0].0.get("result").unwrap().canonical().len(), 1);
         check(&q, &w);
@@ -177,9 +178,6 @@ mod tests {
     fn incompatible_schemas_error() {
         let mut w = wsd();
         w.add_relation("t", Schema::new(vec![("b", ColumnType::Str)])).unwrap();
-        assert!(Query::table("r")
-            .difference(Query::table("t"))
-            .eval(&w)
-            .is_err());
+        assert!(eval(&Query::table("r").difference(Query::table("t")), &w).is_err());
     }
 }

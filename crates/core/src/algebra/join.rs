@@ -283,6 +283,7 @@ fn push_pair(
 #[cfg(test)]
 mod tests {
     use crate::algebra::Query;
+    use crate::exec::eval;
     use crate::exec::WorkerPool;
     use crate::wsd::Wsd;
     use maybms_relational::{ColumnType, Expr, Schema, Value};
@@ -329,9 +330,9 @@ mod tests {
     }
 
     fn check_against_oracle(q: &Query, wsd: &Wsd) {
-        let lhs = q.eval(wsd).unwrap().to_worldset(100_000).unwrap();
+        let lhs = eval(q, wsd).unwrap().to_worldset(100_000).unwrap();
         let rhs =
-            eval_in_all_worlds(&wsd.to_worldset(100_000).unwrap(), &q.to_world_query()).unwrap();
+            eval_in_all_worlds(&wsd.to_worldset(100_000).unwrap(), q).unwrap();
         assert!(lhs.equivalent(&rhs, 1e-9));
     }
 
@@ -372,7 +373,7 @@ mod tests {
         delete_op(&mut w, "r", Some(&del)).unwrap();
         let on_b = Expr::col("x.b").eq(Expr::lit(5i64)).and(Expr::col("y.b").eq(Expr::lit(6i64)));
         let q = Query::table("r").qualify("x").join(Query::table("r").qualify("y"), on_b);
-        let got = q.eval(&w).unwrap();
+        let got = eval(&q, &w).unwrap();
         let mut full = got.clone();
         normalize_from_scratch(&mut full);
         assert_eq!(encode_wsd(&got), encode_wsd(&full));
@@ -445,7 +446,7 @@ mod tests {
             Query::table("treats"),
             Expr::col("diag").eq(Expr::col("drug")), // domains disjoint
         );
-        let out = q.eval(&wsd).unwrap();
+        let out = eval(&q, &wsd).unwrap();
         assert_eq!(out.relation("result").unwrap().tuples.len(), 0);
         check_against_oracle(&q, &wsd);
     }

@@ -56,148 +56,11 @@ pub use rename::{qualify_op, rename_op};
 pub use select::select_op;
 pub use union::union_op;
 
-use maybms_relational::{Expr, Result};
-use maybms_worldset::eval::WorldQuery;
+pub use maybms_relational::Query;
+use maybms_relational::Result;
 
 use crate::normalize;
 use crate::wsd::Wsd;
-
-/// A relational-algebra query over the relations of a WSD.
-///
-/// Mirrors [`maybms_worldset::eval::WorldQuery`] so that oracle tests can
-/// run the same query on the decomposition and on the enumerated worlds.
-#[derive(Debug, Clone)]
-pub enum Query {
-    Table(String),
-    Select(Box<Query>, Expr),
-    Project(Box<Query>, Vec<String>),
-    Product(Box<Query>, Box<Query>),
-    Join(Box<Query>, Box<Query>, Expr),
-    Union(Box<Query>, Box<Query>),
-    Difference(Box<Query>, Box<Query>),
-    /// Duplicate elimination. Under the paper's set semantics of worlds
-    /// this changes no world; it runs a dedup of redundant certain
-    /// templates, and [`compile`](crate::exec::compile) drops it over a
-    /// set-shaped input.
-    Distinct(Box<Query>),
-    Rename(Box<Query>, String, String),
-    Qualify(Box<Query>, String),
-}
-
-impl Query {
-    pub fn table(name: impl Into<String>) -> Query {
-        Query::Table(name.into())
-    }
-    pub fn select(self, pred: Expr) -> Query {
-        Query::Select(Box::new(self), pred)
-    }
-    pub fn project<I, S>(self, cols: I) -> Query
-    where
-        I: IntoIterator<Item = S>,
-        S: Into<String>,
-    {
-        Query::Project(Box::new(self), cols.into_iter().map(Into::into).collect())
-    }
-    pub fn product(self, rhs: Query) -> Query {
-        Query::Product(Box::new(self), Box::new(rhs))
-    }
-    pub fn join(self, rhs: Query, pred: Expr) -> Query {
-        Query::Join(Box::new(self), Box::new(rhs), pred)
-    }
-    pub fn union(self, rhs: Query) -> Query {
-        Query::Union(Box::new(self), Box::new(rhs))
-    }
-    pub fn difference(self, rhs: Query) -> Query {
-        Query::Difference(Box::new(self), Box::new(rhs))
-    }
-    pub fn distinct(self) -> Query {
-        Query::Distinct(Box::new(self))
-    }
-    pub fn rename(self, from: impl Into<String>, to: impl Into<String>) -> Query {
-        Query::Rename(Box::new(self), from.into(), to.into())
-    }
-    pub fn qualify(self, prefix: impl Into<String>) -> Query {
-        Query::Qualify(Box::new(self), prefix.into())
-    }
-
-    /// The node's inputs, left before right.
-    pub fn inputs(&self) -> Vec<&Query> {
-        match self {
-            Query::Table(_) => Vec::new(),
-            Query::Select(i, _)
-            | Query::Project(i, _)
-            | Query::Distinct(i)
-            | Query::Rename(i, _, _)
-            | Query::Qualify(i, _) => vec![i],
-            Query::Product(a, b)
-            | Query::Join(a, b, _)
-            | Query::Union(a, b)
-            | Query::Difference(a, b) => vec![a, b],
-        }
-    }
-
-    /// The same node over its inputs mapped through `f`, left before right.
-    pub fn map_inputs(&self, mut f: impl FnMut(&Query) -> Query) -> Query {
-        let mut g = |q: &Query| Box::new(f(q));
-        match self {
-            Query::Table(_) => self.clone(),
-            Query::Select(i, p) => Query::Select(g(i), p.clone()),
-            Query::Project(i, cols) => Query::Project(g(i), cols.clone()),
-            Query::Product(a, b) => Query::Product(g(a), g(b)),
-            Query::Join(a, b, p) => Query::Join(g(a), g(b), p.clone()),
-            Query::Union(a, b) => Query::Union(g(a), g(b)),
-            Query::Difference(a, b) => Query::Difference(g(a), g(b)),
-            Query::Distinct(i) => Query::Distinct(g(i)),
-            Query::Rename(i, from, to) => Query::Rename(g(i), from.clone(), to.clone()),
-            Query::Qualify(i, p) => Query::Qualify(g(i), p.clone()),
-        }
-    }
-
-    /// Evaluates the query on a decomposition, producing a decomposition of
-    /// the answer world-set whose single relation is named `"result"`:
-    /// [`compile`](crate::exec::compile) then a sequential
-    /// [`Executor`](crate::exec::Executor) run — the path production takes,
-    /// minus the optimizer and the worker pool.
-    pub fn eval(&self, base: &Wsd) -> Result<Wsd> {
-        let plan = crate::exec::compile(self, base)?;
-        crate::exec::Executor::sequential().run(&plan, base)
-    }
-
-    /// The same query as a [`WorldQuery`], for oracle comparison.
-    pub fn to_world_query(&self) -> WorldQuery {
-        match self {
-            Query::Table(n) => WorldQuery::Table(n.clone()),
-            Query::Select(q, p) => WorldQuery::Select(Box::new(q.to_world_query()), p.clone()),
-            Query::Project(q, cols) => {
-                WorldQuery::Project(Box::new(q.to_world_query()), cols.clone())
-            }
-            Query::Product(a, b) => WorldQuery::Product(
-                Box::new(a.to_world_query()),
-                Box::new(b.to_world_query()),
-            ),
-            Query::Join(a, b, p) => WorldQuery::Join(
-                Box::new(a.to_world_query()),
-                Box::new(b.to_world_query()),
-                p.clone(),
-            ),
-            Query::Union(a, b) => WorldQuery::Union(
-                Box::new(a.to_world_query()),
-                Box::new(b.to_world_query()),
-            ),
-            Query::Difference(a, b) => WorldQuery::Difference(
-                Box::new(a.to_world_query()),
-                Box::new(b.to_world_query()),
-            ),
-            Query::Distinct(q) => WorldQuery::Distinct(Box::new(q.to_world_query())),
-            Query::Rename(q, f, t) => {
-                WorldQuery::Rename(Box::new(q.to_world_query()), f.clone(), t.clone())
-            }
-            Query::Qualify(q, p) => {
-                WorldQuery::Qualify(Box::new(q.to_world_query()), p.clone())
-            }
-        }
-    }
-}
 
 /// The final step of query evaluation: a decomposition of `rel` alone,
 /// renamed `as_name`, built from its template and the components its

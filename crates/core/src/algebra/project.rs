@@ -58,6 +58,7 @@ fn project_tuple(
 #[cfg(test)]
 mod tests {
     use crate::algebra::Query;
+    use crate::exec::eval;
     use crate::examples::medical_wsd;
     use maybms_relational::{Expr, Value};
     use maybms_worldset::eval::eval_in_all_worlds;
@@ -71,7 +72,7 @@ mod tests {
         let q = Query::table("R")
             .select(Expr::col("diagnosis").eq(Expr::lit("pregnancy")))
             .project(["test"]);
-        let out = q.eval(&wsd).unwrap();
+        let out = eval(&q, &wsd).unwrap();
         out.validate().unwrap();
 
         let ws = out.to_worldset(1000).unwrap();
@@ -93,12 +94,12 @@ mod tests {
         let wsd = medical_wsd();
         // projecting away symptom should drop the symptom component
         let q = Query::table("R").project(["diagnosis", "test"]);
-        let out = q.eval(&wsd).unwrap();
+        let out = eval(&q, &wsd).unwrap();
         // r1's diagnosis+test component remains; r2 becomes fully certain
         assert_eq!(out.stats().components, 1);
         let lhs = out.to_worldset(1000).unwrap();
         let rhs =
-            eval_in_all_worlds(&wsd.to_worldset(1000).unwrap(), &q.to_world_query()).unwrap();
+            eval_in_all_worlds(&wsd.to_worldset(1000).unwrap(), &q).unwrap();
         assert!(lhs.equivalent(&rhs, 1e-9));
     }
 
@@ -110,11 +111,11 @@ mod tests {
         let q = Query::table("R")
             .select(Expr::col("symptom").eq(Expr::lit("fatigue")))
             .project(["diagnosis"]);
-        let out = q.eval(&wsd).unwrap();
+        let out = eval(&q, &wsd).unwrap();
         out.validate().unwrap();
         let lhs = out.to_worldset(1000).unwrap();
         let rhs =
-            eval_in_all_worlds(&wsd.to_worldset(1000).unwrap(), &q.to_world_query()).unwrap();
+            eval_in_all_worlds(&wsd.to_worldset(1000).unwrap(), &q).unwrap();
         assert!(lhs.equivalent(&rhs, 1e-9));
     }
 
@@ -122,7 +123,7 @@ mod tests {
     fn project_reorders_columns() {
         let wsd = medical_wsd();
         let q = Query::table("R").project(["test", "diagnosis"]);
-        let out = q.eval(&wsd).unwrap();
+        let out = eval(&q, &wsd).unwrap();
         assert_eq!(
             out.relation("result").unwrap().schema.names(),
             vec!["test", "diagnosis"]
@@ -132,6 +133,6 @@ mod tests {
     #[test]
     fn unknown_column_errors() {
         let wsd = medical_wsd();
-        assert!(Query::table("R").project(["nope"]).eval(&wsd).is_err());
+        assert!(eval(&Query::table("R").project(["nope"]), &wsd).is_err());
     }
 }

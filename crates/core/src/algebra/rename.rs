@@ -25,6 +25,7 @@ pub fn qualify_op(wsd: &mut Wsd, input: &str, prefix: &str, out: &str) -> Result
 #[cfg(test)]
 mod tests {
     use crate::algebra::Query;
+    use crate::exec::eval;
     use crate::examples::medical_wsd;
     use maybms_worldset::eval::eval_in_all_worlds;
 
@@ -32,11 +33,11 @@ mod tests {
     fn rename_changes_schema_only() {
         let wsd = medical_wsd();
         let q = Query::table("R").rename("diagnosis", "dx");
-        let out = q.eval(&wsd).unwrap();
+        let out = eval(&q, &wsd).unwrap();
         assert!(out.relation("result").unwrap().schema.contains("dx"));
         let lhs = out.to_worldset(1000).unwrap();
         let rhs =
-            eval_in_all_worlds(&wsd.to_worldset(1000).unwrap(), &q.to_world_query()).unwrap();
+            eval_in_all_worlds(&wsd.to_worldset(1000).unwrap(), &q).unwrap();
         assert!(lhs.equivalent(&rhs, 1e-9));
     }
 
@@ -44,7 +45,7 @@ mod tests {
     fn qualify_prefixes_all() {
         let wsd = medical_wsd();
         let q = Query::table("R").qualify("p");
-        let out = q.eval(&wsd).unwrap();
+        let out = eval(&q, &wsd).unwrap();
         assert_eq!(
             out.relation("result").unwrap().schema.names(),
             vec!["p.diagnosis", "p.test", "p.symptom"]
@@ -54,6 +55,6 @@ mod tests {
     #[test]
     fn rename_unknown_column_errors() {
         let wsd = medical_wsd();
-        assert!(Query::table("R").rename("zz", "a").eval(&wsd).is_err());
+        assert!(eval(&Query::table("R").rename("zz", "a"), &wsd).is_err());
     }
 }

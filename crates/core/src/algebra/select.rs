@@ -47,6 +47,7 @@ pub fn select_op(wsd: &mut Wsd, input: &str, pred: &Expr, out: &str) -> Result<(
 #[cfg(test)]
 mod tests {
     use crate::algebra::Query;
+    use crate::exec::eval;
     use crate::examples::medical_wsd;
     use crate::wsd::Wsd;
     use maybms_relational::{BinOp, ColumnType, Expr, Schema, Value};
@@ -63,12 +64,12 @@ mod tests {
             .select(Expr::col("diagnosis").eq(Expr::lit("pregnancy")))
             .project(["test"]);
 
-        let on_wsd = q.eval(&wsd).unwrap();
+        let on_wsd = eval(&q, &wsd).unwrap();
         on_wsd.validate().unwrap();
         let lhs = on_wsd.to_worldset(1000).unwrap();
 
         let worlds = wsd.to_worldset(1000).unwrap();
-        let rhs = eval_in_all_worlds(&worlds, &q.to_world_query()).unwrap();
+        let rhs = eval_in_all_worlds(&worlds, &q).unwrap();
         assert!(lhs.equivalent(&rhs, 1e-9));
     }
 
@@ -77,7 +78,7 @@ mod tests {
         let wsd = medical_wsd();
         // r2 is certain obesity: selecting obesity keeps it in every world
         let q = Query::table("R").select(Expr::col("diagnosis").eq(Expr::lit("obesity")));
-        let out = q.eval(&wsd).unwrap();
+        let out = eval(&q, &wsd).unwrap();
         let ws = out.to_worldset(1000).unwrap();
         for (w, _) in ws.worlds() {
             assert_eq!(w.get("result").unwrap().canonical().len(), 1);
@@ -88,9 +89,9 @@ mod tests {
     fn selection_on_symptom_spans_one_component() {
         let wsd = medical_wsd();
         let q = Query::table("R").select(Expr::col("symptom").eq(Expr::lit("fatigue")));
-        let out = q.eval(&wsd).unwrap();
+        let out = eval(&q, &wsd).unwrap();
         let lhs = out.to_worldset(1000).unwrap();
-        let rhs = eval_in_all_worlds(&wsd.to_worldset(1000).unwrap(), &q.to_world_query()).unwrap();
+        let rhs = eval_in_all_worlds(&wsd.to_worldset(1000).unwrap(), &q).unwrap();
         assert!(lhs.equivalent(&rhs, 1e-9));
     }
 
@@ -103,10 +104,10 @@ mod tests {
                 .eq(Expr::lit("pregnancy"))
                 .and(Expr::col("symptom").eq(Expr::lit("weight gain"))),
         );
-        let out = q.eval(&wsd).unwrap();
+        let out = eval(&q, &wsd).unwrap();
         out.validate().unwrap();
         let lhs = out.to_worldset(1000).unwrap();
-        let rhs = eval_in_all_worlds(&wsd.to_worldset(1000).unwrap(), &q.to_world_query()).unwrap();
+        let rhs = eval_in_all_worlds(&wsd.to_worldset(1000).unwrap(), &q).unwrap();
         assert!(lhs.equivalent(&rhs, 1e-9));
     }
 
@@ -126,8 +127,8 @@ mod tests {
         let q = Query::table("t")
             .select(Expr::col("a").ne(Expr::col("b")))
             .select(quot.gt(Expr::lit(0i64)));
-        let lhs = q.eval(&w).unwrap().to_worldset(1000).unwrap();
-        let rhs = eval_in_all_worlds(&w.to_worldset(1000).unwrap(), &q.to_world_query()).unwrap();
+        let lhs = eval(&q, &w).unwrap().to_worldset(1000).unwrap();
+        let rhs = eval_in_all_worlds(&w.to_worldset(1000).unwrap(), &q).unwrap();
         assert!(lhs.equivalent(&rhs, 1e-9));
     }
 
@@ -135,7 +136,7 @@ mod tests {
     fn empty_selection_yields_empty_worlds() {
         let wsd = medical_wsd();
         let q = Query::table("R").select(Expr::col("diagnosis").eq(Expr::lit("nonexistent")));
-        let out = q.eval(&wsd).unwrap();
+        let out = eval(&q, &wsd).unwrap();
         let ws = out.to_worldset(1000).unwrap();
         for (w, _) in ws.worlds() {
             assert!(w.get("result").unwrap().is_empty());

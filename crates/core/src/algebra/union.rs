@@ -20,6 +20,7 @@ pub fn union_op(wsd: &mut Wsd, left: &str, right: &str, out: &str) -> Result<()>
 #[cfg(test)]
 mod tests {
     use crate::algebra::Query;
+    use crate::exec::eval;
     use crate::wsd::Wsd;
     use maybms_relational::{ColumnType, Expr, Schema, Value};
     use maybms_worldset::eval::eval_in_all_worlds;
@@ -43,8 +44,8 @@ mod tests {
         let q = Query::table("r")
             .select(Expr::col("a").eq(Expr::lit(1i64)))
             .union(Query::table("r").select(Expr::col("a").ge(Expr::lit(2i64))));
-        let lhs = q.eval(&w).unwrap().to_worldset(1000).unwrap();
-        let rhs = eval_in_all_worlds(&w.to_worldset(1000).unwrap(), &q.to_world_query()).unwrap();
+        let lhs = eval(&q, &w).unwrap().to_worldset(1000).unwrap();
+        let rhs = eval_in_all_worlds(&w.to_worldset(1000).unwrap(), &q).unwrap();
         assert!(lhs.equivalent(&rhs, 1e-9));
     }
 
@@ -52,8 +53,8 @@ mod tests {
     fn union_with_self_keeps_correlation() {
         let w = wsd();
         let q = Query::table("r").union(Query::table("r"));
-        let lhs = q.eval(&w).unwrap().to_worldset(1000).unwrap();
-        let rhs = eval_in_all_worlds(&w.to_worldset(1000).unwrap(), &q.to_world_query()).unwrap();
+        let lhs = eval(&q, &w).unwrap().to_worldset(1000).unwrap();
+        let rhs = eval_in_all_worlds(&w.to_worldset(1000).unwrap(), &q).unwrap();
         assert!(lhs.equivalent(&rhs, 1e-9));
     }
 
@@ -62,6 +63,6 @@ mod tests {
         let mut w = wsd();
         w.add_relation("s", Schema::new(vec![("b", ColumnType::Str)])).unwrap();
         let q = Query::table("r").union(Query::table("s"));
-        assert!(q.eval(&w).is_err());
+        assert!(eval(&q, &w).is_err());
     }
 }

@@ -125,7 +125,7 @@ mod tests {
         )
         .unwrap();
         let q = crate::algebra::Query::table("r").select(Expr::col("a").eq(Expr::lit(1i64)));
-        let ans = q.eval(&w).unwrap();
+        let ans = crate::exec::eval(&q, &w).unwrap();
         let s = render(&ans);
         assert!(s.contains('⊥'), "{s}");
         assert!(s.contains('∃'), "{s}");

@@ -1,7 +1,8 @@
 //! # The execution layer
 //!
 //! The pipeline above this module stops at a rule-rewritten logical
-//! [`crate::algebra::Query`] tree. That tree is also the plan the
+//! [`maybms_relational::Query`] tree — the one query language, which the
+//! per-world reference (`maybms_worldset::eval`) evaluates as well. That tree is also the plan the
 //! executor runs — there is no second, physical tree:
 //!
 //! * [`plan`] — [`compile`] checks the optimized tree against the
@@ -19,9 +20,8 @@
 //!   work in [`crate::algebra::join_op_in`] and the walks of clusters of
 //!   several templates in [`crate::prob::tuple_confidence_opts_in`].
 //!
-//! [`crate::algebra::Query::eval`] is `compile` + a sequential
-//! `Executor` run, so the library, the SQL session and the tests share
-//! this one evaluator. Its reference is world enumeration
+//! [`eval`] is `compile` + a sequential `Executor` run, so the library,
+//! the SQL session and the tests share this one evaluator. Its reference is world enumeration
 //! (`maybms_worldset::eval::eval_in_all_worlds`): property tests in
 //! `tests/oracle_properties.rs` hold the executor to it at worker counts
 //! 1, 2 and N and require the answer to be byte-identical under the
@@ -33,4 +33,4 @@ pub mod run;
 
 pub use plan::{compile, explain, schema_of};
 pub use pool::{default_workers, global_pool, WorkerPool};
-pub use run::{dedup_op, Executor, NodeTrace};
+pub use run::{dedup_op, eval, Executor, NodeTrace};

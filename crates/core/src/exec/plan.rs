@@ -62,10 +62,10 @@ pub fn schema_of(q: &Query, wsd: &Wsd) -> Result<Schema> {
 /// drops each `DISTINCT` over a set-shaped input.
 pub fn compile(q: &Query, wsd: &Wsd) -> Result<Query> {
     schema_of(q, wsd)?;
-    Ok(elide_distinct(q))
+    elide_distinct(q)
 }
 
-fn elide_distinct(q: &Query) -> Query {
+fn elide_distinct(q: &Query) -> Result<Query> {
     match q {
         Query::Distinct(i) if set_shaped(i) => elide_distinct(i),
         _ => q.map_inputs(elide_distinct),

@@ -90,6 +90,14 @@ fn fresh(wsd: &Wsd, counter: &mut usize) -> String {
     }
 }
 
+/// Evaluates a query on a decomposition, producing a decomposition of the
+/// answer world-set whose single relation is named `"result"`:
+/// [`super::compile`] then a sequential [`Executor`] run — the path
+/// production takes, minus the optimizer and the worker pool.
+pub fn eval(q: &Query, base: &Wsd) -> Result<Wsd> {
+    Executor::sequential().run(&super::compile(q, base)?, base)
+}
+
 /// Executes compiled plans; hash joins probe on `pool`.
 pub struct Executor<'p> {
     pool: &'p WorkerPool,
@@ -249,9 +257,9 @@ mod tests {
     /// byte-identical under the codec. Returns the sequential answer.
     fn check_against_worlds(q: &Query, wsd: &Wsd) -> Wsd {
         let per_world =
-            eval_in_all_worlds(&wsd.to_worldset(100_000).unwrap(), &q.to_world_query()).unwrap();
+            eval_in_all_worlds(&wsd.to_worldset(100_000).unwrap(), q).unwrap();
         let plan = compile(q, wsd).expect("compile");
-        let sequential = q.eval(wsd).expect("eval");
+        let sequential = eval(q, wsd).expect("eval");
         for workers in [1, 2, 4] {
             let pool = WorkerPool::new(workers);
             let out = Executor::new(&pool).run(&plan, wsd).expect("run");

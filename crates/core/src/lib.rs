@@ -79,13 +79,15 @@
 //! cluster — no per-world hash maps.
 //!
 //! **One evaluator and the worker pool.** There is one plan tree:
-//! [`exec::compile`] checks the optimized [`algebra::Query`] against the
-//! catalog and drops `DISTINCT` over set-shaped inputs, and
-//! [`exec::Executor`] — the only plan walker; [`algebra::Query::eval`]
-//! is `compile` + a sequential run of it — evaluates each node with its
+//! [`exec::compile`] checks the optimized [`algebra::Query`] (the query
+//! language of `maybms-relational`, re-exported) against the catalog and
+//! drops `DISTINCT` over set-shaped inputs, and [`exec::Executor`] — the
+//! only plan walker; [`exec::eval`] is `compile` + a sequential run of
+//! it — evaluates each node with its
 //! tuple-at-a-time [`algebra`] operator, the only operator
-//! implementations (a join picks hash or nested scan itself). Its reference is per-world evaluation in
-//! `maybms-worldset`. [`exec::WorkerPool`] (a worker count,
+//! implementations (a join picks hash or nested scan itself). Its
+//! reference is per-world evaluation in `maybms-worldset`, which reads
+//! the same `Query`. [`exec::WorkerPool`] (a worker count,
 //! `MAYBMS_WORKERS` env override, and a `std::thread::scope` map)
 //! carries the two embarrassingly parallel passes — per-cluster
 //! confidence distributions and per-tuple join probing —

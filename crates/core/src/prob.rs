@@ -632,6 +632,7 @@ mod tests {
     use super::*;
     use crate::algebra::Query;
     use crate::examples::medical_wsd;
+    use crate::exec::eval;
     use maybms_relational::{ColumnType, Expr, Schema};
     use maybms_worldset::OrSetCell;
 
@@ -657,7 +658,7 @@ mod tests {
         let q = Query::table("R")
             .select(Expr::col("diagnosis").eq(Expr::lit("pregnancy")))
             .project(["test"]);
-        let ans = q.eval(&wsd).unwrap();
+        let ans = eval(&q, &wsd).unwrap();
         let conf = ans.tuple_confidence("result").unwrap();
         assert_eq!(conf.len(), 1);
         assert!((conf[0].1 - 0.4).abs() < 1e-12);
@@ -762,12 +763,12 @@ mod tests {
     fn nonempty_confidence_of_selection() {
         let wsd = medical_wsd();
         let q = Query::table("R").select(Expr::col("diagnosis").eq(Expr::lit("pregnancy")));
-        let ans = q.eval(&wsd).unwrap();
+        let ans = eval(&q, &wsd).unwrap();
         let p = nonempty_confidence_in(&ans, "result", WorkerPool::sequential()).unwrap();
         assert!((p - 0.4).abs() < 1e-9);
         // selecting the certain tuple: always nonempty
         let q2 = Query::table("R").select(Expr::col("diagnosis").eq(Expr::lit("obesity")));
-        let ans2 = q2.eval(&wsd).unwrap();
+        let ans2 = eval(&q2, &wsd).unwrap();
         let p2 = nonempty_confidence_in(&ans2, "result", WorkerPool::sequential()).unwrap();
         assert!((p2 - 1.0).abs() < 1e-12);
     }

@@ -3,6 +3,7 @@
 //! malformed inputs.
 
 use maybms_core::examples::medical_wsd;
+use maybms_core::exec::eval;
 use maybms_core::{Cell, CompRow, Component, Existence, Field, TemplateCell, TupleTemplate, Wsd};
 use maybms_relational::{ColumnType, Schema, Value};
 
@@ -131,7 +132,7 @@ fn queries_against_corrupt_field_maps_error() {
     w.compact();
     w.validate().unwrap(); // still fine after compacting
     let q = Query::table("R").select(Expr::col("diagnosis").eq(Expr::lit("pregnancy")));
-    q.eval(&w).unwrap(); // merged-but-consistent WSD still queries fine
+    eval(&q, &w).unwrap(); // merged-but-consistent WSD still queries fine
 
     // now drop the component entirely behind the template's back
     let broken = medical_wsd();

@@ -19,7 +19,7 @@ pub enum Error {
     /// Malformed CSV input.
     Csv(String),
     /// An expression is invalid in the requested context
-    /// (e.g. an aggregate used as a row-level predicate).
+    /// (e.g. an `UPDATE` assigning one column twice).
     InvalidExpr(String),
     /// Division by zero or other arithmetic failure.
     Arithmetic(String),

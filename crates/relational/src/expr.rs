@@ -88,29 +88,6 @@ impl fmt::Display for BinOp {
     }
 }
 
-/// Aggregate functions for GROUP BY evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum AggFunc {
-    Count,
-    Sum,
-    Min,
-    Max,
-    Avg,
-}
-
-impl fmt::Display for AggFunc {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            AggFunc::Count => "count",
-            AggFunc::Sum => "sum",
-            AggFunc::Min => "min",
-            AggFunc::Max => "max",
-            AggFunc::Avg => "avg",
-        };
-        write!(f, "{s}")
-    }
-}
-
 /// An unbound (name-based) expression tree.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Expr {

@@ -5,7 +5,9 @@
 //! implemented on top of PostgreSQL; this crate plays PostgreSQL's role,
 //! providing typed relations, an expression language, and the full
 //! relational algebra (selection, projection, product, joins, union,
-//! difference, distinct, sorting, renaming, grouping/aggregation).
+//! difference, distinct, sorting, renaming) — and the query language,
+//! [`Query`], that both MayBMS evaluators read: the world-set
+//! decomposition engine and the per-world reference.
 //!
 //! The engine is deliberately simple — materialized row-store operators —
 //! because the WSD layer's rewriting only needs a *faithful* relational
@@ -34,20 +36,20 @@
 
 #![forbid(unsafe_code)]
 
-pub mod catalog;
 pub mod csv;
 pub mod error;
 pub mod expr;
 pub mod ops;
 pub mod pretty;
+pub mod query;
 pub mod relation;
 pub mod schema;
 pub mod tuple;
 pub mod value;
 
-pub use catalog::Catalog;
 pub use error::{Error, Result};
-pub use expr::{AggFunc, BinOp, BoundExpr, CmpOp, Expr};
+pub use expr::{BinOp, BoundExpr, CmpOp, Expr};
+pub use query::Query;
 pub use relation::Relation;
 pub use schema::{Column, ColumnType, Schema};
 pub use tuple::Tuple;

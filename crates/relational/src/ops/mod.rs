@@ -6,7 +6,6 @@
 //! operations over the component relations* (plus ⊥-marking, which lives in
 //! `maybms-core`).
 
-mod aggregate;
 mod join;
 mod product;
 mod project;
@@ -15,10 +14,9 @@ mod select;
 mod setops;
 mod sort;
 
-pub use aggregate::{aggregate, AggSpec};
 pub use join::{hash_join, nested_loop_join, theta_join};
 pub use product::product;
-pub use project::{project, project_expr};
+pub use project::project;
 pub use rename::{qualify, rename};
 pub use select::select;
 pub use setops::{difference, distinct, intersect, union, union_all};

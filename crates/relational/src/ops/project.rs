@@ -1,11 +1,7 @@
 //! Projection (π). Bag semantics; compose with [`super::distinct`] for sets.
 
 use crate::error::Result;
-use crate::expr::Expr;
 use crate::relation::Relation;
-use crate::schema::{Column, ColumnType, Schema};
-use crate::tuple::Tuple;
-use crate::value::Value;
 
 /// π_cols(r): keeps the named columns, in the given order.
 pub fn project(r: &Relation, cols: &[&str]) -> Result<Relation> {
@@ -18,56 +14,11 @@ pub fn project(r: &Relation, cols: &[&str]) -> Result<Relation> {
     Ok(Relation::from_rows_unchecked(schema, rows))
 }
 
-/// Generalized projection: each output column is `(name, expression)`.
-/// Output column types are inferred from the first row (falling back to the
-/// referenced column's type, or `Str` for empty inputs of unknown shape).
-pub fn project_expr(r: &Relation, cols: &[(&str, Expr)]) -> Result<Relation> {
-    let bound: Vec<_> = cols
-        .iter()
-        .map(|(_, e)| e.bind(r.schema()))
-        .collect::<Result<Vec<_>>>()?;
-
-    let mut rows: Vec<Tuple> = Vec::with_capacity(r.len());
-    for t in r.iter() {
-        let vals: Vec<Value> = bound.iter().map(|b| b.eval(t)).collect::<Result<_>>()?;
-        rows.push(Tuple::new(vals));
-    }
-
-    let mut schema_cols = Vec::with_capacity(cols.len());
-    for (i, (name, e)) in cols.iter().enumerate() {
-        let ty = infer_type(e, r, rows.first().map(|t| &t[i]));
-        schema_cols.push(Column::new(*name, ty));
-    }
-    Ok(Relation::from_rows_unchecked(
-        Schema::from_columns(schema_cols),
-        rows,
-    ))
-}
-
-fn infer_type(e: &Expr, r: &Relation, first: Option<&Value>) -> ColumnType {
-    if let Expr::Col(n) = e {
-        if let Ok(i) = r.schema().index_of(n) {
-            return r.schema().column(i).ty;
-        }
-    }
-    if let Some(v) = first {
-        if let Some(t) = v.column_type() {
-            return t;
-        }
-    }
-    match e {
-        Expr::Lit(v) => v.column_type().unwrap_or(ColumnType::Str),
-        Expr::Cmp(..) | Expr::And(..) | Expr::Or(..) | Expr::Not(..) | Expr::IsNull(..)
-        | Expr::InList(..) => ColumnType::Bool,
-        Expr::Bin(..) => ColumnType::Float,
-        _ => ColumnType::Str,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::expr::BinOp;
+    use crate::schema::{ColumnType, Schema};
+    use crate::value::Value;
 
     fn sample() -> Relation {
         let mut r = Relation::empty(Schema::new(vec![
@@ -92,20 +43,6 @@ mod tests {
         r.push_values(vec![Value::Int(9), Value::str("x")]).unwrap();
         let out = project(&r, &["b"]).unwrap();
         assert_eq!(out.len(), 3); // duplicate "x" kept
-    }
-
-    #[test]
-    fn project_expr_computes() {
-        let out = project_expr(
-            &sample(),
-            &[(
-                "a2",
-                Expr::Bin(BinOp::Mul, Box::new(Expr::col("a")), Box::new(Expr::lit(2i64))),
-            )],
-        )
-        .unwrap();
-        assert_eq!(out.rows()[1][0], Value::Int(4));
-        assert_eq!(out.schema().column(0).name, "a2");
     }
 
     #[test]

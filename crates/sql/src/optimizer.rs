@@ -28,6 +28,7 @@
 use std::collections::HashMap;
 
 use maybms_core::algebra::Query;
+use maybms_core::exec::schema_of;
 use maybms_core::stats::{estimate_query, selectivity, Estimate, WsdStats};
 use maybms_core::wsd::Wsd;
 use maybms_relational::{CmpOp, Expr, Result, Schema};
@@ -35,14 +36,6 @@ use maybms_relational::{CmpOp, Expr, Result, Schema};
 /// Reordering clusters above this size would make the subset DP itself
 /// the bottleneck; such plans keep their AST order.
 const MAX_REORDER_INPUTS: usize = 12;
-
-/// The inferred output schema of a plan node. Delegates to the single
-/// implementation in the execution layer ([`maybms_core::exec::schema_of`]),
-/// which both the optimizer's pushdown rules and
-/// [`maybms_core::exec::compile`] share.
-pub fn schema_of(q: &Query, wsd: &Wsd) -> Result<Schema> {
-    maybms_core::exec::schema_of(q, wsd)
-}
 
 /// Optimizes a plan to a fixpoint (bounded rounds for safety), then
 /// reorders join clusters with a throwaway stats collector.
@@ -66,49 +59,12 @@ pub fn optimize_with_stats(q: &Query, wsd: &Wsd, stats: &mut WsdStats) -> Result
 
 fn rewrite(q: &Query, wsd: &Wsd) -> Result<(Query, bool)> {
     // bottom-up
-    let (q, mut changed) = match q {
-        Query::Table(_) => (q.clone(), false),
-        Query::Select(i, p) => {
-            let (i2, c) = rewrite(i, wsd)?;
-            (Query::Select(Box::new(i2), p.clone()), c)
-        }
-        Query::Project(i, cols) => {
-            let (i2, c) = rewrite(i, wsd)?;
-            (Query::Project(Box::new(i2), cols.clone()), c)
-        }
-        Query::Product(a, b) => {
-            let (a2, ca) = rewrite(a, wsd)?;
-            let (b2, cb) = rewrite(b, wsd)?;
-            (Query::Product(Box::new(a2), Box::new(b2)), ca || cb)
-        }
-        Query::Join(a, b, p) => {
-            let (a2, ca) = rewrite(a, wsd)?;
-            let (b2, cb) = rewrite(b, wsd)?;
-            (Query::Join(Box::new(a2), Box::new(b2), p.clone()), ca || cb)
-        }
-        Query::Union(a, b) => {
-            let (a2, ca) = rewrite(a, wsd)?;
-            let (b2, cb) = rewrite(b, wsd)?;
-            (Query::Union(Box::new(a2), Box::new(b2)), ca || cb)
-        }
-        Query::Difference(a, b) => {
-            let (a2, ca) = rewrite(a, wsd)?;
-            let (b2, cb) = rewrite(b, wsd)?;
-            (Query::Difference(Box::new(a2), Box::new(b2)), ca || cb)
-        }
-        Query::Distinct(i) => {
-            let (i2, c) = rewrite(i, wsd)?;
-            (Query::Distinct(Box::new(i2)), c)
-        }
-        Query::Rename(i, f, t) => {
-            let (i2, c) = rewrite(i, wsd)?;
-            (Query::Rename(Box::new(i2), f.clone(), t.clone()), c)
-        }
-        Query::Qualify(i, p) => {
-            let (i2, c) = rewrite(i, wsd)?;
-            (Query::Qualify(Box::new(i2), p.clone()), c)
-        }
-    };
+    let mut changed = false;
+    let q = q.map_inputs(|i| {
+        let (i2, c) = rewrite(i, wsd)?;
+        changed |= c;
+        Ok(i2)
+    })?;
 
     // top rules
     let rewritten = match &q {
@@ -127,11 +83,11 @@ fn rewrite(q: &Query, wsd: &Wsd) -> Result<(Query, bool)> {
                 ))
             } else if let Query::Product(a, b) = inner.as_ref() {
                 // rule 1: split & push into the product
-                Some(push_into_product(a, b, p, wsd, false)?)
+                Some(push_into_product(a, b, p, wsd)?)
             } else if let Query::Join(a, b, jp) = inner.as_ref() {
                 // fold extra conjuncts into the join
                 let combined = jp.clone().and(p.clone());
-                Some(push_into_product(a, b, &combined, wsd, true)?)
+                Some(push_into_product(a, b, &combined, wsd)?)
             } else {
                 None
             }
@@ -148,25 +104,16 @@ fn rewrite(q: &Query, wsd: &Wsd) -> Result<(Query, bool)> {
         _ => None,
     };
 
-    match rewritten {
-        Some(r) => {
-            changed = true;
-            Ok((r, changed))
-        }
-        None => Ok((q, changed)),
-    }
+    Ok(match rewritten {
+        Some(r) => (r, true),
+        None => (q, changed),
+    })
 }
 
 /// Distributes the conjuncts of `pred` over `a × b`: conjuncts referencing
 /// only `a`'s columns become σ on `a`, only `b`'s on `b`, and the rest the
 /// join condition.
-fn push_into_product(
-    a: &Query,
-    b: &Query,
-    pred: &Expr,
-    wsd: &Wsd,
-    _was_join: bool,
-) -> Result<Query> {
+fn push_into_product(a: &Query, b: &Query, pred: &Expr, wsd: &Wsd) -> Result<Query> {
     let sa = schema_of(a, wsd)?;
     let sb = schema_of(b, wsd)?;
     let mut left: Vec<Expr> = Vec::new();
@@ -203,33 +150,15 @@ fn push_into_product(
 }
 
 /// Walks the plan, reordering every join/product cluster of three or
-/// more inputs via the subset DP. Non-join nodes recurse structurally.
+/// more inputs via the subset DP; a cluster the DP leaves alone, and
+/// every other node, keeps its shape over recursed inputs.
 fn reorder_joins(q: &Query, wsd: &Wsd, stats: &mut WsdStats) -> Result<Query> {
-    Ok(match q {
-        Query::Join(..) | Query::Product(..) => reorder_cluster(q, wsd, stats)?,
-        Query::Table(_) => q.clone(),
-        Query::Select(i, p) => {
-            Query::Select(Box::new(reorder_joins(i, wsd, stats)?), p.clone())
+    if matches!(q, Query::Join(..) | Query::Product(..)) {
+        if let Some(reordered) = reorder_cluster(q, wsd, stats)? {
+            return Ok(reordered);
         }
-        Query::Project(i, cols) => {
-            Query::Project(Box::new(reorder_joins(i, wsd, stats)?), cols.clone())
-        }
-        Query::Union(a, b) => Query::Union(
-            Box::new(reorder_joins(a, wsd, stats)?),
-            Box::new(reorder_joins(b, wsd, stats)?),
-        ),
-        Query::Difference(a, b) => Query::Difference(
-            Box::new(reorder_joins(a, wsd, stats)?),
-            Box::new(reorder_joins(b, wsd, stats)?),
-        ),
-        Query::Distinct(i) => Query::Distinct(Box::new(reorder_joins(i, wsd, stats)?)),
-        Query::Rename(i, f, t) => {
-            Query::Rename(Box::new(reorder_joins(i, wsd, stats)?), f.clone(), t.clone())
-        }
-        Query::Qualify(i, p) => {
-            Query::Qualify(Box::new(reorder_joins(i, wsd, stats)?), p.clone())
-        }
-    })
+    }
+    q.map_inputs(|i| reorder_joins(i, wsd, stats))
 }
 
 /// Collects the maximal join/product cluster rooted at `q`: its non-join
@@ -256,23 +185,6 @@ fn flatten_joins(
     Ok(())
 }
 
-/// Rebuilds the cluster in its original shape (children still recursed)
-/// when reordering does not apply.
-fn keep_order(q: &Query, wsd: &Wsd, stats: &mut WsdStats) -> Result<Query> {
-    Ok(match q {
-        Query::Join(a, b, p) => Query::Join(
-            Box::new(reorder_joins(a, wsd, stats)?),
-            Box::new(reorder_joins(b, wsd, stats)?),
-            p.clone(),
-        ),
-        Query::Product(a, b) => Query::Product(
-            Box::new(reorder_joins(a, wsd, stats)?),
-            Box::new(reorder_joins(b, wsd, stats)?),
-        ),
-        other => reorder_joins(other, wsd, stats)?,
-    })
-}
-
 /// The `l = r` column pair of a cross equality conjunct, if any.
 fn eq_cols(c: &Expr) -> Option<(&str, &str)> {
     if let Expr::Cmp(CmpOp::Eq, a, b) = c {
@@ -284,29 +196,29 @@ fn eq_cols(c: &Expr) -> Option<(&str, &str)> {
 }
 
 /// Reorders one join/product cluster by a bushy dynamic program over the
-/// power set of its inputs. Falls back to the AST order when the cluster
-/// has fewer than three inputs, the inputs' column names collide, a
-/// conjunct references unknown columns, or estimation fails.
-fn reorder_cluster(q: &Query, wsd: &Wsd, stats: &mut WsdStats) -> Result<Query> {
+/// power set of its inputs. `None` keeps the AST order: the cluster has
+/// fewer than three inputs, the inputs' column names collide, a conjunct
+/// references unknown columns, or estimation fails.
+fn reorder_cluster(q: &Query, wsd: &Wsd, stats: &mut WsdStats) -> Result<Option<Query>> {
     let mut inputs: Vec<Query> = Vec::new();
     let mut conjuncts: Vec<Expr> = Vec::new();
     flatten_joins(q, wsd, stats, &mut inputs, &mut conjuncts)?;
     let n = inputs.len();
     if !(3..=MAX_REORDER_INPUTS).contains(&n) {
-        return keep_order(q, wsd, stats);
+        return Ok(None);
     }
 
     // The inputs' schemas; reordering needs globally unique column names
     // to re-attribute conjuncts and restore the output column order.
     let schemas: Vec<Schema> = match inputs.iter().map(|i| schema_of(i, wsd)).collect() {
         Ok(s) => s,
-        Err(_) => return keep_order(q, wsd, stats),
+        Err(_) => return Ok(None),
     };
     let mut col_input: HashMap<String, usize> = HashMap::new();
     for (i, s) in schemas.iter().enumerate() {
         for name in s.names() {
             if col_input.insert(name.to_string(), i).is_some() {
-                return keep_order(q, wsd, stats); // ambiguous column name
+                return Ok(None); // ambiguous column name
             }
         }
     }
@@ -321,7 +233,7 @@ fn reorder_cluster(q: &Query, wsd: &Wsd, stats: &mut WsdStats) -> Result<Query> 
         for col in c.columns() {
             match col_input.get(col) {
                 Some(&i) => mask |= 1 << i,
-                None => return keep_order(q, wsd, stats),
+                None => return Ok(None),
             }
         }
         match mask.count_ones() {
@@ -339,7 +251,7 @@ fn reorder_cluster(q: &Query, wsd: &Wsd, stats: &mut WsdStats) -> Result<Query> 
     let ests: Vec<Estimate> = match inputs.iter().map(|i| estimate_query(i, wsd, stats)).collect()
     {
         Ok(e) => e,
-        Err(_) => return keep_order(q, wsd, stats),
+        Err(_) => return Ok(None),
     };
     let mut global = Estimate { rows: 1.0, ..Estimate::default() };
     for e in &ests {
@@ -448,14 +360,14 @@ fn reorder_cluster(q: &Query, wsd: &Wsd, stats: &mut WsdStats) -> Result<Query> 
             schemas.iter().flat_map(|s| s.names().into_iter().map(str::to_string)).collect();
         result = Query::Project(Box::new(result), names);
     }
-    Ok(result)
+    Ok(Some(result))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use maybms_core::examples::medical_wsd;
-    use maybms_core::exec::explain as render;
+    use maybms_core::exec::{eval, explain as render};
     use maybms_relational::{ColumnType, Schema};
     use maybms_worldset::eval::eval_in_all_worlds;
 
@@ -515,12 +427,12 @@ mod tests {
             .select(Expr::col("test").eq(Expr::col("tname")))
             .project(["diagnosis", "cost"]);
         let opt = optimize(&q, &w).unwrap();
-        let lhs = q.eval(&w).unwrap().to_worldset(100_000).unwrap();
-        let rhs = opt.eval(&w).unwrap().to_worldset(100_000).unwrap();
+        let lhs = eval(&q, &w).unwrap().to_worldset(100_000).unwrap();
+        let rhs = eval(&opt, &w).unwrap().to_worldset(100_000).unwrap();
         assert!(lhs.equivalent(&rhs, 1e-9));
         // and both equal the per-world evaluation
         let oracle =
-            eval_in_all_worlds(&w.to_worldset(100_000).unwrap(), &q.to_world_query()).unwrap();
+            eval_in_all_worlds(&w.to_worldset(100_000).unwrap(), &q).unwrap();
         assert!(lhs.equivalent(&oracle, 1e-9));
     }
 
@@ -534,8 +446,8 @@ mod tests {
         let opt = optimize(&q, &w).unwrap();
         let txt = explain(&opt, &w);
         assert!(txt.starts_with("Union"), "selection should distribute:\n{txt}");
-        let lhs = q.eval(&w).unwrap().to_worldset(100_000).unwrap();
-        let rhs = opt.eval(&w).unwrap().to_worldset(100_000).unwrap();
+        let lhs = eval(&q, &w).unwrap().to_worldset(100_000).unwrap();
+        let rhs = eval(&opt, &w).unwrap().to_worldset(100_000).unwrap();
         assert!(lhs.equivalent(&rhs, 1e-9));
     }
 
@@ -548,8 +460,8 @@ mod tests {
         let opt = optimize(&q, &w).unwrap();
         let txt = explain(&opt, &w);
         assert_eq!(txt.matches("Project").count(), 1, "{txt}");
-        let lhs = q.eval(&w).unwrap().to_worldset(1000).unwrap();
-        let rhs = opt.eval(&w).unwrap().to_worldset(1000).unwrap();
+        let lhs = eval(&q, &w).unwrap().to_worldset(1000).unwrap();
+        let rhs = eval(&opt, &w).unwrap().to_worldset(1000).unwrap();
         assert!(lhs.equivalent(&rhs, 1e-9));
     }
 
@@ -599,8 +511,8 @@ mod tests {
             "{txt}"
         );
         // the reorder keeps world semantics
-        let lhs = q.eval(&w).unwrap().to_worldset(100).unwrap();
-        let rhs = opt.eval(&w).unwrap().to_worldset(100).unwrap();
+        let lhs = eval(&q, &w).unwrap().to_worldset(100).unwrap();
+        let rhs = eval(&opt, &w).unwrap().to_worldset(100).unwrap();
         assert!(lhs.equivalent(&rhs, 1e-9));
         // and the chosen plan does not join the two big tables first:
         // the cheapest subtree pairs tiny with a big table.
@@ -639,8 +551,8 @@ mod tests {
             .product(Query::table("big1"))
             .product(Query::table("tiny"));
         let opt = optimize(&q, &w).unwrap();
-        let lhs = q.eval(&w).unwrap().to_worldset(100).unwrap();
-        let rhs = opt.eval(&w).unwrap().to_worldset(100).unwrap();
+        let lhs = eval(&q, &w).unwrap().to_worldset(100).unwrap();
+        let rhs = eval(&opt, &w).unwrap().to_worldset(100).unwrap();
         assert!(lhs.equivalent(&rhs, 1e-9));
     }
 

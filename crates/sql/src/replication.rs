@@ -130,11 +130,11 @@ fn metrics() -> &'static ReplMetrics {
     })
 }
 
-/// A lock-free live view of a replica's position, shared between the
-/// applying thread and the replica's session so `SHOW REPLICATION STATUS`
-/// can report staleness *as data* without taking the replica mutex:
-/// last-applied LSN, the primary's last known durable LSN, and how long
-/// ago the primary was last heard from.
+/// A replica's position — the only place it is kept — shared lock-free
+/// between the applying thread and the replica's session so `SHOW
+/// REPLICATION STATUS` can report staleness *as data* without taking the
+/// replica mutex: last-applied LSN, the primary's last known durable LSN,
+/// and how long ago the primary was last heard from.
 #[derive(Debug)]
 pub struct ReplStatus {
     applied_lsn: AtomicU64,
@@ -163,8 +163,9 @@ impl ReplStatus {
         self.applied_lsn.store(lsn, Ordering::Relaxed);
     }
 
-    fn set_primary(&self, lsn: u64) {
-        self.primary_lsn.store(lsn, Ordering::Relaxed);
+    /// Raises the primary's known LSN to `lsn` (it never goes back).
+    fn raise_primary(&self, lsn: u64) {
+        self.primary_lsn.fetch_max(lsn, Ordering::Relaxed);
     }
 
     /// LSN of the last record the replica has applied.
@@ -380,14 +381,8 @@ impl<S: Read + Write> ReplicaConn<S> {
 pub struct Replica {
     session: Session,
     generation: u64,
-    applied_lsn: u64,
-    /// The primary's last known durable LSN (from records/heartbeats).
-    primary_lsn: u64,
-    /// When the primary was last heard from (any message — records and
-    /// heartbeats alike prove liveness).
-    last_contact: Instant,
-    /// Mirror of the position fields above, shared with the session so
-    /// `SHOW REPLICATION STATUS` reads live values without this struct.
+    /// The replica's position, shared with the session so `SHOW
+    /// REPLICATION STATUS` reads live values without this struct.
     status: Arc<ReplStatus>,
 }
 
@@ -408,9 +403,6 @@ impl Replica {
         Replica {
             session,
             generation: 0,
-            applied_lsn: 0,
-            primary_lsn: 0,
-            last_contact: Instant::now(), // maybms-lint: allow(determinism) -- control-plane wall clock (heartbeat/staleness); applied bytes come solely from WAL records
             status,
         }
     }
@@ -434,7 +426,7 @@ impl Replica {
 
     /// LSN of the last record this replica has applied.
     pub fn applied_lsn(&self) -> u64 {
-        self.applied_lsn
+        self.status.applied_lsn()
     }
 
     /// The snapshot generation of the replica's state.
@@ -446,14 +438,14 @@ impl Replica {
     /// `primary_lsn() == applied_lsn()` means "caught up as of the last
     /// message".
     pub fn primary_lsn(&self) -> u64 {
-        self.primary_lsn
+        self.status.primary_lsn()
     }
 
     /// How long since the primary was last heard from (any message —
     /// heartbeats keep an idle connection fresh). Counted from the
     /// replica's construction until the first message arrives.
     pub fn since_last_contact(&self) -> Duration {
-        self.last_contact.elapsed()
+        self.status.since_last_contact()
     }
 
     /// Whether the primary has been silent longer than `timeout`. The
@@ -464,7 +456,7 @@ impl Replica {
     /// should stop trusting their reads' freshness and reconnect (e.g.
     /// via [`follow_with_retry`]).
     pub fn is_stale(&self, timeout: Duration) -> bool {
-        self.last_contact.elapsed() > timeout
+        self.since_last_contact() > timeout
     }
 
     /// Opens the conversation on `stream`: sends `Hello` naming this
@@ -473,7 +465,7 @@ impl Replica {
     pub fn connect<S: Read + Write>(&self, mut stream: S) -> Result<ReplicaConn<S>> {
         send_msg(
             &mut stream,
-            &Msg::Hello { generation: self.generation, last_lsn: self.applied_lsn },
+            &Msg::Hello { generation: self.generation, last_lsn: self.applied_lsn() },
         )?;
         Ok(ReplicaConn { stream })
     }
@@ -483,7 +475,6 @@ impl Replica {
     /// LSNs is a protocol violation and is refused. Returns `true` when
     /// the replica's state advanced.
     pub fn apply_msg(&mut self, msg: Msg) -> SessionResult<bool> {
-        self.last_contact = Instant::now(); // maybms-lint: allow(determinism) -- control-plane wall clock (heartbeat/staleness); applied bytes come solely from WAL records
         self.status.touch();
         match msg {
             Msg::Snapshot { generation, last_lsn, payload } => {
@@ -491,22 +482,19 @@ impl Replica {
                 *self.session.wsd_mut() = wsd;
                 self.session.cleaning_log.clear();
                 self.generation = generation;
-                self.applied_lsn = last_lsn;
-                self.primary_lsn = self.primary_lsn.max(last_lsn);
-                self.status.set_applied(self.applied_lsn);
-                self.status.set_primary(self.primary_lsn);
+                self.status.set_applied(last_lsn);
+                self.status.raise_primary(last_lsn);
                 Ok(true)
             }
             Msg::Record { lsn, payload } => {
-                self.primary_lsn = self.primary_lsn.max(lsn);
-                self.status.set_primary(self.primary_lsn);
-                if lsn <= self.applied_lsn {
+                self.status.raise_primary(lsn);
+                let applied = self.applied_lsn();
+                if lsn <= applied {
                     return Ok(false); // duplicate across a reconnect
                 }
-                if lsn != self.applied_lsn + 1 {
+                if lsn != applied + 1 {
                     return Err(SessionError::storage(Error::Storage(format!(
-                        "gap in shipped log: applied LSN {} but received LSN {lsn}",
-                        self.applied_lsn
+                        "gap in shipped log: applied LSN {applied} but received LSN {lsn}"
                     ))));
                 }
                 let stmts = wire::decode_wal_record(&payload).map_err(SessionError::storage)?;
@@ -519,14 +507,12 @@ impl Replica {
                         )))
                     })?;
                 }
-                self.applied_lsn = lsn;
                 self.status.set_applied(lsn);
                 metrics().applied_records.inc();
                 Ok(true)
             }
             Msg::Heartbeat { generation: _, last_lsn } => {
-                self.primary_lsn = self.primary_lsn.max(last_lsn);
-                self.status.set_primary(self.primary_lsn);
+                self.status.raise_primary(last_lsn);
                 Ok(false)
             }
             Msg::Hello { .. } => Err(SessionError::storage(Error::Storage(
@@ -543,7 +529,7 @@ impl Replica {
         conn: &mut ReplicaConn<S>,
         lsn: u64,
     ) -> SessionResult<()> {
-        while self.applied_lsn < lsn {
+        while self.applied_lsn() < lsn {
             let msg = conn.recv().map_err(SessionError::storage)?;
             self.apply_msg(msg)?;
         }

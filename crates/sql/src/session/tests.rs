@@ -765,7 +765,7 @@ fn expected_aggregates() {
     // oracle agreement on the count
     let q = maybms_core::algebra::Query::table("R")
         .select(maybms_relational::Expr::col("diagnosis").eq(Expr::lit("pregnancy")));
-    let ans = q.eval(s.wsd()).unwrap();
+    let ans = maybms_core::exec::eval(&q, s.wsd()).unwrap();
     let brute = ans.to_worldset(100_000).unwrap().expected_count("result");
     assert!((brute - 0.4).abs() < 1e-9);
     use maybms_relational::Expr;

@@ -302,18 +302,14 @@ impl Database {
     /// needed to rebuild its state: the snapshot payload and the WAL
     /// records committed after it.
     pub fn open(path: impl AsRef<Path>) -> Result<Recovered> {
-        Self::open_with_page_size(path, DEFAULT_PAGE_SIZE)
+        Self::open_with_vfs(path, DEFAULT_PAGE_SIZE, std_vfs())
     }
 
     /// As [`Database::open`] with an explicit snapshot page size for new
     /// base snapshots (an existing snapshot's own page size is read from
-    /// its header, and incremental overlays always reuse it).
-    pub fn open_with_page_size(path: impl AsRef<Path>, page_size: usize) -> Result<Recovered> {
-        Self::open_with_vfs(path, page_size, std_vfs())
-    }
-
-    /// As [`Database::open_with_page_size`], with all I/O routed through
-    /// an explicit [`Vfs`] — the entry point fault-injection tests use.
+    /// its header, and incremental overlays always reuse it), and with all
+    /// I/O routed through an explicit [`Vfs`] — the entry point
+    /// fault-injection tests use.
     pub fn open_with_vfs(
         path: impl AsRef<Path>,
         page_size: usize,
@@ -729,7 +725,7 @@ mod tests {
     #[test]
     fn incremental_checkpoint_writes_only_changed_pages() {
         let path = tmp("inc");
-        let mut db = Database::open_with_page_size(&path, 64).unwrap().db;
+        let mut db = Database::open_with_vfs(&path, 64, std_vfs()).unwrap().db;
         let state: Vec<u8> = (0..1000u32).map(|i| (i % 251) as u8).collect();
         assert!(matches!(db.checkpoint(&state).unwrap(), CheckpointKind::Full { .. }));
         let base_bytes = std::fs::read(&path).unwrap();
@@ -778,7 +774,7 @@ mod tests {
     #[test]
     fn widespread_change_falls_back_to_full() {
         let path = tmp("widespread");
-        let mut db = Database::open_with_page_size(&path, 64).unwrap().db;
+        let mut db = Database::open_with_vfs(&path, 64, std_vfs()).unwrap().db;
         let state: Vec<u8> = vec![1u8; 1000];
         db.checkpoint(&state).unwrap();
         // every byte changes: a full rewrite, and the old overlay (none
@@ -795,7 +791,7 @@ mod tests {
     #[test]
     fn checkpoint_full_collapses_overlay() {
         let path = tmp("collapse");
-        let mut db = Database::open_with_page_size(&path, 64).unwrap().db;
+        let mut db = Database::open_with_vfs(&path, 64, std_vfs()).unwrap().db;
         let state: Vec<u8> = (0..500u32).map(|i| (i % 13) as u8).collect();
         db.checkpoint(&state).unwrap();
         let mut state2 = state.clone();
@@ -818,7 +814,7 @@ mod tests {
     #[test]
     fn stale_overlay_after_interrupted_full_checkpoint_is_discarded() {
         let path = tmp("stale-inc");
-        let mut db = Database::open_with_page_size(&path, 64).unwrap().db;
+        let mut db = Database::open_with_vfs(&path, 64, std_vfs()).unwrap().db;
         let state: Vec<u8> = vec![5u8; 300];
         db.checkpoint(&state).unwrap();
         let mut state2 = state.clone();
@@ -846,7 +842,7 @@ mod tests {
     #[test]
     fn corrupt_overlay_fails_loudly() {
         let path = tmp("corrupt-inc");
-        let mut db = Database::open_with_page_size(&path, 64).unwrap().db;
+        let mut db = Database::open_with_vfs(&path, 64, std_vfs()).unwrap().db;
         let state: Vec<u8> = (0..500u32).map(|i| (i % 7) as u8).collect();
         db.checkpoint(&state).unwrap();
         let mut state2 = state.clone();
@@ -905,7 +901,7 @@ mod tests {
     fn read_snapshot_state_sees_base_plus_overlay() {
         let path = tmp("readstate");
         assert!(read_snapshot_state(&*std_vfs(), &path).unwrap().is_none());
-        let mut db = Database::open_with_page_size(&path, 64).unwrap().db;
+        let mut db = Database::open_with_vfs(&path, 64, std_vfs()).unwrap().db;
         db.append(b"x").unwrap();
         db.checkpoint(b"base state").unwrap();
         let (generation, lsn, payload) = read_snapshot_state(&*std_vfs(), &path).unwrap().unwrap();

@@ -1,69 +1,48 @@
 //! Per-world query evaluation: the semantics every WSD operator must match.
 //!
 //! "The semantics of query evaluation on world-sets is to evaluate the query
-//! in each of the worlds." (paper, §2)
+//! in each of the worlds." (paper, §2) The query is the engine's own
+//! [`Query`] tree; this evaluator runs it with the row-store operators of
+//! [`maybms_relational::ops`] on each explicit world, independently of the
+//! decomposition engine.
 
-use maybms_relational::{ops, Expr, Relation, Result};
+use maybms_relational::{ops, Error, Query, Relation, Result};
 
 use crate::world::{World, WorldSet};
 
-/// A tiny algebra-over-worlds AST, mirroring the WSD algebra in
-/// `maybms-core` so that oracle tests can run *the same* query both ways.
-#[derive(Debug, Clone)]
-pub enum WorldQuery {
-    /// Base relation by name.
-    Table(String),
-    Select(Box<WorldQuery>, Expr),
-    Project(Box<WorldQuery>, Vec<String>),
-    Product(Box<WorldQuery>, Box<WorldQuery>),
-    Join(Box<WorldQuery>, Box<WorldQuery>, Expr),
-    Union(Box<WorldQuery>, Box<WorldQuery>),
-    Difference(Box<WorldQuery>, Box<WorldQuery>),
-    Distinct(Box<WorldQuery>),
-    Rename(Box<WorldQuery>, String, String),
-    Qualify(Box<WorldQuery>, String),
-}
-
-impl WorldQuery {
-    pub fn table(name: impl Into<String>) -> WorldQuery {
-        WorldQuery::Table(name.into())
-    }
-
-    /// Evaluates the query inside one world.
-    pub fn eval(&self, w: &World) -> Result<Relation> {
-        use maybms_relational::Error;
-        Ok(match self {
-            WorldQuery::Table(n) => w
-                .get(n)
-                .ok_or_else(|| Error::UnknownRelation(n.clone()))?
-                .clone(),
-            WorldQuery::Select(q, pred) => ops::select(&q.eval(w)?, pred)?,
-            WorldQuery::Project(q, cols) => {
-                let r = q.eval(w)?;
-                let names: Vec<&str> = cols.iter().map(String::as_str).collect();
-                ops::project(&r, &names)?
-            }
-            WorldQuery::Product(a, b) => ops::product(&a.eval(w)?, &b.eval(w)?),
-            WorldQuery::Join(a, b, pred) => ops::theta_join(&a.eval(w)?, &b.eval(w)?, pred)?,
-            WorldQuery::Union(a, b) => ops::union(&a.eval(w)?, &b.eval(w)?)?,
-            WorldQuery::Difference(a, b) => ops::difference(&a.eval(w)?, &b.eval(w)?)?,
-            WorldQuery::Distinct(q) => ops::distinct(&q.eval(w)?),
-            WorldQuery::Rename(q, from, to) => ops::rename(&q.eval(w)?, from, to)?,
-            WorldQuery::Qualify(q, prefix) => ops::qualify(&q.eval(w)?, prefix),
-        })
-    }
+/// Evaluates the query inside one world.
+pub fn eval_in_world(q: &Query, w: &World) -> Result<Relation> {
+    let ev = |q: &Query| eval_in_world(q, w);
+    Ok(match q {
+        Query::Table(n) => w
+            .get(n)
+            .ok_or_else(|| Error::UnknownRelation(n.clone()))?
+            .clone(),
+        Query::Select(i, pred) => ops::select(&ev(i)?, pred)?,
+        Query::Project(i, cols) => {
+            let names: Vec<&str> = cols.iter().map(String::as_str).collect();
+            ops::project(&ev(i)?, &names)?
+        }
+        Query::Product(a, b) => ops::product(&ev(a)?, &ev(b)?),
+        Query::Join(a, b, pred) => ops::theta_join(&ev(a)?, &ev(b)?, pred)?,
+        Query::Union(a, b) => ops::union(&ev(a)?, &ev(b)?)?,
+        Query::Difference(a, b) => ops::difference(&ev(a)?, &ev(b)?)?,
+        Query::Distinct(i) => ops::distinct(&ev(i)?),
+        Query::Rename(i, from, to) => ops::rename(&ev(i)?, from, to)?,
+        Query::Qualify(i, prefix) => ops::qualify(&ev(i)?, prefix),
+    })
 }
 
 /// Evaluates a query in every world of the set, producing the answer
 /// world-set (relation name: `"result"`).
-pub fn eval_in_all_worlds(ws: &WorldSet, q: &WorldQuery) -> Result<WorldSet> {
-    ws.map(|w| Ok(World::single("result", q.eval(w)?)))
+pub fn eval_in_all_worlds(ws: &WorldSet, q: &Query) -> Result<WorldSet> {
+    ws.map(|w| Ok(World::single("result", eval_in_world(q, w)?)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use maybms_relational::{ColumnType, Schema, Value};
+    use maybms_relational::{ColumnType, Expr, Schema, Value};
 
     fn medical_world(diag: &str, test: &str, symptom: &str) -> World {
         let mut r = Relation::empty(Schema::new(vec![
@@ -89,13 +68,9 @@ mod tests {
         ]);
         ws.validate().unwrap();
 
-        let q = WorldQuery::Project(
-            Box::new(WorldQuery::Select(
-                Box::new(WorldQuery::table("R")),
-                Expr::col("diagnosis").eq(Expr::lit("pregnancy")),
-            )),
-            vec!["test".to_string()],
-        );
+        let q = Query::table("R")
+            .select(Expr::col("diagnosis").eq(Expr::lit("pregnancy")))
+            .project(["test"]);
         let ans = eval_in_all_worlds(&ws, &q).unwrap();
         let conf = ans.tuple_confidence("result");
         assert_eq!(conf.len(), 1);
@@ -108,7 +83,7 @@ mod tests {
     #[test]
     fn unknown_table_errors() {
         let ws = WorldSet::certain(World::new());
-        let q = WorldQuery::table("missing");
+        let q = Query::table("missing");
         assert!(eval_in_all_worlds(&ws, &q).is_err());
     }
 
@@ -123,12 +98,8 @@ mod tests {
         w.put("r", r);
         w.put("s", s);
 
-        let q = WorldQuery::Join(
-            Box::new(WorldQuery::table("r")),
-            Box::new(WorldQuery::table("s")),
-            Expr::col("a").eq(Expr::col("b")),
-        );
-        let out = q.eval(&w).unwrap();
+        let q = Query::table("r").join(Query::table("s"), Expr::col("a").eq(Expr::col("b")));
+        let out = eval_in_world(&q, &w).unwrap();
         assert_eq!(out.len(), 1);
         assert_eq!(out.rows()[0].values(), &[Value::Int(2), Value::Int(2)]);
     }

@@ -8,7 +8,10 @@
 //! 1. **Correctness oracle.** Every WSD algebra operation in `maybms-core`
 //!    must commute with world enumeration: running a query on the
 //!    decomposition and then enumerating worlds must equal enumerating
-//!    worlds and running the query in each. The property tests pin this.
+//!    worlds and running the query in each. Both sides read the same
+//!    [`maybms_relational::Query`] tree — [`eval::eval_in_all_worlds`]
+//!    takes the engine's own query, and nothing converts between them.
+//!    The property tests pin this.
 //! 2. **Baseline.** The paper's E3 experiment compares query evaluation on
 //!    the decomposition against "conventional query processing (that is, of
 //!    processing a single world using standard database techniques)" — the

@@ -258,11 +258,6 @@ impl WorldSet {
     }
 }
 
-/// Convenience: builds a one-relation, one-row world for tests.
-pub fn tiny_world(rel: &str, r: Relation) -> World {
-    World::single(rel, r)
-}
-
 /// Convenience: a `Value` row.
 pub fn row(vals: Vec<Value>) -> Tuple {
     Tuple::new(vals)

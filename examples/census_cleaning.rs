@@ -7,6 +7,7 @@
 
 use maybms_census::{cleaning_constraints, generate, inject, to_wsd, NoiseSpec, CENSUS_REL};
 use maybms_core::chase::clean;
+use maybms_core::exec::eval;
 use maybms_relational::Expr;
 
 fn main() {
@@ -54,7 +55,7 @@ fn main() {
     let q = maybms_core::algebra::Query::table(CENSUS_REL)
         .select(Expr::col("age").lt(Expr::lit(15i64)))
         .project(["marst"]);
-    let answer = q.eval(&wsd).expect("query");
+    let answer = eval(&q, &wsd).expect("query");
     let conf = answer.tuple_confidence("result").expect("confidence");
     println!("\nmarital status of persons younger than 15 (after cleaning):");
     for (t, p) in conf {

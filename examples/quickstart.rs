@@ -12,6 +12,7 @@
 use maybms::prelude::*;
 use maybms_core::algebra::Query;
 use maybms_core::examples::medical_wsd;
+use maybms_core::exec::eval;
 use maybms_relational::pretty;
 
 fn main() {
@@ -51,7 +52,7 @@ fn main() {
     let q = Query::table("R")
         .select(Expr::col("diagnosis").eq(Expr::lit("pregnancy")))
         .project(["test"]);
-    let answer = q.eval(&wsd).expect("query");
+    let answer = eval(&q, &wsd).expect("query");
     println!(
         "answer WSD: {} component(s), {} worlds",
         answer.stats().components,

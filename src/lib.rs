@@ -31,7 +31,7 @@
 //! let q = maybms_core::algebra::Query::table("R")
 //!     .select(Expr::col("diagnosis").eq(Expr::lit("pregnancy")))
 //!     .project(["test"]);
-//! let ans = q.eval(&wsd).unwrap();
+//! let ans = maybms_core::exec::eval(&q, &wsd).unwrap();
 //! let conf = ans.tuple_confidence("result").unwrap();
 //! assert_eq!(conf.len(), 1);
 //! assert!((conf[0].1 - 0.4).abs() < 1e-9); // P(ultrasound) = 0.4
@@ -51,7 +51,7 @@ pub mod prelude {
     pub use maybms_census;
     pub use maybms_core;
     pub use maybms_relational::{
-        ops, Catalog, ColumnType, Expr, Relation, Schema, Tuple, Value,
+        ops, ColumnType, Expr, Relation, Schema, Tuple, Value,
     };
     pub use maybms_sql;
     pub use maybms_worldset::{OrSetCell, OrSetRelation, World, WorldSet};

@@ -6,6 +6,7 @@ use maybms_census::{
 };
 use maybms_core::algebra::Query;
 use maybms_core::chase::clean;
+use maybms_core::exec::eval;
 use maybms_relational::Expr;
 
 #[test]
@@ -37,7 +38,7 @@ fn pipeline_small() {
     let q = Query::table(CENSUS_REL)
         .select(Expr::col("age").lt(Expr::lit(15i64)))
         .project(["marst"]);
-    let ans = q.eval(&wsd).unwrap();
+    let ans = eval(&q, &wsd).unwrap();
     for (t, p) in ans.tuple_confidence("result").unwrap() {
         assert!(p > 0.0);
         assert_eq!(
@@ -58,10 +59,10 @@ fn queries_on_noisy_census_match_oracle_at_tiny_scale() {
     let q = Query::table(CENSUS_REL)
         .select(Expr::col("age").ge(Expr::lit(30i64)))
         .project(["age", "sex"]);
-    let lhs = q.eval(&wsd).unwrap().to_worldset(1 << 16).unwrap();
+    let lhs = eval(&q, &wsd).unwrap().to_worldset(1 << 16).unwrap();
     let rhs = maybms_worldset::eval::eval_in_all_worlds(
         &wsd.to_worldset(1 << 16).unwrap(),
-        &q.to_world_query(),
+        &q,
     )
     .unwrap();
     assert!(lhs.equivalent(&rhs, 1e-9));

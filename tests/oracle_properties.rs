@@ -8,7 +8,7 @@ use maybms_core::algebra::{extract, join_op_in, join_op_nested, Query};
 use maybms_core::chase::{clean, Constraint};
 use maybms_core::codec::{decode_wsd, encode_wsd};
 use maybms_core::convert::from_worldset;
-use maybms_core::exec::{compile, Executor, WorkerPool};
+use maybms_core::exec::{compile, eval, Executor, WorkerPool};
 use maybms_core::normalize::{normalize, normalize_from_scratch, normalize_full};
 use maybms_core::prob;
 use maybms_core::wsd::{Existence, TemplateCell, TupleTemplate, Wsd};
@@ -249,7 +249,7 @@ fn check_executor_against_worlds(
     mut plan: impl FnMut(&Query) -> maybms_relational::Result<Query>,
 ) -> Result<(), TestCaseError> {
     let worlds = wsd.to_worldset(1 << 16).expect("enumerate input");
-    let per_world = eval_in_all_worlds(&worlds, &q.to_world_query());
+    let per_world = eval_in_all_worlds(&worlds, q);
     let mut first_bytes: Option<Vec<u8>> = None;
     for workers in [1usize, 2, 4] {
         let pool = WorkerPool::new(workers);
@@ -294,8 +294,8 @@ proptest! {
     #[test]
     fn queries_commute_with_world_enumeration(wsd in arb_wsd(), q in arb_query()) {
         let worlds = wsd.to_worldset(1 << 16).expect("enumerate input");
-        let rhs = eval_in_all_worlds(&worlds, &q.to_world_query());
-        match q.eval(&wsd) {
+        let rhs = eval_in_all_worlds(&worlds, &q);
+        match eval(&q, &wsd) {
             Ok(on_wsd) => {
                 on_wsd.validate().expect("valid result");
                 let lhs = on_wsd.to_worldset(1 << 16).expect("enumerate result");
@@ -421,7 +421,7 @@ proptest! {
     /// through the accumulator.
     #[test]
     fn world_modes_match_enumeration(wsd in arb_wsd(), q in arb_query()) {
-        let Ok(ans) = q.eval(&wsd) else { return Ok(()) };
+        let Ok(ans) = eval(&q, &wsd) else { return Ok(()) };
         let ws = ans.to_worldset(1 << 16).expect("enumerate answer");
         let pool = WorkerPool::sequential();
         let close = |a: f64, b: f64| (a - b).abs() < 1e-9;
@@ -517,12 +517,12 @@ proptest! {
     }
 
     /// Incremental (dirty-set) normalization is world-equivalent to the
-    /// full-pass reference after arbitrary queries: `Query::eval` runs the
+    /// full-pass reference after arbitrary queries: `exec::eval` runs the
     /// incremental path internally; re-normalizing its result from scratch
     /// must change nothing.
     #[test]
     fn incremental_normalize_equals_full_pass(wsd in arb_wsd(), q in arb_query()) {
-        if let Ok(result) = q.eval(&wsd) {
+        if let Ok(result) = eval(&q, &wsd) {
             // eval's output was incrementally normalized; a full pass on a
             // copy must be a no-op up to world-set equivalence
             let mut full = result.clone();
@@ -549,7 +549,7 @@ proptest! {
             encode_wsd(&back),
             "re-encoding a decoded WSD must reproduce the same bytes"
         );
-        match (q.eval(&wsd), q.eval(&back)) {
+        match (eval(&q, &wsd), eval(&q, &back)) {
             (Ok(a), Ok(b)) => {
                 let ca = a.tuple_confidence("result").expect("confidence original");
                 let cb = b.tuple_confidence("result").expect("confidence decoded");

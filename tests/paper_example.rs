@@ -4,6 +4,7 @@
 use maybms::prelude::*;
 use maybms_core::algebra::Query;
 use maybms_core::examples::medical_wsd;
+use maybms_core::exec::eval;
 
 #[test]
 fn the_wsd_represents_four_worlds_as_a_product_of_five_components() {
@@ -39,7 +40,7 @@ fn the_papers_selection_produces_three_worlds_before_projection() {
     // (differing in symptom) and the empty world.
     let wsd = medical_wsd();
     let q = Query::table("R").select(Expr::col("diagnosis").eq(Expr::lit("pregnancy")));
-    let ans = q.eval(&wsd).unwrap();
+    let ans = eval(&q, &wsd).unwrap();
     let merged = ans.to_worldset(1000).unwrap().merged();
     assert_eq!(merged.len(), 3);
 }
@@ -52,7 +53,7 @@ fn after_projection_two_worlds_remain_with_the_papers_wsd_shape() {
     let q = Query::table("R")
         .select(Expr::col("diagnosis").eq(Expr::lit("pregnancy")))
         .project(["test"]);
-    let ans = q.eval(&wsd).unwrap();
+    let ans = eval(&q, &wsd).unwrap();
     let stats = ans.stats();
     assert_eq!(stats.components, 1, "a single 2-row component as printed");
     assert_eq!(stats.max_component_rows, 2);
@@ -68,7 +69,7 @@ fn prob_construct_returns_the_papers_number() {
     let q = Query::table("R")
         .select(Expr::col("diagnosis").eq(Expr::lit("pregnancy")))
         .project(["test"]);
-    let ans = q.eval(&wsd).unwrap();
+    let ans = eval(&q, &wsd).unwrap();
     let conf = ans.tuple_confidence("result").unwrap();
     assert_eq!(conf.len(), 1);
     assert_eq!(conf[0].0[0], Value::str("ultrasound"));
@@ -100,10 +101,10 @@ fn query_on_wsd_equals_query_in_every_world() {
     let q = Query::table("R")
         .select(Expr::col("diagnosis").eq(Expr::lit("pregnancy")))
         .project(["test"]);
-    let on_wsd = q.eval(&wsd).unwrap().to_worldset(1000).unwrap();
+    let on_wsd = eval(&q, &wsd).unwrap().to_worldset(1000).unwrap();
     let per_world = maybms_worldset::eval::eval_in_all_worlds(
         &wsd.to_worldset(1000).unwrap(),
-        &q.to_world_query(),
+        &q,
     )
     .unwrap();
     assert!(on_wsd.equivalent(&per_world, 1e-9));
