@@ -33,7 +33,9 @@ use std::net::{TcpStream, ToSocketAddrs};
 
 use maybms_relational::Error;
 use maybms_storage::bytes::{Reader, Writer};
-use maybms_storage::frame::{read_frame, write_frame, MAX_FRAME_LEN, MAX_REQUEST_LEN};
+use maybms_storage::frame::{
+    payload_writer, read_frame, write_sealed, MAX_FRAME_LEN, MAX_REQUEST_LEN,
+};
 
 /// First bytes on the wire, before any frame: how the multiplexed
 /// listener recognizes this protocol.
@@ -108,9 +110,10 @@ fn bad_data(msg: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
-/// A payload under construction: version byte, then the message tag.
-fn message(tag: u8) -> Writer {
-    let mut w = Writer::new();
+/// A frame under construction: version byte, then the message tag, with
+/// room for a `body`-byte remainder.
+fn message(tag: u8, body: usize) -> Writer {
+    let mut w = payload_writer(2 + body);
     w.put_u8(PROTO_VERSION);
     w.put_u8(tag);
     w
@@ -140,9 +143,9 @@ fn decode<T>(
 /// Sends one request as a frame.
 pub fn send_request<W: Write>(w: &mut W, req: &Request) -> io::Result<()> {
     let Request::Query { sql } = req;
-    let mut payload = message(TAG_QUERY);
+    let mut payload = message(TAG_QUERY, 4 + sql.len());
     payload.put_str(sql);
-    write_frame(w, &payload.into_inner())
+    write_sealed(w, payload)
 }
 
 /// Receives one request frame.
@@ -157,24 +160,24 @@ pub fn recv_request<R: Read>(r: &mut R) -> io::Result<Request> {
 pub fn send_response<W: Write>(w: &mut W, resp: &Response) -> io::Result<()> {
     let payload = match resp {
         Response::Hello { lsn } => {
-            let mut p = message(TAG_HELLO);
+            let mut p = message(TAG_HELLO, 8);
             p.put_u64(*lsn);
             p
         }
         Response::Ok { lsn, text } => {
-            let mut p = message(TAG_OK);
+            let mut p = message(TAG_OK, 12 + text.len());
             p.put_u64(*lsn);
             p.put_str(text);
             p
         }
         Response::Err { kind, message: text } => {
-            let mut p = message(TAG_ERR);
+            let mut p = message(TAG_ERR, 5 + text.len());
             p.put_u8(*kind);
             p.put_str(text);
             p
         }
     };
-    write_frame(w, &payload.into_inner())
+    write_sealed(w, payload)
 }
 
 /// Receives one response frame.
@@ -295,7 +298,7 @@ mod tests {
             &[PROTO_VERSION, TAG_HELLO, 0, 0, 0, 0, 0, 0, 0, 0, 0xFF],
         ] {
             let mut buf = Vec::new();
-            write_frame(&mut buf, payload).expect("frame");
+            maybms_storage::frame::put_frame(&mut buf, payload);
             let err = recv_response(&mut &buf[..]).expect_err("malformed message accepted");
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{payload:?}: {err}");
         }

@@ -429,12 +429,6 @@ impl Database {
         self.wal.base_lsn()
     }
 
-    /// The committed records with LSN strictly greater than `after` — see
-    /// [`Wal::records_from`].
-    pub fn records_from(&self, after: u64) -> Result<Vec<(u64, Vec<u8>)>> {
-        self.wal.records_from(after)
-    }
-
     /// Bytes of committed WAL (header included) — tests use this to
     /// assert a checkpoint emptied the log.
     pub fn wal_len(&self) -> u64 {

@@ -16,6 +16,7 @@
 
 use std::io::{self, Read, Write};
 
+use crate::bytes::Writer;
 use crate::crc::crc32;
 
 /// Bytes of framing ahead of every payload.
@@ -32,18 +33,36 @@ pub const MAX_REQUEST_LEN: usize = 16 << 20;
 /// the buffer follows the bytes received, not the bytes declared.
 const INITIAL_CAPACITY: usize = 64 << 10;
 
+fn header(payload: &[u8]) -> [u8; FRAME_HEADER_LEN] {
+    let mut h = [0u8; FRAME_HEADER_LEN];
+    h[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    h[4..].copy_from_slice(&crc32(payload).to_le_bytes());
+    h
+}
+
 /// Appends `payload` to `out` as one frame.
 pub fn put_frame(out: &mut Vec<u8>, payload: &[u8]) {
     out.reserve(FRAME_HEADER_LEN + payload.len());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
+    out.extend_from_slice(&header(payload));
     out.extend_from_slice(payload);
 }
 
-/// Writes `payload` as one frame (a single `write_all`) and flushes.
-pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
-    let mut frame = Vec::new();
-    put_frame(&mut frame, payload);
+/// A payload writer with room for `capacity` payload bytes and the
+/// frame header reserved ahead of them; [`write_sealed`] sends it.
+pub fn payload_writer(capacity: usize) -> Writer {
+    let mut w = Writer::with_capacity(FRAME_HEADER_LEN + capacity);
+    w.put_bytes(&[0; FRAME_HEADER_LEN]);
+    w
+}
+
+/// Seals a frame begun by [`payload_writer`] — length and checksum go
+/// into the reserved header, in the buffer that holds the payload, so the
+/// payload is never copied — then writes it (a single `write_all`) and
+/// flushes.
+pub fn write_sealed<W: Write>(w: &mut W, frame: Writer) -> io::Result<()> {
+    let mut frame = frame.into_inner();
+    let (h, payload) = frame.split_at_mut(FRAME_HEADER_LEN);
+    h.copy_from_slice(&header(payload));
     w.write_all(&frame)?;
     w.flush()
 }
@@ -117,8 +136,19 @@ mod tests {
 
     fn framed(payload: &[u8]) -> Vec<u8> {
         let mut buf = Vec::new();
-        write_frame(&mut buf, payload).unwrap();
+        put_frame(&mut buf, payload);
         buf
+    }
+
+    #[test]
+    fn a_sealed_frame_is_the_appended_frame() {
+        for payload in [&b""[..], b"x", &[0xA5; 300]] {
+            let mut w = payload_writer(0);
+            w.put_bytes(payload);
+            let mut sent = Vec::new();
+            write_sealed(&mut sent, w).unwrap();
+            assert_eq!(sent, framed(payload));
+        }
     }
 
     #[test]
@@ -126,7 +156,7 @@ mod tests {
         let payloads: [&[u8]; 3] = [b"first", b"", b"third, a bit longer"];
         let mut buf = Vec::new();
         for p in payloads {
-            write_frame(&mut buf, p).unwrap();
+            put_frame(&mut buf, p);
         }
         let mut stream = &buf[..];
         let mut at = 0;

@@ -76,19 +76,9 @@ impl Pager {
         Ok(Pager { file, base, page_size })
     }
 
-    /// The configured page size.
-    pub fn page_size(&self) -> usize {
-        self.page_size
-    }
-
     /// Payload bytes one page can carry.
     pub fn capacity(&self) -> usize {
         self.page_size - PAGE_HEADER_LEN
-    }
-
-    /// Pages needed for a payload of `len` bytes (at least one).
-    pub fn pages_for(&self, len: usize) -> u32 {
-        (len.max(1)).div_ceil(self.capacity()) as u32
     }
 
     fn offset_of(&self, idx: u32) -> u64 {
@@ -246,7 +236,7 @@ mod tests {
         let mut pager = Pager::new(open_rw(&path), 16, 32).unwrap();
         let payload: Vec<u8> = (0..1000u32).map(|i| (i % 251) as u8).collect();
         let pages = pager.write_payload(&payload).unwrap();
-        assert_eq!(pages, pager.pages_for(payload.len()));
+        assert_eq!(pages as usize, payload.len().div_ceil(pager.capacity()));
         assert_eq!(pager.read_payload(payload.len() as u64).unwrap(), payload);
         let _ = std_vfs().remove_file(&path);
     }

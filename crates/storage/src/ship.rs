@@ -33,7 +33,7 @@ use std::io::{Read, Write};
 use maybms_relational::{Error, Result};
 
 use crate::bytes::{Reader, Writer};
-use crate::frame::{read_frame, write_frame, MAX_FRAME_LEN};
+use crate::frame::{payload_writer, read_frame, write_sealed, MAX_FRAME_LEN};
 use crate::pager::io_err;
 
 /// Version of the shipping protocol; a mismatch fails the handshake.
@@ -80,8 +80,14 @@ pub enum Msg {
     },
 }
 
-fn encode_msg(msg: &Msg) -> Vec<u8> {
-    let mut w = Writer::new();
+/// A message as a frame ready for [`write_sealed`].
+fn encode_msg(msg: &Msg) -> Writer {
+    let body = match msg {
+        Msg::Snapshot { payload, .. } | Msg::Record { payload, .. } => payload.len(),
+        _ => 0,
+    };
+    // version, tag, two u64 and a u32 length ahead of the body
+    let mut w = payload_writer(22 + body);
     w.put_u8(SHIP_VERSION);
     match msg {
         Msg::Hello { generation, last_lsn } => {
@@ -108,7 +114,7 @@ fn encode_msg(msg: &Msg) -> Vec<u8> {
             w.put_u64(*last_lsn);
         }
     }
-    w.into_inner()
+    w
 }
 
 fn decode_msg(bytes: &[u8]) -> Result<Msg> {
@@ -143,7 +149,7 @@ fn decode_msg(bytes: &[u8]) -> Result<Msg> {
 
 /// Writes one framed message to the stream and flushes it.
 pub fn send_msg<W: Write>(stream: &mut W, msg: &Msg) -> Result<()> {
-    write_frame(stream, &encode_msg(msg)).map_err(|e| io_err("ship message", e))
+    write_sealed(stream, encode_msg(msg)).map_err(|e| io_err("ship message", e))
 }
 
 /// Reads one framed message from the stream, verifying its checksum. A

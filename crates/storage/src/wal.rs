@@ -24,8 +24,7 @@
 //! in an empty log whose `base_lsn` is the previous log's last LSN, so
 //! the numbering continues rather than restarting. This is what lets a
 //! replica name its position with one integer: "I have applied everything
-//! up to LSN x; send me what follows" ([`Wal::records_from`],
-//! [`WalCursor`]).
+//! up to LSN x; send me what follows" ([`WalCursor`]).
 //!
 //! `generation` pairs the log with the snapshot it extends: a checkpoint
 //! bumps the snapshot generation and swaps in a fresh, empty log of the
@@ -80,7 +79,6 @@ pub const WAL_HEADER_LEN: u64 = 32;
 #[derive(Debug)]
 pub struct Wal {
     file: Box<dyn VfsFile>,
-    vfs: Arc<dyn Vfs>,
     path: PathBuf,
     generation: u64,
     /// LSN of the last record before this log (continues across
@@ -157,7 +155,6 @@ impl Wal {
         let file = vfs.open(path, OpenMode::ReadWrite).map_err(|e| io_err("reopen WAL", e))?;
         Ok(Wal {
             file,
-            vfs,
             path: path.to_path_buf(),
             generation,
             base_lsn,
@@ -191,7 +188,6 @@ impl Wal {
         Ok((
             Wal {
                 file,
-                vfs,
                 path: path.to_path_buf(),
                 generation,
                 base_lsn,
@@ -291,37 +287,6 @@ impl Wal {
         self.end += frames.len() as u64;
         self.count += records.len() as u64;
         Ok(self.base_lsn + self.count)
-    }
-
-    /// The committed records with LSN strictly greater than `after`, as
-    /// `(lsn, payload)` pairs — the pull side of WAL shipping ("send me
-    /// everything since x"). Returns an error when `after` precedes this
-    /// log's `base_lsn` (those records live in the snapshot, not the log;
-    /// the caller must fall back to a snapshot transfer).
-    ///
-    /// Reads through a fresh handle on the file, so it can run while the
-    /// log is being appended to; it only ever sees fully framed records.
-    pub fn records_from(&self, after: u64) -> Result<Vec<(u64, Vec<u8>)>> {
-        if after < self.base_lsn {
-            return Err(Error::Storage(format!(
-                "LSN {after} predates this log (base LSN {}); a snapshot transfer is needed",
-                self.base_lsn
-            )));
-        }
-        let raw = self.vfs.read(&self.path).map_err(|e| io_err("read WAL", e))?;
-        let (generation, base_lsn) = decode_header(&raw)?;
-        if generation != self.generation || base_lsn != self.base_lsn {
-            return Err(Error::Storage(
-                "WAL was swapped while reading (checkpoint in progress); retry".into(),
-            ));
-        }
-        let (records, _) = scan_records(&raw);
-        Ok(records
-            .into_iter()
-            .enumerate()
-            .map(|(i, payload)| (base_lsn + i as u64 + 1, payload))
-            .filter(|(lsn, _)| *lsn > after)
-            .collect())
     }
 }
 
@@ -540,26 +505,28 @@ mod tests {
     }
 
     #[test]
-    fn records_from_filters_by_lsn() {
+    fn cursor_filters_by_lsn() {
         let path = tmp("records-from");
         let mut wal = Wal::create(std_vfs(), &path, 1, 10).unwrap();
         wal.append(b"eleven").unwrap();
         wal.append(b"twelve").unwrap();
         wal.append(b"thirteen").unwrap();
-        let all = wal.records_from(10).unwrap();
+        let from = |after| match WalCursor::open(std_vfs(), &path, after).unwrap().poll(13) {
+            Ok(Polled::Records(r)) => r,
+            other => panic!("expected records, got {other:?}"),
+        };
         assert_eq!(
-            all,
+            from(10),
             vec![
                 (11, b"eleven".to_vec()),
                 (12, b"twelve".to_vec()),
                 (13, b"thirteen".to_vec())
             ]
         );
-        assert_eq!(wal.records_from(12).unwrap(), vec![(13, b"thirteen".to_vec())]);
-        assert!(wal.records_from(13).unwrap().is_empty());
-        assert!(wal.records_from(99).unwrap().is_empty());
+        assert_eq!(from(12), vec![(13, b"thirteen".to_vec())]);
+        assert!(from(13).is_empty());
         // a position before base_lsn means the records live in the snapshot
-        let err = wal.records_from(9).unwrap_err();
+        let err = WalCursor::open(std_vfs(), &path, 9).unwrap_err();
         assert!(err.to_string().contains("snapshot transfer"), "{err}");
         let _ = std::fs::remove_file(&path);
     }

@@ -9,7 +9,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-CEILING=10652
+CEILING=10644
 
 count() {
     find "crates/$1/src" -name '*.rs' ! -name 'tests.rs' -print0 | sort -z |
